@@ -35,7 +35,6 @@ from .farey import (
     h_kernel_integral,
     hata_basis,
     hata_coefficient,
-    hata_reconstruct,
     legendre_dual,
     residue_main_term,
     sigma_b,

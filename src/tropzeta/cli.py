@@ -6,8 +6,9 @@ stdout (aligned key: value lines with --pretty); SVG/CSV side files on
 request.  Exit codes: 0 success, 1 domain/specification errors, 2
 numerical-regime errors (asymptotics out of reach at the requested depth).
 
-Configuration precedence: command-line flags > TROPZETA_* environment
-variables > ./tropzeta.toml (flat key = value lines).
+--pretty is the one configurable setting: the flag, else the TROPZETA_PRETTY
+environment variable, else a `pretty = ...` line of ./tropzeta.toml (flat
+key = value lines).
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ from .zeta import (
     zeta_via_identity,
     zeta_via_mellin,
 )
-
-CONFIG_KEYS = ("eps", "bound", "threads", "pretty")
-
 
 def _fmt(value):
     """JSON-ready form: rationals as 'p/q', complex as [re, im], floats with
@@ -100,24 +98,23 @@ def _load_weight(spec: str) -> SmoothWeight:
     raise ValueError("weight file must hold a coefficient list or {'poly': [...]}")
 
 
-def _config_default(args, key: str, cast):
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    env = os.environ.get(f"TROPZETA_{key.upper().replace('-', '_')}")
-    if env is not None:
-        return cast(env)
-    try:
-        with open("tropzeta.toml") as fh:
-            for line in fh:
-                line = line.split("#")[0].strip()
-                if "=" in line:
-                    k, v = (part.strip() for part in line.split("=", 1))
-                    if k == key:
-                        return cast(v.strip("'\""))
-    except OSError:
-        pass
-    return None
+def _pretty(args) -> bool:
+    """--pretty, else TROPZETA_PRETTY, else the first `pretty = ...` line of
+    ./tropzeta.toml; the values 0, false and the empty string mean off."""
+    if args.pretty:
+        return True
+    value = os.environ.get("TROPZETA_PRETTY")
+    if value is None:
+        try:
+            with open("tropzeta.toml") as fh:
+                for line in fh:
+                    key, eq, val = line.split("#")[0].partition("=")
+                    if eq and key.strip() == "pretty":
+                        value = val.strip().strip("'\"")
+                        break
+        except OSError:
+            pass
+    return value is not None and value not in ("0", "false", "")
 
 
 def _series_payload(est: SeriesEstimate) -> dict:
@@ -370,16 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
                      description="tropical zeta functions of convex domains")
     parser.add_argument("--pretty", action="store_true", default=None,
                         help="aligned human-readable output instead of JSON")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="reserved; evaluation is deterministic single-threaded")
     common = _Parser(add_help=False)
     common.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     subparsers = parser.add_subparsers(dest="command", required=True,
                                        parser_class=_Parser)
 
     class _Sub:
-        """Attach the shared --pretty/--threads flags to every subcommand."""
+        """Attach the shared --pretty flag to every subcommand."""
 
         def add_parser(self, name, **kw):
             return subparsers.add_parser(name, parents=[common], **kw)
@@ -463,8 +457,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    pretty = _config_default(args, "pretty", lambda v: v not in ("0", "false", ""))
-    pretty = bool(pretty)
+    pretty = _pretty(args)
     if args.command == "verify":
         return _cmd_verify(args)
     try:

@@ -25,9 +25,12 @@ case is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from itertools import accumulate
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -74,78 +77,100 @@ class SupportTriangle:
     parent: Optional[int]
 
 
+class _SizeOrder(NamedTuple):
+    """A tree's row table sorted by size, largest first (ties in node order)."""
+
+    slack: tuple  # (W, H, S) of CutTree.slack_arrays
+    neg_sizes: np.ndarray  # -S, ascending, for searchsorted
+    prefix: np.ndarray  # prefix sums of S, starting at 0
+    prefix_sq: np.ndarray  # prefix sums of S^2, starting at 0
+
+
 @dataclass
 class CutTree:
+    """The corner cuts of a domain down to size threshold, and the frontier
+    of corners left uncut, both in descent order (depth first, chart by chart).
+
+    A cut's parent is an index into nodes.  Frontier corner k has size
+    leaf_sizes[k]; leaf_links[k] is 2 * parent + side (side 1 for the child
+    corner (u+v, v), 0 for (u, u+v)), or -1 for an uncut chart root; and
+    leaf_order[k] counts the cuts the descent recorded before reaching it.
+    Trees are shared between readers and must be treated as read-only.
+    """
+
     domain: ConvexDomain
     charts: list
     threshold: float
     nodes: list[SupportTriangle]
     leaf_sizes: list
+    leaf_links: array
+    leaf_order: array
     minimal_model: MinimalModel
     k_squared_start: int
-    _sorted: Optional[np.ndarray] = None
-    _prefix: Optional[np.ndarray] = None
-    _prefix_sq: Optional[np.ndarray] = None
 
     def sizes(self) -> list:
         return [n.size for n in self.nodes]
 
-    def _ensure_sorted(self):
-        if self._sorted is None:
-            arr = np.array([float(n.size) for n in self.nodes], dtype=np.float64)
-            arr[::-1].sort()  # descending
-            self._sorted = arr
-            self._prefix = np.concatenate([[0.0], np.cumsum(arr)])
-            self._prefix_sq = np.concatenate([[0.0], np.cumsum(arr * arr)])
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """The float row table, one row (size, wx, wy, h) per cut in node
+        order: the size and the mediant's normal w and support offset h.
+        Every float reader of the tree is a view of it."""
+        sups = [getattr(ch, "support_float", None) or
+                (lambda a, b, _ch=ch: float(_ch.support(a, b))) for ch in self.charts]
+        corners = [(float(ch.corner[0]), float(ch.corner[1])) for ch in self.charts]
+        rows = []
+        for n in self.nodes:
+            a, b, c, d = n.quad
+            w = self.charts[n.chart_id].ambient_direction(a + c, b + d)
+            cx, cy = corners[n.chart_id]
+            h = sups[n.chart_id](a + c, b + d) + w[0] * cx + w[1] * cy
+            rows.append((float(n.size), float(w[0]), float(w[1]), h))
+        return np.array(rows, dtype=np.float64).reshape(-1, 4)
+
+    @cached_property
+    def _by_size(self) -> _SizeOrder:
+        rows = self._rows[np.argsort(-self._rows[:, 0], kind="stable")]
+        s = rows[:, 0]
+        return _SizeOrder((rows[:, 1:3], rows[:, 3], s), -s,
+                          np.concatenate([[0.0], np.cumsum(s)]),
+                          np.concatenate([[0.0], np.cumsum(s * s)]))
+
+    @cached_property
+    def _by_angle(self) -> tuple:
+        rows = []
+        hat = self.minimal_model.polygon
+        for (p, _q), nrm in zip(hat.edges(), hat.edge_normals()):
+            rows.append((float(nrm[0]), float(nrm[1]),
+                         float(nrm[0] * p[0] + nrm[1] * p[1]), math.inf))
+        arr = np.vstack([np.array(rows, dtype=np.float64).reshape(-1, 4),
+                         self._rows[:, [1, 2, 3, 0]]])
+        arr = arr[np.argsort(np.arctan2(arr[:, 1], arr[:, 0]))]
+        return arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy(), arr[:, 3].copy()
 
     def cut_count(self, t: float) -> int:
         """N^cut(t) = number of cuts of size >= t."""
         if t < self.threshold:
             raise ValueError("tree too shallow")
-        self._ensure_sorted()
-        return int(np.searchsorted(-self._sorted, -t, side="right"))
+        return int(np.searchsorted(self._by_size.neg_sizes, -t, side="right"))
 
     def size_sum_above(self, t: float) -> float:
-        self._ensure_sorted()
-        k = self.cut_count(t)
-        return float(self._prefix[k])
+        return float(self._by_size.prefix[self.cut_count(t)])
 
     def size_sq_sum_above(self, t: float) -> float:
-        self._ensure_sorted()
-        k = self.cut_count(t)
-        return float(self._prefix_sq[k])
+        return float(self._by_size.prefix_sq[self.cut_count(t)])
 
-    def ambient_normal(self, node: SupportTriangle) -> Vec:
-        a, b, c, d = node.quad
-        return self.charts[node.chart_id].ambient_direction(a + c, b + d)
+    def kinks(self, lo: float, hi: float) -> np.ndarray:
+        """The distinct cut sizes strictly between lo and hi, ascending: the
+        kinks of the wave-front perimeter there."""
+        s = self._by_size.slack[2]
+        return np.unique(s[(s > lo) & (s < hi)])
 
     def angular_arrays(self):
         """All front constraints (minimal-model edges plus cut mediants) in
         angular order, as float arrays (Wx, Wy, H, S); model edges carry
         S = +inf so a size mask S >= t always keeps them."""
-        cached = getattr(self, "_angular_arrays", None)
-        if cached is None:
-            rows = []
-            hat = self.minimal_model.polygon
-            for (p, _q), nrm in zip(hat.edges(), hat.edge_normals()):
-                rows.append((float(nrm[0]), float(nrm[1]),
-                             float(nrm[0] * p[0] + nrm[1] * p[1]), math.inf))
-            sups = [getattr(ch, "support_float", None) or
-                    (lambda a, b, _ch=ch: float(_ch.support(a, b))) for ch in self.charts]
-            corners = [(float(ch.corner[0]), float(ch.corner[1])) for ch in self.charts]
-            for n in self.nodes:
-                chart = self.charts[n.chart_id]
-                a, b, c, d = n.quad
-                w = chart.ambient_direction(a + c, b + d)
-                cx, cy = corners[n.chart_id]
-                h = sups[n.chart_id](a + c, b + d) + w[0] * cx + w[1] * cy
-                rows.append((float(w[0]), float(w[1]), h, float(n.size)))
-            arr = np.array(rows, dtype=np.float64).reshape(-1, 4)
-            order = np.argsort(np.arctan2(arr[:, 1], arr[:, 0]))
-            arr = arr[order]
-            cached = (arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy(), arr[:, 3].copy())
-            self._angular_arrays = cached
-        return cached
+        return self._by_angle
 
     def front_perimeter_geometric(self, t: float) -> float:
         """Lattice perimeter of the wave front at t from consecutive support
@@ -164,102 +189,89 @@ class CutTree:
         return float(np.clip(tpar, 0.0, None).sum())
 
     def mediant_constraints(self, t) -> list:
-        """(normal, offset) of the mediant supporting line of every cut of
-        size >= t, in ambient coordinates."""
+        """(normal, offset) of the mediant supporting line of every cut a
+        descent to t keeps, exact, in ambient coordinates."""
         out = []
-        for n in self.nodes:
-            if n.size >= t:
+        for n, kept in zip(self.nodes, _kept(self.nodes, t)):
+            if kept:
                 chart = self.charts[n.chart_id]
                 a, b, c, d = n.quad
                 w = chart.ambient_direction(a + c, b + d)
-                h = chart.support(a + c, b + d) + dot2(w, chart.corner)
-                out.append((w, h))
+                out.append((w, chart.support(a + c, b + d) + dot2(w, chart.corner)))
         return out
 
     def slack_arrays(self):
         """(W, H, S): float arrays of mediant normals, offsets and sizes,
         sorted by size descending, for vectorized slack evaluation."""
-        cached = getattr(self, "_slack_arrays", None)
-        if cached is None:
-            rows = []
-            sups = [getattr(ch, "support_float", None) or
-                    (lambda a, b, _ch=ch: float(_ch.support(a, b))) for ch in self.charts]
-            corners = [(float(ch.corner[0]), float(ch.corner[1])) for ch in self.charts]
-            for n in self.nodes:
-                chart = self.charts[n.chart_id]
-                a, b, c, d = n.quad
-                w = chart.ambient_direction(a + c, b + d)
-                cx, cy = corners[n.chart_id]
-                h = sups[n.chart_id](a + c, b + d) + w[0] * cx + w[1] * cy
-                rows.append((float(n.size), float(w[0]), float(w[1]), h))
-            rows.sort(key=lambda r: -r[0])
-            arr = np.array(rows, dtype=np.float64).reshape(-1, 4)
-            cached = (arr[:, 1:3], arr[:, 3], arr[:, 0])
-            self._slack_arrays = cached
-        return cached
+        return self._by_size.slack
 
 
-def _chart_descent(chart, chart_id: int, eps, node_sink: list, leaf_sink: list) -> None:
-    """Depth-first mediant descent; records nodes with size >= eps (> 0) and
-    the frontier leaf sizes (< eps)."""
+def _size_test(chart, eps):
+    """The per-corner size test of one chart: (measure, root supports), with
+    measure(a, b, c, d, gu, gv, psize) -> (size, cut?, gamma(u + v)).
+
+    Charts with an integer defect denominator (size = 1 / den) compare den
+    with floor(1/eps), exactly.  The others take one support call per corner,
+    size = gamma(u + v) - gamma(u) - gamma(v) with gamma(u), gamma(v) handed
+    down, and check that the size is nonnegative and at most the parent's."""
     defect_den = getattr(chart, "defect_den", None)
     if defect_den is not None:
-        _chart_descent_unit_fraction(chart, chart_id, defect_den, eps, node_sink, leaf_sink)
-        return
+        if eps <= 0:
+            raise ValueError("eps = 0 is only allowed for polygon domains")
+        den_cap = int(1 / Fraction(eps))  # size >= eps  <=>  den <= den_cap
+
+        def measure(a, b, c, d, gu, gv, psize):
+            den = defect_den(a, b, c, d)
+            return Fraction(1, den), den <= den_cap, None
+
+        return measure, (None, None)
     exact = getattr(chart, "exact", False)
     gamma = chart.support
-    g10 = gamma(1, 0)
-    g01 = gamma(0, 1)
-    stack = [(1, 0, 0, 1, g10, g01, 0, None)]
-    while stack:
-        a, b, c, d, gu, gv, depth, parent = stack.pop()
+
+    def measure(a, b, c, d, gu, gv, psize):
         gm = gamma(a + c, b + d)
         size = gm - gu - gv
         if (size < 0) if exact else (size < -1e-9):
-            raise ValueError(
-                f"chart {getattr(chart, 'name', chart_id)}: negative defect at {(a, b, c, d)}"
-            )
-        if parent is not None:
-            psize = node_sink[parent].size
-            if size > psize + (0 if exact else 1e-12 * (1 + float(psize))):
-                raise AssertionError("support triangle nesting violated: child larger than parent")
-        if size >= eps and size > 0:
-            idx = len(node_sink)
-            node_sink.append(SupportTriangle(quad=(a, b, c, d), size=size,
-                                             chart_id=chart_id, depth=depth, parent=parent))
-            stack.append((a, b, a + c, b + d, gu, gm, depth + 1, idx))
-            stack.append((a + c, b + d, c, d, gm, gv, depth + 1, idx))
-        else:
-            leaf_sink.append(size)
+            raise ValueError(f"chart {chart.name}: negative defect at {(a, b, c, d)}")
+        if psize is not None and size > psize + (0 if exact else 1e-12 * (1 + float(psize))):
+            raise AssertionError("support triangle nesting violated: child larger than parent")
+        return size, size >= eps and size > 0, gm
+
+    return measure, (gamma(1, 0), gamma(0, 1))
 
 
-def _chart_descent_unit_fraction(chart, chart_id: int, defect_den, eps,
-                                 node_sink: list, leaf_sink: list) -> None:
-    """Descent specialized to charts with unit-numerator exact defects
-    (size = 1/defect_den): all pruning decisions are integer comparisons."""
-    if eps <= 0:
-        raise ValueError("eps = 0 is only allowed for polygon domains")
-    den_cap = int(1 / Fraction(eps))  # size >= eps  <=>  den <= den_cap
-    stack = [(1, 0, 0, 1, 0, None)]
+def _descend(chart, chart_id: int, eps, nodes: list, leaf_sizes: list,
+             leaf_links: array, leaf_order: array) -> None:
+    """Depth-first mediant descent of one chart down to size eps: the one
+    Stern-Brocot walk.  Appends the cuts (size >= eps) to nodes and the
+    uncut corners to the frontier record (see CutTree)."""
+    measure, (g10, g01) = _size_test(chart, eps)
+    stack = [(1, 0, 0, 1, g10, g01, None, 0, -1)]
     while stack:
-        a, b, c, d, depth, parent = stack.pop()
-        den = defect_den(a, b, c, d)
-        if den <= den_cap:
-            idx = len(node_sink)
-            node_sink.append(SupportTriangle(quad=(a, b, c, d), size=Fraction(1, den),
-                                             chart_id=chart_id, depth=depth, parent=parent))
-            stack.append((a, b, a + c, b + d, depth + 1, idx))
-            stack.append((a + c, b + d, c, d, depth + 1, idx))
+        a, b, c, d, gu, gv, psize, depth, link = stack.pop()
+        size, cut, gm = measure(a, b, c, d, gu, gv, psize)
+        if cut:
+            idx = len(nodes)
+            nodes.append(SupportTriangle((a, b, c, d), size, chart_id, depth,
+                                         None if link < 0 else link >> 1))
+            stack.append((a, b, a + c, b + d, gu, gm, size, depth + 1, 2 * idx))
+            stack.append((a + c, b + d, c, d, gm, gv, size, depth + 1, 2 * idx + 1))
         else:
-            leaf_sink.append(Fraction(1, den))
+            leaf_sizes.append(size)
+            leaf_links.append(link)
+            leaf_order.append(len(nodes))
+
+
+def _chart_record(chart, eps) -> tuple:
+    record = ([], [], array("q"), array("q"))
+    _descend(chart, 0, eps, *record)
+    return record
 
 
 def chart_frontier(chart, eps) -> tuple[list, list]:
     """(cut sizes >= eps, frontier leaf sizes < eps) of a single chart."""
-    nodes: list[SupportTriangle] = []
-    leaves: list = []
-    _chart_descent(chart, 0, eps, nodes, leaves)
-    return [n.size for n in nodes], leaves
+    nodes, leaf_sizes, _, _ = _chart_record(chart, eps)
+    return [n.size for n in nodes], leaf_sizes
 
 
 def chart_frontier_wedges(chart, eps) -> list[tuple[int, int, int, int]]:
@@ -267,30 +279,29 @@ def chart_frontier_wedges(chart, eps) -> list[tuple[int, int, int, int]]:
     eps: the unexpanded normal pairs, which tile the chart's arc."""
     if eps <= 0:
         raise ValueError("frontier wedges need eps > 0")
-    defect_den = getattr(chart, "defect_den", None)
+    nodes, _, leaf_links, _ = _chart_record(chart, eps)
     out = []
-    if defect_den is not None:
-        den_cap = int(1 / Fraction(eps))
-        stack = [(1, 0, 0, 1)]
-        while stack:
-            a, b, c, d = stack.pop()
-            if defect_den(a, b, c, d) <= den_cap:
-                stack.append((a, b, a + c, b + d))
-                stack.append((a + c, b + d, c, d))
-            else:
-                out.append((a, b, c, d))
-        return out
-    gamma = chart.support
-    stack = [(1, 0, 0, 1, gamma(1, 0), gamma(0, 1))]
-    while stack:
-        a, b, c, d, gu, gv = stack.pop()
-        gm = gamma(a + c, b + d)
-        if gm - gu - gv >= eps:
-            stack.append((a, b, a + c, b + d, gu, gm))
-            stack.append((a + c, b + d, c, d, gm, gv))
-        else:
-            out.append((a, b, c, d))
+    for link in leaf_links:
+        if link < 0:
+            out.append((1, 0, 0, 1))
+            continue
+        a, b, c, d = nodes[link >> 1].quad
+        out.append((a + c, b + d, c, d) if link & 1 else (a, b, a + c, b + d))
     return out
+
+
+def _link(nodes: list, n: SupportTriangle) -> int:
+    """2 * parent + side of a cut that has a parent (see CutTree)."""
+    return 2 * n.parent + (n.quad[:2] != nodes[n.parent].quad[:2])
+
+
+def _kept(nodes: list, eps) -> list[bool]:
+    """Which cuts of a deeper tree a descent to eps keeps, in node order: the
+    parent's verdict first, then the exact size test."""
+    kept: list[bool] = []
+    for n in nodes:
+        kept.append((n.parent is None or kept[n.parent]) and n.size >= eps)
+    return kept
 
 
 def _domain_charts(domain: ConvexDomain, mm: MinimalModel) -> list:
@@ -328,32 +339,75 @@ def _domain_charts(domain: ConvexDomain, mm: MinimalModel) -> list:
     return out
 
 
-def enumerate_cuts(domain: ConvexDomain, eps) -> CutTree:
-    """Materialize the cut tree down to size eps (eps = 0 allowed for
-    polygons, where the tree is finite)."""
-    mm = minimal_model_of(domain)
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if eps == 0 and not domain.is_polygon:
-        raise ValueError("eps = 0 is only allowed for polygon domains")
-    cached = getattr(domain, "_tree_cache", None)
-    if cached is not None and cached.threshold <= eps:
-        return cached
+def _build_tree(domain: ConvexDomain, mm: MinimalModel, eps) -> CutTree:
     charts = _domain_charts(domain, mm)
     nodes: list[SupportTriangle] = []
-    leaves: list = []
+    leaf_sizes: list = []
+    leaf_links, leaf_order = array("q"), array("q")
     for i, chart in enumerate(charts):
-        _chart_descent(chart, i, eps, nodes, leaves)
+        _descend(chart, i, eps, nodes, leaf_sizes, leaf_links, leaf_order)
     try:
         from .minimal import k_squared
 
         k2 = k_squared(mm.polygon)
     except ValueError:
         k2 = int(mm.k) if float(mm.k) == int(mm.k) else None
-    tree = CutTree(domain=domain, charts=charts, threshold=eps, nodes=nodes,
-                   leaf_sizes=leaves, minimal_model=mm, k_squared_start=k2)
-    domain._tree_cache = tree
+    return CutTree(domain=domain, charts=charts, threshold=eps, nodes=nodes,
+                   leaf_sizes=leaf_sizes, leaf_links=leaf_links, leaf_order=leaf_order,
+                   minimal_model=mm, k_squared_start=k2)
+
+
+def deepest_tree(domain: ConvexDomain, eps) -> CutTree:
+    """The deepest tree built on the domain so far, first rebuilt down to eps
+    if it does not reach that far.  For readers that select the cuts of size
+    >= some t >= eps themselves; everything else calls enumerate_cuts."""
+    mm = minimal_model_of(domain)
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    if eps == 0 and not domain.is_polygon:
+        raise ValueError("eps = 0 is only allowed for polygon domains")
+    tree = domain._cut_tree
+    if tree is None or eps < tree.threshold:
+        tree = domain._cut_tree = _build_tree(domain, mm, eps)
     return tree
+
+
+def _truncate(tree: CutTree, eps) -> CutTree:
+    """The tree a descent to eps >= tree.threshold builds, cut out of tree:
+    the same cuts, frontier and order, with parents renumbered."""
+    kept = _kept(tree.nodes, eps)
+    before = list(accumulate(kept, initial=0))  # kept cuts ahead of each node
+    nodes = []
+    for n, k in zip(tree.nodes, kept):
+        if k:
+            q = None if n.parent is None else before[n.parent]
+            nodes.append(n if q == n.parent else replace(n, parent=q))
+    # the frontier: cuts and frontier corners of tree that are not kept but
+    # sit at a chart root or under a kept cut, as (place in tree's descent,
+    # size, link, order); a corner met before cut i (leaf_order <= i) goes first
+    corners = [(2 * i + 1, n.size, -1 if n.parent is None else _link(tree.nodes, n), i)
+               for i, (n, k) in enumerate(zip(tree.nodes, kept))
+               if not k and (n.parent is None or kept[n.parent])]
+    corners += [(2 * order, size, link, order)
+                for size, link, order in zip(tree.leaf_sizes, tree.leaf_links, tree.leaf_order)
+                if link < 0 or kept[link >> 1]]
+    corners.sort(key=lambda c: c[0])
+    links = [link if link < 0 else 2 * before[link >> 1] + (link & 1) for _, _, link, _ in corners]
+    return CutTree(domain=tree.domain, charts=tree.charts, threshold=eps, nodes=nodes,
+                   leaf_sizes=[c[1] for c in corners], leaf_links=array("q", links),
+                   leaf_order=array("q", [before[c[3]] for c in corners]),
+                   minimal_model=tree.minimal_model, k_squared_start=tree.k_squared_start)
+
+
+def enumerate_cuts(domain: ConvexDomain, eps) -> CutTree:
+    """Materialize the cut tree down to size eps (eps = 0 allowed for
+    polygons, where the tree is finite).
+
+    The result depends on the domain and eps only: the domain's memoized
+    tree when that was built to exactly eps, otherwise its exact truncation
+    to eps."""
+    tree = deepest_tree(domain, eps)
+    return tree if tree.threshold == eps else _truncate(tree, eps)
 
 
 def cut_count(tree: CutTree, t) -> int:
@@ -422,7 +476,7 @@ def partial_cut_polygon(domain: ConvexDomain, t) -> WaveFrontPolygon:
         hat = mm.polygon
         verts = list(hat.vertices)
         return WaveFrontPolygon(t=float(t), vertices=verts, normals=hat.edge_normals())
-    tree = enumerate_cuts(domain, t if t > 0 or domain.is_polygon else 0)
+    tree = deepest_tree(domain, t if t > 0 or domain.is_polygon else 0)
     cons = _hat_constraints(mm) + tree.mediant_constraints(t)
     verts, normals = halfplane_intersection(cons)
     return WaveFrontPolygon(t=float(t), vertices=verts, normals=normals)
@@ -436,7 +490,7 @@ def wave_front(domain: ConvexDomain, t) -> WaveFrontPolygon:
     if t >= mm.m:
         return WaveFrontPolygon(t=float(t), vertices=list(mm.max_locus), normals=[],
                                 degenerate_locus=mm.max_locus, m_l=(mm.m, mm.l))
-    tree = enumerate_cuts(domain, t)
+    tree = deepest_tree(domain, t)
     cons = [(u, h + t) for u, h in _hat_constraints(mm) + tree.mediant_constraints(t)]
     verts, normals = halfplane_intersection(cons)
     if len(verts) < 3:
@@ -453,7 +507,7 @@ def profiles(domain: ConvexDomain, t_grid: Sequence[float]) -> list[tuple[float,
     ts = [float(t) for t in t_grid]
     if not all(0 < t < m for t in ts):
         raise ValueError("t_grid must lie in (0, m)")
-    tree = enumerate_cuts(domain, min(ts) if not domain.is_polygon else 0)
+    tree = deepest_tree(domain, min(ts) if not domain.is_polygon else 0)
     k2 = tree.k_squared_start
     if k2 is None:
         raise ValueError("K^2 of the minimal model is undefined (non-A_n corner)")
@@ -491,9 +545,6 @@ class CausticEdge:
 class CausticGraph:
     edges: list[CausticEdge] = field(default_factory=list)
     max_locus: Optional[tuple] = None
-
-    def total_edges(self) -> int:
-        return len(self.edges)
 
 
 def _inset_vertex(u: Vec, hu, v: Vec, hv, t):
@@ -557,22 +608,17 @@ def caustic(domain: ConvexDomain, eps) -> CausticGraph:
             weight=weight, t_start=t_birth, t_end=m,
         ))
 
-    # interior trajectories from the cut tree
-    children: dict[int, dict[tuple, float]] = {}
+    # interior trajectories: two per cut, each born at the size of the child
+    # corner (a cut or a frontier corner) on its side
+    born = dict(zip(tree.leaf_links, map(float, tree.leaf_sizes)))
     for node in tree.nodes:
         if node.parent is not None:
-            children.setdefault(node.parent, {})[node.quad] = float(node.size)
+            born[_link(tree.nodes, node)] = float(node.size)
     for idx, node in enumerate(tree.nodes):
         chart = tree.charts[node.chart_id]
         a, b, c, d = node.quad
-        kids = children.get(idx, {})
-        for pa, pb in (((a, b), (a + c, b + d)), ((a + c, b + d), (c, d))):
-            quad = (*pa, *pb)
-            if quad in kids:
-                child_size = kids[quad]
-            else:
-                gm = chart.support(pa[0] + pb[0], pa[1] + pb[1])
-                child_size = float(gm - chart.support(*pa) - chart.support(*pb))
+        for side, (pa, pb) in enumerate((((a, b), (a + c, b + d)), ((a + c, b + d), (c, d)))):
+            child_size = born[2 * idx + side]
             u_amb = chart.ambient_direction(*pa)
             v_amb = chart.ambient_direction(*pb)
             hu = chart.support(*pa) + dot2(u_amb, chart.corner)
@@ -607,7 +653,7 @@ def tropical_distance_smooth(domain: ConvexDomain, x, tol: float = 1e-12,
     xf = np.array([float(x[0]), float(x[1])])
     eps = max(min(est, m) / 2, floor)
     while True:
-        tree = enumerate_cuts(domain, eps)
+        tree = deepest_tree(domain, eps)
         w, h, sizes = tree.slack_arrays()
         k = int(np.searchsorted(-sizes, -eps, side="right"))
         val = est

@@ -11,8 +11,9 @@ class SeriesEstimate:
     """A partial-sum value with its truncation metadata.
 
     cutoff is the size threshold (or term bound) that produced the sum;
-    terms_used counts the summands; tail_hint, when available, bounds the
-    dropped tail in absolute value.
+    terms_used counts the summands; tail_hint, when available, estimates the
+    size of the dropped tail.  It is not a bound: for Z(2) of domain L and
+    the disk the true error runs about 1.02-1.03 times the hint.
     """
 
     value: complex

@@ -63,21 +63,6 @@ class SmoothWeight:
                             d2f=lambda x: 1.0, d3f=lambda x: 0.0,
                             bounds=(1.0, 1.0), name="quadratic")
 
-    def validate(self, grid: int = 10**4) -> tuple[float, float]:
-        """Check assumption (3) on a grid; returns (min |f''|, max |f''|)."""
-        xs = np.linspace(0.0, 1.0, grid)
-        vals = np.array([self.d2f(x) for x in xs], dtype=float)
-        if (vals > 0).all():
-            pass
-        elif (vals < 0).all():
-            vals = -vals
-        else:
-            raise ValueError("f'' changes sign on [0, 1]")
-        lo = float(vals.min())
-        if lo <= 0:
-            raise ValueError("|f''| is not bounded away from zero")
-        return lo, float(vals.max())
-
 
 def hata_basis(interval: FareyInterval, x: float) -> float:
     """Hata's tent function S_I(x), supported on I with S_I(mediant) = 1."""
@@ -122,11 +107,6 @@ def hata_reconstruct_grid(weight: SmoothWeight, bound: int, xs) -> np.ndarray:
         )
         total = total + c_i * s
     return total
-
-
-def hata_reconstruct(weight: SmoothWeight, bound: int, x: float) -> float:
-    """Partial Hata expansion at a single point; see hata_reconstruct_grid."""
-    return float(hata_reconstruct_grid(weight, bound, np.array([float(x)]))[0])
 
 
 def farey_zeta(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:

@@ -224,12 +224,6 @@ class Polygon:
         """Lower support value h(u) = min over vertices of <u, x>."""
         return min(dot2(u, v) for v in self.vertices)
 
-    def support_with_argmin(self, u: Vec):
-        vals = [dot2(u, v) for v in self.vertices]
-        h = min(vals)
-        where = [i for i, t in enumerate(vals) if t == h]
-        return h, where
-
     def area(self):
         tot = 0
         for p, q in self.edges():
@@ -271,9 +265,6 @@ class Polygon:
         if val < 0:
             raise ValueError("exterior point")
         return val
-
-    def translate(self, t):
-        return Polygon([(v[0] + t[0], v[1] + t[1]) for v in self.vertices])
 
     def unimodular_image(self, m: Sequence[Sequence[int]]):
         """Apply an SL(2,Z) matrix [[a,b],[c,d]] to every vertex."""
@@ -487,14 +478,6 @@ class ArcChart:
         x = self.tangency_x(a, b)
         return a * x + b * self.g(x)
 
-    def equiaffine_length(self) -> Optional[float]:
-        """integral of (g'')^(1/3) when graph data is available."""
-        if self.d2g is None:
-            return None
-        from .equiaffine import length_graph
-
-        return length_graph(self.d2g, (0.0, float(self.x_max)))
-
 
 # ---------------------------------------------------------------------------
 # builtin charts
@@ -623,7 +606,9 @@ class ConvexDomain:
     charts: list[ArcChart] = field(default_factory=list)
     tag: str = ""
     params: dict = field(default_factory=dict)
-    _mm_cache: object = None
+    # memos: the minimal model, and the deepest cut tree built so far
+    _mm_cache: object = field(default=None, init=False, compare=False, repr=False)
+    _cut_tree: object = field(default=None, init=False, compare=False, repr=False)
 
     # -- constructors -------------------------------------------------------
 
@@ -718,12 +703,6 @@ class ConvexDomain:
             return best
         return self.hat_polygon.support(u)
 
-    def chart_for(self, u: Vec) -> Optional[ArcChart]:
-        for chart in self.charts:
-            if chart.covers(u):
-                return chart
-        return None
-
     def area(self, eps: float = 1e-9):
         """Exact for polygons; otherwise Area(hat) - sum of size^2/2 over all
         cuts, truncated at eps (tail below eps is O(eps^(4/3)))."""
@@ -758,12 +737,6 @@ class ConvexDomain:
         from .cutting import tropical_distance_smooth
 
         return tropical_distance_smooth(self, x, floor=floor)
-
-    def m_and_M(self):
-        from .minimal import minimal_model_of
-
-        mm = minimal_model_of(self)
-        return mm.m, mm.max_locus
 
 
 def tropical_distance(domain: ConvexDomain, x):

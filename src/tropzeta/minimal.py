@@ -121,11 +121,9 @@ def _vertex_sets_close(a: set, b: set, tol: float = 1e-9) -> bool:
 
 def minimal_model_of(domain: ConvexDomain) -> MinimalModel:
     """Cached minimal model of a domain."""
-    cached = getattr(domain, "_mm_cache", None)
-    if cached is None:
-        cached = compute_minimal_model(domain)
-        domain._mm_cache = cached
-    return cached
+    if domain._mm_cache is None:
+        domain._mm_cache = compute_minimal_model(domain)
+    return domain._mm_cache
 
 
 def compute_minimal_model(domain: ConvexDomain) -> MinimalModel:

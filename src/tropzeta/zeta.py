@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cutting import enumerate_cuts, profiles
+from .cutting import deepest_tree, enumerate_cuts, profiles
 from .estimates import ResidueEstimate, SeriesEstimate
 from .geometry import (
     ConvexDomain,
@@ -47,7 +47,7 @@ def boundary_series(domain: ConvexDomain, s, eps) -> SeriesEstimate:
     """F(s) truncated at size eps: sum of size^s over all cuts of size >= eps,
     summed per chart and then totaled.  Exact rational for polygon domains at
     integer s (eps = 0 gives the full finite sum)."""
-    tree = enumerate_cuts(domain, eps)
+    tree = deepest_tree(domain, eps)
     exact = domain.is_polygon and isinstance(s, int) and all(
         isinstance(n.size, (Fraction, int)) for n in tree.nodes
     )
@@ -121,11 +121,9 @@ def zeta_via_mellin(domain: ConvexDomain, s, rel_tol: float = 1e-10,
     level = 0
     while level < max_levels:
         lo = hi / 2
-        tree = enumerate_cuts(domain, 0 if domain.is_polygon else lo)
+        tree = deepest_tree(domain, 0 if domain.is_polygon else lo)
         perimeter = tree.front_perimeter_geometric
-        tree._ensure_sorted()
-        all_sizes = tree._sorted  # descending
-        inside = np.unique(all_sizes[(all_sizes > lo) & (all_sizes < hi)])
+        inside = tree.kinks(lo, hi)
         if 0 < len(inside) <= 256:
             edges = [lo] + [float(x) for x in inside] + [hi]
         elif len(inside) > 256:
@@ -307,7 +305,7 @@ def residue_two_thirds(domain: ConvexDomain, eps_min: float,
     """
     if domain.is_polygon:
         raise NumericalRegimeError("asymptotic regime not reached")
-    tree = enumerate_cuts(domain, eps_min)
+    tree = deepest_tree(domain, eps_min)
     n_min = tree.cut_count(eps_min)
     if n_min < 10**4:
         raise NumericalRegimeError("asymptotic regime not reached")

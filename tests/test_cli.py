@@ -3,6 +3,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from tropzeta.cli import main
 
 
@@ -174,6 +176,36 @@ class TestAnalyticCommands:
         dom = write_domain(tmp_path, RECT)
         code, out = run_cli(["--pretty", "residue", dom, "--at", "1"], capsys)
         assert "value" in out and ":" in out
+
+
+class TestPrettyPrecedence:
+    """--pretty is read from the flag, else TROPZETA_PRETTY, else tropzeta.toml."""
+
+    @staticmethod
+    def is_pretty(capsys, argv):
+        code, out = run_cli(argv + ["model", "constants"], capsys)
+        assert code == 0
+        return not out.startswith("{")
+
+    def test_flag_over_env_over_toml(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("TROPZETA_PRETTY", raising=False)
+        assert not self.is_pretty(capsys, [])
+        (tmp_path / "tropzeta.toml").write_text("# settings\npretty = true\n")
+        assert self.is_pretty(capsys, [])
+        monkeypatch.setenv("TROPZETA_PRETTY", "0")
+        assert not self.is_pretty(capsys, [])
+        assert self.is_pretty(capsys, ["--pretty"])
+        monkeypatch.delenv("TROPZETA_PRETTY")
+        (tmp_path / "tropzeta.toml").write_text("pretty = 'false'\n")
+        assert not self.is_pretty(capsys, [])
+        monkeypatch.setenv("TROPZETA_PRETTY", "1")
+        assert self.is_pretty(capsys, [])
+
+    def test_threads_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "2", "model", "constants"])
+        assert exc.value.code == 1
 
 
 class TestEntryPoint:

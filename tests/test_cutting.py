@@ -54,6 +54,17 @@ class TestChartDescent:
                     expected.append(Fraction(1, p * q * (p + q)))
         assert sorted(sizes) == sorted(expected)
 
+    @pytest.mark.parametrize("chart", [parabolic_chart(), ConvexDomain.disk().charts[0]],
+                             ids=["parabola", "disk"])
+    def test_frontier_wedges_tile_the_arc(self, chart):
+        # descent order runs from the (0, 1) end of the arc to the (1, 0) end
+        wedges = cutting.chart_frontier_wedges(chart, 1e-3)
+        assert len(wedges) == len(cutting.chart_frontier(chart, 1e-3)[1])
+        assert wedges[0][2:] == (0, 1) and wedges[-1][:2] == (1, 0)
+        for (a1, b1, a2, b2), nxt in zip(wedges, wedges[1:] + [None]):
+            assert a1 * b2 - b1 * a2 == 1
+            assert nxt is None or nxt[2:] == (a1, b1)
+
 
 class TestEnumerateCutsPolygon:
     def test_cut_square_two_equal_cuts(self):
@@ -316,3 +327,51 @@ class TestSmoothRho:
 
     def test_disk_rho_center(self):
         assert ConvexDomain.disk(1.0).rho((0.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
+
+
+def _node_rows(tree):
+    return [(n.quad, n.size, n.chart_id, n.depth, n.parent) for n in tree.nodes]
+
+
+class TestHistoryFree:
+    """A tree depends only on the domain and the eps asked for, not on which
+    trees were built on the same domain object before."""
+
+    @pytest.mark.parametrize("make", [ConvexDomain.domain_L, ConvexDomain.disk],
+                             ids=["L", "disk"])
+    def test_shallow_after_deep_equals_fresh(self, make):
+        dom = make()
+        enumerate_cuts(dom, 1e-6)
+        tree = enumerate_cuts(dom, 1e-4)
+        fresh = enumerate_cuts(make(), 1e-4)
+        assert tree.threshold == fresh.threshold
+        assert tree.leaf_sizes == fresh.leaf_sizes  # same multiset, same order
+        assert (tree.leaf_links, tree.leaf_order) == (fresh.leaf_links, fresh.leaf_order)
+        assert _node_rows(tree) == _node_rows(fresh)
+
+    @pytest.mark.parametrize("make", [ConvexDomain.domain_L, ConvexDomain.disk],
+                             ids=["L", "disk"])
+    def test_readers_of_the_deep_tree_equal_fresh(self, make):
+        from tropzeta.zeta import boundary_series
+
+        def readings(dom):
+            return (boundary_series(dom, 2, 1e-4).value, profiles(dom, [0.01, 0.3]),
+                    wave_front(dom, 0.05).vertices, partial_cut_polygon(dom, 0.05).vertices)
+
+        dom = make()
+        enumerate_cuts(dom, 1e-6)
+        assert readings(dom) == readings(make())
+
+    def test_caustic_after_deeper_tree(self):
+        dom = ConvexDomain.domain_L()
+        enumerate_cuts(dom, 1e-5)
+        assert len(caustic(dom, 1e-3).edges) == 988
+
+    def test_polygon_shallow_after_full(self):
+        dom = pentagon_family_member()
+        enumerate_cuts(dom, 0)
+        tree = enumerate_cuts(dom, Fraction(2, 5))
+        fresh = enumerate_cuts(pentagon_family_member(), Fraction(2, 5))
+        assert tree.sizes() == [Fraction(1, 2)]
+        assert _node_rows(tree) == _node_rows(fresh)
+        assert tree.leaf_sizes == fresh.leaf_sizes

@@ -15,7 +15,7 @@ from tropzeta.farey import (
     h_kernel_integral_quadrature,
     hata_basis,
     hata_coefficient,
-    hata_reconstruct,
+    hata_reconstruct_grid,
     legendre_dual,
     residue_main_term,
     sigma_b,
@@ -80,21 +80,23 @@ class TestHataCoefficient:
 class TestHataReconstruct:
     def test_linear_is_exact(self):
         w = SmoothWeight.from_polynomial([1, -2])
+        xs = [0.0, 0.3, 0.71, 1.0]
         for b in (1, 4, 16):
-            for x in (0.0, 0.3, 0.71, 1.0):
-                assert hata_reconstruct(w, b, x) == pytest.approx(w.f(x), abs=1e-14)
+            for x, val in zip(xs, hata_reconstruct_grid(w, b, xs)):
+                assert val == pytest.approx(w.f(x), abs=1e-14)
 
     def test_hand_value_at_half(self):
         # B = 2: only interval [0/1, 1/1]: 1/2 * 1/2 + (-1/8)(1) = 1/8 = f(1/2)
         w = SmoothWeight.quadratic()
-        assert hata_reconstruct(w, 2, 0.5) == pytest.approx(1 / 8, abs=1e-15)
+        assert hata_reconstruct_grid(w, 2, [0.5])[0] == pytest.approx(1 / 8, abs=1e-15)
 
     def test_uniform_convergence_monotone(self):
         w = SmoothWeight.quadratic()
         xs = np.linspace(0, 1, 101)
         sups = []
         for bound in (4, 16, 64, 256):
-            err = max(abs(hata_reconstruct(w, bound, float(x)) - w.f(float(x))) for x in xs)
+            vals = hata_reconstruct_grid(w, bound, xs)
+            err = max(abs(float(v) - w.f(float(x))) for x, v in zip(xs, vals))
             sups.append(err)
         assert sups[0] > sups[1] > sups[2] > sups[3]
 
