@@ -42,19 +42,14 @@ from .farey import (
 from .geometry import (
     ArcChart,
     ConvexDomain,
-    LatticeSegment,
     Polygon,
     domain_from_dict,
     domain_to_dict,
     lattice_length,
-    lattice_perimeter,
     support_value,
-    tropical_distance,
 )
 from .lattice import (
-    CoprimePair,
     FareyInterval,
-    PrimitiveVector,
     UnimodularQuadruple,
     arithmetic_functions,
     farey_from_denominators,

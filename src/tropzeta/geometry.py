@@ -290,15 +290,6 @@ def lattice_length(p, q):
     return abs(t)
 
 
-@dataclass(frozen=True)
-class LatticeSegment:
-    start: tuple
-    end: tuple
-
-    def lattice_length(self):
-        return lattice_length(self.start, self.end)
-
-
 def halfplane_intersection(constraints: list[tuple[Vec, Num]], drop_tol: float = 1e-12):
     """Vertices of the bounded region {<u_i, x> >= h_i} when every constraint
     is a *support* constraint (touches the region).  Constraints may arrive in
@@ -739,16 +730,8 @@ class ConvexDomain:
         return tropical_distance_smooth(self, x, floor=floor)
 
 
-def tropical_distance(domain: ConvexDomain, x):
-    return domain.rho(x)
-
-
 def support_value(domain: ConvexDomain, u: Vec):
     return domain.support(u)
-
-
-def lattice_perimeter(poly: Polygon):
-    return poly.lattice_perimeter()
 
 
 # ---------------------------------------------------------------------------

@@ -30,19 +30,6 @@ def is_primitive(x: int, y: int) -> bool:
 
 
 @dataclass(frozen=True)
-class PrimitiveVector:
-    x: int
-    y: int
-
-    def __post_init__(self):
-        if not is_primitive(self.x, self.y):
-            raise ValueError(f"({self.x}, {self.y}) is not a primitive lattice vector")
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.x, self.y)
-
-
-@dataclass(frozen=True)
 class UnimodularQuadruple:
     a: int
     b: int
@@ -61,16 +48,6 @@ class UnimodularQuadruple:
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
-
-
-@dataclass(frozen=True)
-class CoprimePair:
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.p < 1 or self.q < 1 or math.gcd(self.p, self.q) != 1:
-            raise ValueError(f"({self.p}, {self.q}) is not a coprime pair of positive integers")
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .geometry import (
     ConvexDomain,
     Polygon,
     Vec,
+    _ext_gcd,
     corner_singularity,
     det2,
     dot2,
@@ -50,67 +50,61 @@ class MinimalModel:
         return len(self.max_locus) == 1
 
 
-def _solve3(rows, rhs):
-    """Exact Cramer solve of a 3x3 system; None when singular."""
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if det == 0:
-        return None
-    r1, r2, r3 = rhs
-    dx = r1 * (e * i - f * h) - b * (r2 * i - f * r3) + c * (r2 * h - e * r3)
-    dy = a * (r2 * i - f * r3) - r1 * (d * i - f * g) + c * (d * r3 - r2 * g)
-    dz = a * (e * r3 - r2 * h) - b * (d * r3 - r2 * g) + r1 * (d * h - e * g)
-    if isinstance(det, (Fraction, int)):
-        det = Fraction(det)
-    return (dx / det, dy / det, dz / det)
-
-
 def _max_of_min_slacks(constraints):
-    """Exact maximizer data of min_u (<u, x> - h_u) over the plane: the value
-    m and all optimal LP-vertex points.  constraints: list of (u, h)."""
-    n = len(constraints)
-    best_t = None
-    best_pts = []
+    """m = max over the plane of min_u (<u, x> - h_u), and its locus M as
+    (point,) or (endpoint, endpoint) in lexicographic order.
+
+    By LP duality m is the least -sum(w_u h_u) over convex weights w with
+    sum(w_u u) = 0.  An optimal dual sits on an opposite pair u, -u (weights
+    1/2) or on three directions surrounding 0 (weights proportional to the
+    determinants of the other two).  The best pair is optimal exactly when
+    some point of its line at that level satisfies every other constraint;
+    by complementary slackness M is then that line, cut to an interval by the
+    other constraints.  Otherwise a triple is strictly better, and M is the
+    point where a minimizing triple is tight.
+    constraints: list of (u, h) with distinct primitive u."""
     exact = all(isinstance(h, (Fraction, int)) for _, h in constraints)
-    tol = 0 if exact else 1e-9
-
-    def feasible(x, y, t):
-        for u, h in constraints:
-            if u[0] * x + u[1] * y - h < t - (tol if not exact else 0):
-                return False
-        return True
-
-    for i, j, k in itertools.combinations(range(n), 3):
-        rows = []
-        rhs = []
-        for idx in (i, j, k):
-            u, h = constraints[idx]
-            rows.append((u[0], u[1], -1))
-            rhs.append(h)
-        sol = _solve3(rows, rhs)
-        if sol is None:
-            continue
-        x, y, t = sol
-        if not feasible(x, y, t):
-            continue
-        if best_t is None or t > best_t + (0 if exact else tol):
-            best_t = t
-            best_pts = [(x, y)]
-        elif t == best_t or (not exact and abs(t - best_t) <= tol * (1 + abs(float(t)))):
-            best_pts.append((x, y))
-    if best_t is None:
-        raise ValueError("unbounded or empty slack program")
-    uniq = []
-    for p in best_pts:
-        if not any(_same_point(p, q, exact) for q in uniq):
-            uniq.append(p)
-    return best_t, uniq
-
-
-def _same_point(p, q, exact) -> bool:
     if exact:
-        return p == q
-    return abs(float(p[0] - q[0])) < 1e-9 and abs(float(p[1] - q[1])) < 1e-9
+        constraints = [(u, Fraction(h)) for u, h in constraints]
+    tol = 0 if exact else 1e-9
+    offsets = dict(constraints)
+    pairs = [(-(h + offsets[(-u[0], -u[1])]) / 2, u, h) for u, h in constraints
+             if u > (-u[0], -u[1]) and (-u[0], -u[1]) in offsets]
+    if pairs:
+        m, u, h = min(pairs, key=lambda pair: pair[0])
+        lo = hi = None
+        for w, hw in constraints:
+            d = det2(u, w)
+            if d == 0:
+                continue
+            p = _meet(u, h + m, w, hw + m)
+            t = det2(u, p)  # position along the line, increasing in direction (-u1, u0)
+            if d > 0 and (lo is None or t > lo[0]):
+                lo = (t, p)
+            elif d < 0 and (hi is None or t < hi[0]):
+                hi = (t, p)
+        if lo is None or hi is None:
+            raise ValueError("unbounded or empty slack program")
+        if abs(hi[0] - lo[0]) <= tol:
+            return m, (lo[1],)
+        if hi[0] > lo[0]:
+            return m, (min(lo[1], hi[1]), max(lo[1], hi[1]))
+    m = None
+    for (u, hu), (v, hv), (w, hw) in itertools.combinations(constraints, 3):
+        a, b, c = det2(v, w), det2(w, u), det2(u, v)
+        if (a > 0 and b > 0 and c > 0) or (a < 0 and b < 0 and c < 0):
+            t = -(a * hu + b * hv + c * hw) / (a + b + c)
+            if m is None or t < m:
+                m, tight = t, (u, hu + t, v, hv + t)
+    if m is None:
+        raise ValueError("unbounded or empty slack program")
+    return m, (_meet(*tight),)
+
+
+def _meet(u, a, v, b):
+    """The point x with <u, x> = a and <v, x> = b (u, v not parallel)."""
+    d = det2(u, v)
+    return ((a * v[1] - b * u[1]) / d, (b * u[0] - a * v[0]) / d)
 
 
 def _vertex_sets_close(a: set, b: set, tol: float = 1e-9) -> bool:
@@ -140,19 +134,8 @@ def compute_minimal_model(domain: ConvexDomain) -> MinimalModel:
         _validate_declared_frame(domain)
 
     constraints = base.active_directions()
-    m, pts = _max_of_min_slacks(constraints)
+    m, locus = _max_of_min_slacks(constraints)
     exact = base.is_exact
-    if len(pts) == 1:
-        locus = (pts[0],)
-    else:
-        # M is a segment: take the two extreme points along its direction
-        lo = min(pts)
-        hi = max(pts)
-        for p in pts:
-            cr = det2(sub2(p, lo), sub2(hi, lo))
-            if (cr != 0) if exact else (abs(float(cr)) > 1e-9):
-                raise ValueError("max locus is neither a point nor a segment")
-        locus = (lo, hi)
 
     # active directions on M
     e_dirs = []
@@ -269,7 +252,7 @@ def _segment_invariants(hat: Polygon, m, locus, l, tag: str) -> dict:
     """Normalize M to the horizontal axis and read off the integer shape
     parameters of the final-segment families."""
     p = primitive_of(*sub2(locus[1], locus[0]))
-    g, x0, y0 = _ext_gcd3(p[0], p[1])
+    g, x0, y0 = _ext_gcd(p[0], p[1])
     row1 = (x0, y0)  # <row1, p> = 1
     row2 = (-p[1], p[0])
     center = ((locus[0][0] + locus[1][0]) / 2, (locus[0][1] + locus[1][1]) / 2)
@@ -310,20 +293,6 @@ def _segment_invariants(hat: Polygon, m, locus, l, tag: str) -> dict:
         cands = [(n1 - k, n1 + n2), (n2 + k + 1, n2 + n1)]
         out["invariant"] = min(tuple(float(x) for x in c) for c in cands)
     return out
-
-
-def _ext_gcd3(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 # ---------------------------------------------------------------------------

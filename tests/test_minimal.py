@@ -1,9 +1,13 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from test_random_polygons import convex_hull
 
 from tropzeta.geometry import ConvexDomain, Polygon
 from tropzeta.minimal import (
+    _max_of_min_slacks,
     compute_minimal_model,
     correction_h,
     k_squared,
@@ -89,6 +93,97 @@ class TestComputeMinimalModel:
         assert mm.m == 1 and mm.l == 3
         assert mm.k == 4
         assert mm.type_params["k1_minus_k2_abs"] == 1
+
+
+# -- the brute-force vertex search, kept as an independent oracle ----------
+
+
+def _solve3(rows, rhs):
+    """Exact Cramer solve of a 3x3 system; None when singular."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if det == 0:
+        return None
+    r1, r2, r3 = rhs
+    dx = r1 * (e * i - f * h) - b * (r2 * i - f * r3) + c * (r2 * h - e * r3)
+    dy = a * (r2 * i - f * r3) - r1 * (d * i - f * g) + c * (d * r3 - r2 * g)
+    dz = a * (e * r3 - r2 * h) - b * (d * r3 - r2 * g) + r1 * (d * h - e * g)
+    if isinstance(det, (Fraction, int)):
+        det = Fraction(det)
+    return (dx / det, dy / det, dz / det)
+
+
+def _oracle_max_of_min_slacks(constraints):
+    """m and M by trying every triple of constraints as an LP vertex and
+    scanning all constraints for feasibility: O(n^4)."""
+    exact = all(isinstance(h, (Fraction, int)) for _, h in constraints)
+    tol = 0 if exact else 1e-9
+    best_t, best_pts = None, []
+    for triple in itertools.combinations(constraints, 3):
+        sol = _solve3([(u[0], u[1], -1) for u, _h in triple], [h for _u, h in triple])
+        if sol is None:
+            continue
+        x, y, t = sol
+        if any(u[0] * x + u[1] * y - h < t - tol for u, h in constraints):
+            continue
+        if best_t is None or t > best_t + tol:
+            best_t, best_pts = t, [(x, y)]
+        elif t == best_t or (not exact and abs(t - best_t) <= tol * (1 + abs(float(t)))):
+            best_pts.append((x, y))
+    uniq = []
+    for p in best_pts:
+        if not any(p == q if exact else max(abs(p[0] - q[0]), abs(p[1] - q[1])) < 1e-9
+                   for q in uniq):
+            uniq.append(p)
+    locus = (uniq[0],) if len(uniq) == 1 else (min(uniq), max(uniq))
+    return best_t, locus
+
+
+def _assert_matches_oracle(poly: Polygon) -> int:
+    constraints = poly.active_directions()
+    m, locus = _max_of_min_slacks(constraints)
+    m_ref, locus_ref = _oracle_max_of_min_slacks(constraints)
+    assert m == m_ref and type(m) is type(m_ref)
+    assert locus == locus_ref
+    assert [type(c) for p in locus for c in p] == [type(c) for p in locus_ref for c in p]
+    return len(locus)
+
+
+def _small_rational_polygons(count: int):
+    """Convex hulls of 3-7 points with coordinates k/q, |k| <= 6, q in {1, 2},
+    keeping those with at most 16 active directions."""
+    seed = 0
+    while count:
+        rng = random.Random(seed)
+        seed += 1
+        pts = [tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(2))
+               for _ in range(rng.randint(3, 7))]
+        hull = convex_hull(pts)
+        if len(hull) >= 3 and len(Polygon(hull).active_directions()) <= 16:
+            count -= 1
+            yield Polygon(hull)
+
+
+class TestMaxLocusAgainstVertexSearch:
+    def test_small_rational_polygons(self):
+        loci = [_assert_matches_oracle(poly) for poly in _small_rational_polygons(100)]
+        assert loci.count(2) >= 30  # segment loci are well represented
+
+    @pytest.mark.parametrize("make", [
+        lambda: ConvexDomain.disk(1.0),
+        lambda: ConvexDomain.disk(2.5),
+        lambda: ConvexDomain.d_alpha(0.5, 1000),
+    ], ids=["disk-1", "disk-2.5", "d_alpha"])
+    def test_float_square_hats(self, make):
+        assert _assert_matches_oracle(make().hat_polygon) == 1
+
+    @pytest.mark.parametrize("matrix", [None, [[1, 1], [0, 1]], [[2, 1], [1, 1]], [[5, 2], [2, 1]]])
+    @pytest.mark.parametrize("sides", [(3, 2), (5, 1), (Fraction(7, 2), Fraction(3, 2))])
+    def test_rectangles_and_their_images(self, sides, matrix):
+        poly = ConvexDomain.rectangle(*sides).polygon
+        if matrix is not None:
+            poly = poly.unimodular_image(matrix)
+        assert _assert_matches_oracle(poly) == 2
 
 
 class TestCorrectionH:
