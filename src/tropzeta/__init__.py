@@ -15,7 +15,6 @@ Quick start::
 
 from .cutting import (
     CutTree,
-    SupportTriangle,
     WaveFrontPolygon,
     caustic,
     cut_count,

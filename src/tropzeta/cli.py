@@ -162,14 +162,17 @@ def _cmd_cuts(args) -> dict:
     dom = _load_domain(args.domain)
     eps = args.eps if args.eps is not None else (0.0 if dom.is_polygon else 1e-4)
     tree = enumerate_cuts(dom, Fraction(eps) if dom.is_polygon and eps == 0 else eps)
+    sizes = [float(size) for size in tree.cut_sizes]
     if args.csv:
+        depth: list[int] = []  # parents come before their children
+        for link in tree.links.tolist():
+            depth.append(0 if link < 0 else depth[link >> 1] + 1)
+        offsets = tree.chart_offsets
         with open(args.csv, "w") as fh:
             fh.write("a,b,c,d,size,depth,chart\n")
-            for node in tree.nodes:
-                a, b, c, d = node.quad
-                fh.write(f"{a},{b},{c},{d},{float(node.size):.17g},"
-                         f"{node.depth},{node.chart_id}\n")
-    sizes = [float(n.size) for n in tree.nodes]
+            for chart, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+                for i, (a, b, c, d) in enumerate(tree.nodes[lo:hi].tolist(), lo):
+                    fh.write(f"{a},{b},{c},{d},{sizes[i]:.17g},{depth[i]},{chart}\n")
     return {
         "count": len(sizes),
         "eps": float(eps),

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -67,16 +67,6 @@ class _PolygonCornerChart:
         return self.poly.support(u) - dot2(u, self.corner)
 
 
-@dataclass(frozen=True)
-class SupportTriangle:
-    __slots__ = ("quad", "size", "chart_id", "depth", "parent")
-    quad: tuple[int, int, int, int]
-    size: object
-    chart_id: int
-    depth: int
-    parent: Optional[int]
-
-
 class _SizeOrder(NamedTuple):
     """A tree's row table sorted by size, largest first (ties in node order)."""
 
@@ -89,44 +79,59 @@ class _SizeOrder(NamedTuple):
 @dataclass
 class CutTree:
     """The corner cuts of a domain down to size threshold, and the frontier
-    of corners left uncut, both in descent order (depth first, chart by chart).
+    of corners left uncut, both in descent order (depth first, chart by
+    chart), as columns written once by the descent.
 
-    A cut's parent is an index into nodes.  Frontier corner k has size
-    leaf_sizes[k]; leaf_links[k] is 2 * parent + side (side 1 for the child
-    corner (u+v, v), 0 for (u, u+v)), or -1 for an uncut chart root; and
-    leaf_order[k] counts the cuts the descent recorded before reaching it.
-    Trees are shared between readers and must be treated as read-only.
+    Cut i has the unimodular quadruple nodes[i] = (a, b, c, d) (the chart
+    normals (a, b), (c, d) of its corner), size cut_sizes[i] (exact or
+    float, as the chart's support gives it) and links[i] = 2 * parent + side
+    (side 1 for the child corner (u+v, v), 0 for (u, u+v)), or -1 at a chart
+    root; parents come before their children.  The cuts of chart k are
+    nodes[chart_offsets[k]:chart_offsets[k + 1]].  Frontier corner j has size
+    leaf_sizes[j], link leaf_links[j] (the same encoding) and leaf_order[j],
+    the number of cuts the descent recorded before reaching it.  nodes and
+    links are int64 arrays; on a tree the descent built they are views of
+    the columns it appended to.  Trees are shared between readers and must
+    be treated as read-only.
     """
 
     domain: ConvexDomain
     charts: list
     threshold: float
-    nodes: list[SupportTriangle]
+    nodes: np.ndarray
+    links: np.ndarray
+    chart_offsets: tuple
+    cut_sizes: list
     leaf_sizes: list
     leaf_links: array
     leaf_order: array
     minimal_model: MinimalModel
     k_squared_start: int
+    # angular arrays cut to the sizes >= 2^k, per octave k (_angular_from)
+    _octaves: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def sizes(self) -> list:
-        return [n.size for n in self.nodes]
+        return list(self.cut_sizes)
+
+    def _chart_spans(self):
+        """(chart, first cut, end) per chart."""
+        return zip(self.charts, self.chart_offsets, self.chart_offsets[1:])
 
     @cached_property
     def _rows(self) -> np.ndarray:
         """The float row table, one row (size, wx, wy, h) per cut in node
         order: the size and the mediant's normal w and support offset h.
         Every float reader of the tree is a view of it."""
-        sups = [getattr(ch, "support_float", None) or
-                (lambda a, b, _ch=ch: float(_ch.support(a, b))) for ch in self.charts]
-        corners = [(float(ch.corner[0]), float(ch.corner[1])) for ch in self.charts]
-        rows = []
-        for n in self.nodes:
-            a, b, c, d = n.quad
-            w = self.charts[n.chart_id].ambient_direction(a + c, b + d)
-            cx, cy = corners[n.chart_id]
-            h = sups[n.chart_id](a + c, b + d) + w[0] * cx + w[1] * cy
-            rows.append((float(n.size), float(w[0]), float(w[1]), h))
-        return np.array(rows, dtype=np.float64).reshape(-1, 4)
+        rows = array("d")
+        for chart, lo, hi in self._chart_spans():
+            sup = getattr(chart, "support_float", None) or (
+                lambda a, b, _ch=chart: float(_ch.support(a, b)))
+            cx, cy = float(chart.corner[0]), float(chart.corner[1])
+            for (a, b, c, d), size in zip(self.nodes[lo:hi].tolist(), self.cut_sizes[lo:hi]):
+                w = chart.ambient_direction(a + c, b + d)
+                rows.extend((float(size), float(w[0]), float(w[1]),
+                             sup(a + c, b + d) + w[0] * cx + w[1] * cy))
+        return np.frombuffer(rows, dtype=np.float64).reshape(-1, 4)
 
     @cached_property
     def _by_size(self) -> _SizeOrder:
@@ -138,15 +143,25 @@ class CutTree:
 
     @cached_property
     def _by_angle(self) -> tuple:
-        rows = []
-        hat = self.minimal_model.polygon
-        for (p, _q), nrm in zip(hat.edges(), hat.edge_normals()):
-            rows.append((float(nrm[0]), float(nrm[1]),
-                         float(nrm[0] * p[0] + nrm[1] * p[1]), math.inf))
+        rows = [(float(nrm[0]), float(nrm[1]), float(h), math.inf)
+                for nrm, h in self.minimal_model.polygon.halfplanes()]
         arr = np.vstack([np.array(rows, dtype=np.float64).reshape(-1, 4),
                          self._rows[:, [1, 2, 3, 0]]])
         arr = arr[np.argsort(np.arctan2(arr[:, 1], arr[:, 0]))]
         return arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy(), arr[:, 3].copy()
+
+    def _angular_from(self, t: float) -> tuple:
+        """The angular arrays cut to sizes >= 2^k, the largest power of two
+        <= t: every constraint a front at t keeps, in the same order, cut out
+        once per octave."""
+        if not 0 < t < math.inf:
+            return self._by_angle
+        k = math.frexp(t)[1] - 1
+        arrays = self._octaves.get(k)
+        if arrays is None:
+            keep = self._by_angle[3] >= math.ldexp(1.0, k)
+            arrays = self._octaves[k] = tuple(col[keep] for col in self._by_angle)
+        return arrays
 
     def cut_count(self, t: float) -> int:
         """N^cut(t) = number of cuts of size >= t."""
@@ -175,7 +190,7 @@ class CutTree:
     def front_perimeter_geometric(self, t: float) -> float:
         """Lattice perimeter of the wave front at t from consecutive support
         line intersections (vectorized; independent of the size bookkeeping)."""
-        wx, wy, h, sizes = self.angular_arrays()
+        wx, wy, h, sizes = self._angular_from(t)
         mask = sizes >= t
         ax, ay, off = wx[mask], wy[mask], h[mask] + t
         bx, by, boff = np.roll(ax, -1), np.roll(ay, -1), np.roll(off, -1)
@@ -191,11 +206,10 @@ class CutTree:
     def mediant_constraints(self, t) -> list:
         """(normal, offset) of the mediant supporting line of every cut a
         descent to t keeps, exact, in ambient coordinates."""
+        kept = np.array(_kept(self, t), dtype=bool)
         out = []
-        for n, kept in zip(self.nodes, _kept(self.nodes, t)):
-            if kept:
-                chart = self.charts[n.chart_id]
-                a, b, c, d = n.quad
+        for chart, lo, hi in self._chart_spans():
+            for a, b, c, d in self.nodes[lo:hi][kept[lo:hi]].tolist():
                 w = chart.ambient_direction(a + c, b + d)
                 out.append((w, chart.support(a + c, b + d) + dot2(w, chart.corner)))
         return out
@@ -240,38 +254,50 @@ def _size_test(chart, eps):
     return measure, (gamma(1, 0), gamma(0, 1))
 
 
-def _descend(chart, chart_id: int, eps, nodes: list, leaf_sizes: list,
-             leaf_links: array, leaf_order: array) -> None:
+class _Record:
+    """The columns a descent appends to: the cuts' quadruples (four entries
+    each), links and sizes, and the frontier (see CutTree)."""
+
+    __slots__ = ("nodes", "links", "sizes", "leaf_sizes", "leaf_links", "leaf_order")
+
+    def __init__(self):
+        self.nodes, self.links, self.sizes = array("q"), array("q"), []
+        self.leaf_sizes, self.leaf_links, self.leaf_order = [], array("q"), array("q")
+
+
+def _descend(chart, eps, rec: _Record) -> None:
     """Depth-first mediant descent of one chart down to size eps: the one
-    Stern-Brocot walk.  Appends the cuts (size >= eps) to nodes and the
-    uncut corners to the frontier record (see CutTree)."""
+    Stern-Brocot walk.  Appends the cuts (size >= eps) and the uncut corners
+    to the record."""
     measure, (g10, g01) = _size_test(chart, eps)
-    stack = [(1, 0, 0, 1, g10, g01, None, 0, -1)]
+    nodes, links, sizes = rec.nodes, rec.links, rec.sizes
+    stack = [(1, 0, 0, 1, g10, g01, None, -1)]
     while stack:
-        a, b, c, d, gu, gv, psize, depth, link = stack.pop()
+        a, b, c, d, gu, gv, psize, link = stack.pop()
         size, cut, gm = measure(a, b, c, d, gu, gv, psize)
         if cut:
-            idx = len(nodes)
-            nodes.append(SupportTriangle((a, b, c, d), size, chart_id, depth,
-                                         None if link < 0 else link >> 1))
-            stack.append((a, b, a + c, b + d, gu, gm, size, depth + 1, 2 * idx))
-            stack.append((a + c, b + d, c, d, gm, gv, size, depth + 1, 2 * idx + 1))
+            idx = len(sizes)
+            nodes.extend((a, b, c, d))
+            links.append(link)
+            sizes.append(size)
+            stack.append((a, b, a + c, b + d, gu, gm, size, 2 * idx))
+            stack.append((a + c, b + d, c, d, gm, gv, size, 2 * idx + 1))
         else:
-            leaf_sizes.append(size)
-            leaf_links.append(link)
-            leaf_order.append(len(nodes))
+            rec.leaf_sizes.append(size)
+            rec.leaf_links.append(link)
+            rec.leaf_order.append(len(sizes))
 
 
-def _chart_record(chart, eps) -> tuple:
-    record = ([], [], array("q"), array("q"))
-    _descend(chart, 0, eps, *record)
-    return record
+def _chart_record(chart, eps) -> _Record:
+    rec = _Record()
+    _descend(chart, eps, rec)
+    return rec
 
 
 def chart_frontier(chart, eps) -> tuple[list, list]:
     """(cut sizes >= eps, frontier leaf sizes < eps) of a single chart."""
-    nodes, leaf_sizes, _, _ = _chart_record(chart, eps)
-    return [n.size for n in nodes], leaf_sizes
+    rec = _chart_record(chart, eps)
+    return rec.sizes, rec.leaf_sizes
 
 
 def chart_frontier_wedges(chart, eps) -> list[tuple[int, int, int, int]]:
@@ -279,28 +305,24 @@ def chart_frontier_wedges(chart, eps) -> list[tuple[int, int, int, int]]:
     eps: the unexpanded normal pairs, which tile the chart's arc."""
     if eps <= 0:
         raise ValueError("frontier wedges need eps > 0")
-    nodes, _, leaf_links, _ = _chart_record(chart, eps)
+    rec = _chart_record(chart, eps)
     out = []
-    for link in leaf_links:
+    for link in rec.leaf_links:
         if link < 0:
             out.append((1, 0, 0, 1))
             continue
-        a, b, c, d = nodes[link >> 1].quad
+        i = 4 * (link >> 1)
+        a, b, c, d = rec.nodes[i:i + 4]
         out.append((a + c, b + d, c, d) if link & 1 else (a, b, a + c, b + d))
     return out
 
 
-def _link(nodes: list, n: SupportTriangle) -> int:
-    """2 * parent + side of a cut that has a parent (see CutTree)."""
-    return 2 * n.parent + (n.quad[:2] != nodes[n.parent].quad[:2])
-
-
-def _kept(nodes: list, eps) -> list[bool]:
+def _kept(tree: CutTree, eps) -> list[bool]:
     """Which cuts of a deeper tree a descent to eps keeps, in node order: the
     parent's verdict first, then the exact size test."""
     kept: list[bool] = []
-    for n in nodes:
-        kept.append((n.parent is None or kept[n.parent]) and n.size >= eps)
+    for link, size in zip(tree.links.tolist(), tree.cut_sizes):
+        kept.append((link < 0 or kept[link >> 1]) and size >= eps)
     return kept
 
 
@@ -341,20 +363,23 @@ def _domain_charts(domain: ConvexDomain, mm: MinimalModel) -> list:
 
 def _build_tree(domain: ConvexDomain, mm: MinimalModel, eps) -> CutTree:
     charts = _domain_charts(domain, mm)
-    nodes: list[SupportTriangle] = []
-    leaf_sizes: list = []
-    leaf_links, leaf_order = array("q"), array("q")
-    for i, chart in enumerate(charts):
-        _descend(chart, i, eps, nodes, leaf_sizes, leaf_links, leaf_order)
+    rec = _Record()
+    offsets = [0]
+    for chart in charts:
+        _descend(chart, eps, rec)
+        offsets.append(len(rec.sizes))
     try:
         from .minimal import k_squared
 
         k2 = k_squared(mm.polygon)
     except ValueError:
         k2 = int(mm.k) if float(mm.k) == int(mm.k) else None
-    return CutTree(domain=domain, charts=charts, threshold=eps, nodes=nodes,
-                   leaf_sizes=leaf_sizes, leaf_links=leaf_links, leaf_order=leaf_order,
-                   minimal_model=mm, k_squared_start=k2)
+    return CutTree(domain=domain, charts=charts, threshold=eps,
+                   nodes=np.frombuffer(rec.nodes, dtype=np.int64).reshape(-1, 4),
+                   links=np.frombuffer(rec.links, dtype=np.int64),
+                   chart_offsets=tuple(offsets), cut_sizes=rec.sizes,
+                   leaf_sizes=rec.leaf_sizes, leaf_links=rec.leaf_links,
+                   leaf_order=rec.leaf_order, minimal_model=mm, k_squared_start=k2)
 
 
 def deepest_tree(domain: ConvexDomain, eps) -> CutTree:
@@ -374,27 +399,33 @@ def deepest_tree(domain: ConvexDomain, eps) -> CutTree:
 
 def _truncate(tree: CutTree, eps) -> CutTree:
     """The tree a descent to eps >= tree.threshold builds, cut out of tree:
-    the same cuts, frontier and order, with parents renumbered."""
-    kept = _kept(tree.nodes, eps)
+    the same cuts, frontier and order, with cut and frontier links
+    renumbered alike."""
+    kept = _kept(tree, eps)
     before = list(accumulate(kept, initial=0))  # kept cuts ahead of each node
-    nodes = []
-    for n, k in zip(tree.nodes, kept):
-        if k:
-            q = None if n.parent is None else before[n.parent]
-            nodes.append(n if q == n.parent else replace(n, parent=q))
+
+    def renumber(link):
+        return link if link < 0 else 2 * before[link >> 1] + (link & 1)
+
+    links = tree.links.tolist()
     # the frontier: cuts and frontier corners of tree that are not kept but
     # sit at a chart root or under a kept cut, as (place in tree's descent,
     # size, link, order); a corner met before cut i (leaf_order <= i) goes first
-    corners = [(2 * i + 1, n.size, -1 if n.parent is None else _link(tree.nodes, n), i)
-               for i, (n, k) in enumerate(zip(tree.nodes, kept))
-               if not k and (n.parent is None or kept[n.parent])]
+    corners = [(2 * i + 1, size, link, i)
+               for i, (size, link, k) in enumerate(zip(tree.cut_sizes, links, kept))
+               if not k and (link < 0 or kept[link >> 1])]
     corners += [(2 * order, size, link, order)
                 for size, link, order in zip(tree.leaf_sizes, tree.leaf_links, tree.leaf_order)
                 if link < 0 or kept[link >> 1]]
     corners.sort(key=lambda c: c[0])
-    links = [link if link < 0 else 2 * before[link >> 1] + (link & 1) for _, _, link, _ in corners]
-    return CutTree(domain=tree.domain, charts=tree.charts, threshold=eps, nodes=nodes,
-                   leaf_sizes=[c[1] for c in corners], leaf_links=array("q", links),
+    return CutTree(domain=tree.domain, charts=tree.charts, threshold=eps,
+                   nodes=tree.nodes[np.array(kept, dtype=bool)],
+                   links=np.array([renumber(link) for link, k in zip(links, kept) if k],
+                                  dtype=np.int64),
+                   chart_offsets=tuple(before[o] for o in tree.chart_offsets),
+                   cut_sizes=[size for size, k in zip(tree.cut_sizes, kept) if k],
+                   leaf_sizes=[c[1] for c in corners],
+                   leaf_links=array("q", [renumber(c[2]) for c in corners]),
                    leaf_order=array("q", [before[c[3]] for c in corners]),
                    minimal_model=tree.minimal_model, k_squared_start=tree.k_squared_start)
 
@@ -462,11 +493,6 @@ class WaveFrontPolygon:
         return list(self.normals)
 
 
-def _hat_constraints(mm: MinimalModel) -> list:
-    hat = mm.polygon
-    return [(n, dot2(n, p)) for (p, _q), n in zip(hat.edges(), hat.edge_normals())]
-
-
 def partial_cut_polygon(domain: ConvexDomain, t) -> WaveFrontPolygon:
     """Omega^t: the minimal model with every cut of size >= t applied."""
     if t < 0:
@@ -477,7 +503,7 @@ def partial_cut_polygon(domain: ConvexDomain, t) -> WaveFrontPolygon:
         verts = list(hat.vertices)
         return WaveFrontPolygon(t=float(t), vertices=verts, normals=hat.edge_normals())
     tree = deepest_tree(domain, t if t > 0 or domain.is_polygon else 0)
-    cons = _hat_constraints(mm) + tree.mediant_constraints(t)
+    cons = mm.polygon.halfplanes() + tree.mediant_constraints(t)
     verts, normals = halfplane_intersection(cons)
     return WaveFrontPolygon(t=float(t), vertices=verts, normals=normals)
 
@@ -491,7 +517,7 @@ def wave_front(domain: ConvexDomain, t) -> WaveFrontPolygon:
         return WaveFrontPolygon(t=float(t), vertices=list(mm.max_locus), normals=[],
                                 degenerate_locus=mm.max_locus, m_l=(mm.m, mm.l))
     tree = deepest_tree(domain, t)
-    cons = [(u, h + t) for u, h in _hat_constraints(mm) + tree.mediant_constraints(t)]
+    cons = [(u, h + t) for u, h in mm.polygon.halfplanes() + tree.mediant_constraints(t)]
     verts, normals = halfplane_intersection(cons)
     if len(verts) < 3:
         return WaveFrontPolygon(t=float(t), vertices=verts, normals=[],
@@ -583,24 +609,15 @@ def caustic(domain: ConvexDomain, eps) -> CausticGraph:
 
     # root trajectories: one per minimal-model corner, from its first cut
     # event (or the corner itself) up to time m
-    chart_of_corner = {}
-    for cid, chart in enumerate(tree.charts):
-        chart_of_corner[tuple(map(float, chart.corner))] = cid
-    roots_by_chart = {}
-    for idx, node in enumerate(tree.nodes):
-        if node.parent is None:
-            roots_by_chart.setdefault(node.chart_id, idx)
-
-    def support_of(u: Vec):
-        return domain.support(u)
-
+    chart_of_corner = {tuple(map(float, chart.corner)): cid
+                       for cid, chart in enumerate(tree.charts)}
+    offsets = tree.chart_offsets
     for vtx, u, v in hat.corners():
-        hu, hv = support_of(u), support_of(v)
-        key = tuple(map(float, vtx))
-        cid = chart_of_corner.get(key)
+        hu, hv = domain.support(u), domain.support(v)
+        cid = chart_of_corner.get(tuple(map(float, vtx)))
         t_birth = 0.0
-        if cid is not None and cid in roots_by_chart:
-            t_birth = float(tree.nodes[roots_by_chart[cid]].size)
+        if cid is not None and offsets[cid] < offsets[cid + 1]:
+            t_birth = float(tree.cut_sizes[offsets[cid]])  # the chart's root cut
         weight = math.gcd(abs(v[0] - u[0]), abs(v[1] - u[1]))
         graph.edges.append(CausticEdge(
             start=_inset_vertex(u, hu, v, hv, t_birth),
@@ -611,24 +628,22 @@ def caustic(domain: ConvexDomain, eps) -> CausticGraph:
     # interior trajectories: two per cut, each born at the size of the child
     # corner (a cut or a frontier corner) on its side
     born = dict(zip(tree.leaf_links, map(float, tree.leaf_sizes)))
-    for node in tree.nodes:
-        if node.parent is not None:
-            born[_link(tree.nodes, node)] = float(node.size)
-    for idx, node in enumerate(tree.nodes):
-        chart = tree.charts[node.chart_id]
-        a, b, c, d = node.quad
-        for side, (pa, pb) in enumerate((((a, b), (a + c, b + d)), ((a + c, b + d), (c, d)))):
-            child_size = born[2 * idx + side]
-            u_amb = chart.ambient_direction(*pa)
-            v_amb = chart.ambient_direction(*pb)
-            hu = chart.support(*pa) + dot2(u_amb, chart.corner)
-            hv = chart.support(*pb) + dot2(v_amb, chart.corner)
-            t_death = float(node.size)
-            graph.edges.append(CausticEdge(
-                start=_inset_vertex(u_amb, hu, v_amb, hv, child_size),
-                end=_inset_vertex(u_amb, hu, v_amb, hv, t_death),
-                weight=1, t_start=child_size, t_end=t_death,
-            ))
+    born.update((link, float(size)) for link, size in zip(tree.links.tolist(), tree.cut_sizes)
+                if link >= 0)
+    for chart, lo, hi in tree._chart_spans():
+        for idx, (a, b, c, d) in enumerate(tree.nodes[lo:hi].tolist(), lo):
+            t_death = float(tree.cut_sizes[idx])
+            for side, (pa, pb) in enumerate((((a, b), (a + c, b + d)), ((a + c, b + d), (c, d)))):
+                child_size = born[2 * idx + side]
+                u_amb = chart.ambient_direction(*pa)
+                v_amb = chart.ambient_direction(*pb)
+                hu = chart.support(*pa) + dot2(u_amb, chart.corner)
+                hv = chart.support(*pb) + dot2(v_amb, chart.corner)
+                graph.edges.append(CausticEdge(
+                    start=_inset_vertex(u_amb, hu, v_amb, hv, child_size),
+                    end=_inset_vertex(u_amb, hu, v_amb, hv, t_death),
+                    weight=1, t_start=child_size, t_end=t_death,
+                ))
     return graph
 
 
@@ -636,8 +651,10 @@ def caustic(domain: ConvexDomain, eps) -> CausticGraph:
 # tropical distance for smooth domains
 
 
-def tropical_distance_smooth(domain: ConvexDomain, x, tol: float = 1e-12,
-                             floor: float = 1e-8) -> float:
+_EXTERIOR_TOL = 1e-12  # slack below -_EXTERIOR_TOL means outside
+
+
+def tropical_distance_smooth(domain: ConvexDomain, x, floor: float = 1e-8) -> float:
     """rho(x) by active-direction refinement: directions of the minimal model
     plus all cut mediants of size >= eps, with eps decreased until the value
     is certified (value >= eps means deeper cuts cannot lower it).
@@ -647,7 +664,7 @@ def tropical_distance_smooth(domain: ConvexDomain, x, tol: float = 1e-12,
     mm = minimal_model_of(domain)
     cons = mm.polygon.active_directions()
     est = min(float(dot2(u, x)) - float(h) for u, h in cons)
-    if est < -tol:
+    if est < -_EXTERIOR_TOL:
         raise ValueError("exterior point")
     m = float(mm.m)
     xf = np.array([float(x[0]), float(x[1])])
@@ -659,7 +676,7 @@ def tropical_distance_smooth(domain: ConvexDomain, x, tol: float = 1e-12,
         val = est
         if k:
             val = min(val, float((w[:k] @ xf - h[:k]).min()))
-        if val < -tol:
+        if val < -_EXTERIOR_TOL:
             raise ValueError("exterior point")
         if val >= eps or eps <= floor:
             return max(val, 0.0)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -47,21 +47,17 @@ class SmoothWeight:
     f: Callable[[float], float]
     df: Callable[[float], float]
     d2f: Callable[[float], float]
-    d3f: Optional[Callable[[float], float]] = None
-    bounds: Optional[tuple[float, float]] = None
     name: str = ""
 
     @staticmethod
     def from_polynomial(coeffs) -> "SmoothWeight":
         p = np.polynomial.Polynomial([float(c) for c in coeffs])
-        return SmoothWeight(f=p, df=p.deriv(1), d2f=p.deriv(2), d3f=p.deriv(3),
-                            name=f"poly{list(coeffs)}")
+        return SmoothWeight(f=p, df=p.deriv(1), d2f=p.deriv(2), name=f"poly{list(coeffs)}")
 
     @staticmethod
     def quadratic() -> "SmoothWeight":
         return SmoothWeight(f=lambda x: x * x / 2, df=lambda x: x,
-                            d2f=lambda x: 1.0, d3f=lambda x: 0.0,
-                            bounds=(1.0, 1.0), name="quadratic")
+                            d2f=lambda x: 1.0, name="quadratic")
 
 
 def hata_basis(interval: FareyInterval, x: float) -> float:
@@ -348,15 +344,4 @@ def legendre_dual(chart: ArcChart) -> SmoothWeight:
     def d2f(u: float) -> float:
         return 1.0 / chart.d2g(solve_x(u))
 
-    def d3f(u: float) -> float:
-        if chart.d3g is None:
-            raise ValueError("chart carries no third derivative")
-        x = solve_x(u)
-        return chart.d3g(x) / chart.d2g(x) ** 3
-
-    bounds = None
-    if chart.curvature_bounds:
-        m_lo, m_hi = chart.curvature_bounds
-        bounds = (1.0 / m_hi, 1.0 / m_lo)
-    return SmoothWeight(f=f, df=df, d2f=d2f, d3f=d3f, bounds=bounds,
-                        name=f"dual({chart.name})")
+    return SmoothWeight(f=f, df=df, d2f=d2f, name=f"dual({chart.name})")

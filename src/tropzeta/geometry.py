@@ -168,16 +168,19 @@ def corner_singularity(u: Vec, v: Vec) -> Optional[int]:
 # polygons
 
 
-@dataclass
+@dataclass(frozen=True)
 class Polygon:
     """Convex polygon, counterclockwise strictly convex vertex list.
 
     Vertices are Fractions for exact polygons; floats are allowed (used by
     the staircase domains and wave fronts) as long as every edge direction is
-    rational.
+    rational.  The half-planes are derived once, at construction.
     """
 
     vertices: list[tuple[Num, Num]]
+    # (inward primitive normal, offset) per edge in CCW order, then the
+    # interior sail directions of every non-unimodular corner
+    _directions: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         vs = [tuple(v) for v in self.vertices]
@@ -198,7 +201,21 @@ class Polygon:
             o, a, b = vs[i], vs[(i + 1) % n], vs[(i + 2) % n]
             if det2(sub2(a, o), sub2(b, a)) <= 0:
                 raise ValueError("vertices must be strictly convex (no collinear triples)")
-        self.vertices = vs
+        object.__setattr__(self, "vertices", vs)
+        normals = []
+        for i in range(n):
+            d = sub2(vs[(i + 1) % n], vs[i])
+            if all(isinstance(c, (Fraction, int)) for c in d):
+                e = primitive_of(*d)
+            else:
+                e = rationalize_direction(float(d[0]), float(d[1]))
+            normals.append((-e[1], e[0]))
+        directions = [(nrm, dot2(nrm, p)) for nrm, p in zip(normals, vs)]
+        for i, vtx in enumerate(vs):
+            u, v = normals[i - 1], normals[i]
+            if det2(u, v) > 1:
+                directions.extend((w, dot2(w, vtx)) for w in sail(u, v)[1:-1])
+        object.__setattr__(self, "_directions", tuple(directions))
 
     @property
     def is_exact(self) -> bool:
@@ -208,17 +225,14 @@ class Polygon:
         n = len(self.vertices)
         return [(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)]
 
+    def halfplanes(self) -> list[tuple[Vec, Num]]:
+        """(inward primitive normal, offset) per edge, in CCW order: the
+        polygon is the set {x : <normal, x> >= offset} over its edges."""
+        return list(self._directions[:len(self.vertices)])
+
     def edge_normals(self) -> list[Vec]:
         """Inward primitive normals, one per edge, in CCW order."""
-        out = []
-        for p, q in self.edges():
-            d = sub2(q, p)
-            if all(isinstance(c, (Fraction, int)) for c in d):
-                e = primitive_of(*d)
-            else:
-                e = rationalize_direction(float(d[0]), float(d[1]))
-            out.append((-e[1], e[0]))
-        return out
+        return [nrm for nrm, _ in self._directions[:len(self.vertices)]]
 
     def support(self, u: Vec):
         """Lower support value h(u) = min over vertices of <u, x>."""
@@ -234,10 +248,7 @@ class Polygon:
         return sum(lattice_length(p, q) for p, q in self.edges())
 
     def contains(self, x, tol=0) -> bool:
-        for (p, q), nrm in zip(self.edges(), self.edge_normals()):
-            if dot2(nrm, x) - dot2(nrm, p) < -tol:
-                return False
-        return True
+        return all(dot2(nrm, x) - h >= -tol for nrm, h in self.halfplanes())
 
     def corners(self) -> list[tuple[tuple, Vec, Vec]]:
         """(vertex, incoming edge normal, outgoing edge normal) per corner."""
@@ -249,19 +260,11 @@ class Polygon:
         """Directions sufficient for the exact tropical distance: edge normals
         with their offsets, plus the sail of every non-unimodular corner
         (whose support is attained at the corner vertex)."""
-        out = []
-        for (p, q), nrm in zip(self.edges(), self.edge_normals()):
-            out.append((nrm, dot2(nrm, p)))
-        for vtx, u, v in self.corners():
-            if det2(u, v) > 1:
-                for w in sail(u, v)[1:-1]:
-                    out.append((w, dot2(w, vtx)))
-        return out
+        return list(self._directions)
 
     def rho(self, x):
         """Exact tropical distance min_u (<u, x> - h(u)); raises outside."""
-        slacks = [dot2(u, x) - h for u, h in self.active_directions()]
-        val = min(slacks)
+        val = min(dot2(u, x) - h for u, h in self._directions)
         if val < 0:
             raise ValueError("exterior point")
         return val
@@ -290,12 +293,15 @@ def lattice_length(p, q):
     return abs(t)
 
 
-def halfplane_intersection(constraints: list[tuple[Vec, Num]], drop_tol: float = 1e-12):
+_DROP_TOL = 1e-12  # relative length below which a float edge is dropped
+
+
+def halfplane_intersection(constraints: list[tuple[Vec, Num]]):
     """Vertices of the bounded region {<u_i, x> >= h_i} when every constraint
     is a *support* constraint (touches the region).  Constraints may arrive in
     any order; they are sorted CCW by normal angle.  Zero-length edges (equal
     consecutive intersection points) are dropped: exactly for Fractions,
-    within drop_tol for floats.
+    within _DROP_TOL (relative) for floats.
 
     Returns (vertices, kept_normals); degenerate regions (point or segment)
     return fewer than 3 vertices.
@@ -332,8 +338,8 @@ def halfplane_intersection(constraints: list[tuple[Vec, Num]], drop_tol: float =
         else:
             scale = 1 + abs(float(cur[0])) + abs(float(cur[1]))
             degenerate = (
-                abs(float(cur[0]) - float(prev[0])) <= drop_tol * scale
-                and abs(float(cur[1]) - float(prev[1])) <= drop_tol * scale
+                abs(float(cur[0]) - float(prev[0])) <= _DROP_TOL * scale
+                and abs(float(cur[1]) - float(prev[1])) <= _DROP_TOL * scale
             )
         if not degenerate:
             verts.append(cur)
@@ -384,9 +390,7 @@ class ArcChart:
     g: Optional[Callable] = None
     dg: Optional[Callable] = None
     d2g: Optional[Callable] = None
-    d3g: Optional[Callable] = None
     x_max: Optional[float] = None  # g lives on [0, x_max]
-    curvature_bounds: Optional[tuple[float, float]] = None
     exact: bool = False
     name: str = ""
     # integer fast path: when set, the support defect of (a,b,c,d) is exactly
@@ -484,13 +488,10 @@ def _parabola_chart(corner, u1, u2, name):
     def d2g(x):
         return 0.5 * x ** (-1.5)
 
-    def d3g(x):
-        return -0.75 * x ** (-2.5)
-
     return ArcChart(
         corner=corner, u1=u1, u2=u2,
         support=lambda a, b: models.parabola_support(a, b),
-        g=g, dg=dg, d2g=d2g, d3g=d3g, x_max=1.0,
+        g=g, dg=dg, d2g=d2g, x_max=1.0,
         exact=True, name=name,
         defect_den=lambda a, b, c, d: (a + b) * (c + d) * (a + b + c + d),
         support_float=lambda a, b: a * b / (a + b) if a and b else 0.0,
@@ -512,12 +513,8 @@ def _disk_chart(radius: float, corner, u1, u2, name):
     def d2g(x):
         return r * r / max(r * r - (x - r) ** 2, 1e-300) ** 1.5
 
-    def d3g(x):
-        u = x - r
-        return 3 * r * r * u / max(r * r - u * u, 1e-300) ** 2.5
-
     return ArcChart(corner=corner, u1=u1, u2=u2, support=supp,
-                    g=g, dg=dg, d2g=d2g, d3g=d3g, x_max=r, exact=False, name=name)
+                    g=g, dg=dg, d2g=d2g, x_max=r, exact=False, name=name)
 
 
 def _parabolic_triangle_charts():
@@ -537,9 +534,7 @@ def _parabolic_triangle_charts():
         return 1 / (4 * math.sqrt(2) * x**1.5)
 
     c1 = ArcChart(corner=(Fraction(1, 2), Fraction(0)), u1=(1, 1), u2=(0, 1),
-                  support=supp1, g=g1, dg=dg1, d2g=d2g1,
-                  d3g=lambda x: -3 / (8 * math.sqrt(2) * x**2.5),
-                  x_max=0.5, exact=True, name="lower",
+                  support=supp1, g=g1, dg=dg1, d2g=d2g1, x_max=0.5, exact=True, name="lower",
                   defect_den=lambda a, b, c, d: (2 * a + b) * (2 * c + d)
                   * (2 * (a + c) + b + d))
 
@@ -550,7 +545,7 @@ def _parabolic_triangle_charts():
         return Fraction(a * b, 2 * (a + 2 * b)) if a and b else Fraction(0)
 
     c2 = ArcChart(corner=(Fraction(0), Fraction(1, 2)), u1=(1, 0), u2=(1, 1),
-                  support=supp2, g=g1, dg=dg1, d2g=d2g1, d3g=c1.d3g,
+                  support=supp2, g=g1, dg=dg1, d2g=d2g1,
                   x_max=0.5, exact=True, name="upper",
                   defect_den=lambda a, b, c, d: (a + 2 * b) * (c + 2 * d)
                   * (a + c + 2 * (b + d)))
@@ -671,14 +666,6 @@ class ConvexDomain:
     def is_polygon(self) -> bool:
         return self.kind == "polygon"
 
-    def hat(self) -> Polygon:
-        """The minimal model polygon."""
-        if self.is_polygon:
-            from .minimal import minimal_model_of
-
-            return minimal_model_of(self).polygon
-        return self.hat_polygon
-
     def support(self, u: Vec):
         """Lower support value h(u), exact for polygons."""
         if not is_primitive(*u):
@@ -771,9 +758,8 @@ def domain_from_dict(spec: dict) -> ConvexDomain:
             coeffs = [float(c) for c in cspec["g_poly"]]
             x_max = float(cspec["x_max"])
             p = np.polynomial.Polynomial(coeffs)
-            dp, d2p, d3p = p.deriv(1), p.deriv(2), p.deriv(3)
             charts.append(ArcChart(corner=vtx, u1=u_in, u2=u_out,
-                                   support=None, g=p, dg=dp, d2g=d2p, d3g=d3p,
+                                   support=None, g=p, dg=p.deriv(1), d2g=p.deriv(2),
                                    x_max=x_max, name=f"corner{idx}"))
         return ConvexDomain.smooth(hat, charts)
     raise ValueError(f"unknown domain kind {kind!r}")

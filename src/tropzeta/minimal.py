@@ -43,7 +43,6 @@ class MinimalModel:
     k: object
     type_tag: str
     type_params: dict = field(default_factory=dict)
-    support_directions: list[Vec] = field(default_factory=list)
 
     @property
     def is_point_collapse(self) -> bool:
@@ -164,7 +163,7 @@ def compute_minimal_model(domain: ConvexDomain) -> MinimalModel:
     k = (perim - 2 * l) / m
     tag, params = _classify(hat, m, locus, l, exact)
     return MinimalModel(polygon=hat, m=m, max_locus=locus, l=l, k=k,
-                        type_tag=tag, type_params=params, support_directions=e_dirs)
+                        type_tag=tag, type_params=params)
 
 
 def _validate_declared_frame(domain: ConvexDomain) -> None:
@@ -212,7 +211,7 @@ def _interior_lattice_points(poly: Polygon) -> list[Vec]:
     xs = [v[0] for v in poly.vertices]
     ys = [v[1] for v in poly.vertices]
     out = []
-    cons = [(n, dot2(n, p)) for (p, _q), n in zip(poly.edges(), poly.edge_normals())]
+    cons = poly.halfplanes()
     for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1):
         for y in range(math.ceil(min(ys)), math.floor(max(ys)) + 1):
             if all(dot2(u, (x, y)) > h for u, h in cons):

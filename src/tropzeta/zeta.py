@@ -48,21 +48,23 @@ def boundary_series(domain: ConvexDomain, s, eps) -> SeriesEstimate:
     summed per chart and then totaled.  Exact rational for polygon domains at
     integer s (eps = 0 gives the full finite sum)."""
     tree = deepest_tree(domain, eps)
-    exact = domain.is_polygon and isinstance(s, int) and all(
-        isinstance(n.size, (Fraction, int)) for n in tree.nodes
-    )
-    per_chart: dict[int, object] = {}
+    exact = domain.is_polygon and domain.polygon.is_exact and isinstance(s, int)
+    per_chart = []  # the sum of each chart that has a term
     count = 0
-    for node in tree.nodes:
-        if node.size < eps:
-            continue
-        count += 1
-        if exact:
-            term = Fraction(node.size) ** s
-        else:
-            term = complex(float(node.size)) ** complex(s)
-        per_chart[node.chart_id] = per_chart.get(node.chart_id, 0) + term
-    total = sum(per_chart.values()) if per_chart else (Fraction(0) if exact else 0j)
+    for lo, hi in zip(tree.chart_offsets, tree.chart_offsets[1:]):
+        chart_sum, terms = 0, 0
+        for size in tree.cut_sizes[lo:hi]:
+            if size < eps:
+                continue
+            terms += 1
+            if exact:
+                chart_sum += Fraction(size) ** s
+            else:
+                chart_sum += complex(float(size)) ** complex(s)
+        if terms:
+            per_chart.append(chart_sum)
+        count += terms
+    total = sum(per_chart) if per_chart else (Fraction(0) if exact else 0j)
     sigma = complex(s).real
     tail = None
     if not domain.is_polygon and sigma > 2 / 3 and count:
@@ -98,10 +100,11 @@ def zeta_via_identity(domain: ConvexDomain, s, eps) -> SeriesEstimate:
 
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_MELLIN_REL_TOL = 1e-10  # stop once a level adds less than this, relatively
+_MELLIN_MAX_LEVELS = 40  # halvings of the t range toward 0
 
 
-def zeta_via_mellin(domain: ConvexDomain, s, rel_tol: float = 1e-10,
-                    max_levels: int = 40) -> complex:
+def zeta_via_mellin(domain: ConvexDomain, s) -> complex:
     """Z(s) = integral over (0, m) of t^(s-2) * Length_Z(boundary Omega_t) dt
     by composite Gauss-Legendre on a geometric grid refined toward 0, with
     cells split at the perimeter's kinks (the cut sizes) while those are
@@ -118,8 +121,7 @@ def zeta_via_mellin(domain: ConvexDomain, s, rel_tol: float = 1e-10,
     m = float(mm.m)
     total = 0j
     hi = m
-    level = 0
-    while level < max_levels:
+    for level in range(_MELLIN_MAX_LEVELS):
         lo = hi / 2
         tree = deepest_tree(domain, 0 if domain.is_polygon else lo)
         perimeter = tree.front_perimeter_geometric
@@ -138,10 +140,9 @@ def zeta_via_mellin(domain: ConvexDomain, s, rel_tol: float = 1e-10,
             vals = np.array([t ** (sc - 2) * perimeter(t) for t in ts])
             contrib += half * complex((vals * _GL8_WEIGHTS).sum())
         total += contrib
-        if abs(contrib) < rel_tol * max(abs(total), 1e-30) and level > 3:
+        if abs(contrib) < _MELLIN_REL_TOL * max(abs(total), 1e-30) and level > 3:
             break
         hi = lo
-        level += 1
     return complex(total)
 
 
@@ -277,12 +278,15 @@ def fixed_slope_intercept(ts: np.ndarray, ys: np.ndarray, slope: float) -> float
     return float(np.exp(np.mean(np.log(ys) - slope * np.log(ts))))
 
 
-def fit_counting_exponent(sizes: Sequence[float], window: tuple[float, float],
-                          samples: int = 40) -> tuple[float, float, float]:
+_FIT_SAMPLES = 40  # log-spaced sample points of N(t) in a fit window
+
+
+def fit_counting_exponent(sizes: Sequence[float],
+                          window: tuple[float, float]) -> tuple[float, float, float]:
     """Free-slope log-log fit of N(t) = #{sizes >= t} over the window:
     (exponent, amplitude, r^2)."""
     arr = np.sort(np.asarray([float(s) for s in sizes]))[::-1]
-    ts = np.logspace(math.log10(window[0]), math.log10(window[1]), samples)
+    ts = np.logspace(math.log10(window[0]), math.log10(window[1]), _FIT_SAMPLES)
     ns = np.array([np.searchsorted(-arr, -t, side="right") for t in ts], dtype=float)
     if (ns <= 0).any():
         raise NumericalRegimeError("asymptotic regime not reached")
@@ -290,13 +294,11 @@ def fit_counting_exponent(sizes: Sequence[float], window: tuple[float, float],
     return slope, float(np.exp(intercept)), r2
 
 
-def residue_two_thirds(domain: ConvexDomain, eps_min: float,
-                       window: Optional[tuple[float, float]] = None,
-                       samples: int = 40) -> ResidueEstimate:
+def residue_two_thirds(domain: ConvexDomain, eps_min: float) -> ResidueEstimate:
     """Res_{s=2/3} Z from cut-counting asymptotics.
 
     Primary estimator: least-squares fit of log N^cut(t) against log t over
-    the window (default [eps_min, eps_min^0.6]), slope fixed at -2/3 after a
+    the window [eps_min, eps_min^0.6] (_FIT_SAMPLES points), slope fixed at -2/3 after a
     free-slope diagnostic; N^cut(t) ~ (3/2) r t^(-2/3) gives r and
     Res Z = (9/2) r.  The perimeter fit (coefficient of t^(1/3)) and the
     area-deficit fit (coefficient of t^(4/3)) are reported as diagnostics,
@@ -309,11 +311,8 @@ def residue_two_thirds(domain: ConvexDomain, eps_min: float,
     n_min = tree.cut_count(eps_min)
     if n_min < 10**4:
         raise NumericalRegimeError("asymptotic regime not reached")
-    if window is None:
-        window = (eps_min, eps_min**0.6)
-    if samples < 30:
-        raise ValueError("need at least 30 window samples")
-    ts = np.logspace(math.log10(window[0]), math.log10(window[1]), samples)
+    window = (eps_min, eps_min**0.6)
+    ts = np.logspace(math.log10(window[0]), math.log10(window[1]), _FIT_SAMPLES)
     ns = np.array([tree.cut_count(t) for t in ts], dtype=float)
     free_slope, _, r2 = _loglog_fit(ts, ns)
     if abs(free_slope + 2 / 3) > 0.05:
@@ -345,7 +344,7 @@ def residue_two_thirds(domain: ConvexDomain, eps_min: float,
         "exponent": free_slope,
         "r2": r2,
         "window": (float(window[0]), float(window[1])),
-        "samples": samples,
+        "samples": _FIT_SAMPLES,
         "intercept_fixed_slope": c_fixed,
         "perimeter_fit": {"value": res_perimeter, "exponent": perim_slope, "r2": perim_r2},
         "area_deficit_fit": {"value": res_area, "exponent": deficit_slope},

@@ -330,7 +330,7 @@ class TestSmoothRho:
 
 
 def _node_rows(tree):
-    return [(n.quad, n.size, n.chart_id, n.depth, n.parent) for n in tree.nodes]
+    return (tree.nodes.tolist(), tree.sizes(), tree.links.tolist(), tree.chart_offsets)
 
 
 class TestHistoryFree:
@@ -352,11 +352,12 @@ class TestHistoryFree:
     @pytest.mark.parametrize("make", [ConvexDomain.domain_L, ConvexDomain.disk],
                              ids=["L", "disk"])
     def test_readers_of_the_deep_tree_equal_fresh(self, make):
-        from tropzeta.zeta import boundary_series
+        from tropzeta.zeta import boundary_series, zeta_via_mellin
 
         def readings(dom):
             return (boundary_series(dom, 2, 1e-4).value, profiles(dom, [0.01, 0.3]),
-                    wave_front(dom, 0.05).vertices, partial_cut_polygon(dom, 0.05).vertices)
+                    wave_front(dom, 0.05).vertices, partial_cut_polygon(dom, 0.05).vertices,
+                    zeta_via_mellin(dom, 3))
 
         dom = make()
         enumerate_cuts(dom, 1e-6)

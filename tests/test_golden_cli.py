@@ -1,8 +1,10 @@
-"""The README CLI commands print byte-identical JSON to the stored files.
+"""The README CLI commands print byte-identical JSON to the stored files,
+and write byte-identical side files.
 
 Regenerate a file only when its output is meant to change, with
 ``PYTHONPATH=src python -m tropzeta.cli <args> > tests/golden/cli/<name>.json``
-run from the repository root.
+run from the repository root (a side file is written to the current
+directory; move it to ``tests/golden/cli/<name>.<ext>``).
 """
 
 from pathlib import Path
@@ -19,6 +21,7 @@ RECT = str(ROOT / "domains" / "rect_3x2.json")
 CASES = {
     "L_minimal_model": ["minimal-model", L],
     "L_cuts": ["cuts", L, "--eps", "1e-4"],
+    "L_cuts_csv": ["cuts", L, "--eps", "1e-3", "--csv", "cuts.csv"],
     "L_wavefront": ["wavefront", L, "--t", "0.1"],
     "L_caustic": ["caustic", L, "--eps", "1e-3"],
     "L_zeta_identity": ["zeta", L, "--s", "2", "--eps", "1e-6"],
@@ -31,6 +34,11 @@ CASES = {
     "model_constants": ["model", "constants"],
 }
 
+# side files a case writes to its working directory: (written, golden)
+SIDE_FILES = {
+    "L_cuts_csv": ("cuts.csv", "L_cuts_csv.csv"),
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, capsys, monkeypatch, tmp_path):
@@ -39,3 +47,6 @@ def test_cli_output_matches_golden(name, capsys, monkeypatch, tmp_path):
     assert main(CASES[name]) == 0
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+    if name in SIDE_FILES:
+        written, golden = SIDE_FILES[name]
+        assert (tmp_path / written).read_bytes() == (GOLDEN / golden).read_bytes()

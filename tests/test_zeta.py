@@ -65,7 +65,7 @@ class TestBoundarySeries:
 
         dom = ConvexDomain.domain_L()
         tree = enumerate_cuts(dom, 1e-4)
-        tree_sizes = sorted(float(n.size) for n in tree.nodes)
+        tree_sizes = sorted(float(size) for size in tree.sizes())
         # sizes come in groups of 4 (one per chart), and the whole-domain
         # series is exactly 4 times the single-chart series
         assert len(tree_sizes) % 4 == 0
