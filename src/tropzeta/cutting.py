@@ -29,12 +29,12 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .geometry import (
+    ArcChart,
     ConvexDomain,
     Polygon,
     Vec,
@@ -44,27 +44,7 @@ from .geometry import (
     halfplane_intersection,
     sub2,
 )
-from .minimal import MinimalModel, minimal_model_of
-
-
-class _PolygonCornerChart:
-    """Chart view of one unimodular corner of a polygon's minimal model:
-    gamma(a, b) = h(a u1 + b u2) - <a u1 + b u2, corner>."""
-
-    def __init__(self, poly: Polygon, corner, u1: Vec, u2: Vec, name: str = ""):
-        self.poly = poly
-        self.corner = corner
-        self.u1 = u1
-        self.u2 = u2
-        self.exact = poly.is_exact
-        self.name = name
-
-    def ambient_direction(self, a: int, b: int) -> Vec:
-        return (a * self.u1[0] + b * self.u2[0], a * self.u1[1] + b * self.u2[1])
-
-    def support(self, a: int, b: int):
-        u = self.ambient_direction(a, b)
-        return self.poly.support(u) - dot2(u, self.corner)
+from .minimal import MinimalModel, k_squared, minimal_model_of
 
 
 class _SizeOrder(NamedTuple):
@@ -88,14 +68,11 @@ class CutTree:
     (side 1 for the child corner (u+v, v), 0 for (u, u+v)), or -1 at a chart
     root; parents come before their children.  The cuts of chart k are
     nodes[chart_offsets[k]:chart_offsets[k + 1]].  Frontier corner j has size
-    leaf_sizes[j], link leaf_links[j] (the same encoding) and leaf_order[j],
-    the number of cuts the descent recorded before reaching it.  nodes and
-    links are int64 arrays; on a tree the descent built they are views of
-    the columns it appended to.  Trees are shared between readers and must
-    be treated as read-only.
+    leaf_sizes[j] and link leaf_links[j] (the same encoding).  nodes and
+    links are int64 views of the columns the descent appended to.  Trees are
+    shared between readers and must be treated as read-only.
     """
 
-    domain: ConvexDomain
     charts: list
     threshold: float
     nodes: np.ndarray
@@ -104,7 +81,6 @@ class CutTree:
     cut_sizes: list
     leaf_sizes: list
     leaf_links: array
-    leaf_order: array
     minimal_model: MinimalModel
     k_squared_start: int
     # angular arrays cut to the sizes >= 2^k, per octave k (_angular_from)
@@ -124,8 +100,7 @@ class CutTree:
         Every float reader of the tree is a view of it."""
         rows = array("d")
         for chart, lo, hi in self._chart_spans():
-            sup = getattr(chart, "support_float", None) or (
-                lambda a, b, _ch=chart: float(_ch.support(a, b)))
+            sup = chart.support_float or (lambda a, b, _ch=chart: float(_ch.support(a, b)))
             cx, cy = float(chart.corner[0]), float(chart.corner[1])
             for (a, b, c, d), size in zip(self.nodes[lo:hi].tolist(), self.cut_sizes[lo:hi]):
                 w = chart.ambient_direction(a + c, b + d)
@@ -163,11 +138,11 @@ class CutTree:
             arrays = self._octaves[k] = tuple(col[keep] for col in self._by_angle)
         return arrays
 
-    def cut_count(self, t: float) -> int:
+    def cut_count(self, t) -> int:
         """N^cut(t) = number of cuts of size >= t."""
         if t < self.threshold:
             raise ValueError("tree too shallow")
-        return int(np.searchsorted(self._by_size.neg_sizes, -t, side="right"))
+        return int(np.searchsorted(self._by_size.neg_sizes, -float(t), side="right"))
 
     def size_sum_above(self, t: float) -> float:
         return float(self._by_size.prefix[self.cut_count(t)])
@@ -228,7 +203,7 @@ def _size_test(chart, eps):
     with floor(1/eps), exactly.  The others take one support call per corner,
     size = gamma(u + v) - gamma(u) - gamma(v) with gamma(u), gamma(v) handed
     down, and check that the size is nonnegative and at most the parent's."""
-    defect_den = getattr(chart, "defect_den", None)
+    defect_den = chart.defect_den
     if defect_den is not None:
         if eps <= 0:
             raise ValueError("eps = 0 is only allowed for polygon domains")
@@ -239,7 +214,7 @@ def _size_test(chart, eps):
             return Fraction(1, den), den <= den_cap, None
 
         return measure, (None, None)
-    exact = getattr(chart, "exact", False)
+    exact = chart.exact
     gamma = chart.support
 
     def measure(a, b, c, d, gu, gv, psize):
@@ -258,11 +233,11 @@ class _Record:
     """The columns a descent appends to: the cuts' quadruples (four entries
     each), links and sizes, and the frontier (see CutTree)."""
 
-    __slots__ = ("nodes", "links", "sizes", "leaf_sizes", "leaf_links", "leaf_order")
+    __slots__ = ("nodes", "links", "sizes", "leaf_sizes", "leaf_links")
 
     def __init__(self):
         self.nodes, self.links, self.sizes = array("q"), array("q"), []
-        self.leaf_sizes, self.leaf_links, self.leaf_order = [], array("q"), array("q")
+        self.leaf_sizes, self.leaf_links = [], array("q")
 
 
 def _descend(chart, eps, rec: _Record) -> None:
@@ -285,7 +260,6 @@ def _descend(chart, eps, rec: _Record) -> None:
         else:
             rec.leaf_sizes.append(size)
             rec.leaf_links.append(link)
-            rec.leaf_order.append(len(sizes))
 
 
 def _chart_record(chart, eps) -> _Record:
@@ -318,12 +292,24 @@ def chart_frontier_wedges(chart, eps) -> list[tuple[int, int, int, int]]:
 
 
 def _kept(tree: CutTree, eps) -> list[bool]:
-    """Which cuts of a deeper tree a descent to eps keeps, in node order: the
-    parent's verdict first, then the exact size test."""
+    """Which of the tree's cuts a descent to eps >= tree.threshold keeps, in
+    node order: the parent's verdict first, then the exact size test."""
     kept: list[bool] = []
     for link, size in zip(tree.links.tolist(), tree.cut_sizes):
         kept.append((link < 0 or kept[link >> 1]) and size >= eps)
     return kept
+
+
+def _polygon_corner_chart(poly: Polygon, corner, u1: Vec, u2: Vec) -> ArcChart:
+    """Chart of one unimodular corner of a polygon's minimal model:
+    gamma(a, b) = h(a u1 + b u2) - <a u1 + b u2, corner>."""
+
+    def support(a, b):
+        u = (a * u1[0] + b * u2[0], a * u1[1] + b * u2[1])
+        return poly.support(u) - dot2(u, corner)
+
+    return ArcChart(corner=corner, u1=u1, u2=u2, support=support,
+                    exact=poly.is_exact, name=f"corner@{corner}")
 
 
 def _domain_charts(domain: ConvexDomain, mm: MinimalModel) -> list:
@@ -335,7 +321,7 @@ def _domain_charts(domain: ConvexDomain, mm: MinimalModel) -> list:
         for vtx, u, v in hat.corners():
             q = det2(u, v)
             if q == 1:
-                out.append(_PolygonCornerChart(poly, vtx, u, v, name=f"corner@{vtx}"))
+                out.append(_polygon_corner_chart(poly, vtx, u, v))
             else:
                 if not poly.contains(vtx):
                     raise ValueError(
@@ -369,17 +355,15 @@ def _build_tree(domain: ConvexDomain, mm: MinimalModel, eps) -> CutTree:
         _descend(chart, eps, rec)
         offsets.append(len(rec.sizes))
     try:
-        from .minimal import k_squared
-
         k2 = k_squared(mm.polygon)
     except ValueError:
         k2 = int(mm.k) if float(mm.k) == int(mm.k) else None
-    return CutTree(domain=domain, charts=charts, threshold=eps,
+    return CutTree(charts=charts, threshold=eps,
                    nodes=np.frombuffer(rec.nodes, dtype=np.int64).reshape(-1, 4),
                    links=np.frombuffer(rec.links, dtype=np.int64),
                    chart_offsets=tuple(offsets), cut_sizes=rec.sizes,
                    leaf_sizes=rec.leaf_sizes, leaf_links=rec.leaf_links,
-                   leaf_order=rec.leaf_order, minimal_model=mm, k_squared_start=k2)
+                   minimal_model=mm, k_squared_start=k2)
 
 
 def deepest_tree(domain: ConvexDomain, eps) -> CutTree:
@@ -397,52 +381,19 @@ def deepest_tree(domain: ConvexDomain, eps) -> CutTree:
     return tree
 
 
-def _truncate(tree: CutTree, eps) -> CutTree:
-    """The tree a descent to eps >= tree.threshold builds, cut out of tree:
-    the same cuts, frontier and order, with cut and frontier links
-    renumbered alike."""
-    kept = _kept(tree, eps)
-    before = list(accumulate(kept, initial=0))  # kept cuts ahead of each node
-
-    def renumber(link):
-        return link if link < 0 else 2 * before[link >> 1] + (link & 1)
-
-    links = tree.links.tolist()
-    # the frontier: cuts and frontier corners of tree that are not kept but
-    # sit at a chart root or under a kept cut, as (place in tree's descent,
-    # size, link, order); a corner met before cut i (leaf_order <= i) goes first
-    corners = [(2 * i + 1, size, link, i)
-               for i, (size, link, k) in enumerate(zip(tree.cut_sizes, links, kept))
-               if not k and (link < 0 or kept[link >> 1])]
-    corners += [(2 * order, size, link, order)
-                for size, link, order in zip(tree.leaf_sizes, tree.leaf_links, tree.leaf_order)
-                if link < 0 or kept[link >> 1]]
-    corners.sort(key=lambda c: c[0])
-    return CutTree(domain=tree.domain, charts=tree.charts, threshold=eps,
-                   nodes=tree.nodes[np.array(kept, dtype=bool)],
-                   links=np.array([renumber(link) for link, k in zip(links, kept) if k],
-                                  dtype=np.int64),
-                   chart_offsets=tuple(before[o] for o in tree.chart_offsets),
-                   cut_sizes=[size for size, k in zip(tree.cut_sizes, kept) if k],
-                   leaf_sizes=[c[1] for c in corners],
-                   leaf_links=array("q", [renumber(c[2]) for c in corners]),
-                   leaf_order=array("q", [before[c[3]] for c in corners]),
-                   minimal_model=tree.minimal_model, k_squared_start=tree.k_squared_start)
-
-
 def enumerate_cuts(domain: ConvexDomain, eps) -> CutTree:
     """Materialize the cut tree down to size eps (eps = 0 allowed for
     polygons, where the tree is finite).
 
     The result depends on the domain and eps only: the domain's memoized
-    tree when that was built to exactly eps, otherwise its exact truncation
-    to eps."""
+    tree when that was built to exactly eps, otherwise a fresh descent to
+    eps."""
     tree = deepest_tree(domain, eps)
-    return tree if tree.threshold == eps else _truncate(tree, eps)
+    return tree if tree.threshold == eps else _build_tree(domain, tree.minimal_model, eps)
 
 
 def cut_count(tree: CutTree, t) -> int:
-    return tree.cut_count(float(t))
+    return tree.cut_count(t)
 
 
 @dataclass
@@ -502,7 +453,7 @@ def partial_cut_polygon(domain: ConvexDomain, t) -> WaveFrontPolygon:
         hat = mm.polygon
         verts = list(hat.vertices)
         return WaveFrontPolygon(t=float(t), vertices=verts, normals=hat.edge_normals())
-    tree = deepest_tree(domain, t if t > 0 or domain.is_polygon else 0)
+    tree = deepest_tree(domain, t)
     cons = mm.polygon.halfplanes() + tree.mediant_constraints(t)
     verts, normals = halfplane_intersection(cons)
     return WaveFrontPolygon(t=float(t), vertices=verts, normals=normals)

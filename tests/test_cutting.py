@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -139,6 +141,13 @@ class TestCutCount:
         tree = enumerate_cuts(ConvexDomain.domain_L(), 0.05)
         with pytest.raises(ValueError, match="too shallow"):
             tree.cut_count(0.01)
+
+    @pytest.mark.parametrize("make, count", [(pentagon_family_member, 2),
+                                             (ConvexDomain.domain_L, 4)],
+                             ids=["pentagon", "L"])
+    def test_at_exact_threshold(self, make, count):
+        third = Fraction(1, 3)
+        assert cut_count(enumerate_cuts(make(), third), third) == count
 
 
 class TestPartialCut:
@@ -337,8 +346,10 @@ class TestHistoryFree:
     """A tree depends only on the domain and the eps asked for, not on which
     trees were built on the same domain object before."""
 
-    @pytest.mark.parametrize("make", [ConvexDomain.domain_L, ConvexDomain.disk],
-                             ids=["L", "disk"])
+    @pytest.mark.parametrize("make", [ConvexDomain.domain_L, ConvexDomain.disk,
+                                      ConvexDomain.parabolic_triangle,
+                                      lambda: ConvexDomain.d_alpha(0.5, 1000)],
+                             ids=["L", "disk", "parabolic_triangle", "d_alpha"])
     def test_shallow_after_deep_equals_fresh(self, make):
         dom = make()
         enumerate_cuts(dom, 1e-6)
@@ -346,7 +357,7 @@ class TestHistoryFree:
         fresh = enumerate_cuts(make(), 1e-4)
         assert tree.threshold == fresh.threshold
         assert tree.leaf_sizes == fresh.leaf_sizes  # same multiset, same order
-        assert (tree.leaf_links, tree.leaf_order) == (fresh.leaf_links, fresh.leaf_order)
+        assert tree.leaf_links == fresh.leaf_links
         assert _node_rows(tree) == _node_rows(fresh)
 
     @pytest.mark.parametrize("make", [ConvexDomain.domain_L, ConvexDomain.disk],
@@ -364,9 +375,23 @@ class TestHistoryFree:
         assert readings(dom) == readings(make())
 
     def test_caustic_after_deeper_tree(self):
-        dom = ConvexDomain.domain_L()
-        enumerate_cuts(dom, 1e-5)
-        assert len(caustic(dom, 1e-3).edges) == 988
+        for make, edges in [(ConvexDomain.domain_L, 988), (ConvexDomain.disk, 908)]:
+            dom = make()
+            enumerate_cuts(dom, 1e-5)
+            graph = caustic(dom, 1e-3)
+            assert len(graph.edges) == edges
+            assert graph == caustic(make(), 1e-3)
+
+    def test_domain_freed_without_cyclic_gc(self):
+        gc.disable()
+        try:
+            dom = ConvexDomain.domain_L()
+            enumerate_cuts(dom, 1e-3)
+            r = weakref.ref(dom)
+            del dom
+            assert r() is None
+        finally:
+            gc.enable()
 
     def test_polygon_shallow_after_full(self):
         dom = pentagon_family_member()
