@@ -162,7 +162,7 @@ def _cmd_cuts(args) -> dict:
     dom = _load_domain(args.domain)
     eps = args.eps if args.eps is not None else (0.0 if dom.is_polygon else 1e-4)
     tree = enumerate_cuts(dom, Fraction(eps) if dom.is_polygon and eps == 0 else eps)
-    sizes = [float(size) for size in tree.cut_sizes]
+    sizes = tree.cut_sizes.floats().tolist()
     if args.csv:
         depth: list[int] = []  # parents come before their children
         for link in tree.links.tolist():

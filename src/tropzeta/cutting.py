@@ -25,7 +25,6 @@ case is needed.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -56,38 +55,96 @@ class _SizeOrder(NamedTuple):
     prefix_sq: np.ndarray  # prefix sums of S^2, starting at 0
 
 
+def _den_cap(eps) -> int:
+    """floor(1/eps): the size 1/den is >= eps exactly when den <= floor(1/eps)."""
+    return int(1 / Fraction(eps))
+
+
+# The largest floor(1/eps) whose descent keeps defect_den in int64.  A cut
+# with den = x y (x + y) <= cap has children x y (x + y) (x + 2y) / x and
+# x y (x + y) (2x + y) / y, at most cap (1 + 2 isqrt(cap)) (x = 1 or y = 1).
+_DEN_CAP_MAX = 2_770_595_931_012
+
+
+class Sizes:
+    """A column of cut (or frontier-corner) sizes.
+
+    On defect_den trees it holds the int64 denominators, size = 1/den
+    exactly; otherwise the sizes themselves, float64 on float charts and
+    Python objects (Fraction or int) on exact ones.  Exact values are made
+    only when read (tolist)."""
+
+    __slots__ = ("values", "is_den")
+
+    def __init__(self, values: np.ndarray, is_den: bool):
+        self.values, self.is_den = values, is_den
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Sizes) and self.is_den == other.is_den
+                and self.values.dtype == other.values.dtype
+                and np.array_equal(self.values, other.values))
+
+    def tolist(self) -> list:
+        """The sizes, exact where the charts are."""
+        if self.is_den:
+            return [Fraction(1, den) for den in self.values.tolist()]
+        return self.values.tolist()
+
+    def floats(self) -> np.ndarray:
+        """The sizes as float64, correctly rounded (1/den is, while den <
+        2^53: at every eps above ~4e-11)."""
+        vals = self.values
+        if self.is_den:
+            return 1.0 / vals
+        if vals.dtype == object:
+            return np.array([float(x) for x in vals.tolist()], dtype=np.float64)
+        return vals
+
+    def at_least(self, t) -> np.ndarray:
+        """Mask of the sizes >= t, compared exactly."""
+        if self.is_den:
+            return self.values <= _den_cap(t) if t > 0 else np.ones(len(self), dtype=bool)
+        return np.asarray(self.values >= t, dtype=bool)
+
+
 @dataclass
 class CutTree:
     """The corner cuts of a domain down to size threshold, and the frontier
-    of corners left uncut, both in descent order (depth first, chart by
-    chart), as columns written once by the descent.
+    of corners left uncut, both in descent order (depth first, side-1 child
+    first, chart by chart), as columns.
 
     Cut i has the unimodular quadruple nodes[i] = (a, b, c, d) (the chart
-    normals (a, b), (c, d) of its corner), size cut_sizes[i] (exact or
-    float, as the chart's support gives it) and links[i] = 2 * parent + side
-    (side 1 for the child corner (u+v, v), 0 for (u, u+v)), or -1 at a chart
-    root; parents come before their children.  The cuts of chart k are
-    nodes[chart_offsets[k]:chart_offsets[k + 1]].  Frontier corner j has size
-    leaf_sizes[j] and link leaf_links[j] (the same encoding).  nodes and
-    links are int64 views of the columns the descent appended to.  Trees are
-    shared between readers and must be treated as read-only.
+    normals (a, b), (c, d) of its corner), size cut_sizes[i] and
+    links[i] = 2 * parent + side (side 1 for the child corner (u+v, v), 0
+    for (u, u+v)), or -1 at a chart root; parents come before their
+    children.  The cuts of chart k are nodes[chart_offsets[k]:
+    chart_offsets[k + 1]].  Frontier corner j has size leaf_sizes[j] and
+    link leaf_links[j] (the same encoding).  The size columns are Sizes: int64
+    denominators on defect_den charts (L, the parabolic triangle), float64
+    on float charts, Fraction/int objects on exact polygon corners;
+    sizes() makes the exact values.  The descent writes every column once;
+    a deeper tree is a fresh descent.  Trees are shared between readers and
+    must be treated as read-only.
     """
 
     charts: list
-    threshold: float
+    threshold: object
     nodes: np.ndarray
     links: np.ndarray
     chart_offsets: tuple
-    cut_sizes: list
-    leaf_sizes: list
-    leaf_links: array
-    minimal_model: MinimalModel
-    k_squared_start: int
+    cut_sizes: Sizes
+    leaf_sizes: Sizes
+    leaf_links: np.ndarray
+    minimal_model: Optional[MinimalModel] = None
+    k_squared_start: Optional[int] = None
     # angular arrays cut to the sizes >= 2^k, per octave k (_angular_from)
     _octaves: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def sizes(self) -> list:
-        return list(self.cut_sizes)
+        return self.cut_sizes.tolist()
 
     def _chart_spans(self):
         """(chart, first cut, end) per chart."""
@@ -98,15 +155,21 @@ class CutTree:
         """The float row table, one row (size, wx, wy, h) per cut in node
         order: the size and the mediant's normal w and support offset h.
         Every float reader of the tree is a view of it."""
-        rows = array("d")
+        rows = np.empty((len(self.nodes), 4))
+        rows[:, 0] = self.cut_sizes.floats()
         for chart, lo, hi in self._chart_spans():
-            sup = chart.support_float or (lambda a, b, _ch=chart: float(_ch.support(a, b)))
-            cx, cy = float(chart.corner[0]), float(chart.corner[1])
-            for (a, b, c, d), size in zip(self.nodes[lo:hi].tolist(), self.cut_sizes[lo:hi]):
-                w = chart.ambient_direction(a + c, b + d)
-                rows.extend((float(size), float(w[0]), float(w[1]),
-                             sup(a + c, b + d) + w[0] * cx + w[1] * cy))
-        return np.frombuffer(rows, dtype=np.float64).reshape(-1, 4)
+            quads = self.nodes[lo:hi]
+            ma, mb = quads[:, 0] + quads[:, 2], quads[:, 1] + quads[:, 3]
+            wx = ma * chart.u1[0] + mb * chart.u2[0]
+            wy = ma * chart.u1[1] + mb * chart.u2[1]
+            if chart.support_float is not None:
+                sup = chart.support_float(ma, mb)
+            else:
+                sup = np.array([float(chart.support(a, b)) for a, b in zip(ma.tolist(), mb.tolist())],
+                               dtype=np.float64)
+            rows[lo:hi, 1], rows[lo:hi, 2] = wx, wy
+            rows[lo:hi, 3] = sup + wx * float(chart.corner[0]) + wy * float(chart.corner[1])
+        return rows
 
     @cached_property
     def _by_size(self) -> _SizeOrder:
@@ -179,9 +242,9 @@ class CutTree:
         return float(np.clip(tpar, 0.0, None).sum())
 
     def mediant_constraints(self, t) -> list:
-        """(normal, offset) of the mediant supporting line of every cut a
-        descent to t keeps, exact, in ambient coordinates."""
-        kept = np.array(_kept(self, t), dtype=bool)
+        """(normal, offset) of the mediant supporting line of every cut of
+        size >= t, exact, in ambient coordinates."""
+        kept = self.cut_sizes.at_least(t)
         out = []
         for chart, lo, hi in self._chart_spans():
             for a, b, c, d in self.nodes[lo:hi][kept[lo:hi]].tolist():
@@ -195,83 +258,183 @@ class CutTree:
         return self._by_size.slack
 
 
-def _size_test(chart, eps):
-    """The per-corner size test of one chart: (measure, root supports), with
-    measure(a, b, c, d, gu, gv, psize) -> (size, cut?, gamma(u + v)).
+# ---------------------------------------------------------------------------
+# the descent
 
-    Charts with an integer defect denominator (size = 1 / den) compare den
-    with floor(1/eps), exactly.  The others take one support call per corner,
-    size = gamma(u + v) - gamma(u) - gamma(v) with gamma(u), gamma(v) handed
-    down, and check that the size is nonnegative and at most the parent's."""
-    defect_den = chart.defect_den
-    if defect_den is not None:
+
+# (a, b, c, d) @ _SPLIT = (a+c, b+d, c, d, a, b, a+c, b+d): both children
+_SPLIT = np.array([[1, 0, 0, 0, 1, 0, 1, 0],
+                   [0, 1, 0, 0, 0, 1, 0, 1],
+                   [1, 0, 1, 0, 0, 0, 1, 0],
+                   [0, 1, 0, 1, 0, 0, 0, 1]], dtype=np.int64)
+
+
+def _children(quads: np.ndarray) -> np.ndarray:
+    """The two child corners of each corner (a, b, c, d), interleaved side 1
+    first: (a+c, b+d, c, d), then (a, b, a+c, b+d)."""
+    return (quads @ _SPLIT).reshape(-1, 4)
+
+
+def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = np.empty(2 * len(x), dtype=x.dtype)
+    out[0::2], out[1::2] = x, y
+    return out
+
+
+def _roots(n: int) -> np.ndarray:
+    """The root corners of n charts: (1, 0, 0, 1), the chart frame."""
+    return np.tile(np.array([1, 0, 0, 1], dtype=np.int64), (n, 1))
+
+
+def _frontier_quads(nodes: np.ndarray, leaf_links: np.ndarray) -> np.ndarray:
+    """The quadruples of a tree's frontier corners, in frontier order."""
+    quads = _roots(len(leaf_links))
+    inner = leaf_links >= 0
+    pairs = _children(nodes[leaf_links[inner] >> 1]).reshape(-1, 2, 4)
+    quads[inner] = pairs[np.arange(len(pairs)), 1 - (leaf_links[inner] & 1)]
+    return quads
+
+
+def _oracle(chart, all_den: bool):
+    """The batched size oracle of a chart, as (kind, function): charts that
+    share one are descended by one call per level."""
+    if all_den:
+        return "den", chart.defect_den
+    if chart.defect_float is not None:
+        return "defect", chart.defect_float
+    return "scalar", None  # each corner's own chart.support, in Python
+
+
+def _level_descent(charts, oracle, cids, eps, dtype) -> list:
+    """Level-synchronous Stern-Brocot descent from the roots of the given
+    charts (one per cids entry, all sharing one oracle) down to size eps:
+    every corner of a level is measured at once, and the children of its
+    cuts form the next level, interleaved side 1 first.  Returns (sizes,
+    cut mask) per level.
+
+    The scalar oracle measures size = gamma(u + v) - gamma(u) - gamma(v)
+    with gamma(u), gamma(v) handed down; it and the float defect check that
+    each size is nonnegative and at most its parent's."""
+    kind, fn = oracle
+    exact = dtype == object
+    quads = _roots(len(cids))
+    if kind == "den":
+        cap = _den_cap(eps)
+    else:  # a chart root has no parent
+        psize = np.full(len(cids), math.inf, dtype=dtype)
+    if kind == "scalar":
+        def fn(ca, cb):
+            return np.array([charts[k].support(a, b)
+                             for k, a, b in zip(cids.tolist(), ca.tolist(), cb.tolist())],
+                            dtype=dtype)
+        gu, gv = fn(quads[:, 0], quads[:, 1]), fn(quads[:, 2], quads[:, 3])
+    levels = []
+    while len(quads):
+        if kind == "den":
+            size = fn(*quads.T)
+            cut = size <= cap
+        else:
+            if kind == "defect":
+                size = fn(*quads.T)
+            else:  # scalar
+                mediant = quads[:, :2] + quads[:, 2:]
+                gm = fn(mediant[:, 0], mediant[:, 1])
+                size = gm - gu - gv
+            bad = size < 0 if exact else size < -1e-9
+            if bad.any():
+                i = int(np.flatnonzero(bad)[0])
+                raise ValueError(f"chart {charts[cids[i]].name}: negative defect at "
+                                 f"{tuple(quads[i].tolist())}")
+            if (size > (psize if exact else psize + 1e-12 * (1 + psize))).any():
+                raise AssertionError("support triangle nesting violated: child larger than parent")
+            cut = size >= eps if eps > 0 else size > 0
+            psize = np.repeat(size[cut], 2)
+            if kind == "scalar":
+                gm = gm[cut]
+                gu, gv = _interleave(gm, gu[cut]), _interleave(gv[cut], gm)
+        levels.append((size, cut))
+        quads = _children(quads[cut])
+        cids = np.repeat(cids[cut], 2)
+    return levels
+
+
+def _subtree_cuts(levels) -> list:
+    """Per level, the number of cuts in the subtree of each corner."""
+    counts = [cut.astype(np.int64) for _, cut in levels]
+    for n, deeper, (_, cut) in zip(counts[-2::-1], counts[:0:-1], levels[-2::-1]):
+        n[cut] += deeper[0::2] + deeper[1::2]
+    return counts
+
+
+def _place(levels, counts, cpos, lpos, out) -> None:
+    """Write one descent's levels into the tree columns, in depth-first
+    order.  A corner's subtree takes the cut positions from cpos and the
+    frontier positions from lpos on (given per chart root); its side-1
+    child's subtree comes first, and a subtree holding n cuts holds n + 1
+    frontier corners."""
+    nodes, links, cut_vals, leaf_links, leaf_vals = out
+    quads, link = _roots(len(cpos)), np.full(len(cpos), -1, dtype=np.int64)
+    for i, (size, cut) in enumerate(levels):
+        levels[i] = counts[i] = None  # release each level once it is placed
+        leaf = ~cut
+        lp = lpos[leaf]
+        leaf_vals[lp], leaf_links[lp] = size[leaf], link[leaf]
+        p, quads = cpos[cut], quads[cut]
+        nodes[p], cut_vals[p], links[p] = quads, size[cut], link[cut]
+        if not len(p):
+            break
+        first = counts[i + 1][0::2]  # cuts below each side-1 child
+        q = lpos[cut]
+        cpos = _interleave(p + 1, p + 1 + first)
+        lpos = _interleave(q, q + first + 1)
+        link = _interleave(2 * p + 1, 2 * p)
+        quads = _children(quads)
+
+
+def _grow(charts: list, eps, mm: Optional[MinimalModel] = None,
+          k2: Optional[int] = None) -> CutTree:
+    """The tree of the charts down to size eps: one level-synchronous
+    descent per oracle, written in depth-first order chart by chart."""
+    all_den = bool(charts) and all(chart.defect_den is not None for chart in charts)
+    if all_den:
         if eps <= 0:
             raise ValueError("eps = 0 is only allowed for polygon domains")
-        den_cap = int(1 / Fraction(eps))  # size >= eps  <=>  den <= den_cap
-
-        def measure(a, b, c, d, gu, gv, psize):
-            den = defect_den(a, b, c, d)
-            return Fraction(1, den), den <= den_cap, None
-
-        return measure, (None, None)
-    exact = chart.exact
-    gamma = chart.support
-
-    def measure(a, b, c, d, gu, gv, psize):
-        gm = gamma(a + c, b + d)
-        size = gm - gu - gv
-        if (size < 0) if exact else (size < -1e-9):
-            raise ValueError(f"chart {chart.name}: negative defect at {(a, b, c, d)}")
-        if psize is not None and size > psize + (0 if exact else 1e-12 * (1 + float(psize))):
-            raise AssertionError("support triangle nesting violated: child larger than parent")
-        return size, size >= eps and size > 0, gm
-
-    return measure, (gamma(1, 0), gamma(0, 1))
-
-
-class _Record:
-    """The columns a descent appends to: the cuts' quadruples (four entries
-    each), links and sizes, and the frontier (see CutTree)."""
-
-    __slots__ = ("nodes", "links", "sizes", "leaf_sizes", "leaf_links")
-
-    def __init__(self):
-        self.nodes, self.links, self.sizes = array("q"), array("q"), []
-        self.leaf_sizes, self.leaf_links = [], array("q")
-
-
-def _descend(chart, eps, rec: _Record) -> None:
-    """Depth-first mediant descent of one chart down to size eps: the one
-    Stern-Brocot walk.  Appends the cuts (size >= eps) and the uncut corners
-    to the record."""
-    measure, (g10, g01) = _size_test(chart, eps)
-    nodes, links, sizes = rec.nodes, rec.links, rec.sizes
-    stack = [(1, 0, 0, 1, g10, g01, None, -1)]
-    while stack:
-        a, b, c, d, gu, gv, psize, link = stack.pop()
-        size, cut, gm = measure(a, b, c, d, gu, gv, psize)
-        if cut:
-            idx = len(sizes)
-            nodes.extend((a, b, c, d))
-            links.append(link)
-            sizes.append(size)
-            stack.append((a, b, a + c, b + d, gu, gm, size, 2 * idx))
-            stack.append((a + c, b + d, c, d, gm, gv, size, 2 * idx + 1))
-        else:
-            rec.leaf_sizes.append(size)
-            rec.leaf_links.append(link)
-
-
-def _chart_record(chart, eps) -> _Record:
-    rec = _Record()
-    _descend(chart, eps, rec)
-    return rec
+        if _den_cap(eps) > _DEN_CAP_MAX:
+            raise ValueError(f"eps = {eps} is too small for int64 defect denominators; "
+                             f"the smallest allowed eps is 1/{_DEN_CAP_MAX} "
+                             f"(~{1 / _DEN_CAP_MAX:.4g})")
+        dtype = np.int64
+    else:
+        dtype = object if any(chart.exact for chart in charts) else np.float64
+    groups: dict = {}
+    for k, chart in enumerate(charts):
+        groups.setdefault(_oracle(chart, all_den), []).append(k)
+    grown = np.zeros(len(charts), dtype=np.int64)  # cuts per chart
+    runs = []
+    for oracle, members in groups.items():
+        sel = np.array(members, dtype=np.int64)
+        levels = _level_descent(charts, oracle, sel, eps, dtype)
+        counts = _subtree_cuts(levels)
+        grown[sel] = counts[0]
+        runs.append((sel, levels, counts))
+    # chart k holds the cuts start[k]:start[k + 1] and one frontier corner more
+    start = np.concatenate([[0], np.cumsum(grown)])
+    n_cuts = int(start[-1])
+    out = (np.empty((n_cuts, 4), dtype=np.int64), np.empty(n_cuts, dtype=np.int64),
+           np.empty(n_cuts, dtype=dtype), np.empty(n_cuts + len(charts), dtype=np.int64),
+           np.empty(n_cuts + len(charts), dtype=dtype))
+    for sel, levels, counts in runs:
+        _place(levels, counts, start[sel], start[sel] + sel, out)
+    return CutTree(charts=charts, threshold=eps, nodes=out[0], links=out[1],
+                   chart_offsets=tuple(start.tolist()),
+                   cut_sizes=Sizes(out[2], all_den), leaf_sizes=Sizes(out[4], all_den),
+                   leaf_links=out[3], minimal_model=mm, k_squared_start=k2)
 
 
 def chart_frontier(chart, eps) -> tuple[list, list]:
     """(cut sizes >= eps, frontier leaf sizes < eps) of a single chart."""
-    rec = _chart_record(chart, eps)
-    return rec.sizes, rec.leaf_sizes
+    tree = _grow([chart], eps)
+    return tree.sizes(), tree.leaf_sizes.tolist()
 
 
 def chart_frontier_wedges(chart, eps) -> list[tuple[int, int, int, int]]:
@@ -279,25 +442,8 @@ def chart_frontier_wedges(chart, eps) -> list[tuple[int, int, int, int]]:
     eps: the unexpanded normal pairs, which tile the chart's arc."""
     if eps <= 0:
         raise ValueError("frontier wedges need eps > 0")
-    rec = _chart_record(chart, eps)
-    out = []
-    for link in rec.leaf_links:
-        if link < 0:
-            out.append((1, 0, 0, 1))
-            continue
-        i = 4 * (link >> 1)
-        a, b, c, d = rec.nodes[i:i + 4]
-        out.append((a + c, b + d, c, d) if link & 1 else (a, b, a + c, b + d))
-    return out
-
-
-def _kept(tree: CutTree, eps) -> list[bool]:
-    """Which of the tree's cuts a descent to eps >= tree.threshold keeps, in
-    node order: the parent's verdict first, then the exact size test."""
-    kept: list[bool] = []
-    for link, size in zip(tree.links.tolist(), tree.cut_sizes):
-        kept.append((link < 0 or kept[link >> 1]) and size >= eps)
-    return kept
+    tree = _grow([chart], eps)
+    return [tuple(q) for q in _frontier_quads(tree.nodes, tree.leaf_links).tolist()]
 
 
 def _polygon_corner_chart(poly: Polygon, corner, u1: Vec, u2: Vec) -> ArcChart:
@@ -347,37 +493,24 @@ def _domain_charts(domain: ConvexDomain, mm: MinimalModel) -> list:
     return out
 
 
-def _build_tree(domain: ConvexDomain, mm: MinimalModel, eps) -> CutTree:
-    charts = _domain_charts(domain, mm)
-    rec = _Record()
-    offsets = [0]
-    for chart in charts:
-        _descend(chart, eps, rec)
-        offsets.append(len(rec.sizes))
-    try:
-        k2 = k_squared(mm.polygon)
-    except ValueError:
-        k2 = int(mm.k) if float(mm.k) == int(mm.k) else None
-    return CutTree(charts=charts, threshold=eps,
-                   nodes=np.frombuffer(rec.nodes, dtype=np.int64).reshape(-1, 4),
-                   links=np.frombuffer(rec.links, dtype=np.int64),
-                   chart_offsets=tuple(offsets), cut_sizes=rec.sizes,
-                   leaf_sizes=rec.leaf_sizes, leaf_links=rec.leaf_links,
-                   minimal_model=mm, k_squared_start=k2)
-
-
 def deepest_tree(domain: ConvexDomain, eps) -> CutTree:
-    """The deepest tree built on the domain so far, first rebuilt down to eps
-    if it does not reach that far.  For readers that select the cuts of size
-    >= some t >= eps themselves; everything else calls enumerate_cuts."""
+    """The deepest tree built on the domain so far, first deepened down to
+    eps if it does not reach that far.  For readers that select the cuts of
+    size >= some t >= eps themselves; everything else calls enumerate_cuts."""
     mm = minimal_model_of(domain)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if eps == 0 and not domain.is_polygon:
         raise ValueError("eps = 0 is only allowed for polygon domains")
     tree = domain._cut_tree
-    if tree is None or eps < tree.threshold:
-        tree = domain._cut_tree = _build_tree(domain, mm, eps)
+    if tree is None:
+        try:
+            k2 = k_squared(mm.polygon)
+        except ValueError:
+            k2 = int(mm.k) if float(mm.k) == int(mm.k) else None
+        tree = domain._cut_tree = _grow(_domain_charts(domain, mm), eps, mm, k2)
+    elif eps < tree.threshold:
+        tree = domain._cut_tree = _grow(tree.charts, eps, mm, tree.k_squared_start)
     return tree
 
 
@@ -386,10 +519,12 @@ def enumerate_cuts(domain: ConvexDomain, eps) -> CutTree:
     polygons, where the tree is finite).
 
     The result depends on the domain and eps only: the domain's memoized
-    tree when that was built to exactly eps, otherwise a fresh descent to
-    eps."""
+    tree when that reaches exactly eps (deepened to it if needed), otherwise
+    a fresh descent to eps."""
     tree = deepest_tree(domain, eps)
-    return tree if tree.threshold == eps else _build_tree(domain, tree.minimal_model, eps)
+    if tree.threshold == eps:
+        return tree
+    return _grow(tree.charts, eps, tree.minimal_model, tree.k_squared_start)
 
 
 def cut_count(tree: CutTree, t) -> int:
@@ -563,12 +698,13 @@ def caustic(domain: ConvexDomain, eps) -> CausticGraph:
     chart_of_corner = {tuple(map(float, chart.corner)): cid
                        for cid, chart in enumerate(tree.charts)}
     offsets = tree.chart_offsets
+    sizes = tree.cut_sizes.floats().tolist()
     for vtx, u, v in hat.corners():
         hu, hv = domain.support(u), domain.support(v)
         cid = chart_of_corner.get(tuple(map(float, vtx)))
         t_birth = 0.0
         if cid is not None and offsets[cid] < offsets[cid + 1]:
-            t_birth = float(tree.cut_sizes[offsets[cid]])  # the chart's root cut
+            t_birth = sizes[offsets[cid]]  # the chart's root cut
         weight = math.gcd(abs(v[0] - u[0]), abs(v[1] - u[1]))
         graph.edges.append(CausticEdge(
             start=_inset_vertex(u, hu, v, hv, t_birth),
@@ -578,12 +714,11 @@ def caustic(domain: ConvexDomain, eps) -> CausticGraph:
 
     # interior trajectories: two per cut, each born at the size of the child
     # corner (a cut or a frontier corner) on its side
-    born = dict(zip(tree.leaf_links, map(float, tree.leaf_sizes)))
-    born.update((link, float(size)) for link, size in zip(tree.links.tolist(), tree.cut_sizes)
-                if link >= 0)
+    born = dict(zip(tree.leaf_links.tolist(), tree.leaf_sizes.floats().tolist()))
+    born.update((link, size) for link, size in zip(tree.links.tolist(), sizes) if link >= 0)
     for chart, lo, hi in tree._chart_spans():
         for idx, (a, b, c, d) in enumerate(tree.nodes[lo:hi].tolist(), lo):
-            t_death = float(tree.cut_sizes[idx])
+            t_death = sizes[idx]
             for side, (pa, pb) in enumerate((((a, b), (a + c, b + d)), ((a + c, b + d), (c, d)))):
                 child_size = born[2 * idx + side]
                 u_amb = chart.ambient_direction(*pa)

@@ -393,10 +393,17 @@ class ArcChart:
     x_max: Optional[float] = None  # g lives on [0, x_max]
     exact: bool = False
     name: str = ""
-    # integer fast path: when set, the support defect of (a,b,c,d) is exactly
-    # 1 / defect_den(a, b, c, d)
+    # Batched oracles.  Each takes ints or int64 arrays of chart coordinates
+    # and works elementwise; charts of one domain share them where they can,
+    # so one call serves every chart at each level of the descent.
+    # integer fast path: the support defect of (a,b,c,d) is exactly
+    # 1 / defect_den(a, b, c, d), with den = x y (x + y) for lattice-linear
+    # forms x, y of u = (a, b) and v = (c, d)
     defect_den: Optional[Callable[[int, int, int, int], int]] = None
-    # float fast path for bulk constraint construction
+    # the support defect of (a,b,c,d) as a float, free of cancellation
+    defect_float: Optional[Callable[[int, int, int, int], float]] = None
+    # float fast path for bulk constraint construction: the support
+    # gamma(a, b) as a float
     support_float: Optional[Callable[[int, int], float]] = None
 
     def __post_init__(self):
@@ -478,6 +485,14 @@ class ArcChart:
 # builtin charts
 
 
+def _parabola_den(a, b, c, d):
+    return (a + b) * (c + d) * (a + b + c + d)
+
+
+def _parabola_support_float(a, b):
+    return a * b / (a + b)
+
+
 def _parabola_chart(corner, u1, u2, name):
     def g(x):
         return (1 - math.sqrt(x)) ** 2
@@ -493,16 +508,25 @@ def _parabola_chart(corner, u1, u2, name):
         support=lambda a, b: models.parabola_support(a, b),
         g=g, dg=dg, d2g=d2g, x_max=1.0,
         exact=True, name=name,
-        defect_den=lambda a, b, c, d: (a + b) * (c + d) * (a + b + c + d),
-        support_float=lambda a, b: a * b / (a + b) if a and b else 0.0,
+        defect_den=_parabola_den, support_float=_parabola_support_float,
     )
 
 
-def _disk_chart(radius: float, corner, u1, u2, name):
+def _disk_charts(radius: float) -> list[ArcChart]:
+    """The four corner arcs of the disk of the given radius about 0."""
     r = float(radius)
 
     def supp(a, b):
         return r * (a + b - math.hypot(a, b))
+
+    def supp_float(a, b):
+        return r * (a + b - np.hypot(a, b))
+
+    def defect(a, b, c, d):
+        # r (|u| + |v| - |u+v|) rationalized twice; det(u, v) = 1 turns
+        # |u|^2 |v|^2 - (u.v)^2 into 1
+        nu, nv = np.hypot(a, b), np.hypot(c, d)
+        return 2 * r / ((nu + nv + np.hypot(a + c, b + d)) * (nu * nv + (a * c + b * d)))
 
     def g(x):
         return r - math.sqrt(max(r * r - (x - r) ** 2, 0.0))
@@ -513,8 +537,12 @@ def _disk_chart(radius: float, corner, u1, u2, name):
     def d2g(x):
         return r * r / max(r * r - (x - r) ** 2, 1e-300) ** 1.5
 
-    return ArcChart(corner=corner, u1=u1, u2=u2, support=supp,
-                    g=g, dg=dg, d2g=d2g, x_max=r, exact=False, name=name)
+    frames = [((-r, -r), (1, 0), (0, 1), "SW"), ((r, -r), (0, 1), (-1, 0), "SE"),
+              ((r, r), (-1, 0), (0, -1), "NE"), ((-r, r), (0, -1), (1, 0), "NW")]
+    return [ArcChart(corner=corner, u1=u1, u2=u2, support=supp,
+                     g=g, dg=dg, d2g=d2g, x_max=r, exact=False, name=name,
+                     defect_float=defect, support_float=supp_float)
+            for corner, u1, u2, name in frames]
 
 
 def _parabolic_triangle_charts():
@@ -618,13 +646,7 @@ class ConvexDomain:
         if r <= 0:
             raise ValueError("radius must be positive")
         hat = Polygon([(-r, -r), (r, -r), (r, r), (-r, r)])
-        charts = [
-            _disk_chart(r, (-r, -r), (1, 0), (0, 1), "SW"),
-            _disk_chart(r, (r, -r), (0, 1), (-1, 0), "SE"),
-            _disk_chart(r, (r, r), (-1, 0), (0, -1), "NE"),
-            _disk_chart(r, (-r, r), (0, -1), (1, 0), "NW"),
-        ]
-        return ConvexDomain(kind="builtin", hat_polygon=hat, charts=charts,
+        return ConvexDomain(kind="builtin", hat_polygon=hat, charts=_disk_charts(r),
                             tag="disk", params={"radius": r})
 
     @staticmethod
@@ -696,7 +718,7 @@ class ConvexDomain:
 
         tree = enumerate_cuts(self, eps)
         hat_area = float(self.hat_polygon.area())
-        return hat_area - sum(float(s) ** 2 for s in tree.sizes()) / 2
+        return hat_area - sum(s ** 2 for s in tree.cut_sizes.floats().tolist()) / 2
 
     def contains(self, x, tol: float = 1e-12) -> bool:
         if self.is_polygon:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,21 +50,17 @@ def boundary_series(domain: ConvexDomain, s, eps) -> SeriesEstimate:
     integer s (eps = 0 gives the full finite sum)."""
     tree = deepest_tree(domain, eps)
     exact = domain.is_polygon and domain.polygon.is_exact and isinstance(s, int)
+    keep = tree.cut_sizes.at_least(eps).tolist()
+    sizes = tree.sizes() if exact else tree.cut_sizes.floats().tolist()
+    sc = complex(s)
     per_chart = []  # the sum of each chart that has a term
     count = 0
     for lo, hi in zip(tree.chart_offsets, tree.chart_offsets[1:]):
-        chart_sum, terms = 0, 0
-        for size in tree.cut_sizes[lo:hi]:
-            if size < eps:
-                continue
-            terms += 1
-            if exact:
-                chart_sum += Fraction(size) ** s
-            else:
-                chart_sum += complex(float(size)) ** complex(s)
+        terms = list(compress(sizes[lo:hi], keep[lo:hi]))
         if terms:
-            per_chart.append(chart_sum)
-        count += terms
+            per_chart.append(sum(Fraction(x) ** s for x in terms) if exact
+                             else sum(complex(x) ** sc for x in terms))
+        count += len(terms)
     total = sum(per_chart) if per_chart else (Fraction(0) if exact else 0j)
     sigma = complex(s).real
     tail = None

@@ -1,20 +1,26 @@
 import gc
 import math
+import random
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
 
 from tropzeta import cutting
+from tropzeta.cli import main
 from tropzeta.cutting import (
     caustic,
     cut_count,
+    deepest_tree,
     enumerate_cuts,
     partial_cut_polygon,
     profiles,
     wave_front,
 )
-from tropzeta.geometry import ConvexDomain
+from tropzeta.geometry import ConvexDomain, domain_from_dict
 
 
 def parabolic_chart():
@@ -34,6 +40,21 @@ def pentagon_family_member():
         (Fraction(2, 3), -1),
         (Fraction(4, 3), Fraction(-2, 3)),
     ])
+
+
+def polynomial_domain():
+    """A smooth domain from JSON: the square [0,2]^2 with each corner
+    rounded by the graph g(x) = (1 - x)^2 on [0, 1] (float supports by
+    bisection)."""
+    return domain_from_dict({
+        "kind": "smooth",
+        "minimal_model": {"vertices": [["0", "0"], ["2", "0"], ["2", "2"], ["0", "2"]]},
+        "charts": [{"corner": i, "g_poly": ["1", "-2", "1"], "x_max": 1.0} for i in range(4)],
+    })
+
+
+def d_alpha():
+    return ConvexDomain.d_alpha(0.5, 1000)
 
 
 class TestChartDescent:
@@ -342,6 +363,157 @@ def _node_rows(tree):
     return (tree.nodes.tolist(), tree.sizes(), tree.links.tolist(), tree.chart_offsets)
 
 
+def _typed(values):
+    """Values with their Python types (numpy floats count as float)."""
+    return [(float if isinstance(v, float) else type(v), v) for v in values]
+
+
+def _columns(tree):
+    return (tree.nodes.tolist(), tree.links.tolist(), _typed(tree.sizes()),
+            _typed(tree.leaf_sizes.tolist()), tree.leaf_links.tolist(), tree.chart_offsets)
+
+
+def _reference_descent(charts, eps):
+    """The depth-first descent (side-1 child popped first) that the
+    level-synchronous one replaced, chart by chart, with its size test:
+    1/den on defect_den charts, defect_float where a chart has it, else one
+    support call per corner with the negative-defect and nesting checks.
+    Returns the columns as _columns does."""
+    nodes, links, sizes, leaf_sizes, leaf_links, offsets = [], [], [], [], [], [0]
+    for chart in charts:
+        gamma = chart.support
+        stack = [(1, 0, 0, 1, gamma(1, 0), gamma(0, 1), None, -1)]
+        while stack:
+            a, b, c, d, gu, gv, psize, link = stack.pop()
+            gm = None
+            if chart.defect_den is not None:
+                size = Fraction(1, chart.defect_den(a, b, c, d))
+            elif chart.defect_float is not None:
+                size = chart.defect_float(a, b, c, d)
+            else:
+                gm = gamma(a + c, b + d)
+                size = gm - gu - gv
+            assert size >= (0 if chart.exact else -1e-9)
+            assert psize is None or size <= psize + (0 if chart.exact else 1e-12 * (1 + psize))
+            if size >= eps and size > 0:
+                idx = len(sizes)
+                nodes.append([a, b, c, d])
+                links.append(link)
+                sizes.append(size)
+                stack.append((a, b, a + c, b + d, gu, gm, size, 2 * idx))
+                stack.append((a + c, b + d, c, d, gm, gv, size, 2 * idx + 1))
+            else:
+                leaf_sizes.append(size)
+                leaf_links.append(link)
+        offsets.append(len(sizes))
+    return nodes, links, _typed(sizes), _typed(leaf_sizes), leaf_links, tuple(offsets)
+
+
+LEVEL_CASES = [(ConvexDomain.domain_L, [Fraction(1, 6), 1e-3, 1e-5]),
+               (ConvexDomain.disk, [1e-3, 1e-5]),
+               (ConvexDomain.parabolic_triangle, [1e-3, 1e-5]),
+               (d_alpha, [1e-3, 1e-6]),
+               (polynomial_domain, [1e-2, 1e-3]),
+               (pentagon_family_member, [0, Fraction(2, 5)]),
+               (lambda: ConvexDomain.from_polygon([(2, 0), (3, 0), (3, 3), (0, 3), (0, 1)]), [0]),
+               # no unimodular corner: no chart to descend
+               (lambda: ConvexDomain.from_polygon([(0, 0), (2, 1), (1, 2)]), [0])]
+LEVEL_IDS = ["L", "disk", "parabolic_triangle", "d_alpha", "polynomial", "pentagon", "cut_square",
+             "no_chart"]
+
+
+class TestLevelDescent:
+    """The level-synchronous descent writes the columns of the depth-first
+    reference descent: same cuts, links, sizes and size types, frontier and
+    chart offsets."""
+
+    @pytest.mark.parametrize("make, epss", LEVEL_CASES, ids=LEVEL_IDS)
+    def test_equals_depth_first_reference(self, make, epss):
+        for eps in epss:
+            tree = enumerate_cuts(make(), eps)
+            assert _columns(tree) == _reference_descent(tree.charts, eps)
+
+    def test_int64_overflow_guard(self, capsys):
+        # den = x y (x + y) <= cap has children up to cap (1 + 2 isqrt(cap)),
+        # at x = 1; _DEN_CAP_MAX is the largest cap for which that fits
+        cap = cutting._DEN_CAP_MAX
+        assert cap * (1 + 2 * math.isqrt(cap)) < 2**63 <= (cap + 1) * (1 + 2 * math.isqrt(cap + 1))
+        with pytest.raises(ValueError, match=f"smallest allowed eps is 1/{cap}"):
+            enumerate_cuts(ConvexDomain.domain_L(), 1e-15)
+        L_json = str(Path(__file__).resolve().parent.parent / "domains" / "L.json")
+        assert main(["cuts", L_json, "--eps", "1e-15"]) == 1
+        assert "smallest allowed eps" in capsys.readouterr().out
+
+
+def _deep_sample(tree, k=40, seed=0):
+    """The k smallest cuts of the tree and k more drawn at random."""
+    order = np.argsort(tree.cut_sizes.floats(), kind="stable")
+    drawn = random.Random(seed).sample(range(len(order)), k)
+    return sorted(set(order[:k].tolist()) | set(order[drawn].tolist()))
+
+
+class TestDefectAudit:
+    """Sizes of deep cuts of every built-in chart against 50-digit mpmath
+    (or exact) values.  Tolerances follow from float64 rounding: the disk's
+    cancellation-free defect is good to a few ulp of the size; a defect
+    taken as gamma(u+v) - gamma(u) - gamma(v) of float supports only to a
+    few ulp of the sum of the terms the supports add up."""
+
+    ULP = 2.0**-53
+
+    def test_disk_closed_form(self):
+        for radius in (1.0, 2.5):
+            tree = enumerate_cuts(ConvexDomain.disk(radius), 1e-7)
+            sizes = tree.cut_sizes.floats()
+            with mpmath.workdps(50):
+                for i in _deep_sample(tree):
+                    a, b, c, d = tree.nodes[i].tolist()
+                    exact = radius * (mpmath.hypot(a, b) + mpmath.hypot(c, d)
+                                      - mpmath.hypot(a + c, b + d))
+                    assert abs(sizes[i] - exact) <= 8 * self.ULP * exact
+
+    @pytest.mark.parametrize("make", [ConvexDomain.domain_L, ConvexDomain.parabolic_triangle],
+                             ids=["L", "parabolic_triangle"])
+    def test_defect_den_equals_exact_support(self, make):
+        tree = enumerate_cuts(make(), 1e-6)
+        sizes = tree.sizes()
+        for chart, lo, hi in tree._chart_spans():
+            for i in _deep_sample(tree):
+                if lo <= i < hi:
+                    a, b, c, d = tree.nodes[i].tolist()
+                    exact = chart.support(a + c, b + d) - chart.support(a, b) - chart.support(c, d)
+                    assert sizes[i] == exact == chart.defect((a, b, c, d))
+
+    def test_d_alpha_chain(self):
+        # every cut is the wedge ((1, n-1), (0, 1)) of the chain, size n^(-1/alpha)
+        tree = enumerate_cuts(d_alpha(), 1e-7)
+        chart, sizes = tree.charts[0], tree.cut_sizes.floats()
+        with mpmath.workdps(50):
+            for i in _deep_sample(tree):
+                a, b, c, d = tree.nodes[i].tolist()
+                assert (a, c, d) == (1, 0, 1)
+                scale = chart.support(1, b + 1) + chart.support(1, b)
+                assert abs(sizes[i] - mpmath.mpf(b + 1) ** -2) <= 8 * self.ULP * scale
+
+    def test_polynomial_graph(self):
+        # g(x) = 1 - 2x + x^2: the normal (p, q) touches at x = 1 - p / (2q)
+        # in [0, 1]; in float64, g itself cancels, so the bound scales with
+        # p x + q (1 + 2x + x^2), the sum of the evaluated terms
+        def gamma(p, q):
+            if p == 0 or q == 0:
+                return mpmath.mpf(0), mpmath.mpf(0)
+            x = max(mpmath.mpf(0), 1 - mpmath.mpf(p) / (2 * q))
+            return p * x + q * (1 - x) ** 2, p * x + q * (1 + x) ** 2
+
+        tree = enumerate_cuts(polynomial_domain(), 1e-4)
+        sizes = tree.cut_sizes.floats()
+        with mpmath.workdps(50):
+            for i in _deep_sample(tree):
+                a, b, c, d = tree.nodes[i].tolist()
+                (gm, sm), (gu, su), (gv, sv) = gamma(a + c, b + d), gamma(a, b), gamma(c, d)
+                assert abs(sizes[i] - (gm - gu - gv)) <= 8 * self.ULP * (sm + su + sv)
+
+
 class TestHistoryFree:
     """A tree depends only on the domain and the eps asked for, not on which
     trees were built on the same domain object before."""
@@ -357,8 +529,22 @@ class TestHistoryFree:
         fresh = enumerate_cuts(make(), 1e-4)
         assert tree.threshold == fresh.threshold
         assert tree.leaf_sizes == fresh.leaf_sizes  # same multiset, same order
-        assert tree.leaf_links == fresh.leaf_links
+        assert tree.leaf_links.tolist() == fresh.leaf_links.tolist()
         assert _node_rows(tree) == _node_rows(fresh)
+
+    @pytest.mark.parametrize("make, epss", [
+        (ConvexDomain.domain_L, [1e-3, 1e-4, 1e-5]),
+        (ConvexDomain.disk, [1e-3, 1e-4, 1e-5]),
+        (ConvexDomain.parabolic_triangle, [1e-3, 1e-5]),
+        (d_alpha, [1e-3, 1e-5, 1e-7]),
+        (polynomial_domain, [1e-2, 1e-3]),
+        (pentagon_family_member, [Fraction(2, 5), 0]),
+    ], ids=["L", "disk", "parabolic_triangle", "d_alpha", "polynomial", "pentagon"])
+    def test_deepened_in_steps_equals_fresh(self, make, epss):
+        dom = make()
+        for eps in epss:
+            deepest_tree(dom, eps)
+        assert _columns(enumerate_cuts(dom, epss[-1])) == _columns(enumerate_cuts(make(), epss[-1]))
 
     @pytest.mark.parametrize("make", [ConvexDomain.domain_L, ConvexDomain.disk],
                              ids=["L", "disk"])
