@@ -17,7 +17,6 @@ from .cutting import (
     CutTree,
     WaveFrontPolygon,
     caustic,
-    cut_count,
     enumerate_cuts,
     partial_cut_polygon,
     profiles,
@@ -45,7 +44,6 @@ from .geometry import (
     domain_from_dict,
     domain_to_dict,
     lattice_length,
-    support_value,
 )
 from .lattice import (
     FareyInterval,

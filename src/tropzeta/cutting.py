@@ -41,7 +41,9 @@ from .geometry import (
     det2,
     dot2,
     halfplane_intersection,
+    meet,
     sub2,
+    twice_area,
 )
 from .minimal import MinimalModel, k_squared, minimal_model_of
 
@@ -527,10 +529,6 @@ def enumerate_cuts(domain: ConvexDomain, eps) -> CutTree:
     return _grow(tree.charts, eps, tree.minimal_model, tree.k_squared_start)
 
 
-def cut_count(tree: CutTree, t) -> int:
-    return tree.cut_count(t)
-
-
 @dataclass
 class WaveFrontPolygon:
     """A wave front (or partial-cut) polygon: support data plus vertices.
@@ -552,13 +550,7 @@ class WaveFrontPolygon:
     def area(self):
         if self.is_degenerate:
             return 0.0
-        tot = 0
-        vs = self.vertices
-        n = len(vs)
-        for i in range(n):
-            x1, y1 = vs[i]
-            x2, y2 = vs[(i + 1) % n]
-            tot += x1 * y2 - x2 * y1
+        tot = twice_area(self.vertices)
         return tot / 2 if not isinstance(tot, (Fraction, int)) else Fraction(tot, 2)
 
     def lattice_perimeter(self):
@@ -574,9 +566,6 @@ class WaveFrontPolygon:
             t = (delta[0] * d[0] + delta[1] * d[1]) / (d[0] * d[0] + d[1] * d[1])
             tot += t
         return tot
-
-    def active_normals(self) -> list[Vec]:
-        return list(self.normals)
 
 
 def partial_cut_polygon(domain: ConvexDomain, t) -> WaveFrontPolygon:
@@ -660,9 +649,7 @@ class CausticGraph:
 
 
 def _inset_vertex(u: Vec, hu, v: Vec, hv, t):
-    d = det2(u, v)
-    x = ((hu + t) * v[1] - (hv + t) * u[1]) / d
-    y = (u[0] * (hv + t) - v[0] * (hu + t)) / d
+    x, y = meet(u, hu + t, v, hv + t)
     return (float(x), float(y))
 
 

@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 _GL32_NODES, _GL32_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_LENGTH_TOL = 1e-10  # absolute tolerance of the adaptive length quadrature
 
 
 def _gl_cell(f, a: float, b: float) -> float:
@@ -33,8 +34,7 @@ def _adaptive(f, a: float, b: float, tol: float, depth: int = 24) -> float:
             + _adaptive(f, mid, b, tol / 2, depth - 1))
 
 
-def length_parametric(d1: Callable, d2: Callable, t_range: tuple[float, float],
-                      tol: float = 1e-10) -> float:
+def length_parametric(d1: Callable, d2: Callable, t_range: tuple[float, float]) -> float:
     """Equiaffine length: adaptive quadrature of |det(G'(t), G''(t))|^(1/3).
 
     d1, d2 return the first and second derivative vectors.  A vanishing first
@@ -56,11 +56,10 @@ def length_parametric(d1: Callable, d2: Callable, t_range: tuple[float, float],
             return 0.0
         return abs(det) ** (1 / 3.0)
 
-    return _adaptive(integrand, a, b, tol)
+    return _adaptive(integrand, a, b, _LENGTH_TOL)
 
 
-def length_graph(d2g: Callable[[float], float], interval: tuple[float, float],
-                 tol: float = 1e-10) -> float:
+def length_graph(d2g: Callable[[float], float], interval: tuple[float, float]) -> float:
     """Equiaffine length of a convex graph: integral of (g'')^(1/3).
 
     g'' may blow up at the interval endpoints (vertical tangents); the cells
@@ -82,7 +81,7 @@ def length_graph(d2g: Callable[[float], float], interval: tuple[float, float],
             raise ValueError(f"nonpositive g'' at x = {x}")
         return val ** (1 / 3.0)
 
-    total = _adaptive(integrand, a + width / 4, b - width / 4, tol)
+    total = _adaptive(integrand, a + width / 4, b - width / 4, _LENGTH_TOL)
     # dyadic refinement into both endpoints (each cell is smooth inside),
     # then geometric extrapolation of the remaining power-law tail
     for side in (0, 1):

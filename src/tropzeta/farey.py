@@ -42,26 +42,29 @@ from .lattice import (
 
 @dataclass
 class SmoothWeight:
-    """A C^3 weight on [0, 1] with |f''| of constant sign, bounded away from 0."""
+    """A C^3 weight on [0, 1] with |f''| of constant sign, bounded away from 0.
+
+    It carries f (read by the Hata coefficients) and f'' (read by the
+    endpoint model, Sigma_b and the residue main term)."""
 
     f: Callable[[float], float]
-    df: Callable[[float], float]
     d2f: Callable[[float], float]
     name: str = ""
 
     @staticmethod
     def from_polynomial(coeffs) -> "SmoothWeight":
         p = np.polynomial.Polynomial([float(c) for c in coeffs])
-        return SmoothWeight(f=p, df=p.deriv(1), d2f=p.deriv(2), name=f"poly{list(coeffs)}")
+        return SmoothWeight(f=p, d2f=p.deriv(2), name=f"poly{list(coeffs)}")
 
     @staticmethod
     def quadratic() -> "SmoothWeight":
-        return SmoothWeight(f=lambda x: x * x / 2, df=lambda x: x,
-                            d2f=lambda x: 1.0, name="quadratic")
+        return SmoothWeight(f=lambda x: x * x / 2, d2f=lambda x: 1.0, name="quadratic")
 
 
-def hata_basis(interval: FareyInterval, x: float) -> float:
-    """Hata's tent function S_I(x), supported on I with S_I(mediant) = 1."""
+def hata_basis(interval: FareyInterval, x):
+    """Hata's tent function S_I(x), supported on I with S_I(mediant) = 1.
+
+    x is a float or a numpy array of points; the tent is taken elementwise."""
     a, b, c, d = interval.a, interval.b, interval.c, interval.d
     return (b + d) / 2 * (
         abs(a - b * x) + abs(c - d * x) - abs(a + c - (b + d) * x)
@@ -97,11 +100,7 @@ def hata_reconstruct_grid(weight: SmoothWeight, bound: int, xs) -> np.ndarray:
     total = weight.f(0.0) + (weight.f(1.0) - weight.f(0.0)) * xs
     for iv in farey_intervals_by_sum(bound):
         c_i, _ = hata_coefficient(weight, iv)
-        a, b, c, d = iv.a, iv.b, iv.c, iv.d
-        s = (b + d) / 2 * (
-            np.abs(a - b * xs) + np.abs(c - d * xs) - np.abs(a + c - (b + d) * xs)
-        )
-        total = total + c_i * s
+        total = total + c_i * hata_basis(iv, xs)
     return total
 
 
@@ -194,7 +193,10 @@ def h_kernel_integral(s) -> complex:
     return complex(val)
 
 
-def h_kernel_integral_quadrature(s: float, n_jacobi: int = 80) -> float:
+_JACOBI_NODES = 80  # Gauss-Jacobi nodes on the singular part of H_s
+
+
+def h_kernel_integral_quadrature(s: float) -> float:
     """int_0^1 H_s(u) du by quadrature of the kernel itself (real s): the
     singular part u^(-s)(1+u)^(-s) by Gauss-Jacobi with weight u^(-s), the
     C^1 remainder sum_{k>=1} by Gauss-Legendre."""
@@ -203,7 +205,7 @@ def h_kernel_integral_quadrature(s: float, n_jacobi: int = 80) -> float:
     if not 0.5 < s < 1:
         raise ValueError("quadrature route needs 1/2 < s < 1")
     # Gauss-Jacobi on [-1,1] with weight (1-x)^alpha (1+x)^beta; map u=(1+x)/2
-    x, w = roots_jacobi(n_jacobi, 0.0, -s)
+    x, w = roots_jacobi(_JACOBI_NODES, 0.0, -s)
     u = (x + 1) / 2
     singular = float((w * (1 + u) ** (-s)).sum() * 0.5 ** (1 - s))
     nodes, weights = np.polynomial.legendre.leggauss(64)
@@ -267,17 +269,20 @@ def sigma_b(weight: SmoothWeight, s, b: int) -> tuple[complex, complex, float]:
 # Fejer approximation
 
 
-def fejer_defect(g: Callable[[float], float], n: int, grid: int = 2**14) -> float:
+_FEJER_GRID = 2**14  # periodic sample points of G
+
+
+def fejer_defect(g: Callable[[float], float], n: int) -> float:
     """sup-grid norm of G - (G * F_N), the Fejer mean of order N computed by
     triangular weighting of the FFT spectrum of G on a fine periodic grid."""
     if n < 2:
         raise ValueError("Fejer order must be at least 2")
-    xs = np.arange(grid) / grid
+    xs = np.arange(_FEJER_GRID) / _FEJER_GRID
     vals = np.array([g(x) for x in xs], dtype=float)
     spec = np.fft.rfft(vals)
     freqs = np.arange(len(spec))
     weights = np.clip(1 - freqs / n, 0.0, None)
-    mean = np.fft.irfft(spec * weights, n=grid)
+    mean = np.fft.irfft(spec * weights, n=_FEJER_GRID)
     return float(np.max(np.abs(vals - mean)))
 
 
@@ -296,9 +301,11 @@ def residue_main_term(weight: SmoothWeight) -> float:
 
 def legendre_dual(chart: ArcChart) -> SmoothWeight:
     """The dual weight g~(u) = g*(-u) on u in [0, 1] of a chart's graph
-    function: g~(u) = -min_x (u x + g(x)), g~'' (u) = 1/g''(x(u)).
+    function: g~(u) = -min_x (u x + g(x)), g~''(u) = 1/g''(x(u)).
 
-    The chart's slope range must cover [-1, 0]."""
+    x(u) solves g'(x) = -u: it is the tangency point of chart direction
+    (u, 1), found by ArcChart.tangency_x (x_max for u <= 0).  The chart's
+    slope range must cover [-1, 0]."""
     if chart.g is None or chart.dg is None or chart.d2g is None:
         raise ValueError("chart carries no graph data")
     x_max = float(chart.x_max)
@@ -314,34 +321,13 @@ def legendre_dual(chart: ArcChart) -> SmoothWeight:
         raise ValueError("slope range not covered: g' does not reach -1")
 
     def solve_x(u: float) -> float:
-        if u <= 0:
-            return x_max
-        target = -u
-        a, b = 1e-300, x_max
-        if chart.dg(b) <= target:
-            return b
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if chart.dg(mid) < target:
-                a = mid
-            else:
-                b = mid
-            if b - a <= 1e-15 * max(1.0, b):
-                break
-        x = 0.5 * (a + b)
-        d2 = chart.d2g(x)
-        if d2:
-            x = min(max(x - (chart.dg(x) - target) / d2, 1e-300), x_max)
-        return x
+        return x_max if u <= 0 else chart.tangency_x(u, 1)
 
     def f(u: float) -> float:
         x = solve_x(u)
         return -(u * x + chart.g(x))
 
-    def df(u: float) -> float:
-        return -solve_x(u)
-
     def d2f(u: float) -> float:
         return 1.0 / chart.d2g(solve_x(u))
 
-    return SmoothWeight(f=f, df=df, d2f=d2f, name=f"dual({chart.name})")
+    return SmoothWeight(f=f, d2f=d2f, name=f"dual({chart.name})")

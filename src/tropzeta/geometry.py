@@ -51,6 +51,23 @@ def sub2(p: Sequence, q: Sequence):
     return (p[0] - q[0], p[1] - q[1])
 
 
+def meet(u: Sequence, a, v: Sequence, b):
+    """The point x with <u, x> = a and <v, x> = b (u, v not parallel)."""
+    d = det2(u, v)
+    return ((a * v[1] - b * u[1]) / d, (b * u[0] - a * v[0]) / d)
+
+
+def twice_area(vertices: Sequence) -> Num:
+    """Twice the signed area of a closed vertex loop (shoelace formula)."""
+    tot = 0
+    n = len(vertices)
+    for i in range(n):
+        x1, y1 = vertices[i]
+        x2, y2 = vertices[(i + 1) % n]
+        tot += x1 * y2 - x2 * y1
+    return tot
+
+
 def primitive_of(dx, dy) -> Vec:
     """Primitive integer vector parallel to the rational vector (dx, dy)."""
     fx, fy = Fraction(dx), Fraction(dy)
@@ -62,7 +79,10 @@ def primitive_of(dx, dy) -> Vec:
     return (ix // g, iy // g)
 
 
-def rationalize_direction(dx: float, dy: float, max_den: int = 10**9) -> Vec:
+_MAX_DIRECTION_DEN = 10**9  # largest denominator tried for a float slope
+
+
+def rationalize_direction(dx: float, dy: float) -> Vec:
     """Primitive integer direction of a float vector; raises on irrational slope."""
     if dx == 0 and dy == 0:
         raise ValueError("zero vector has no direction")
@@ -70,7 +90,7 @@ def rationalize_direction(dx: float, dy: float, max_den: int = 10**9) -> Vec:
         return (0, 1 if dy > 0 else -1)
     if dy == 0:
         return (1 if dx > 0 else -1, 0)
-    ratio = Fraction(dy / dx).limit_denominator(max_den)
+    ratio = Fraction(dy / dx).limit_denominator(_MAX_DIRECTION_DEN)
     cand = (ratio.denominator, ratio.numerator)
     if dx < 0:
         cand = (-cand[0], -cand[1])
@@ -186,12 +206,8 @@ class Polygon:
         vs = [tuple(v) for v in self.vertices]
         if len(vs) < 3:
             raise ValueError("polygon needs at least 3 vertices")
-        area2 = 0
+        area2 = twice_area(vs)
         n = len(vs)
-        for i in range(n):
-            x1, y1 = vs[i]
-            x2, y2 = vs[(i + 1) % n]
-            area2 += x1 * y2 - x2 * y1
         if area2 < 0:
             vs = vs[::-1]
             area2 = -area2
@@ -239,9 +255,7 @@ class Polygon:
         return min(dot2(u, v) for v in self.vertices)
 
     def area(self):
-        tot = 0
-        for p, q in self.edges():
-            tot += p[0] * q[1] - q[0] * p[1]
+        tot = twice_area(self.vertices)
         return tot / 2 if not self.is_exact else Fraction(tot, 2)
 
     def lattice_perimeter(self):
@@ -610,6 +624,9 @@ def _d_alpha_chart(alpha: float, n_max: int):
 # domains
 
 
+_CONTAINS_TOL = 1e-12  # slack accepted by contains() on float domains
+
+
 @dataclass
 class ConvexDomain:
     """A compact convex planar domain with its support calculus."""
@@ -720,11 +737,12 @@ class ConvexDomain:
         hat_area = float(self.hat_polygon.area())
         return hat_area - sum(s ** 2 for s in tree.cut_sizes.floats().tolist()) / 2
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
+    def contains(self, x) -> bool:
         if self.is_polygon:
-            return self.polygon.contains(x, tol=Fraction(0) if self.polygon.is_exact else tol)
+            exact = self.polygon.is_exact
+            return self.polygon.contains(x, tol=Fraction(0) if exact else _CONTAINS_TOL)
         try:
-            return self.rho(x) >= -tol
+            return self.rho(x) >= -_CONTAINS_TOL
         except ValueError:
             return False
 
@@ -737,10 +755,6 @@ class ConvexDomain:
         from .cutting import tropical_distance_smooth
 
         return tropical_distance_smooth(self, x, floor=floor)
-
-
-def support_value(domain: ConvexDomain, u: Vec):
-    return domain.support(u)
 
 
 # ---------------------------------------------------------------------------

@@ -84,24 +84,15 @@ class FareyInterval:
 
 
 def mod_inverse(r: int, b: int) -> int:
-    """Inverse of r modulo b, normalized to {1, ..., b}.
+    """Inverse of r modulo b, normalized to {1, ..., b}: the built-in
+    pow(r, -1, b), with b itself standing for the residue 0 when b == 1.
 
-    Raises ValueError("not invertible") when gcd(r, b) != 1.
+    Raises ValueError (its message says "not invertible") when
+    gcd(r, b) != 1.
     """
     if b < 1:
         raise ValueError("modulus must be positive")
-    # extended Euclid on (r mod b, b)
-    r0 = r % b
-    old_r, cur_r = r0, b
-    old_s, cur_s = 1, 0
-    while cur_r:
-        qt = old_r // cur_r
-        old_r, cur_r = cur_r, old_r - qt * cur_r
-        old_s, cur_s = cur_s, old_s - qt * cur_s
-    if old_r != 1:
-        raise ValueError("not invertible")
-    inv = old_s % b
-    return inv if inv >= 1 else b  # b == 1 gives representative 1
+    return pow(r, -1, b) or b
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -27,6 +27,7 @@ from .geometry import (
     dot2,
     halfplane_intersection,
     lattice_length,
+    meet,
     primitive_of,
     sail,
     sort_directions,
@@ -76,7 +77,7 @@ def _max_of_min_slacks(constraints):
             d = det2(u, w)
             if d == 0:
                 continue
-            p = _meet(u, h + m, w, hw + m)
+            p = meet(u, h + m, w, hw + m)
             t = det2(u, p)  # position along the line, increasing in direction (-u1, u0)
             if d > 0 and (lo is None or t > lo[0]):
                 lo = (t, p)
@@ -97,19 +98,17 @@ def _max_of_min_slacks(constraints):
                 m, tight = t, (u, hu + t, v, hv + t)
     if m is None:
         raise ValueError("unbounded or empty slack program")
-    return m, (_meet(*tight),)
+    return m, (meet(*tight),)
 
 
-def _meet(u, a, v, b):
-    """The point x with <u, x> = a and <v, x> = b (u, v not parallel)."""
-    d = det2(u, v)
-    return ((a * v[1] - b * u[1]) / d, (b * u[0] - a * v[0]) / d)
+_FRAME_TOL = 1e-9  # coordinate tolerance when a declared frame is compared
 
 
-def _vertex_sets_close(a: set, b: set, tol: float = 1e-9) -> bool:
+def _vertex_sets_close(a: set, b: set) -> bool:
     if len(a) != len(b):
         return False
-    return all(any(abs(pa[0] - pb[0]) <= tol and abs(pa[1] - pb[1]) <= tol for pb in b) for pa in a)
+    return all(any(abs(pa[0] - pb[0]) <= _FRAME_TOL and abs(pa[1] - pb[1]) <= _FRAME_TOL
+                   for pb in b) for pa in a)
 
 
 def minimal_model_of(domain: ConvexDomain) -> MinimalModel:

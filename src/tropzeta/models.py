@@ -36,7 +36,11 @@ _BERNOULLI_EVEN = [
 ]
 
 
-def riemann_zeta(s: complex, terms: int = 24) -> complex:
+_ZETA_TERMS = 24  # direct terms before the Euler-Maclaurin tail
+_ETA_TERMS = 40  # terms of the accelerated alternating series
+
+
+def riemann_zeta(s: complex) -> complex:
     """zeta(s) for Re(s) > 0, s != 1, by Euler-Maclaurin summation.
 
     Relative error <= 1e-12 for moderate |s| (|Im s| up to a few tens).
@@ -46,7 +50,7 @@ def riemann_zeta(s: complex, terms: int = 24) -> complex:
         raise ValueError("zeta has a pole at s = 1")
     if s.real <= 0:
         raise ValueError("only Re(s) > 0 is supported")
-    n = terms
+    n = _ZETA_TERMS
     out = sum(k ** (-s) for k in range(1, n))
     out += n ** (1 - s) / (s - 1) + 0.5 * n ** (-s)
     # correction terms B_2k/(2k)! * (s)(s+1)...(s+2k-2) * n^(-s-2k+1)
@@ -59,13 +63,13 @@ def riemann_zeta(s: complex, terms: int = 24) -> complex:
     return out
 
 
-def riemann_zeta_eta(s: complex, terms: int = 40) -> complex:
+def riemann_zeta_eta(s: complex) -> complex:
     """zeta via the alternating eta series with Cohen-Rodriguez Villegas-Zagier
     acceleration; independent of the Euler-Maclaurin route."""
     s = complex(s)
     if s == 1:
         raise ValueError("zeta has a pole at s = 1")
-    n = terms
+    n = _ETA_TERMS
     d = (3 + math.sqrt(8)) ** n
     d = (d + 1 / d) / 2
     b, c, out = -1.0, -d, 0j

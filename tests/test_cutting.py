@@ -13,7 +13,6 @@ from tropzeta import cutting
 from tropzeta.cli import main
 from tropzeta.cutting import (
     caustic,
-    cut_count,
     deepest_tree,
     enumerate_cuts,
     partial_cut_polygon,
@@ -154,9 +153,9 @@ class TestCutCount:
     def test_counts(self):
         dom = ConvexDomain.domain_L()
         tree = enumerate_cuts(dom, 0.05)
-        assert cut_count(tree, 0.3) == 4  # one root cut per chart
-        assert cut_count(tree, 0.1) == 12
-        assert cut_count(tree, 1.1) == 0
+        assert tree.cut_count(0.3) == 4  # one root cut per chart
+        assert tree.cut_count(0.1) == 12
+        assert tree.cut_count(1.1) == 0
 
     def test_too_shallow(self):
         tree = enumerate_cuts(ConvexDomain.domain_L(), 0.05)
@@ -168,7 +167,7 @@ class TestCutCount:
                              ids=["pentagon", "L"])
     def test_at_exact_threshold(self, make, count):
         third = Fraction(1, 3)
-        assert cut_count(enumerate_cuts(make(), third), third) == count
+        assert enumerate_cuts(make(), third).cut_count(third) == count
 
 
 class TestPartialCut:
@@ -249,7 +248,7 @@ class TestWaveFront:
         for frac in (0.25, 0.5, 0.75):
             u = t2 + (t1 - t2) * frac
             wf = wave_front(dom, u)
-            fans.append(tuple(sorted(map(tuple, wf.active_normals()))))
+            fans.append(tuple(sorted(map(tuple, wf.normals))))
         assert fans[0] == fans[1] == fans[2]
 
 

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -270,14 +271,39 @@ class TestResidueMainTerm:
         assert base == pytest.approx(models.boundary_residue_constant(), rel=1e-12)
 
 
+def dual_errors(chart, g_dual, g_dual_pp):
+    """Largest relative errors of legendre_dual's g~ and g~'' over
+    u = k/1000, k = 1..1000, against 40-digit closed forms."""
+    dual = legendre_dual(chart)
+    err_f = err_pp = 0.0
+    with mpmath.workdps(40):
+        for k in range(1, 1001):
+            u = k / 1000
+            exact_f, exact_pp = g_dual(mpmath.mpf(u)), g_dual_pp(mpmath.mpf(u))
+            err_f = max(err_f, float(abs((dual.f(u) - exact_f) / exact_f)))
+            err_pp = max(err_pp, float(abs((dual.d2f(u) - exact_pp) / exact_pp)))
+    return err_f, err_pp
+
+
 class TestLegendreDual:
     def test_parabola_dual_curvature(self):
         chart = ConvexDomain.domain_L().charts[0]
-        dual = legendre_dual(chart)
         # g~(u) = -u/(1+u), g~'' = 2/(1+u)^3
-        for u in (0.0, 0.25, 0.5, 1.0):
-            assert dual.f(u) == pytest.approx(-u / (1 + u), abs=1e-10)
-            assert dual.d2f(u) == pytest.approx(2 / (1 + u) ** 3, rel=1e-7)
+        err_f, err_pp = dual_errors(chart, lambda u: -u / (1 + u), lambda u: 2 / (1 + u) ** 3)
+        assert err_f <= 4e-15
+        assert err_pp <= 4e-15
+        dual = legendre_dual(chart)  # u = 0 is tangent at x_max = 1
+        assert (dual.f(0.0), dual.d2f(0.0)) == (0.0, 2.0)
+
+    @pytest.mark.parametrize("r", [1.0, 2.5])
+    def test_disk_dual_curvature(self, r):
+        # g~(u) = r (sqrt(1+u^2) - 1 - u), g~'' = r (1+u^2)^(-3/2); g~ is a
+        # difference of nearly equal terms, so its bound is looser
+        chart = ConvexDomain.disk(r).charts[0]
+        err_f, err_pp = dual_errors(chart, lambda u: r * (mpmath.sqrt(1 + u * u) - 1 - u),
+                                    lambda u: r * (1 + u * u) ** mpmath.mpf(-1.5))
+        assert err_f <= 2e-13
+        assert err_pp <= 4e-15
 
     def test_quadratic_self_duality(self):
         # g = x^2/2 on a wide range: dual over [0,1] has g~'' = 1

@@ -212,8 +212,8 @@ class TestCharts:
 class TestDomains:
     def test_square_supports(self):
         sq = ConvexDomain.from_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-        assert geo.support_value(sq, (1, 0)) == 0
-        assert geo.support_value(sq, (-1, -1)) == -2
+        assert sq.support((1, 0)) == 0
+        assert sq.support((-1, -1)) == -2
 
     def test_disk_support(self):
         disk = ConvexDomain.disk(1.0)
