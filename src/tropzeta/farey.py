@@ -17,27 +17,32 @@ Reorganizing by the first denominator via d = k b + r produces the kernel
 and Sigma_b(s) equidistributes to phi(b) * (int H_s) * (int |f''|^s) with a
 power-saving error.  The boundary series of a convex arc is the Farey zeta of
 the Legendre dual of its graph function.
+
+Evaluation.  The sums run on int64/float64 arrays, one chunk of whole
+max(b, d) levels (a few thousand pairs) at a time, so their memory does not
+grow with the bound: coprime pairs come from np.gcd, a = d^-1 mod b from an
+array extended Euclid, and c_I, T_I and f''(a/b) from one weight call per
+chunk.  Terms are added one at a time in the fixed pair order (np.cumsum
+with the running total carried across chunks), and each term's power is
+CPython's complex power of that term (math.pow for real s), so a value does
+not depend on the chunking and matches a per-pair Python loop bit for bit.
+Sigma_b and the Hata grid use the same columns.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable
+from itertools import repeat
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import gamma as _gamma
 
 from .estimates import SeriesEstimate
 from .geometry import ArcChart
-from .lattice import (
-    FareyInterval,
-    arithmetic_functions,
-    coprime_pairs_by_max,
-    farey_from_denominators,
-    mod_inverse,
-    reduced_residues,
-)
+from .lattice import arithmetic_functions, mod_inverse_array
 
 
 @dataclass
@@ -45,7 +50,12 @@ class SmoothWeight:
     """A C^3 weight on [0, 1] with |f''| of constant sign, bounded away from 0.
 
     It carries f (read by the Hata coefficients) and f'' (read by the
-    endpoint model, Sigma_b and the residue main term)."""
+    endpoint model, Sigma_b and the residue main term).
+
+    Both callables take a float or a float64 array of points.  On an array
+    they return an array of the same shape whose entries equal, bit for
+    bit, the scalar calls at those points: the Farey sums evaluate whole
+    chunks of intervals in one call and must not depend on the chunking."""
 
     f: Callable[[float], float]
     d2f: Callable[[float], float]
@@ -58,21 +68,59 @@ class SmoothWeight:
 
     @staticmethod
     def quadratic() -> "SmoothWeight":
-        return SmoothWeight(f=lambda x: x * x / 2, d2f=lambda x: 1.0, name="quadratic")
+        return SmoothWeight(f=lambda x: x * x / 2, d2f=_unit, name="quadratic")
 
 
-def hata_basis(interval: FareyInterval, x):
+def _unit(x):
+    """f'' = 1 of the quadratic weight: a float for a scalar, ones for an array."""
+    return 1.0 if np.ndim(x) == 0 else np.ones(np.shape(x))
+
+
+def _elementwise(scalar_fn: Callable[[float], float]) -> Callable:
+    """scalar_fn mapped over the entries of an array; scalars pass straight
+    through."""
+
+    def fn(u):
+        if np.ndim(u) == 0:
+            return scalar_fn(u)
+        u = np.asarray(u, dtype=float)
+        return np.fromiter(map(scalar_fn, u.ravel().tolist()), float, u.size).reshape(u.shape)
+
+    return fn
+
+
+class _Intervals(NamedTuple):
+    """Farey intervals [c/d, a/b] as int64 columns.  hata_basis and
+    hata_coefficient read them as they read one FareyInterval."""
+
+    c: np.ndarray
+    d: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+
+def _intervals(b: np.ndarray, d: np.ndarray) -> _Intervals:
+    """The intervals of coprime denominator columns b, d: a = d^-1 mod b in
+    {1, ..., b}, c = (a d - 1) / b, as in farey_from_denominators."""
+    a = mod_inverse_array(d, b)
+    return _Intervals(c=(a * d - 1) // b, d=d, a=a, b=b)
+
+
+def hata_basis(interval, x):
     """Hata's tent function S_I(x), supported on I with S_I(mediant) = 1.
 
-    x is a float or a numpy array of points; the tent is taken elementwise."""
+    interval is a FareyInterval or interval columns; x is a float or an
+    array of points broadcasting against them.  The tent is taken
+    elementwise."""
     a, b, c, d = interval.a, interval.b, interval.c, interval.d
     return (b + d) / 2 * (
         abs(a - b * x) + abs(c - d * x) - abs(a + c - (b + d) * x)
     )
 
 
-def hata_coefficient(weight: SmoothWeight, interval: FareyInterval):
-    """(c_I(f), T_I(f))."""
+def hata_coefficient(weight: SmoothWeight, interval):
+    """(c_I(f), T_I(f)) of a FareyInterval, or elementwise of interval
+    columns."""
     a, b, c, d = interval.a, interval.b, interval.c, interval.d
     bd = b + d
     c_i = (
@@ -83,54 +131,111 @@ def hata_coefficient(weight: SmoothWeight, interval: FareyInterval):
     return c_i, bd * c_i
 
 
-def farey_intervals_by_sum(max_bd_sum: int):
-    """All Farey intervals with b + d <= bound."""
-    out = []
-    for b in range(1, max_bd_sum):
-        for d in range(1, max_bd_sum - b + 1):
-            if math.gcd(b, d) == 1:
-                out.append(farey_from_denominators(b, d))
-    return out
+# Farey sums run over chunks of about this many candidate pairs (b, d); a
+# chunk holds whole max(b, d) levels.  It bounds the sums' working memory.
+_CHUNK_PAIRS = 8192
+# interval x grid cells per block of hata_reconstruct_grid
+_HATA_BLOCK = 1 << 16
+
+
+def _pairs_by_max(bound: int):
+    """Coprime (b, d) with max(b, d) <= bound as int64 column chunks, in the
+    order of lattice.coprime_pairs_by_max: level m = max(b, d) holds the
+    2m - 1 candidates (1, m), ..., (m-1, m), (m, 1), ..., (m, m)."""
+    lo = 1
+    while lo <= bound:
+        # levels lo..hi hold hi^2 - (lo-1)^2 candidates
+        hi = min(bound, max(lo, math.isqrt((lo - 1) ** 2 + _CHUNK_PAIRS)))
+        levels = np.arange(lo, hi + 1)
+        m = np.repeat(levels, 2 * levels - 1)
+        k = np.arange(m.size) + (lo - 1) ** 2 - (m - 1) ** 2 + 1
+        b = np.where(k < m, k, m)
+        d = np.where(k < m, m, k - m + 1)
+        keep = np.gcd(b, d) == 1
+        yield b[keep], d[keep]
+        lo = hi + 1
+
+
+def farey_intervals_by_sum(max_bd_sum: int) -> _Intervals:
+    """All Farey intervals with b + d <= bound as columns, b ascending, then d."""
+    bs = np.arange(1, max_bd_sum)
+    counts = max_bd_sum - bs
+    b = np.repeat(bs, counts)
+    d = np.arange(b.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    keep = np.gcd(b, d) == 1
+    return _intervals(b[keep], d[keep])
+
+
+def _powers(x: np.ndarray, sc: complex) -> np.ndarray:
+    """complex(v) ** sc for each v >= 0 of x, rounded term by term as CPython
+    rounds it.  For real non-integer s that power is libm's pow(v, s) with
+    imaginary part 0, so those terms come back as math.pow floats (np.power
+    differs from libm in the last bit on some terms)."""
+    if sc.imag == 0 and not sc.real.is_integer():
+        return np.fromiter(map(math.pow, x.tolist(), repeat(sc.real)), float, x.size)
+    return np.fromiter(map(operator.pow, x.astype(complex).tolist(), repeat(sc)), complex, x.size)
+
+
+def _quotients(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den term by term as CPython's complex division rounds it; on the
+    real terms of _powers that is the float quotient."""
+    if num.dtype == complex:
+        return np.fromiter(map(operator.truediv, num.tolist(), den.tolist()), complex, num.size)
+    return num / den
+
+
+def _add_in_order(total: complex, terms: np.ndarray) -> complex:
+    """total + terms[0] + terms[1] + ... added one at a time, as a running
+    complex total does (np.sum would add pairwise)."""
+    return complex(np.cumsum(np.concatenate(([total], terms)))[-1])
 
 
 def hata_reconstruct_grid(weight: SmoothWeight, bound: int, xs) -> np.ndarray:
     """Partial Hata expansion f(0) + (f(1) - f(0)) x + sum c_I S_I(x) over
-    intervals with b + d <= bound, evaluated on a grid of x values."""
+    intervals with b + d <= bound, evaluated on an array of x values.
+
+    The intervals are added in farey_intervals_by_sum order, a block of
+    intervals x points at a time."""
     xs = np.asarray(xs, dtype=float)
     total = weight.f(0.0) + (weight.f(1.0) - weight.f(0.0)) * xs
-    for iv in farey_intervals_by_sum(bound):
-        c_i, _ = hata_coefficient(weight, iv)
-        total = total + c_i * hata_basis(iv, xs)
+    intervals = farey_intervals_by_sum(bound)
+    c_i, _ = hata_coefficient(weight, intervals)
+    step = max(1, _HATA_BLOCK // max(xs.size, 1))
+    rows = (-1,) + (1,) * xs.ndim  # one interval per row, broadcast over xs
+    for lo in range(0, c_i.size, step):
+        block = _Intervals(*(col[lo:lo + step].reshape(rows) for col in intervals))
+        terms = c_i[lo:lo + step].reshape(rows) * hata_basis(block, xs)
+        total = np.cumsum(np.concatenate((total[None], terms)), axis=0)[-1]
     return total
 
 
 def farey_zeta(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:
     """Z_f(s) truncated to intervals with max(b, d) <= bound (which contains
-    every interval with b + d <= bound), enumerated deterministically by
-    max(b, d) ascending."""
+    every interval with b + d <= bound), summed in order of max(b, d)
+    ascending (lattice.coprime_pairs_by_max), skipping T_I = 0."""
     sc = complex(s)
     total = 0j
     count = 0
-    for b, d in coprime_pairs_by_max(bound):
-        interval = farey_from_denominators(b, d)
-        _, t_i = hata_coefficient(weight, interval)
-        if t_i != 0:
-            total += complex(abs(t_i)) ** sc
-        count += 1
+    for b, d in _pairs_by_max(bound):
+        _, t_i = hata_coefficient(weight, _intervals(b, d))
+        total = _add_in_order(total, _powers(np.abs(t_i[t_i != 0]), sc))
+        count += b.size
     return SeriesEstimate(value=total, cutoff=float(bound), terms_used=count)
 
 
 def endpoint_model(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:
     """Z^end_f(s) = 2^(-s) sum |f''(a/b)|^s / (b d (b+d))^s, same truncation
-    and enumeration as farey_zeta."""
+    and order as farey_zeta; each term is complex(|f''(a/b)|) ** s /
+    complex(b d (b+d)) ** s in CPython's rounding."""
     sc = complex(s)
     total = 0j
     count = 0
-    for b, d in coprime_pairs_by_max(bound):
-        a = mod_inverse(d, b)
-        term = abs(weight.d2f(a / b)) ** sc / complex(b * d * (b + d)) ** sc
-        total += term
-        count += 1
+    for b, d in _pairs_by_max(bound):
+        a = mod_inverse_array(d, b)
+        num = _powers(np.abs(weight.d2f(a / b)), sc)
+        den = _powers((b * d * (b + d)).astype(float), sc)
+        total = _add_in_order(total, _quotients(num, den))
+        count += b.size
     return SeriesEstimate(value=2.0 ** (-sc) * total, cutoff=float(bound), terms_used=count)
 
 
@@ -172,8 +277,9 @@ def h_kernel_batch(s, u: np.ndarray) -> np.ndarray:
     if (u <= 0).any() or (u > 1).any():
         raise ValueError("u must lie in (0, 1]")
     k_terms = max(64, int(math.ceil(abs(sc))) * 8)
-    k = np.arange(k_terms)[:, None]
-    direct = ((k + u) ** (-sc) * (k + 1 + u) ** (-sc)).sum(axis=0)
+    # (k + u)^(-s) for k = 0..K, each power shared by two adjacent terms
+    powers = (np.arange(k_terms + 1)[:, None] + u) ** (-sc)
+    direct = (powers[:-1] * powers[1:]).sum(axis=0)
     # tail k >= K in tau = t + u + 1/2 coordinates starts at tau0 = K + u
     return direct + _h_tail(sc, k_terms + u)
 
@@ -255,10 +361,10 @@ def sigma_b(weight: SmoothWeight, s, b: int) -> tuple[complex, complex, float]:
     """(Sigma_b(s), main term, |deviation|): the reduced-residue sum
     sum H_s(r/b) |f''(rbar/b)|^s against phi(b) (int H_s)(int |f''|^s)."""
     sc = complex(s)
-    rs = np.array(reduced_residues(b))
-    rbars = np.array([mod_inverse(int(r), b) for r in rs])
+    rs = np.arange(1, b + 1)
+    rs = rs[np.gcd(rs, b) == 1]
     h_vals = h_kernel_batch(sc, rs / b)
-    f_vals = np.array([abs(weight.d2f(v)) for v in rbars / b]) ** sc
+    f_vals = np.abs(weight.d2f(mod_inverse_array(rs, b) / b)) ** sc
     value = complex((h_vals * f_vals).sum())
     phi = arithmetic_functions(b)[0]
     main = phi * h_kernel_integral(sc) * weight_power_integral(weight, sc)
@@ -305,7 +411,8 @@ def legendre_dual(chart: ArcChart) -> SmoothWeight:
 
     x(u) solves g'(x) = -u: it is the tangency point of chart direction
     (u, 1), found by ArcChart.tangency_x (x_max for u <= 0).  The chart's
-    slope range must cover [-1, 0]."""
+    slope range must cover [-1, 0].  On an array of u the scalar solve is
+    mapped over the entries."""
     if chart.g is None or chart.dg is None or chart.d2g is None:
         raise ValueError("chart carries no graph data")
     x_max = float(chart.x_max)
@@ -330,4 +437,4 @@ def legendre_dual(chart: ArcChart) -> SmoothWeight:
     def d2f(u: float) -> float:
         return 1.0 / chart.d2g(solve_x(u))
 
-    return SmoothWeight(f=f, d2f=d2f, name=f"dual({chart.name})")
+    return SmoothWeight(f=_elementwise(f), d2f=_elementwise(d2f), name=f"dual({chart.name})")

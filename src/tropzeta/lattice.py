@@ -95,6 +95,36 @@ def mod_inverse(r: int, b: int) -> int:
     return pow(r, -1, b) or b
 
 
+def mod_inverse_array(r, b) -> np.ndarray:
+    """mod_inverse elementwise on integer arrays (broadcast together): an
+    extended Euclid on int64 columns that drops entries as they finish.
+
+    Raises ValueError when some gcd(r, b) != 1.
+    """
+    r, b = np.broadcast_arrays(np.asarray(r, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    shape, b = r.shape, b.ravel()
+    if (b < 1).any():
+        raise ValueError("modulus must be positive")
+    inv = np.empty(b.size, dtype=np.int64)
+    idx = np.arange(b.size)
+    # invariant: t0 * r = r0 and t1 * r = r1 (mod b)
+    r0, r1 = b.copy(), r.ravel() % b
+    t0, t1 = np.zeros(b.size, dtype=np.int64), np.ones(b.size, dtype=np.int64)
+    while idx.size:
+        done = r1 == 0
+        if done.any():
+            if (r0[done] != 1).any():
+                raise ValueError("not invertible: gcd(r, b) != 1")
+            inv[idx[done]] = t0[done]
+            live = ~done
+            idx, r0, r1, t0, t1 = idx[live], r0[live], r1[live], t0[live], t1[live]
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    inv %= b
+    return np.where(inv == 0, b, inv).reshape(shape)
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization by deterministic trial division up to sqrt(n)."""
     if n < 1:
@@ -159,7 +189,7 @@ def kloosterman_complete(n: int, h: int, b: int) -> complex:
 def kloosterman_grid(b: int, ns: np.ndarray, hs: np.ndarray) -> np.ndarray:
     """Matrix of S(n, h; b) over all (n, h) in ns x hs, via one complex matmul."""
     rs = np.array(reduced_residues(b))
-    rbars = np.array([mod_inverse(int(r), b) for r in rs])
+    rbars = mod_inverse_array(rs, b)
     left = np.exp(2j * np.pi * np.outer(np.asarray(ns), rbars % b) / b)
     right = np.exp(2j * np.pi * np.outer(rs % b, np.asarray(hs)) / b)
     return left @ right
@@ -254,7 +284,8 @@ def farey_intervals_stern_brocot(max_denominator: int) -> list[FareyInterval]:
 
 def coprime_pairs_by_max(bound: int) -> Iterator[tuple[int, int]]:
     """Coprime (b, d) with 1 <= b, d <= bound, ordered by max(b, d) ascending,
-    ties broken lexicographically.  Deterministic enumeration for partial sums."""
+    ties broken lexicographically: the order in which the Farey sums add
+    their terms (they build it on arrays, chunk by chunk)."""
     for m in range(1, bound + 1):
         # pairs with max exactly m: (m, d) and (b, m)
         pairs = [(m, d) for d in range(1, m + 1)] + [(b, m) for b in range(1, m)]

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,9 +212,13 @@ class TestPrettyPrecedence:
 
 class TestEntryPoint:
     def test_console_script_runs(self):
+        # the child sees neither pytest's pythonpath setting nor sys.path
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-m", "tropzeta.cli", "model", "constants"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "gamma_one_third" in proc.stdout

@@ -22,7 +22,13 @@ from tropzeta.farey import (
     sigma_b,
 )
 from tropzeta.geometry import ConvexDomain
-from tropzeta.lattice import farey_from_denominators
+from tropzeta.lattice import (
+    coprime_pairs_by_max,
+    farey_from_denominators,
+    mod_inverse,
+    mod_inverse_array,
+    reduced_residues,
+)
 
 
 def interval(b, d):
@@ -339,8 +345,6 @@ class TestLegendreDual:
         chart = ConvexDomain.domain_L().charts[0]
         dual = legendre_dual(chart)
         checked = 0
-        from tropzeta.lattice import coprime_pairs_by_max
-
         for b, d in coprime_pairs_by_max(10):
             iv = farey_from_denominators(b, d)
             _, t_i = hata_coefficient(dual, iv)
@@ -420,3 +424,157 @@ class TestRegrouping:
         # tail <= sum_{b > B} b^(1-3s) ~ B^(2-3s)/(3s-2)
         tail = 4000 ** (2 - 3 * s) / (3 * s - 2)
         assert abs(total - target) <= tail * 1.5
+
+
+# ---------------------------------------------------------------------------
+# per-pair oracles: the Farey sums one interval at a time in Python scalars,
+# with CPython's per-term rounding; the array engine must match them bit for
+# bit at bounds that span many chunks
+
+
+def oracle_farey_zeta(weight, s, bound):
+    sc = complex(s)
+    total = 0j
+    count = 0
+    for b, d in coprime_pairs_by_max(bound):
+        _, t_i = hata_coefficient(weight, farey_from_denominators(b, d))
+        if t_i != 0:
+            total += complex(abs(t_i)) ** sc
+        count += 1
+    return total, count
+
+
+def oracle_endpoint_model(weight, s, bound):
+    sc = complex(s)
+    total = 0j
+    count = 0
+    for b, d in coprime_pairs_by_max(bound):
+        a = mod_inverse(d, b)
+        total += complex(abs(weight.d2f(a / b))) ** sc / complex(b * d * (b + d)) ** sc
+        count += 1
+    return 2.0 ** (-sc) * total, count
+
+
+def oracle_hata_grid(weight, bound, xs):
+    xs = np.asarray(xs, dtype=float)
+    total = weight.f(0.0) + (weight.f(1.0) - weight.f(0.0)) * xs
+    for b in range(1, bound):
+        for d in range(1, bound - b + 1):
+            if math.gcd(b, d) == 1:
+                iv = farey_from_denominators(b, d)
+                c_i, _ = hata_coefficient(weight, iv)
+                total = total + c_i * hata_basis(iv, xs)
+    return total
+
+
+def oracle_sigma_b_value(weight, s, b):
+    sc = complex(s)
+    rs = np.array(reduced_residues(b))
+    rbars = np.array([mod_inverse(int(r), b) for r in rs])
+    h_vals = farey.h_kernel_batch(sc, rs / b)
+    f_vals = np.array([abs(weight.d2f(v)) for v in rbars / b]) ** sc
+    return complex((h_vals * f_vals).sum())
+
+
+WEIGHTS = {
+    "quadratic": SmoothWeight.quadratic(),
+    "cubic": SmoothWeight.from_polynomial([0.0, 0.3, 1.0, 0.2]),
+}
+# real non-integer s takes the math.pow path, integer s CPython's repeated
+# multiplication, complex s the complex power
+S_VALUES = [0.8, 1.0, 2.0, 0.7 + 1.3j]
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(farey, "_CHUNK_PAIRS", 37)
+    monkeypatch.setattr(farey, "_HATA_BLOCK", 50)
+
+
+class TestArrayEngineOracle:
+    def test_pair_chunks_follow_coprime_pairs_by_max(self, small_chunks):
+        for bound in (1, 2, 7, 40):
+            chunks = list(farey._pairs_by_max(bound))
+            pairs = [(int(b), int(d)) for bs, ds in chunks for b, d in zip(bs, ds)]
+            assert pairs == list(coprime_pairs_by_max(bound))
+        assert len(chunks) > 10
+
+    def test_intervals_by_sum_order(self):
+        for bound in (1, 2, 3, 30):
+            iv = farey.farey_intervals_by_sum(bound)
+            expected = [farey_from_denominators(b, d)
+                        for b in range(1, bound) for d in range(1, bound - b + 1)
+                        if math.gcd(b, d) == 1]
+            assert list(zip(iv.c, iv.d, iv.a, iv.b)) == [(e.c, e.d, e.a, e.b) for e in expected]
+
+    @pytest.mark.parametrize("wname", WEIGHTS)
+    @pytest.mark.parametrize("s", S_VALUES)
+    def test_farey_zeta_bit_for_bit(self, small_chunks, wname, s):
+        est = farey_zeta(WEIGHTS[wname], s, 40)
+        assert (est.value, est.terms_used) == oracle_farey_zeta(WEIGHTS[wname], s, 40)
+
+    @pytest.mark.parametrize("wname", WEIGHTS)
+    @pytest.mark.parametrize("s", S_VALUES)
+    def test_endpoint_model_bit_for_bit(self, small_chunks, wname, s):
+        est = endpoint_model(WEIGHTS[wname], s, 40)
+        assert (est.value, est.terms_used) == oracle_endpoint_model(WEIGHTS[wname], s, 40)
+
+    def test_default_chunks_bit_for_bit(self):
+        # bound 150 spans several chunks of the default size
+        w = WEIGHTS["cubic"]
+        assert len(list(farey._pairs_by_max(150))) > 1
+        assert farey_zeta(w, 0.8, 150).value == oracle_farey_zeta(w, 0.8, 150)[0]
+        assert endpoint_model(w, 0.8, 150).value == oracle_endpoint_model(w, 0.8, 150)[0]
+
+    def test_legendre_dual_weight(self, small_chunks):
+        dual = legendre_dual(ConvexDomain.domain_L().charts[0])
+        for s in (0.8, 0.7 + 1j):
+            assert farey_zeta(dual, s, 12).value == oracle_farey_zeta(dual, s, 12)[0]
+            assert endpoint_model(dual, s, 12).value == oracle_endpoint_model(dual, s, 12)[0]
+
+    @pytest.mark.parametrize("wname", WEIGHTS)
+    def test_hata_grid_bit_for_bit(self, small_chunks, wname):
+        xs = np.linspace(0, 1, 13) ** 1.5
+        got = hata_reconstruct_grid(WEIGHTS[wname], 30, xs)
+        assert got.tobytes() == oracle_hata_grid(WEIGHTS[wname], 30, xs).tobytes()
+
+    @pytest.mark.parametrize("wname", WEIGHTS)
+    def test_sigma_b_bit_for_bit(self, wname):
+        for b in (1, 2, 12, 97, 1009):
+            assert sigma_b(WEIGHTS[wname], 0.7, b)[0] == oracle_sigma_b_value(WEIGHTS[wname], 0.7, b)
+
+    def test_h_kernel_shares_powers(self):
+        # each (k+u)^(-s) computed once gives the bytes of the two-power form
+        u = np.arange(1, 1010) / 1009
+        for s in (0.7, 0.6 + 2j):
+            sc = complex(s)
+            k = np.arange(64)[:, None]
+            two_power = ((k + u) ** (-sc) * (k + 1 + u) ** (-sc)).sum(axis=0)
+            expected = two_power + farey._h_tail(sc, 64 + u)
+            assert farey.h_kernel_batch(s, u).tobytes() == expected.tobytes()
+
+
+class TestModInverseArray:
+    def test_matches_pow_for_every_coprime_pair(self):
+        b, r = np.meshgrid(np.arange(1, 301), np.arange(1, 301), indexing="ij")
+        keep = np.gcd(b, r) == 1
+        b, r = b[keep], r[keep]
+        expected = [pow(int(x), -1, int(m)) or int(m) for x, m in zip(r, b)]
+        assert mod_inverse_array(r, b).tolist() == expected
+
+    def test_not_invertible(self):
+        with pytest.raises(ValueError, match="not invertible"):
+            mod_inverse_array([3, 2], [7, 4])
+
+
+class TestWeightArrays:
+    def test_quadratic_d2f_keeps_shape(self):
+        d2f = SmoothWeight.quadratic().d2f
+        assert type(d2f(0.25)) is float
+        assert d2f(np.zeros((2, 3))).tolist() == [[1.0] * 3] * 2
+
+    def test_legendre_dual_maps_scalar_solve(self):
+        dual = legendre_dual(ConvexDomain.disk(1.5).charts[0])
+        us = np.array([[0.0, 0.1], [0.5, 1.0]])
+        for fn in (dual.f, dual.d2f):
+            assert fn(us).tolist() == [[fn(float(u)) for u in row] for row in us]
