@@ -144,6 +144,8 @@ class CutTree:
     k_squared_start: Optional[int] = None
     # angular arrays cut to the sizes >= 2^k, per octave k (_angular_from)
     _octaves: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # exact mediant line per cut index, for the cuts some call kept
+    _mediants: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def sizes(self) -> list:
         return self.cut_sizes.tolist()
@@ -203,11 +205,13 @@ class CutTree:
             arrays = self._octaves[k] = tuple(col[keep] for col in self._by_angle)
         return arrays
 
-    def cut_count(self, t) -> int:
-        """N^cut(t) = number of cuts of size >= t."""
-        if t < self.threshold:
+    def cut_count(self, t):
+        """N^cut(t) = number of cuts of size >= t; elementwise (an int64
+        array) on an array of t."""
+        if np.min(t) < self.threshold:
             raise ValueError("tree too shallow")
-        return int(np.searchsorted(self._by_size.neg_sizes, -float(t), side="right"))
+        n = np.searchsorted(self._by_size.neg_sizes, -np.asarray(t, dtype=np.float64), side="right")
+        return n if np.ndim(t) else int(n)
 
     def size_sum_above(self, t: float) -> float:
         return float(self._by_size.prefix[self.cut_count(t)])
@@ -218,8 +222,10 @@ class CutTree:
     def kinks(self, lo: float, hi: float) -> np.ndarray:
         """The distinct cut sizes strictly between lo and hi, ascending: the
         kinks of the wave-front perimeter there."""
-        s = self._by_size.slack[2]
-        return np.unique(s[(s > lo) & (s < hi)])
+        neg = self._by_size.neg_sizes
+        start = np.searchsorted(neg, -hi, side="right")
+        end = np.searchsorted(neg, -lo, side="left")
+        return np.unique(self._by_size.slack[2][start:end])
 
     def angular_arrays(self):
         """All front constraints (minimal-model edges plus cut mediants) in
@@ -227,31 +233,57 @@ class CutTree:
         S = +inf so a size mask S >= t always keeps them."""
         return self._by_angle
 
-    def front_perimeter_geometric(self, t: float) -> float:
-        """Lattice perimeter of the wave front at t from consecutive support
-        line intersections (vectorized; independent of the size bookkeeping)."""
-        wx, wy, h, sizes = self._angular_from(t)
-        mask = sizes >= t
-        ax, ay, off = wx[mask], wy[mask], h[mask] + t
-        bx, by, boff = np.roll(ax, -1), np.roll(ay, -1), np.roll(off, -1)
-        det = ax * by - bx * ay
-        vx = (off * by - boff * ay) / det
-        vy = (ax * boff - bx * off) / det
-        dx = vx - np.roll(vx, 1)
-        dy = vy - np.roll(vy, 1)
-        dirx, diry = ay, -ax  # edge direction of the normal (ax, ay)
-        tpar = (dx * dirx + dy * diry) / (dirx * dirx + diry * diry)
-        return float(np.clip(tpar, 0.0, None).sum())
+    def front_perimeter_geometric(self, ts) -> np.ndarray:
+        """Lattice perimeters of the wave fronts at the times ts (a 1-D
+        array), one per t, from consecutive support line intersections
+        (vectorized; independent of the size bookkeeping).
+
+        Times that keep the same constraints (the same number of cuts of
+        size >= t) form one group and are evaluated as the rows of one 2-D
+        array; every row sees the arithmetic a lone t would, so each value
+        is independent of the other times asked with it."""
+        ts = np.asarray(ts, dtype=np.float64)
+        out = np.empty(len(ts))
+        wx, wy, h, sizes = self._angular_from(float(ts.min()))
+        counts = np.searchsorted(self._by_size.neg_sizes, -ts, side="right")
+        for count in np.unique(counts):
+            rows = np.flatnonzero(counts == count)
+            t = ts[rows]
+            mask = sizes >= t[0]
+            ax, ay, off = wx[mask], wy[mask], h[mask] + t[:, None]
+            bx, by, boff = np.roll(ax, -1), np.roll(ay, -1), np.roll(off, -1, axis=1)
+            det = ax * by - bx * ay
+            # the (rows, n) arrays are updated in place, one operation at a
+            # time as in (off * by - boff * ay) / det: same values, less memory
+            vx = off * by
+            vx -= boff * ay
+            vx /= det
+            vy = ax * boff
+            vy -= bx * off
+            vy /= det
+            del off, boff
+            dirx, diry = ay, -ax  # edge direction of the normal (ax, ay)
+            tpar = (vx - np.roll(vx, 1, axis=1)) * dirx
+            tpar += (vy - np.roll(vy, 1, axis=1)) * diry
+            tpar /= dirx * dirx + diry * diry
+            out[rows] = np.clip(tpar, 0.0, None, out=tpar).sum(axis=1)
+        return out
 
     def mediant_constraints(self, t) -> list:
         """(normal, offset) of the mediant supporting line of every cut of
-        size >= t, exact, in ambient coordinates."""
+        size >= t, exact, in ambient coordinates.  Each cut's line is made
+        once per tree, when a call first keeps that cut."""
         kept = self.cut_sizes.at_least(t)
+        memo = self._mediants
         out = []
         for chart, lo, hi in self._chart_spans():
-            for a, b, c, d in self.nodes[lo:hi][kept[lo:hi]].tolist():
-                w = chart.ambient_direction(a + c, b + d)
-                out.append((w, chart.support(a + c, b + d) + dot2(w, chart.corner)))
+            idx = np.flatnonzero(kept[lo:hi]) + lo
+            for i, (a, b, c, d) in zip(idx.tolist(), self.nodes[idx].tolist()):
+                line = memo.get(i)
+                if line is None:
+                    w = chart.ambient_direction(a + c, b + d)
+                    line = memo[i] = (w, chart.support(a + c, b + d) + dot2(w, chart.corner))
+                out.append(line)
         return out
 
     def slack_arrays(self):

@@ -134,7 +134,7 @@ def zeta_via_mellin(domain: ConvexDomain, s) -> complex:
             mid = (a + b) / 2
             half = (b - a) / 2
             ts = mid + half * _GL8_NODES
-            vals = np.array([t ** (sc - 2) * perimeter(t) for t in ts])
+            vals = np.array([t ** (sc - 2) * p for t, p in zip(ts, perimeter(ts).tolist())])
             contrib += half * complex((vals * _GL8_WEIGHTS).sum())
         total += contrib
         if abs(contrib) < _MELLIN_REL_TOL * max(abs(total), 1e-30) and level > 3:
@@ -284,7 +284,7 @@ def fit_counting_exponent(sizes: Sequence[float],
     (exponent, amplitude, r^2)."""
     arr = np.sort(np.asarray([float(s) for s in sizes]))[::-1]
     ts = np.logspace(math.log10(window[0]), math.log10(window[1]), _FIT_SAMPLES)
-    ns = np.array([np.searchsorted(-arr, -t, side="right") for t in ts], dtype=float)
+    ns = np.searchsorted(-arr, -ts, side="right").astype(float)
     if (ns <= 0).any():
         raise NumericalRegimeError("asymptotic regime not reached")
     slope, intercept, r2 = _loglog_fit(ts, ns)
@@ -310,7 +310,7 @@ def residue_two_thirds(domain: ConvexDomain, eps_min: float) -> ResidueEstimate:
         raise NumericalRegimeError("asymptotic regime not reached")
     window = (eps_min, eps_min**0.6)
     ts = np.logspace(math.log10(window[0]), math.log10(window[1]), _FIT_SAMPLES)
-    ns = np.array([tree.cut_count(t) for t in ts], dtype=float)
+    ns = tree.cut_count(ts).astype(float)
     free_slope, _, r2 = _loglog_fit(ts, ns)
     if abs(free_slope + 2 / 3) > 0.05:
         raise NumericalRegimeError("asymptotic regime not reached")

@@ -287,6 +287,72 @@ class TestProfiles:
         assert (l2 - l1) / (t2 - t1) == pytest.approx(-k2, abs=1e-12)
 
 
+def _perimeter_oracle(tree, t):
+    """The wave-front perimeter at a single t, one numpy evaluation per t
+    over the full angular arrays: the scalar loop the batched
+    front_perimeter_geometric replaced."""
+    wx, wy, h, sizes = tree._by_angle
+    mask = sizes >= t
+    ax, ay, off = wx[mask], wy[mask], h[mask] + t
+    bx, by, boff = np.roll(ax, -1), np.roll(ay, -1), np.roll(off, -1)
+    det = ax * by - bx * ay
+    vx = (off * by - boff * ay) / det
+    vy = (ax * boff - bx * off) / det
+    dx = vx - np.roll(vx, 1)
+    dy = vy - np.roll(vy, 1)
+    dirx, diry = ay, -ax
+    tpar = (dx * dirx + dy * diry) / (dirx * dirx + diry * diry)
+    return float(np.clip(tpar, 0.0, None).sum())
+
+
+def _gauss_nodes(a, b):
+    nodes, _ = np.polynomial.legendre.leggauss(8)
+    return (a + b) / 2 + (b - a) / 2 * nodes
+
+
+class TestFrontPerimeter:
+    """The batched perimeter equals the per-t scalar evaluation bit for bit,
+    whatever times are asked together."""
+
+    @staticmethod
+    def _check(tree, ts):
+        ts = np.asarray(ts, dtype=np.float64)
+        got = tree.front_perimeter_geometric(ts)
+        assert got.shape == ts.shape
+        assert got.tolist() == [_perimeter_oracle(tree, t) for t in ts]
+
+    @pytest.mark.parametrize("make", [ConvexDomain.domain_L, ConvexDomain.disk],
+                             ids=["L", "disk"])
+    def test_smooth_regimes(self, make):
+        tree = enumerate_cuts(make(), 1e-5)
+        # straddling powers of two: the octave arrays switch there
+        for k in (3, 7, 12):
+            p = math.ldexp(1.0, -k)
+            self._check(tree, [p * 0.97, np.nextafter(p, 0), p, np.nextafter(p, 1), p * 1.03])
+        # inside one kink cell: every node keeps the same constraints
+        inside = tree.kinks(0.01, 0.02)
+        a, b = float(inside[0]), float(inside[1])
+        ts = _gauss_nodes(a, b)
+        assert len(set(tree.cut_count(ts).tolist())) == 1
+        self._check(tree, ts)
+        # a level with more than 256 kinks: geomspace cells, whose nodes
+        # differ in their constraints
+        assert len(tree.kinks(2e-5, 4e-5)) > 256
+        edges = np.geomspace(2e-5, 4e-5, 9)
+        ts = np.concatenate([_gauss_nodes(a, b) for a, b in zip(edges[:-1], edges[1:])])
+        assert len(set(tree.cut_count(ts).tolist())) > 8
+        self._check(tree, ts)
+        # unsorted, repeated and mixed-octave times in one call
+        self._check(tree, [0.3, 1e-5, 0.3, 0.02, 3e-5, 0.0155, 1e-5])
+
+    def test_exact_pentagon(self):
+        tree = deepest_tree(pentagon_family_member(), 0)
+        assert tree.sizes() == [Fraction(1, 3), Fraction(1, 2)]
+        # kinks at 1/3 and 1/2, the second a power of two
+        self._check(tree, [0.1, 0.25, 0.3, 1 / 3, 0.4, np.nextafter(0.5, 0), 0.5, 0.75, 0.99])
+        self._check(tree, _gauss_nodes(1 / 3, 1 / 2))
+
+
 class TestCaustic:
     def test_square_is_two_diagonals(self):
         dom = ConvexDomain.from_polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
@@ -558,6 +624,23 @@ class TestHistoryFree:
         dom = make()
         enumerate_cuts(dom, 1e-6)
         assert readings(dom) == readings(make())
+
+    @pytest.mark.parametrize("make, ts", [
+        (pentagon_family_member, [Fraction(2, 5), Fraction(1, 5), Fraction(1, 2), Fraction(1, 10)]),
+        (ConvexDomain.domain_L, [0.2, 0.05, 0.3, 0.01]),
+    ], ids=["pentagon", "L"])
+    def test_mediant_memo(self, make, ts):
+        dom = make()
+        tree = deepest_tree(dom, 1e-3 if not dom.is_polygon else 0)
+        tree.mediant_constraints(ts[0])
+        # only the cuts a call keeps are memoized
+        assert sorted(tree._mediants) == np.flatnonzero(tree.cut_sizes.at_least(ts[0])).tolist()
+        partial_cut_polygon(dom, ts[1])
+        for t in ts:
+            fresh = make()
+            assert tree.mediant_constraints(t) == deepest_tree(fresh, t).mediant_constraints(t)
+            front, fresh_front = wave_front(dom, t), wave_front(fresh, t)
+            assert (front.vertices, front.normals) == (fresh_front.vertices, fresh_front.normals)
 
     def test_caustic_after_deeper_tree(self):
         for make, edges in [(ConvexDomain.domain_L, 988), (ConvexDomain.disk, 908)]:

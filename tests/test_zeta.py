@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tropzeta import models, zeta
+from tropzeta.cutting import CutTree, enumerate_cuts
 from tropzeta.geometry import ConvexDomain
 from tropzeta.zeta import (
     NumericalRegimeError,
@@ -151,6 +152,28 @@ class TestMellinRoute:
             ident = complex(zeta_via_identity(dom, 3, eps).value)
             mell = zeta_via_mellin(dom, 3)
             assert abs(ident - mell) < 1e-5, dom.tag
+
+    def test_one_perimeter_call_per_cell(self, monkeypatch):
+        # every quadrature cell's 8 Gauss nodes go to the perimeter in one call
+        dom = ConvexDomain.domain_L()
+        enumerate_cuts(dom, 1e-6)
+        kinks, perimeter = CutTree.kinks, CutTree.front_perimeter_geometric
+        cells, calls = [], []
+
+        def counting_kinks(tree, lo, hi):
+            inside = kinks(tree, lo, hi)
+            cells.append(len(inside) + 1 if len(inside) <= 256 else 8)
+            return inside
+
+        def counting_perimeter(tree, ts):
+            calls.append(len(ts))
+            return perimeter(tree, ts)
+
+        monkeypatch.setattr(CutTree, "kinks", counting_kinks)
+        monkeypatch.setattr(CutTree, "front_perimeter_geometric", counting_perimeter)
+        assert zeta_via_mellin(dom, 3) == 1.2427479811266888  # the CLI golden value
+        assert len(calls) == sum(cells)
+        assert calls == [8] * len(calls)
 
 
 class TestRectangleAndOneCut:
