@@ -233,7 +233,7 @@ def criterion_08_equiaffine() -> CriterionResult:
     ok = err_total <= 1e-9 and rel_tri <= 0.02
     return CriterionResult(8, "equiaffine", ok,
                            f"one arc err {err_arc:.2e}; total err {err_total:.2e}; "
-                           f"triangle route rel err {rel_tri:.2%}")
+                           f"triangle route rel err {rel_tri:.1e}")
 
 
 def criterion_09_residue_L() -> CriterionResult:

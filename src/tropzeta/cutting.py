@@ -471,13 +471,14 @@ def chart_frontier(chart, eps) -> tuple[list, list]:
     return tree.sizes(), tree.leaf_sizes.tolist()
 
 
-def chart_frontier_wedges(chart, eps) -> list[tuple[int, int, int, int]]:
-    """The frontier leaf wedges (a1, b1, a2, b2) of the descent at threshold
-    eps: the unexpanded normal pairs, which tile the chart's arc."""
+def chart_frontier_wedges(chart, eps) -> np.ndarray:
+    """The frontier leaf wedges of the descent at threshold eps, as an (N, 4)
+    int64 array of rows (a1, b1, a2, b2) in frontier order: the unexpanded
+    normal pairs, which tile the chart's arc."""
     if eps <= 0:
         raise ValueError("frontier wedges need eps > 0")
     tree = _grow([chart], eps)
-    return [tuple(q) for q in _frontier_quads(tree.nodes, tree.leaf_links).tolist()]
+    return _frontier_quads(tree.nodes, tree.leaf_links)
 
 
 def _polygon_corner_chart(poly: Polygon, corner, u1: Vec, u2: Vec) -> ArcChart:

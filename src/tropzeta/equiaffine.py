@@ -112,8 +112,14 @@ def length_via_triangles(source, eps: float) -> float:
     chord.  In the wedge frame with normals u, v the tangency points have
     slack coordinates (0, q) and (p, 0), so Area = p q / 2.
 
-    source is an arc chart with graph data, or a smooth/builtin domain
-    (summed over charts).  Flat pieces (polygons) contribute 0.
+    A chart with a ``triangle_area`` oracle (the parabola, disk and
+    parabolic-triangle charts) gets every wedge's area, in closed form and
+    free of cancellation, from one call on its wedge array.  Any other chart
+    needs graph data: its tangency points come from ``tangency_x``, one
+    bisection per normal, and p, q are differences of support values.
+
+    source is an arc chart, or a smooth/builtin domain (summed over charts).
+    Flat pieces (polygons) contribute 0.
     """
     from .cutting import chart_frontier_wedges
     from .geometry import ConvexDomain
@@ -126,6 +132,11 @@ def length_via_triangles(source, eps: float) -> float:
         charts = [source]
     total = 0.0
     for chart in charts:
+        if chart.triangle_area is not None:
+            a1, b1, a2, b2 = chart_frontier_wedges(chart, eps).T
+            area = chart.triangle_area(a1, b1, a2, b2)
+            total += 2.0 * float(np.cbrt(area[area > 0]).sum())
+            continue
         if chart.g is None or chart.dg is None:
             raise ValueError("triangle route needs chart graph data")
         tangency_cache: dict[tuple[int, int], tuple[float, float]] = {}
@@ -137,7 +148,7 @@ def length_via_triangles(source, eps: float) -> float:
                 tangency_cache[key] = (x, float(chart.g(x)))
             return tangency_cache[key]
 
-        for a1, b1, a2, b2 in chart_frontier_wedges(chart, eps):
+        for a1, b1, a2, b2 in chart_frontier_wedges(chart, eps).tolist():
             x1, y1 = point_of(a1, b1)  # tangency of the first normal
             x2, y2 = point_of(a2, b2)
             g1 = a1 * x1 + b1 * y1  # support values

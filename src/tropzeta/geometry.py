@@ -419,6 +419,10 @@ class ArcChart:
     # float fast path for bulk constraint construction: the support
     # gamma(a, b) as a float
     support_float: Optional[Callable[[int, int], float]] = None
+    # the area p q / 2 of the support triangle of the wedge (a, b, c, d) as
+    # a float, free of cancellation (p, q: the slacks of the two tangency
+    # points, see equiaffine.length_via_triangles)
+    triangle_area: Optional[Callable[[int, int, int, int], float]] = None
 
     def __post_init__(self):
         if det2(self.u1, self.u2) != 1:
@@ -507,6 +511,19 @@ def _parabola_support_float(a, b):
     return a * b / (a + b)
 
 
+def _form_triangle_area(su, sv):
+    """Support-triangle area 1 / (2 (S_u S_v)^3) of a wedge of the parabola
+    (support a b / S, S = a + b) or a parabolic-triangle chart (a b / (2 S),
+    S = 2a + b or a + 2b): with det(u, v) = 1 the slacks are
+    p = 1/(S_u S_v^2) and q = 1/(S_v S_u^2)."""
+    k = np.multiply(su, sv, dtype=np.float64)
+    return 0.5 / (k * k * k)
+
+
+def _parabola_triangle_area(a, b, c, d):
+    return _form_triangle_area(a + b, c + d)
+
+
 def _parabola_chart(corner, u1, u2, name):
     def g(x):
         return (1 - math.sqrt(x)) ** 2
@@ -523,6 +540,7 @@ def _parabola_chart(corner, u1, u2, name):
         g=g, dg=dg, d2g=d2g, x_max=1.0,
         exact=True, name=name,
         defect_den=_parabola_den, support_float=_parabola_support_float,
+        triangle_area=_parabola_triangle_area,
     )
 
 
@@ -542,6 +560,13 @@ def _disk_charts(radius: float) -> list[ArcChart]:
         nu, nv = np.hypot(a, b), np.hypot(c, d)
         return 2 * r / ((nu + nv + np.hypot(a + c, b + d)) * (nu * nv + (a * c + b * d)))
 
+    def triangle_area(a, b, c, d):
+        # tangency points center - r u/|u|: the slacks r (|u||v| - u.v)/|v|
+        # and r (|u||v| - u.v)/|u|, rationalized the same way
+        nn = np.hypot(a, b) * np.hypot(c, d)
+        w = nn + (a * c + b * d)
+        return r * r / (2 * nn * w * w)
+
     def g(x):
         return r - math.sqrt(max(r * r - (x - r) ** 2, 0.0))
 
@@ -555,7 +580,8 @@ def _disk_charts(radius: float) -> list[ArcChart]:
               ((r, r), (-1, 0), (0, -1), "NE"), ((-r, r), (0, -1), (1, 0), "NW")]
     return [ArcChart(corner=corner, u1=u1, u2=u2, support=supp,
                      g=g, dg=dg, d2g=d2g, x_max=r, exact=False, name=name,
-                     defect_float=defect, support_float=supp_float)
+                     defect_float=defect, support_float=supp_float,
+                     triangle_area=triangle_area)
             for corner, u1, u2, name in frames]
 
 
@@ -578,7 +604,8 @@ def _parabolic_triangle_charts():
     c1 = ArcChart(corner=(Fraction(1, 2), Fraction(0)), u1=(1, 1), u2=(0, 1),
                   support=supp1, g=g1, dg=dg1, d2g=d2g1, x_max=0.5, exact=True, name="lower",
                   defect_den=lambda a, b, c, d: (2 * a + b) * (2 * c + d)
-                  * (2 * (a + c) + b + d))
+                  * (2 * (a + c) + b + d),
+                  triangle_area=lambda a, b, c, d: _form_triangle_area(2 * a + b, 2 * c + d))
 
     # chart 2 at corner (0, 1/2) is the x <-> y mirror of chart 1
     def supp2(a, b):
@@ -590,7 +617,8 @@ def _parabolic_triangle_charts():
                   support=supp2, g=g1, dg=dg1, d2g=d2g1,
                   x_max=0.5, exact=True, name="upper",
                   defect_den=lambda a, b, c, d: (a + 2 * b) * (c + 2 * d)
-                  * (a + c + 2 * (b + d)))
+                  * (a + c + 2 * (b + d)),
+                  triangle_area=lambda a, b, c, d: _form_triangle_area(a + 2 * b, c + 2 * d))
     return [c1, c2]
 
 

@@ -19,6 +19,7 @@ from tropzeta.cutting import (
     profiles,
     wave_front,
 )
+from tropzeta.equiaffine import length_via_triangles
 from tropzeta.geometry import ConvexDomain, domain_from_dict
 
 
@@ -82,10 +83,16 @@ class TestChartDescent:
         # descent order runs from the (0, 1) end of the arc to the (1, 0) end
         wedges = cutting.chart_frontier_wedges(chart, 1e-3)
         assert len(wedges) == len(cutting.chart_frontier(chart, 1e-3)[1])
-        assert wedges[0][2:] == (0, 1) and wedges[-1][:2] == (1, 0)
-        for (a1, b1, a2, b2), nxt in zip(wedges, wedges[1:] + [None]):
-            assert a1 * b2 - b1 * a2 == 1
-            assert nxt is None or nxt[2:] == (a1, b1)
+        assert wedges[0, 2:].tolist() == [0, 1] and wedges[-1, :2].tolist() == [1, 0]
+        a1, b1, a2, b2 = wedges.T
+        assert (a1 * b2 - b1 * a2 == 1).all()
+        assert (wedges[1:, 2:] == wedges[:-1, :2]).all()  # each v is the next u
+
+    def test_polynomial_graph_takes_scalar_triangle_route(self):
+        # no triangle_area oracle: tangency points by bisection; g'' = 2
+        dom = polynomial_domain()
+        assert all(chart.triangle_area is None for chart in dom.charts)
+        assert length_via_triangles(dom, 1e-4) == pytest.approx(4 * 2 ** (1 / 3.0), rel=1e-9)
 
 
 class TestEnumerateCutsPolygon:

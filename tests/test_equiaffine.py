@@ -1,7 +1,13 @@
+import dataclasses
 import math
+import random
+from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 
+from tropzeta.cutting import chart_frontier_wedges
 from tropzeta.equiaffine import length_graph, length_parametric, length_via_triangles
 from tropzeta.geometry import ConvexDomain
 
@@ -130,3 +136,105 @@ class TestTriangleRoute:
 
     def test_polygon_is_zero(self):
         assert length_via_triangles(ConvexDomain.rectangle(3, 2), 1e-3) == 0.0
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
+    @pytest.mark.parametrize("make, target", [
+        (ConvexDomain.domain_L, 4 ** (4 / 3.0)),
+        (ConvexDomain.parabolic_triangle, 2 ** (2 / 3.0)),
+    ], ids=["L", "parabolic_triangle"])
+    def test_parabola_charts_total_is_exact(self, make, target, eps):
+        # the pieces are 2^(2/3) / (S_u S_v), and 1/(S_u S_v) splits into the
+        # pieces of the two child wedges, so every frontier sums to the root's
+        assert length_via_triangles(make(), eps) == pytest.approx(target, rel=1e-14, abs=0)
+
+
+class TestTriangleFallback:
+    """Charts without a triangle_area oracle take the scalar tangency_x path
+    (the polynomial-graph domain: tests/test_cutting.py)."""
+
+    @pytest.mark.parametrize("make", [ConvexDomain.domain_L, ConvexDomain.disk],
+                             ids=["L", "disk"])
+    def test_scalar_path_agrees_with_oracle(self, make):
+        for chart in make().charts:
+            scalar = dataclasses.replace(chart, triangle_area=None)
+            assert length_via_triangles(scalar, 1e-4) == pytest.approx(
+                length_via_triangles(chart, 1e-4), rel=1e-9)
+
+    def test_oracle_needs_no_graph_data(self):
+        chart = dataclasses.replace(ConvexDomain.domain_L().charts[0], g=None, dg=None)
+        assert length_via_triangles(chart, 1e-3) == pytest.approx(4 ** (1 / 3.0), rel=1e-14)
+        with pytest.raises(ValueError, match="graph data"):
+            length_via_triangles(dataclasses.replace(chart, triangle_area=None), 1e-3)
+
+
+def _deep_wedges(chart, eps, k=40, seed=0):
+    """The k frontier wedges with the longest normals, and k more at random."""
+    wedges = chart_frontier_wedges(chart, eps)
+    order = np.argsort(-wedges.sum(axis=1), kind="stable")
+    drawn = random.Random(seed).sample(range(len(wedges)), k)
+    return wedges[sorted(set(order[:k].tolist()) | set(drawn))].tolist()
+
+
+def _exact_area(point, wedge):
+    """p q / 2 from the tangency points P_u, P_v: p = u.(P_v - P_u) and
+    q = v.(P_u - P_v)."""
+    a1, b1, a2, b2 = wedge
+    (x1, y1), (x2, y2) = point(a1, b1), point(a2, b2)
+    p = a1 * (x2 - x1) + b1 * (y2 - y1)
+    q = a2 * (x1 - x2) + b2 * (y1 - y2)
+    return p * q / 2
+
+
+class TestTriangleAudit:
+    """Support-triangle areas of deep frontier wedges of every chart with a
+    triangle_area oracle against 50-digit mpmath (or exact) values.  Each
+    closed form is a handful of roundings away from the true area."""
+
+    ULP = 2.0**-53
+    EPS = 1e-7
+
+    @pytest.mark.parametrize("radius", [1.0, 2.5])
+    def test_disk(self, radius):
+        chart = ConvexDomain.disk(radius).charts[0]
+        wedges = _deep_wedges(chart, self.EPS)
+        got = chart.triangle_area(*np.array(wedges, dtype=np.int64).T)
+        with mpmath.workdps(50):
+            r = mpmath.mpf(radius)
+
+            def point(a, b):  # c - r u/|u|, c = (r, r) the chart's center
+                n = mpmath.hypot(a, b)
+                return r - r * a / n, r - r * b / n
+
+            for area, wedge in zip(got.tolist(), wedges):
+                exact = _exact_area(point, wedge)
+                assert abs(area - exact) <= 8 * self.ULP * exact
+
+    def test_parabola(self):
+        def point(a, b):  # g(x) = (1 - sqrt x)^2, g'(x) = -a/b
+            s = a + b
+            return Fraction(b * b, s * s), Fraction(a * a, s * s)
+
+        self._check_exact(ConvexDomain.domain_L().charts[0], point)
+
+    def test_parabolic_triangle(self):
+        def lower(a, b):
+            s = 2 * a + b
+            return Fraction(b * b, 2 * s * s), Fraction(a * a, s * s)
+
+        def upper(a, b):  # the x <-> y mirror of the lower chart
+            y, x = lower(b, a)
+            return x, y
+
+        charts = ConvexDomain.parabolic_triangle().charts
+        for chart, point in zip(charts, (lower, upper)):
+            self._check_exact(chart, point)
+
+    def _check_exact(self, chart, point):
+        wedges = _deep_wedges(chart, self.EPS)
+        got = chart.triangle_area(*np.array(wedges, dtype=np.int64).T)
+        for area, wedge in zip(got.tolist(), wedges):
+            for a, b in (wedge[:2], wedge[2:]):  # the points touch the arc
+                x, y = point(a, b)
+                assert a * x + b * y == chart.support(a, b)
+            exact = _exact_area(point, wedge)
+            assert abs(Fraction(area) - exact) <= 4 * self.ULP * exact
