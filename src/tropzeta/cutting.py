@@ -208,10 +208,11 @@ class CutTree:
     def cut_count(self, t):
         """N^cut(t) = number of cuts of size >= t; elementwise (an int64
         array) on an array of t."""
-        if np.min(t) < self.threshold:
+        ts = np.asarray(t, dtype=np.float64)
+        if (ts.min() if ts.ndim else t) < self.threshold:  # np.min would outcost a scalar search
             raise ValueError("tree too shallow")
-        n = np.searchsorted(self._by_size.neg_sizes, -np.asarray(t, dtype=np.float64), side="right")
-        return n if np.ndim(t) else int(n)
+        n = np.searchsorted(self._by_size.neg_sizes, -ts, side="right")
+        return n if ts.ndim else int(n)
 
     def size_sum_above(self, t: float) -> float:
         return float(self._by_size.prefix[self.cut_count(t)])
@@ -281,8 +282,7 @@ class CutTree:
             for i, (a, b, c, d) in zip(idx.tolist(), self.nodes[idx].tolist()):
                 line = memo.get(i)
                 if line is None:
-                    w = chart.ambient_direction(a + c, b + d)
-                    line = memo[i] = (w, chart.support(a + c, b + d) + dot2(w, chart.corner))
+                    line = memo[i] = chart.line(a + c, b + d)
                 out.append(line)
         return out
 
@@ -741,10 +741,8 @@ def caustic(domain: ConvexDomain, eps) -> CausticGraph:
             t_death = sizes[idx]
             for side, (pa, pb) in enumerate((((a, b), (a + c, b + d)), ((a + c, b + d), (c, d)))):
                 child_size = born[2 * idx + side]
-                u_amb = chart.ambient_direction(*pa)
-                v_amb = chart.ambient_direction(*pb)
-                hu = chart.support(*pa) + dot2(u_amb, chart.corner)
-                hv = chart.support(*pb) + dot2(v_amb, chart.corner)
+                u_amb, hu = chart.line(*pa)
+                v_amb, hv = chart.line(*pb)
                 graph.edges.append(CausticEdge(
                     start=_inset_vertex(u_amb, hu, v_amb, hv, child_size),
                     end=_inset_vertex(u_amb, hu, v_amb, hv, t_death),
@@ -777,8 +775,8 @@ def tropical_distance_smooth(domain: ConvexDomain, x, floor: float = 1e-8) -> fl
     eps = max(min(est, m) / 2, floor)
     while True:
         tree = deepest_tree(domain, eps)
-        w, h, sizes = tree.slack_arrays()
-        k = int(np.searchsorted(-sizes, -eps, side="right"))
+        w, h, _ = tree.slack_arrays()
+        k = tree.cut_count(eps)
         val = est
         if k:
             val = min(val, float((w[:k] @ xf - h[:k]).min()))

@@ -1,9 +1,31 @@
-"""Truncation-aware value containers shared by the series and residue code."""
+"""Truncation-aware value containers shared by the series and residue code,
+and the ordered power sum that the Dirichlet and Farey series share."""
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
+
+import numpy as np
+
+
+def term_powers(x: np.ndarray, sc: complex) -> np.ndarray:
+    """complex(v) ** sc for each v >= 0 of x, rounded term by term as CPython
+    rounds it.  For real non-integer s that power is libm's pow(v, s) with
+    imaginary part 0, so those terms come back as math.pow floats (np.power
+    differs from libm in the last bit on some terms)."""
+    if sc.imag == 0 and not sc.real.is_integer():
+        return np.fromiter(map(math.pow, x.tolist(), repeat(sc.real)), float, x.size)
+    return np.fromiter(map(operator.pow, x.astype(complex).tolist(), repeat(sc)), complex, x.size)
+
+
+def add_in_order(total: complex, terms: np.ndarray) -> complex:
+    """total + terms[0] + terms[1] + ... added one at a time, as a running
+    complex total does (np.sum would add pairwise)."""
+    return complex(np.cumsum(np.concatenate(([total], terms)))[-1])
 
 
 @dataclass

@@ -34,13 +34,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .estimates import SeriesEstimate
+from .estimates import SeriesEstimate, add_in_order, term_powers
 from .geometry import ArcChart
 from .lattice import arithmetic_functions, mod_inverse_array
 
@@ -166,28 +165,12 @@ def farey_intervals_by_sum(max_bd_sum: int) -> _Intervals:
     return _intervals(b[keep], d[keep])
 
 
-def _powers(x: np.ndarray, sc: complex) -> np.ndarray:
-    """complex(v) ** sc for each v >= 0 of x, rounded term by term as CPython
-    rounds it.  For real non-integer s that power is libm's pow(v, s) with
-    imaginary part 0, so those terms come back as math.pow floats (np.power
-    differs from libm in the last bit on some terms)."""
-    if sc.imag == 0 and not sc.real.is_integer():
-        return np.fromiter(map(math.pow, x.tolist(), repeat(sc.real)), float, x.size)
-    return np.fromiter(map(operator.pow, x.astype(complex).tolist(), repeat(sc)), complex, x.size)
-
-
 def _quotients(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den term by term as CPython's complex division rounds it; on the
-    real terms of _powers that is the float quotient."""
+    real terms of term_powers that is the float quotient."""
     if num.dtype == complex:
         return np.fromiter(map(operator.truediv, num.tolist(), den.tolist()), complex, num.size)
     return num / den
-
-
-def _add_in_order(total: complex, terms: np.ndarray) -> complex:
-    """total + terms[0] + terms[1] + ... added one at a time, as a running
-    complex total does (np.sum would add pairwise)."""
-    return complex(np.cumsum(np.concatenate(([total], terms)))[-1])
 
 
 def hata_reconstruct_grid(weight: SmoothWeight, bound: int, xs) -> np.ndarray:
@@ -218,7 +201,7 @@ def farey_zeta(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:
     count = 0
     for b, d in _pairs_by_max(bound):
         _, t_i = hata_coefficient(weight, _intervals(b, d))
-        total = _add_in_order(total, _powers(np.abs(t_i[t_i != 0]), sc))
+        total = add_in_order(total, term_powers(np.abs(t_i[t_i != 0]), sc))
         count += b.size
     return SeriesEstimate(value=total, cutoff=float(bound), terms_used=count)
 
@@ -232,9 +215,9 @@ def endpoint_model(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:
     count = 0
     for b, d in _pairs_by_max(bound):
         a = mod_inverse_array(d, b)
-        num = _powers(np.abs(weight.d2f(a / b)), sc)
-        den = _powers((b * d * (b + d)).astype(float), sc)
-        total = _add_in_order(total, _quotients(num, den))
+        num = term_powers(np.abs(weight.d2f(a / b)), sc)
+        den = term_powers((b * d * (b + d)).astype(float), sc)
+        total = add_in_order(total, _quotients(num, den))
         count += b.size
     return SeriesEstimate(value=2.0 ** (-sc) * total, cutoff=float(bound), terms_used=count)
 

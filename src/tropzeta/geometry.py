@@ -325,23 +325,13 @@ def halfplane_intersection(constraints: list[tuple[Vec, Num]]):
     if n < 3:
         raise ValueError("need at least 3 half-planes")
     exact = all(isinstance(h, (Fraction, int)) for _, h in cs)
-
-    def line_intersect(c1, c2):
-        (a1, b1), h1 = c1
-        (a2, b2), h2 = c2
-        d = a1 * b2 - a2 * b1
-        if d == 0:
-            return None
-        x = (h1 * b2 - h2 * b1) / (Fraction(d) if exact else d)
-        y = (a1 * h2 - a2 * h1) / (Fraction(d) if exact else d)
-        return (x, y)
-
+    if exact:  # Fraction offsets keep the meets of integer offsets exact
+        cs = [(u, Fraction(h)) for u, h in cs]
     raw = []
-    for i in range(n):
-        v = line_intersect(cs[i], cs[(i + 1) % n])
-        if v is None:
+    for (u, h), (v, k) in zip(cs, cs[1:] + cs[:1]):
+        if det2(u, v) == 0:
             raise ValueError("adjacent parallel support lines: empty or unbounded region")
-        raw.append(v)
+        raw.append(meet(u, h, v, k))
     # vertex raw[i] joins edge i and edge i+1; edge i runs raw[i-1] -> raw[i]
     verts, normals = [], []
     for i in range(n):
@@ -395,6 +385,11 @@ class ArcChart:
     support(a, b) returns gamma_{a,b} = min over the arc of a*x + b*g(x) in
     chart coordinates; gamma(1,0) = gamma(0,1) = 0.  When the graph data g is
     present it must agree with the oracle (checked by tests, not here).
+
+    The charts of L and of the parabolic triangle are parabola arcs, one
+    family with support a b / (p q S) for the form S = p a + q b: (1, 1) for
+    L's four arcs, (2, 1) and (1, 2) for the triangle's lower and upper arc
+    (_parabola_form derives every oracle and the graph from (p, q)).
     """
 
     corner: tuple  # ambient frame corner (intersection of the two support lines)
@@ -447,7 +442,13 @@ class ArcChart:
         a, b = self.chart_coordinates(u)
         if a < 0 or b < 0:
             raise ValueError("unsupported direction")
-        return self.support(a, b) + dot2(u, self.corner)
+        return self.line(a, b)[1]
+
+    def line(self, a: int, b: int) -> tuple[Vec, Num]:
+        """(w, h): the supporting line {<w, x> = h} of chart direction (a, b)
+        in ambient coordinates, w = a*u1 + b*u2 the inward normal."""
+        w = self.ambient_direction(a, b)
+        return w, self.support(a, b) + dot2(w, self.corner)
 
     def defect(self, quad) -> Num:
         """Support defect gamma(a+c, b+d) - gamma(a, b) - gamma(c, d) >= 0."""
@@ -503,45 +504,61 @@ class ArcChart:
 # builtin charts
 
 
-def _parabola_den(a, b, c, d):
-    return (a + b) * (c + d) * (a + b + c + d)
+@functools.lru_cache(maxsize=None)
+def _parabola_form(p: int, q: int) -> dict:
+    """The oracles and graph data of the parabola-arc chart of form
+    S = p a + q b: support a b / (p q S), the arc
+    g(x) = (A - sqrt(B x))^2 on [0, 1/(p q^2)] with A = 1/(p sqrt(q)) and
+    B = q/p.  Built once per form, so that charts of one form share every
+    oracle object and the descent measures them in one call per level."""
+    pq = p * q
 
+    def form(a, b):  # no product by a unit coefficient: L's (1, 1) form is a + b
+        return (a if p == 1 else p * a) + (b if q == 1 else q * b)
 
-def _parabola_support_float(a, b):
-    return a * b / (a + b)
+    def support(a, b):
+        if a < 0 or b < 0:
+            raise ValueError("direction entries must be nonnegative")
+        if a == 0 and b == 0:
+            raise ValueError("direction (0, 0) has no supporting line")
+        if a == 0 or b == 0:
+            return Fraction(0)
+        return Fraction(a * b, pq * form(a, b))
 
+    def support_float(a, b):
+        return a * b / (form(a, b) if pq == 1 else pq * form(a, b))
 
-def _form_triangle_area(su, sv):
-    """Support-triangle area 1 / (2 (S_u S_v)^3) of a wedge of the parabola
-    (support a b / S, S = a + b) or a parabolic-triangle chart (a b / (2 S),
-    S = 2a + b or a + 2b): with det(u, v) = 1 the slacks are
-    p = 1/(S_u S_v^2) and q = 1/(S_v S_u^2)."""
-    k = np.multiply(su, sv, dtype=np.float64)
-    return 0.5 / (k * k * k)
+    def defect_den(a, b, c, d):
+        su, sv = form(a, b), form(c, d)
+        return su * sv * (su + sv)
 
+    def triangle_area(a, b, c, d):
+        # with det(u, v) = 1 the slacks of the tangency points are
+        # 1/(S_u S_v^2) and 1/(S_v S_u^2), whatever the form
+        k = np.multiply(form(a, b), form(c, d), dtype=np.float64)
+        return 0.5 / (k * k * k)
 
-def _parabola_triangle_area(a, b, c, d):
-    return _form_triangle_area(a + b, c + d)
+    # g = (A - sqrt(B x))^2, g' = B - C / sqrt(x), g'' = C x^(-3/2) / 2
+    big_a, big_b, big_c = 1 / (p * math.sqrt(q)), q / p, p ** -1.5
+    half_c = 0.5 * big_c
 
-
-def _parabola_chart(corner, u1, u2, name):
     def g(x):
-        return (1 - math.sqrt(x)) ** 2
+        return (big_a - math.sqrt(big_b * x)) ** 2
 
     def dg(x):
-        return 1 - 1 / math.sqrt(x)
+        return big_b - big_c / math.sqrt(x)
 
     def d2g(x):
-        return 0.5 * x ** (-1.5)
+        return half_c * x ** (-1.5)
 
-    return ArcChart(
-        corner=corner, u1=u1, u2=u2,
-        support=lambda a, b: models.parabola_support(a, b),
-        g=g, dg=dg, d2g=d2g, x_max=1.0,
-        exact=True, name=name,
-        defect_den=_parabola_den, support_float=_parabola_support_float,
-        triangle_area=_parabola_triangle_area,
-    )
+    return dict(support=support, support_float=support_float, defect_den=defect_den,
+                triangle_area=triangle_area, g=g, dg=dg, d2g=d2g, x_max=1 / (pq * q),
+                exact=True)
+
+
+def _parabola_chart(corner, u1, u2, name, p, q):
+    """The parabola-arc chart of form S = p a + q b at the given frame."""
+    return ArcChart(corner=corner, u1=u1, u2=u2, name=name, **_parabola_form(p, q))
 
 
 def _disk_charts(radius: float) -> list[ArcChart]:
@@ -583,43 +600,6 @@ def _disk_charts(radius: float) -> list[ArcChart]:
                      defect_float=defect, support_float=supp_float,
                      triangle_area=triangle_area)
             for corner, u1, u2, name in frames]
-
-
-def _parabolic_triangle_charts():
-    # chart 1 at trapezoid corner (1/2, 0): normals (1,1) and (0,1)
-    def supp1(a, b):
-        if a == 0 and b == 0:
-            raise ValueError("zero direction")
-        return Fraction(a * b, 2 * (2 * a + b)) if a and b else Fraction(0)
-
-    def g1(x):
-        return (0.5 - math.sqrt(x / 2)) ** 2
-
-    def dg1(x):
-        return -(0.5 - math.sqrt(x / 2)) / math.sqrt(2 * x)
-
-    def d2g1(x):
-        return 1 / (4 * math.sqrt(2) * x**1.5)
-
-    c1 = ArcChart(corner=(Fraction(1, 2), Fraction(0)), u1=(1, 1), u2=(0, 1),
-                  support=supp1, g=g1, dg=dg1, d2g=d2g1, x_max=0.5, exact=True, name="lower",
-                  defect_den=lambda a, b, c, d: (2 * a + b) * (2 * c + d)
-                  * (2 * (a + c) + b + d),
-                  triangle_area=lambda a, b, c, d: _form_triangle_area(2 * a + b, 2 * c + d))
-
-    # chart 2 at corner (0, 1/2) is the x <-> y mirror of chart 1
-    def supp2(a, b):
-        if a == 0 and b == 0:
-            raise ValueError("zero direction")
-        return Fraction(a * b, 2 * (a + 2 * b)) if a and b else Fraction(0)
-
-    c2 = ArcChart(corner=(Fraction(0), Fraction(1, 2)), u1=(1, 0), u2=(1, 1),
-                  support=supp2, g=g1, dg=dg1, d2g=d2g1,
-                  x_max=0.5, exact=True, name="upper",
-                  defect_den=lambda a, b, c, d: (a + 2 * b) * (c + 2 * d)
-                  * (a + c + 2 * (b + d)),
-                  triangle_area=lambda a, b, c, d: _form_triangle_area(a + 2 * b, c + 2 * d))
-    return [c1, c2]
 
 
 def _d_alpha_chart(alpha: float, n_max: int):
@@ -699,18 +679,23 @@ class ConvexDomain:
         one = Fraction(1)
         hat = Polygon([(-one, -one), (one, -one), (one, one), (-one, one)])
         charts = [
-            _parabola_chart((-one, -one), (1, 0), (0, 1), "SW"),
-            _parabola_chart((one, -one), (0, 1), (-1, 0), "SE"),
-            _parabola_chart((one, one), (-1, 0), (0, -1), "NE"),
-            _parabola_chart((-one, one), (0, -1), (1, 0), "NW"),
+            _parabola_chart((-one, -one), (1, 0), (0, 1), "SW", 1, 1),
+            _parabola_chart((one, -one), (0, 1), (-1, 0), "SE", 1, 1),
+            _parabola_chart((one, one), (-1, 0), (0, -1), "NE", 1, 1),
+            _parabola_chart((-one, one), (0, -1), (1, 0), "NW", 1, 1),
         ]
         return ConvexDomain(kind="builtin", hat_polygon=hat, charts=charts, tag="domain_L")
 
     @staticmethod
     def parabolic_triangle() -> "ConvexDomain":
         hat = Polygon([(Fraction(1, 2), 0), (1, 0), (0, 1), (0, Fraction(1, 2))])
-        return ConvexDomain(kind="builtin", hat_polygon=hat,
-                            charts=_parabolic_triangle_charts(), tag="parabolic_triangle")
+        # the lower arc at (1/2, 0) and its x <-> y mirror at (0, 1/2)
+        charts = [
+            _parabola_chart((Fraction(1, 2), Fraction(0)), (1, 1), (0, 1), "lower", 2, 1),
+            _parabola_chart((Fraction(0), Fraction(1, 2)), (1, 0), (1, 1), "upper", 1, 2),
+        ]
+        return ConvexDomain(kind="builtin", hat_polygon=hat, charts=charts,
+                            tag="parabolic_triangle")
 
     @staticmethod
     def d_alpha(alpha: float, n_max: int) -> "ConvexDomain":

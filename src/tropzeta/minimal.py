@@ -167,7 +167,6 @@ def compute_minimal_model(domain: ConvexDomain) -> MinimalModel:
 
 def _validate_declared_frame(domain: ConvexDomain) -> None:
     hat = domain.hat_polygon
-    corner_vertices = {tuple(c.corner) for c in domain.charts}
     hat_vertices = {tuple(v) for v in hat.vertices}
     for c in domain.charts:
         if tuple(c.corner) not in hat_vertices:

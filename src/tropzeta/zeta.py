@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .cutting import deepest_tree, enumerate_cuts, profiles
-from .estimates import ResidueEstimate, SeriesEstimate
+from .estimates import ResidueEstimate, SeriesEstimate, add_in_order, term_powers
 from .geometry import (
     ConvexDomain,
     clip_polygon,
@@ -50,17 +49,17 @@ def boundary_series(domain: ConvexDomain, s, eps) -> SeriesEstimate:
     integer s (eps = 0 gives the full finite sum)."""
     tree = deepest_tree(domain, eps)
     exact = domain.is_polygon and domain.polygon.is_exact and isinstance(s, int)
-    keep = tree.cut_sizes.at_least(eps).tolist()
-    sizes = tree.sizes() if exact else tree.cut_sizes.floats().tolist()
+    keep = tree.cut_sizes.at_least(eps)
+    sizes = np.array(tree.sizes(), dtype=object) if exact else tree.cut_sizes.floats()
     sc = complex(s)
     per_chart = []  # the sum of each chart that has a term
     count = 0
     for lo, hi in zip(tree.chart_offsets, tree.chart_offsets[1:]):
-        terms = list(compress(sizes[lo:hi], keep[lo:hi]))
-        if terms:
-            per_chart.append(sum(Fraction(x) ** s for x in terms) if exact
-                             else sum(complex(x) ** sc for x in terms))
-        count += len(terms)
+        terms = sizes[lo:hi][keep[lo:hi]]
+        if terms.size:
+            per_chart.append(sum(Fraction(x) ** s for x in terms.tolist()) if exact
+                             else add_in_order(0j, term_powers(terms, sc)))
+        count += terms.size
     total = sum(per_chart) if per_chart else (Fraction(0) if exact else 0j)
     sigma = complex(s).real
     tail = None

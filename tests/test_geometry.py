@@ -1,12 +1,15 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropzeta import geometry as geo
+from tropzeta import models
 from tropzeta.geometry import ConvexDomain, Polygon
+from tropzeta.lattice import stern_brocot_quadruples
 
 
 def unit_square():
@@ -183,10 +186,16 @@ class TestHalfplaneIntersection:
         assert set(clipped) == {(1, 0), (1, 1), (0, 1)}
 
 
+# every builtin chart that carries graph data, as (domain constructor, chart name)
+GRAPH_CHARTS = ([("domain_L", name) for name in ("SW", "SE", "NE", "NW")]
+                + [("disk", name) for name in ("SW", "SE", "NE", "NW")]
+                + [("parabolic_triangle", name) for name in ("lower", "upper")])
+
+
 class TestCharts:
-    def test_parabola_chart_consistency(self):
-        dom = ConvexDomain.domain_L()
-        chart = dom.charts[0]
+    @pytest.mark.parametrize("tag,name", GRAPH_CHARTS, ids=[f"{t}-{n}" for t, n in GRAPH_CHARTS])
+    def test_parabola_chart_consistency(self, tag, name):
+        (chart,) = [c for c in getattr(ConvexDomain, tag)().charts if c.name == name]
         # oracle equals min_x (a x + b g(x)) from the graph, primitive (a,b), a+b <= 50
         for a in range(0, 51):
             for b in range(0, 51 - a):
@@ -194,6 +203,31 @@ class TestCharts:
                     continue
                 via_graph = chart._support_from_graph(a, b)
                 assert abs(float(chart.support(a, b)) - via_graph) < 1e-10
+
+    def test_L_oracles_pinned(self):
+        # L's four charts share their batched oracles (one descent group), and
+        # every oracle keeps the bits of the (1, 1) closed forms
+        charts = ConvexDomain.domain_L().charts
+        first = charts[0]
+        for chart in charts:
+            assert chart.defect_den is first.defect_den
+            assert chart.support_float is first.support_float
+            assert chart.triangle_area is first.triangle_area
+            assert chart.x_max == 1.0
+        quads = [q.as_tuple() for q in stern_brocot_quadruples(60)]
+        a, b, c, d = np.array(quads, dtype=np.int64).T
+        assert np.array_equal(first.defect_den(a, b, c, d), (a + b) * (c + d) * (a + b + c + d))
+        assert first.support_float(a, b).tobytes() == (a * b / (a + b)).tobytes()
+        k = ((a + b) * (c + d)).astype(np.float64)
+        assert first.triangle_area(a, b, c, d).tobytes() == (0.5 / (k * k * k)).tobytes()
+        for a, b, c, d in quads:
+            assert first.defect_den(a, b, c, d) == (a + b) * (c + d) * (a + b + c + d)
+            assert first.support_float(a, b) == a * b / (a + b)
+            assert first.support(a, b) == models.parabola_support(a, b)
+        for x in np.linspace(1e-3, 1.0, 101).tolist():
+            assert first.g(x) == (1 - math.sqrt(x)) ** 2
+            assert first.dg(x) == 1 - 1 / math.sqrt(x)
+            assert first.d2g(x) == 0.5 * x ** (-1.5)
 
     def test_defects_nonnegative(self):
         dom = ConvexDomain.disk()

@@ -31,7 +31,34 @@ def pentagon_family_member():
     ])
 
 
+def series_reference(domain, s, eps):
+    """F(s) as a plain loop: per chart, sum(complex(x) ** complex(s)) over
+    the kept float sizes in tree order, then the chart sums added."""
+    tree = zeta.deepest_tree(domain, eps)
+    keep = tree.cut_sizes.at_least(eps).tolist()
+    sizes = tree.cut_sizes.floats().tolist()
+    per_chart = []
+    for lo, hi in zip(tree.chart_offsets, tree.chart_offsets[1:]):
+        terms = [x for x, k in zip(sizes[lo:hi], keep[lo:hi]) if k]
+        if terms:
+            per_chart.append(sum(complex(x) ** complex(s) for x in terms))
+    return sum(per_chart) if per_chart else 0j
+
+
 class TestBoundarySeries:
+    @pytest.mark.parametrize("make", [
+        ConvexDomain.domain_L, ConvexDomain.disk, ConvexDomain.parabolic_triangle,
+        lambda: ConvexDomain.d_alpha(0.5, 2000), pentagon_family_member,
+    ], ids=["L", "disk", "parabolic_triangle", "d_alpha", "polygon"])
+    def test_float_path_matches_plain_loop(self, make):
+        dom = make()
+        for eps in (1e-4, 1e-5):
+            for s in (0.8, 2, 2.5, 3 + 1.2j):
+                if dom.is_polygon and isinstance(s, int):
+                    continue  # the exact Fraction path
+                value = boundary_series(dom, s, eps).value
+                assert value == series_reference(dom, s, eps)
+
     def test_parabolic_chart_two_summation_orders(self):
         # tree truncation vs direct coprime double sum at s = 2; both cut at
         # term size >= 1e-6, i.e. p q (p+q) <= 1e6
