@@ -33,6 +33,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .geometry import (
+    _EXTERIOR_TOL,
     ArcChart,
     ConvexDomain,
     Polygon,
@@ -142,8 +143,6 @@ class CutTree:
     leaf_links: np.ndarray
     minimal_model: Optional[MinimalModel] = None
     k_squared_start: Optional[int] = None
-    # angular arrays cut to the sizes >= 2^k, per octave k (_angular_from)
-    _octaves: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # exact mediant line per cut index, for the cuts some call kept
     _mediants: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -192,19 +191,6 @@ class CutTree:
         arr = arr[np.argsort(np.arctan2(arr[:, 1], arr[:, 0]))]
         return arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy(), arr[:, 3].copy()
 
-    def _angular_from(self, t: float) -> tuple:
-        """The angular arrays cut to sizes >= 2^k, the largest power of two
-        <= t: every constraint a front at t keeps, in the same order, cut out
-        once per octave."""
-        if not 0 < t < math.inf:
-            return self._by_angle
-        k = math.frexp(t)[1] - 1
-        arrays = self._octaves.get(k)
-        if arrays is None:
-            keep = self._by_angle[3] >= math.ldexp(1.0, k)
-            arrays = self._octaves[k] = tuple(col[keep] for col in self._by_angle)
-        return arrays
-
     def cut_count(self, t):
         """N^cut(t) = number of cuts of size >= t; elementwise (an int64
         array) on an array of t."""
@@ -213,12 +199,6 @@ class CutTree:
             raise ValueError("tree too shallow")
         n = np.searchsorted(self._by_size.neg_sizes, -ts, side="right")
         return n if ts.ndim else int(n)
-
-    def size_sum_above(self, t: float) -> float:
-        return float(self._by_size.prefix[self.cut_count(t)])
-
-    def size_sq_sum_above(self, t: float) -> float:
-        return float(self._by_size.prefix_sq[self.cut_count(t)])
 
     def kinks(self, lo: float, hi: float) -> np.ndarray:
         """The distinct cut sizes strictly between lo and hi, ascending: the
@@ -236,16 +216,19 @@ class CutTree:
 
     def front_perimeter_geometric(self, ts) -> np.ndarray:
         """Lattice perimeters of the wave fronts at the times ts (a 1-D
-        array), one per t, from consecutive support line intersections
-        (vectorized; independent of the size bookkeeping).
+        array, e.g. every quadrature node of a Mellin level), one per t,
+        from consecutive support line intersections (vectorized;
+        independent of the size bookkeeping).
 
-        Times that keep the same constraints (the same number of cuts of
-        size >= t) form one group and are evaluated as the rows of one 2-D
-        array; every row sees the arithmetic a lone t would, so each value
-        is independent of the other times asked with it."""
+        The angular arrays are cut once per call to the constraints that
+        min(ts) keeps.  Times that keep the same constraints (the same
+        number of cuts of size >= t) form one group and are evaluated as the
+        rows of one 2-D array; every row sees the arithmetic a lone t would,
+        so each value is independent of the other times asked with it."""
         ts = np.asarray(ts, dtype=np.float64)
         out = np.empty(len(ts))
-        wx, wy, h, sizes = self._angular_from(float(ts.min()))
+        keep = self._by_angle[3] >= ts.min()
+        wx, wy, h, sizes = (col[keep] for col in self._by_angle)
         counts = np.searchsorted(self._by_size.neg_sizes, -ts, side="right")
         for count in np.unique(counts):
             rows = np.flatnonzero(counts == count)
@@ -465,20 +448,17 @@ def _grow(charts: list, eps, mm: Optional[MinimalModel] = None,
                    leaf_links=out[3], minimal_model=mm, k_squared_start=k2)
 
 
-def chart_frontier(chart, eps) -> tuple[list, list]:
-    """(cut sizes >= eps, frontier leaf sizes < eps) of a single chart."""
-    tree = _grow([chart], eps)
-    return tree.sizes(), tree.leaf_sizes.tolist()
-
-
-def chart_frontier_wedges(chart, eps) -> np.ndarray:
-    """The frontier leaf wedges of the descent at threshold eps, as an (N, 4)
-    int64 array of rows (a1, b1, a2, b2) in frontier order: the unexpanded
-    normal pairs, which tile the chart's arc."""
+def chart_frontier_wedges(charts: list, eps) -> list[np.ndarray]:
+    """The frontier leaf wedges of one descent of the charts at threshold
+    eps, one (N_k, 4) int64 array of rows (a1, b1, a2, b2) per chart, in
+    frontier order: the unexpanded normal pairs, which tile chart k's arc."""
     if eps <= 0:
         raise ValueError("frontier wedges need eps > 0")
-    tree = _grow([chart], eps)
-    return _frontier_quads(tree.nodes, tree.leaf_links)
+    tree = _grow(charts, eps)
+    quads = _frontier_quads(tree.nodes, tree.leaf_links)
+    # chart k holds one frontier corner more than it holds cuts
+    offsets = tree.chart_offsets
+    return [quads[offsets[k] + k:offsets[k + 1] + k + 1] for k in range(len(charts))]
 
 
 def _polygon_corner_chart(poly: Polygon, corner, u1: Vec, u2: Vec) -> ArcChart:
@@ -648,18 +628,14 @@ def profiles(domain: ConvexDomain, t_grid: Sequence[float]) -> list[tuple[float,
     hat = mm.polygon
     l_hat = float(hat.lattice_perimeter())
     a_hat = float(hat.area())
-    out = []
-    for t in ts:
-        n_t = tree.cut_count(t)
-        s1 = tree.size_sum_above(t)
-        s2 = tree.size_sq_sum_above(t)
-        k2_t = k2 - n_t
-        length_cut = l_hat - s1  # Length_Z of boundary Omega^t
-        area_cut = a_hat - s2 / 2
-        length_front = length_cut - t * k2_t
-        area_front = area_cut - t * length_cut + t * t / 2 * k2_t
-        out.append((t, length_front, area_front))
-    return out
+    t = np.array(ts)
+    n_t = tree.cut_count(t)  # one search for the whole grid
+    k2_t = k2 - n_t
+    length_cut = l_hat - tree._by_size.prefix[n_t]  # Length_Z of boundary Omega^t
+    area_cut = a_hat - tree._by_size.prefix_sq[n_t] / 2
+    length_front = length_cut - t * k2_t
+    area_front = area_cut - t * length_cut + t * t / 2 * k2_t
+    return list(zip(ts, length_front.tolist(), area_front.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -753,9 +729,6 @@ def caustic(domain: ConvexDomain, eps) -> CausticGraph:
 
 # ---------------------------------------------------------------------------
 # tropical distance for smooth domains
-
-
-_EXTERIOR_TOL = 1e-12  # slack below -_EXTERIOR_TOL means outside
 
 
 def tropical_distance_smooth(domain: ConvexDomain, x, floor: float = 1e-8) -> float:

@@ -14,6 +14,9 @@ from typing import Callable
 
 import numpy as np
 
+from .cutting import chart_frontier_wedges
+from .geometry import ConvexDomain
+
 _GL32_NODES, _GL32_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _LENGTH_TOL = 1e-10  # absolute tolerance of the adaptive length quadrature
 
@@ -118,27 +121,25 @@ def length_via_triangles(source, eps: float) -> float:
     needs graph data: its tangency points come from ``tangency_x``, one
     bisection per normal, and p, q are differences of support values.
 
-    source is an arc chart, or a smooth/builtin domain (summed over charts).
-    Flat pieces (polygons) contribute 0.
+    source is an arc chart, or a smooth/builtin domain (summed over charts,
+    all cut by one descent).  Every chart is checked for an oracle or graph
+    data before the descent.  Flat pieces (polygons) contribute 0.
     """
-    from .cutting import chart_frontier_wedges
-    from .geometry import ConvexDomain
-
     if isinstance(source, ConvexDomain):
         if source.is_polygon:
             return 0.0  # flat boundary: every support triangle degenerates
         charts = source.charts
     else:
         charts = [source]
+    if any(chart.triangle_area is None and (chart.g is None or chart.dg is None)
+           for chart in charts):
+        raise ValueError("triangle route needs chart graph data")
     total = 0.0
-    for chart in charts:
+    for chart, wedges in zip(charts, chart_frontier_wedges(charts, eps)):
         if chart.triangle_area is not None:
-            a1, b1, a2, b2 = chart_frontier_wedges(chart, eps).T
-            area = chart.triangle_area(a1, b1, a2, b2)
+            area = chart.triangle_area(*wedges.T)
             total += 2.0 * float(np.cbrt(area[area > 0]).sum())
             continue
-        if chart.g is None or chart.dg is None:
-            raise ValueError("triangle route needs chart graph data")
         tangency_cache: dict[tuple[int, int], tuple[float, float]] = {}
 
         def point_of(a: int, b: int) -> tuple[float, float]:
@@ -148,7 +149,7 @@ def length_via_triangles(source, eps: float) -> float:
                 tangency_cache[key] = (x, float(chart.g(x)))
             return tangency_cache[key]
 
-        for a1, b1, a2, b2 in chart_frontier_wedges(chart, eps).tolist():
+        for a1, b1, a2, b2 in wedges.tolist():
             x1, y1 = point_of(a1, b1)  # tangency of the first normal
             x2, y2 = point_of(a2, b2)
             g1 = a1 * x1 + b1 * y1  # support values

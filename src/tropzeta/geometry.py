@@ -632,7 +632,7 @@ def _d_alpha_chart(alpha: float, n_max: int):
 # domains
 
 
-_CONTAINS_TOL = 1e-12  # slack accepted by contains() on float domains
+_EXTERIOR_TOL = 1e-12  # on float domains, slack below -_EXTERIOR_TOL means outside
 
 
 @dataclass
@@ -753,11 +753,12 @@ class ConvexDomain:
     def contains(self, x) -> bool:
         if self.is_polygon:
             exact = self.polygon.is_exact
-            return self.polygon.contains(x, tol=Fraction(0) if exact else _CONTAINS_TOL)
+            return self.polygon.contains(x, tol=Fraction(0) if exact else _EXTERIOR_TOL)
         try:
-            return self.rho(x) >= -_CONTAINS_TOL
+            self.rho(x)  # nonnegative, or raises outside
         except ValueError:
             return False
+        return True
 
     def rho(self, x, floor: float = 1e-8):
         """Tropical distance; ValueError("exterior point") outside the domain.

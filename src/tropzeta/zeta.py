@@ -104,7 +104,9 @@ def zeta_via_mellin(domain: ConvexDomain, s) -> complex:
     """Z(s) = integral over (0, m) of t^(s-2) * Length_Z(boundary Omega_t) dt
     by composite Gauss-Legendre on a geometric grid refined toward 0, with
     cells split at the perimeter's kinks (the cut sizes) while those are
-    sparse.
+    sparse.  Each level (a halving of the t range) asks the tree for the
+    perimeters at all of its cells' nodes in one call, and adds the cells'
+    contributions in order.
 
     Requires Re(s) > 2 (absolute convergence at t = 0).  The perimeter is
     evaluated geometrically from the wave-front support lines, independently
@@ -120,21 +122,18 @@ def zeta_via_mellin(domain: ConvexDomain, s) -> complex:
     for level in range(_MELLIN_MAX_LEVELS):
         lo = hi / 2
         tree = deepest_tree(domain, 0 if domain.is_polygon else lo)
-        perimeter = tree.front_perimeter_geometric
         inside = tree.kinks(lo, hi)
         if 0 < len(inside) <= 256:
-            edges = [lo] + [float(x) for x in inside] + [hi]
+            edges = np.concatenate([[lo], inside, [hi]])
         elif len(inside) > 256:
-            edges = list(np.geomspace(lo, hi, 9))
+            edges = np.geomspace(lo, hi, 9)
         else:
-            edges = [lo, hi]
-        contrib = 0j
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid = (a + b) / 2
-            half = (b - a) / 2
-            ts = mid + half * _GL8_NODES
-            vals = np.array([t ** (sc - 2) * p for t, p in zip(ts, perimeter(ts).tolist())])
-            contrib += half * complex((vals * _GL8_WEIGHTS).sum())
+            edges = np.array([lo, hi])
+        mid = (edges[:-1] + edges[1:]) / 2
+        half = (edges[1:] - edges[:-1]) / 2
+        ts = mid[:, None] + half[:, None] * _GL8_NODES  # one row of nodes per cell
+        vals = ts ** (sc - 2) * tree.front_perimeter_geometric(ts.ravel()).reshape(ts.shape)
+        contrib = add_in_order(0j, half * (vals * _GL8_WEIGHTS).sum(axis=1))
         total += contrib
         if abs(contrib) < _MELLIN_REL_TOL * max(abs(total), 1e-30) and level > 3:
             break

@@ -23,10 +23,6 @@ from tropzeta.equiaffine import length_via_triangles
 from tropzeta.geometry import ConvexDomain, domain_from_dict
 
 
-def parabolic_chart():
-    return ConvexDomain.domain_L().charts[0]
-
-
 def pentagon_family_member():
     """A domain whose minimal model is the mixed-type pentagon
     conv{(2,0),(1,1),(-1,1),(-2,-1),(1,-1)}: the two unimodular corners
@@ -57,19 +53,26 @@ def d_alpha():
     return ConvexDomain.d_alpha(0.5, 1000)
 
 
+def chart_zero_sizes(eps):
+    """The cut sizes of domain L's first (parabola) chart, read off the
+    domain's tree."""
+    tree = enumerate_cuts(ConvexDomain.domain_L(), eps)
+    lo, hi = tree.chart_offsets[:2]
+    return tree.sizes()[lo:hi]
+
+
 class TestChartDescent:
     def test_single_root_at_point_three(self):
-        sizes, leaves = cutting.chart_frontier(parabolic_chart(), Fraction(3, 10))
-        assert sizes == [Fraction(1, 2)]
+        assert chart_zero_sizes(Fraction(3, 10)) == [Fraction(1, 2)]
 
     def test_three_nodes_at_point_one(self):
-        sizes, _ = cutting.chart_frontier(parabolic_chart(), Fraction(1, 10))
+        sizes = chart_zero_sizes(Fraction(1, 10))
         assert sorted(sizes, reverse=True) == [Fraction(1, 2), Fraction(1, 6), Fraction(1, 6)]
 
     def test_sizes_match_mordell_tornheim_terms(self):
         # multiset of parabola cut sizes = {1/(pq(p+q)) : coprime (p,q)}
         eps = Fraction(1, 200)
-        sizes, _ = cutting.chart_frontier(parabolic_chart(), eps)
+        sizes = chart_zero_sizes(eps)
         expected = []
         for p in range(1, 40):
             for q in range(1, 40):
@@ -77,12 +80,14 @@ class TestChartDescent:
                     expected.append(Fraction(1, p * q * (p + q)))
         assert sorted(sizes) == sorted(expected)
 
-    @pytest.mark.parametrize("chart", [parabolic_chart(), ConvexDomain.disk().charts[0]],
+    @pytest.mark.parametrize("make", [ConvexDomain.domain_L, ConvexDomain.disk],
                              ids=["parabola", "disk"])
-    def test_frontier_wedges_tile_the_arc(self, chart):
+    def test_frontier_wedges_tile_the_arc(self, make):
         # descent order runs from the (0, 1) end of the arc to the (1, 0) end
-        wedges = cutting.chart_frontier_wedges(chart, 1e-3)
-        assert len(wedges) == len(cutting.chart_frontier(chart, 1e-3)[1])
+        dom = make()
+        wedges = cutting.chart_frontier_wedges(dom.charts, 1e-3)[0]
+        lo, hi = enumerate_cuts(dom, 1e-3).chart_offsets[:2]
+        assert len(wedges) == hi - lo + 1  # one frontier corner more than cuts
         assert wedges[0, 2:].tolist() == [0, 1] and wedges[-1, :2].tolist() == [1, 0]
         a1, b1, a2, b2 = wedges.T
         assert (a1 * b2 - b1 * a2 == 1).all()
@@ -292,6 +297,28 @@ class TestProfiles:
         k2 = tree.k_squared_start - 2
         (t1, l1, _), (t2, l2, _) = profiles(dom, [0.3, 0.6])
         assert (l2 - l1) / (t2 - t1) == pytest.approx(-k2, abs=1e-12)
+
+    @pytest.mark.parametrize("make", [ConvexDomain.domain_L, ConvexDomain.disk,
+                                      pentagon_family_member], ids=["L", "disk", "pentagon"])
+    def test_matches_per_t_loop(self, make):
+        # the one-search grid equals a per-t plain-float loop over the
+        # size-sorted cuts, bit for bit
+        dom = make()
+        ts = [0.9, 0.3, 0.05, 1e-3, 2e-5, 1e-5]
+        got = profiles(dom, ts)
+        tree = enumerate_cuts(dom, 0 if dom.is_polygon else 1e-5)
+        sizes = sorted(tree.cut_sizes.floats().tolist(), reverse=True)
+        hat = tree.minimal_model.polygon
+        l_hat, a_hat = float(hat.lattice_perimeter()), float(hat.area())
+        expected = []
+        for t in ts:
+            kept = [c for c in sizes if c >= t]
+            k2_t = tree.k_squared_start - len(kept)
+            length_cut = l_hat - sum(kept)
+            area_cut = a_hat - sum(c * c for c in kept) / 2
+            expected.append((t, length_cut - t * k2_t,
+                             area_cut - t * length_cut + t * t / 2 * k2_t))
+        assert got == expected
 
 
 def _perimeter_oracle(tree, t):

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from tropzeta import cutting
 from tropzeta.cutting import chart_frontier_wedges
 from tropzeta.equiaffine import length_graph, length_parametric, length_via_triangles
 from tropzeta.geometry import ConvexDomain
@@ -147,6 +148,24 @@ class TestTriangleRoute:
         # pieces of the two child wedges, so every frontier sums to the root's
         assert length_via_triangles(make(), eps) == pytest.approx(target, rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize("make", [ConvexDomain.domain_L, ConvexDomain.disk,
+                                      ConvexDomain.parabolic_triangle],
+                             ids=["L", "disk", "parabolic_triangle"])
+    def test_domain_is_descended_once(self, make, monkeypatch):
+        # one descent for all charts, and the same wedges, so the same value
+        # as the charts' single-chart routes summed in order
+        grow, calls = cutting._grow, []
+
+        def counting_grow(charts, eps, *args):
+            calls.append(len(charts))
+            return grow(charts, eps, *args)
+
+        dom = make()
+        monkeypatch.setattr(cutting, "_grow", counting_grow)
+        value = length_via_triangles(dom, 1e-4)
+        assert calls == [len(dom.charts)]
+        assert value == sum(length_via_triangles(chart, 1e-4) for chart in dom.charts)
+
 
 class TestTriangleFallback:
     """Charts without a triangle_area oracle take the scalar tangency_x path
@@ -166,10 +185,18 @@ class TestTriangleFallback:
         with pytest.raises(ValueError, match="graph data"):
             length_via_triangles(dataclasses.replace(chart, triangle_area=None), 1e-3)
 
+    def test_d_alpha_raises_before_descent(self, monkeypatch):
+        def no_grow(*args):
+            raise AssertionError("descended")
+
+        monkeypatch.setattr(cutting, "_grow", no_grow)
+        with pytest.raises(ValueError, match="graph data"):
+            length_via_triangles(ConvexDomain.d_alpha(0.5, 1000), 1e-3)
+
 
 def _deep_wedges(chart, eps, k=40, seed=0):
     """The k frontier wedges with the longest normals, and k more at random."""
-    wedges = chart_frontier_wedges(chart, eps)
+    wedges = chart_frontier_wedges([chart], eps)[0]
     order = np.argsort(-wedges.sum(axis=1), kind="stable")
     drawn = random.Random(seed).sample(range(len(wedges)), k)
     return wedges[sorted(set(order[:k].tolist()) | set(drawn))].tolist()

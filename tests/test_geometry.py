@@ -280,6 +280,27 @@ class TestDomains:
         assert float(ConvexDomain.domain_L().area()) == pytest.approx(10 / 3)
         assert ConvexDomain.parabolic_triangle().area() == Fraction(1, 3)
 
+    @pytest.mark.parametrize("dom, inside, boundary, outside", [
+        (ConvexDomain.domain_L(), [(0, 0), (-0.7, -0.7), (0.5, 0.5)],
+         [(0, -1), (-0.75, -0.75), (0.75, 0.75)],
+         [(0, -1.000000001), (-0.76, -0.76), (-1, -1), (1.5, 0)]),
+        (ConvexDomain.disk(1.0), [(0, 0), (0.5, -0.5)],
+         [(1, 0), (0, -1), (0.6, 0.8)],
+         [(1.000000001, 0), (0.8, 0.8), (-1, -1)]),
+        (ConvexDomain.from_polygon([(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0)]),
+         [(1.0, 0.5)], [(2.0, 0.5), (0.0, 0.0), (2.0 + 1e-13, 0.5)],
+         [(2.000000001, 0.5), (1.0, -0.1)]),
+        (ConvexDomain.rectangle(3, 2), [(1, 1)], [(3, Fraction(1, 3)), (0, 0)],
+         [(Fraction(3) + Fraction(1, 10**30), 1), (-Fraction(1, 10**30), 0)]),
+    ], ids=["L", "disk", "float_polygon", "exact_polygon"])
+    def test_contains(self, dom, inside, boundary, outside):
+        # float domains accept a slack of 1e-12 beyond the boundary; exact
+        # polygons none
+        for x in inside + boundary:
+            assert dom.contains(x), x
+        for x in outside:
+            assert not dom.contains(x), x
+
 
 class TestJson:
     def test_polygon_round_trip(self):

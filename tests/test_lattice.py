@@ -146,14 +146,9 @@ class TestFareyBijection:
 
     def test_matches_stern_brocot_enumeration(self):
         n = 40
-        via_pairs = {
-            lattice.farey_from_denominators(b, d).as_key()
-            if hasattr(lattice.farey_from_denominators(b, d), "as_key")
-            else (lambda iv: (iv.c, iv.d, iv.a, iv.b))(lattice.farey_from_denominators(b, d))
-            for b in range(1, n + 1)
-            for d in range(1, n + 1)
-            if math.gcd(b, d) == 1
-        }
+        intervals = (lattice.farey_from_denominators(b, d)
+                     for b in range(1, n + 1) for d in range(1, n + 1) if math.gcd(b, d) == 1)
+        via_pairs = {(iv.c, iv.d, iv.a, iv.b) for iv in intervals}
         via_tree = {(iv.c, iv.d, iv.a, iv.b) for iv in lattice.farey_intervals_stern_brocot(n)}
         assert via_pairs == via_tree
 

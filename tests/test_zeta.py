@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tropzeta import models, zeta
@@ -89,8 +90,6 @@ class TestBoundarySeries:
         assert values[0] <= values[1] <= values[2]
 
     def test_L_is_four_times_one_chart(self):
-        from tropzeta.cutting import chart_frontier, enumerate_cuts
-
         dom = ConvexDomain.domain_L()
         tree = enumerate_cuts(dom, 1e-4)
         tree_sizes = sorted(float(size) for size in tree.sizes())
@@ -99,7 +98,8 @@ class TestBoundarySeries:
         assert len(tree_sizes) % 4 == 0
         for i in range(0, len(tree_sizes), 4):
             assert tree_sizes[i] == tree_sizes[i + 3]
-        chart_sizes, _ = chart_frontier(dom.charts[0], 1e-4)
+        lo, hi = tree.chart_offsets[:2]
+        chart_sizes = tree.sizes()[lo:hi]
         est = boundary_series(dom, 2, 1e-4)
         one_chart = sum(float(c) ** 2 for c in chart_sizes)
         assert complex(est.value).real == pytest.approx(4 * one_chart, rel=1e-12)
@@ -180,8 +180,43 @@ class TestMellinRoute:
             mell = zeta_via_mellin(dom, 3)
             assert abs(ident - mell) < 1e-5, dom.tag
 
-    def test_one_perimeter_call_per_cell(self, monkeypatch):
-        # every quadrature cell's 8 Gauss nodes go to the perimeter in one call
+    @pytest.mark.parametrize("make, s", [
+        (ConvexDomain.disk, 3 + 1.3j), (ConvexDomain.parabolic_triangle, 5 - 2j),
+        (pentagon_family_member, 2.5),
+    ], ids=["disk", "parabolic_triangle", "pentagon"])
+    def test_matches_per_cell_loop(self, make, s):
+        # one perimeter call per level gives the per-cell, per-node loop's
+        # value bit for bit
+        def per_cell(domain):
+            sc, total, hi = complex(s), 0j, float(zeta.minimal_model_of(domain).m)
+            for level in range(zeta._MELLIN_MAX_LEVELS):
+                lo = hi / 2
+                tree = zeta.deepest_tree(domain, 0 if domain.is_polygon else lo)
+                inside = tree.kinks(lo, hi)
+                if 0 < len(inside) <= 256:
+                    edges = [lo] + [float(x) for x in inside] + [hi]
+                elif len(inside) > 256:
+                    edges = list(np.geomspace(lo, hi, 9))
+                else:
+                    edges = [lo, hi]
+                contrib = 0j
+                for a, b in zip(edges[:-1], edges[1:]):
+                    mid, half = (a + b) / 2, (b - a) / 2
+                    ts = mid + half * zeta._GL8_NODES
+                    perimeters = tree.front_perimeter_geometric(ts).tolist()
+                    vals = np.array([t ** (sc - 2) * p for t, p in zip(ts, perimeters)])
+                    contrib += half * complex((vals * zeta._GL8_WEIGHTS).sum())
+                total += contrib
+                if abs(contrib) < zeta._MELLIN_REL_TOL * max(abs(total), 1e-30) and level > 3:
+                    break
+                hi = lo
+            return total
+
+        assert zeta_via_mellin(make(), s) == per_cell(make())
+
+    def test_one_perimeter_call_per_level(self, monkeypatch):
+        # every level's quadrature cells, 8 Gauss nodes each, go to the
+        # perimeter in one call
         dom = ConvexDomain.domain_L()
         enumerate_cuts(dom, 1e-6)
         kinks, perimeter = CutTree.kinks, CutTree.front_perimeter_geometric
@@ -199,8 +234,7 @@ class TestMellinRoute:
         monkeypatch.setattr(CutTree, "kinks", counting_kinks)
         monkeypatch.setattr(CutTree, "front_perimeter_geometric", counting_perimeter)
         assert zeta_via_mellin(dom, 3) == 1.2427479811266888  # the CLI golden value
-        assert len(calls) == sum(cells)
-        assert calls == [8] * len(calls)
+        assert calls == [8 * n for n in cells]
 
 
 class TestRectangleAndOneCut:
