@@ -60,7 +60,15 @@ class _SizeOrder(NamedTuple):
 
 def _den_cap(eps) -> int:
     """floor(1/eps): the size 1/den is >= eps exactly when den <= floor(1/eps)."""
-    return int(1 / Fraction(eps))
+    num, den = eps.as_integer_ratio()
+    return den // num
+
+
+def _den_key(t) -> float:
+    """cut_count's search key on defect_den trees: the float -1/floor(1/t),
+    the negated size of the largest den with 1/den >= t (-inf if none)."""
+    cap = _den_cap(t)
+    return -1.0 / cap if cap else -math.inf
 
 
 # The largest floor(1/eps) whose descent keeps defect_den in int64.  A cut
@@ -117,7 +125,9 @@ class Sizes:
 class CutTree:
     """The corner cuts of a domain down to size threshold, and the frontier
     of corners left uncut, both in descent order (depth first, side-1 child
-    first, chart by chart), as columns.
+    first, chart by chart in the order of `charts`), as columns.  A domain's
+    tree holds its charts (a smooth domain's as declared) and its minimal
+    model.
 
     Cut i has the unimodular quadruple nodes[i] = (a, b, c, d) (the chart
     normals (a, b), (c, d) of its corner), size cut_sizes[i] and
@@ -142,7 +152,6 @@ class CutTree:
     leaf_sizes: Sizes
     leaf_links: np.ndarray
     minimal_model: Optional[MinimalModel] = None
-    k_squared_start: Optional[int] = None
     # exact mediant line per cut index, for the cuts some call kept
     _mediants: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -193,11 +202,15 @@ class CutTree:
 
     def cut_count(self, t):
         """N^cut(t) = number of cuts of size >= t; elementwise (an int64
-        array) on an array of t."""
+        array) on an array of t.  On defect_den trees the sizes are compared
+        exactly, as in Sizes.at_least: the cuts with den <= floor(1/t)."""
         ts = np.asarray(t, dtype=np.float64)
         if (ts.min() if ts.ndim else t) < self.threshold:  # np.min would outcost a scalar search
             raise ValueError("tree too shallow")
-        n = np.searchsorted(self._by_size.neg_sizes, -ts, side="right")
+        key = -ts
+        if self.cut_sizes.is_den:
+            key = np.array([_den_key(x) for x in ts.tolist()]) if ts.ndim else _den_key(t)
+        n = np.searchsorted(self._by_size.neg_sizes, key, side="right")
         return n if ts.ndim else int(n)
 
     def kinks(self, lo: float, hi: float) -> np.ndarray:
@@ -408,8 +421,7 @@ def _place(levels, counts, cpos, lpos, out) -> None:
         quads = _children(quads)
 
 
-def _grow(charts: list, eps, mm: Optional[MinimalModel] = None,
-          k2: Optional[int] = None) -> CutTree:
+def _grow(charts: list, eps, mm: Optional[MinimalModel] = None) -> CutTree:
     """The tree of the charts down to size eps: one level-synchronous
     descent per oracle, written in depth-first order chart by chart."""
     all_den = bool(charts) and all(chart.defect_den is not None for chart in charts)
@@ -445,7 +457,7 @@ def _grow(charts: list, eps, mm: Optional[MinimalModel] = None,
     return CutTree(charts=charts, threshold=eps, nodes=out[0], links=out[1],
                    chart_offsets=tuple(start.tolist()),
                    cut_sizes=Sizes(out[2], all_den), leaf_sizes=Sizes(out[4], all_den),
-                   leaf_links=out[3], minimal_model=mm, k_squared_start=k2)
+                   leaf_links=out[3], minimal_model=mm)
 
 
 def chart_frontier_wedges(charts: list, eps) -> list[np.ndarray]:
@@ -474,58 +486,37 @@ def _polygon_corner_chart(poly: Polygon, corner, u1: Vec, u2: Vec) -> ArcChart:
 
 
 def _domain_charts(domain: ConvexDomain, mm: MinimalModel) -> list:
-    """Chart objects aligned with the minimal model's unimodular corners."""
-    hat = mm.polygon
+    """The charts the descent cuts.  A polygon gets one chart per unimodular
+    corner of its minimal model; a smooth or builtin domain's charts are its
+    own, in the declared order (minimal_model_of has checked each against
+    its frame corner, and the frame against the minimal model)."""
+    if not domain.is_polygon:
+        return list(domain.charts)
+    poly = domain.polygon
     out = []
-    if domain.is_polygon:
-        poly = domain.polygon
-        for vtx, u, v in hat.corners():
-            q = det2(u, v)
-            if q == 1:
-                out.append(_polygon_corner_chart(poly, vtx, u, v))
-            else:
-                if not poly.contains(vtx):
-                    raise ValueError(
-                        f"non-unimodular minimal-model corner at {vtx} not shared with the domain"
-                    )
-        return out
-    by_corner = {tuple(map(float, c.corner)): c for c in domain.charts}
-    for vtx, u, v in hat.corners():
-        key = tuple(map(float, vtx))
-        chart = None
-        for ckey, c in by_corner.items():
-            if abs(ckey[0] - key[0]) < 1e-9 and abs(ckey[1] - key[1]) < 1e-9:
-                chart = c
-                break
-        if chart is None:
-            continue  # corner shared with the domain boundary; nothing to cut
-        if (tuple(chart.u1), tuple(chart.u2)) != (tuple(u), tuple(v)):
+    for vtx, u, v in mm.polygon.corners():
+        if det2(u, v) == 1:
+            out.append(_polygon_corner_chart(poly, vtx, u, v))
+        elif not poly.contains(vtx):
             raise ValueError(
-                f"chart at {vtx}: frame normals {chart.u1}, {chart.u2} do not match "
-                f"the minimal-model corner normals {u}, {v}"
+                f"non-unimodular minimal-model corner at {vtx} not shared with the domain"
             )
-        out.append(chart)
     return out
 
 
 def deepest_tree(domain: ConvexDomain, eps) -> CutTree:
-    """The deepest tree built on the domain so far, first deepened down to
-    eps if it does not reach that far.  For readers that select the cuts of
-    size >= some t >= eps themselves; everything else calls enumerate_cuts."""
+    """The deepest tree built on the domain so far, replaced by a descent of
+    the domain's charts down to eps if it does not reach that far.  For
+    readers that select the cuts of size >= some t >= eps themselves;
+    everything else calls enumerate_cuts."""
     mm = minimal_model_of(domain)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if eps == 0 and not domain.is_polygon:
         raise ValueError("eps = 0 is only allowed for polygon domains")
     tree = domain._cut_tree
-    if tree is None:
-        try:
-            k2 = k_squared(mm.polygon)
-        except ValueError:
-            k2 = int(mm.k) if float(mm.k) == int(mm.k) else None
-        tree = domain._cut_tree = _grow(_domain_charts(domain, mm), eps, mm, k2)
-    elif eps < tree.threshold:
-        tree = domain._cut_tree = _grow(tree.charts, eps, mm, tree.k_squared_start)
+    if tree is None or eps < tree.threshold:
+        tree = domain._cut_tree = _grow(_domain_charts(domain, mm), eps, mm)
     return tree
 
 
@@ -539,7 +530,7 @@ def enumerate_cuts(domain: ConvexDomain, eps) -> CutTree:
     tree = deepest_tree(domain, eps)
     if tree.threshold == eps:
         return tree
-    return _grow(tree.charts, eps, tree.minimal_model, tree.k_squared_start)
+    return _grow(tree.charts, eps, tree.minimal_model)
 
 
 @dataclass
@@ -621,11 +612,14 @@ def profiles(domain: ConvexDomain, t_grid: Sequence[float]) -> list[tuple[float,
     ts = [float(t) for t in t_grid]
     if not all(0 < t < m for t in ts):
         raise ValueError("t_grid must lie in (0, m)")
-    tree = deepest_tree(domain, min(ts) if not domain.is_polygon else 0)
-    k2 = tree.k_squared_start
-    if k2 is None:
-        raise ValueError("K^2 of the minimal model is undefined (non-A_n corner)")
     hat = mm.polygon
+    try:
+        k2 = k_squared(hat)
+    except ValueError:
+        if float(mm.k) != int(mm.k):
+            raise ValueError("K^2 of the minimal model is undefined (non-A_n corner)") from None
+        k2 = int(mm.k)
+    tree = deepest_tree(domain, min(ts) if not domain.is_polygon else 0)
     l_hat = float(hat.lattice_perimeter())
     a_hat = float(hat.area())
     t = np.array(ts)
@@ -690,14 +684,15 @@ def caustic(domain: ConvexDomain, eps) -> CausticGraph:
         graph.max_locus = ((float(mm.max_locus[0][0]), float(mm.max_locus[0][1])),)
 
     # root trajectories: one per minimal-model corner, from its first cut
-    # event (or the corner itself) up to time m
-    chart_of_corner = {tuple(map(float, chart.corner)): cid
+    # event (or the corner itself) up to time m; a chart is known by its
+    # corner's normals
+    chart_of_corner = {(tuple(chart.u1), tuple(chart.u2)): cid
                        for cid, chart in enumerate(tree.charts)}
     offsets = tree.chart_offsets
     sizes = tree.cut_sizes.floats().tolist()
     for vtx, u, v in hat.corners():
-        hu, hv = domain.support(u), domain.support(v)
-        cid = chart_of_corner.get(tuple(map(float, vtx)))
+        hu, hv = dot2(u, vtx), dot2(v, vtx)  # the corner lies on both edge lines
+        cid = chart_of_corner.get((u, v))
         t_birth = 0.0
         if cid is not None and offsets[cid] < offsets[cid + 1]:
             t_birth = sizes[offsets[cid]]  # the chart's root cut
@@ -715,10 +710,10 @@ def caustic(domain: ConvexDomain, eps) -> CausticGraph:
     for chart, lo, hi in tree._chart_spans():
         for idx, (a, b, c, d) in enumerate(tree.nodes[lo:hi].tolist(), lo):
             t_death = sizes[idx]
-            for side, (pa, pb) in enumerate((((a, b), (a + c, b + d)), ((a + c, b + d), (c, d)))):
+            lines = chart.line(a, b), chart.line(a + c, b + d), chart.line(c, d)
+            for side in (0, 1):
                 child_size = born[2 * idx + side]
-                u_amb, hu = chart.line(*pa)
-                v_amb, hv = chart.line(*pb)
+                (u_amb, hu), (v_amb, hv) = lines[side], lines[side + 1]
                 graph.edges.append(CausticEdge(
                     start=_inset_vertex(u_amb, hu, v_amb, hv, child_size),
                     end=_inset_vertex(u_amb, hu, v_amb, hv, t_death),

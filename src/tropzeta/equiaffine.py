@@ -159,4 +159,4 @@ def length_via_triangles(source, eps: float) -> float:
             area = p * q / 2
             if area > 0:
                 total += 2.0 * area ** (1 / 3.0)
-    return total
+    return float(total)  # graph data may hand back numpy scalars

@@ -427,27 +427,10 @@ class ArcChart:
                 raise ValueError("chart needs a support oracle or graph data")
             self.support = self._support_from_graph
 
-    def ambient_direction(self, a: int, b: int) -> Vec:
-        return (a * self.u1[0] + b * self.u2[0], a * self.u1[1] + b * self.u2[1])
-
-    def chart_coordinates(self, u: Vec) -> tuple[int, int]:
-        """(a, b) with u = a*u1 + b*u2; entries may be negative."""
-        return (det2(u, self.u2), det2(self.u1, u))
-
-    def covers(self, u: Vec) -> bool:
-        a, b = self.chart_coordinates(u)
-        return a >= 0 and b >= 0
-
-    def ambient_support(self, u: Vec):
-        a, b = self.chart_coordinates(u)
-        if a < 0 or b < 0:
-            raise ValueError("unsupported direction")
-        return self.line(a, b)[1]
-
     def line(self, a: int, b: int) -> tuple[Vec, Num]:
         """(w, h): the supporting line {<w, x> = h} of chart direction (a, b)
         in ambient coordinates, w = a*u1 + b*u2 the inward normal."""
-        w = self.ambient_direction(a, b)
+        w = (a * self.u1[0] + b * self.u2[0], a * self.u1[1] + b * self.u2[1])
         return w, self.support(a, b) + dot2(w, self.corner)
 
     def defect(self, quad) -> Num:
@@ -726,8 +709,9 @@ class ConvexDomain:
             return self.polygon.support(u)
         best = None
         for chart in self.charts:
-            if chart.covers(u):
-                val = chart.ambient_support(u)
+            a, b = det2(u, chart.u2), det2(chart.u1, u)  # u = a u1 + b u2
+            if a >= 0 and b >= 0:
+                val = chart.line(a, b)[1]
                 best = val if best is None else min(best, val)
         if best is not None:
             return best

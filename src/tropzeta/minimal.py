@@ -166,11 +166,23 @@ def compute_minimal_model(domain: ConvexDomain) -> MinimalModel:
 
 
 def _validate_declared_frame(domain: ConvexDomain) -> None:
-    hat = domain.hat_polygon
-    hat_vertices = {tuple(v) for v in hat.vertices}
+    """Check every chart against the declared frame polygon: its corner is a
+    frame vertex held by no other chart, its normals (u1, u2) are that
+    corner's (incoming, outgoing) edge normals, and its support is
+    normalized and superadditive at the root.  The descent then reads the
+    charts as declared."""
+    frame = {tuple(vtx): (u, v) for vtx, u, v in domain.hat_polygon.corners()}
     for c in domain.charts:
-        if tuple(c.corner) not in hat_vertices:
-            raise ValueError(f"chart corner {c.corner} is not a vertex of the frame polygon")
+        normals = frame.pop(tuple(c.corner), None)
+        if normals is None:
+            raise ValueError(f"chart corner {c.corner} is not a vertex of the frame polygon "
+                             "or holds another chart")
+        u, v = normals
+        if (tuple(c.u1), tuple(c.u2)) != (u, v):
+            raise ValueError(
+                f"chart at {c.corner}: frame normals {c.u1}, {c.u2} do not match "
+                f"the minimal-model corner normals {u}, {v}"
+            )
         g10 = c.support(1, 0)
         g01 = c.support(0, 1)
         if abs(float(g10)) > 1e-12 or abs(float(g01)) > 1e-12:

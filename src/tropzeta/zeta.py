@@ -123,12 +123,10 @@ def zeta_via_mellin(domain: ConvexDomain, s) -> complex:
         lo = hi / 2
         tree = deepest_tree(domain, 0 if domain.is_polygon else lo)
         inside = tree.kinks(lo, hi)
-        if 0 < len(inside) <= 256:
+        if len(inside) <= 256:
             edges = np.concatenate([[lo], inside, [hi]])
-        elif len(inside) > 256:
-            edges = np.geomspace(lo, hi, 9)
         else:
-            edges = np.array([lo, hi])
+            edges = np.geomspace(lo, hi, 9)
         mid = (edges[:-1] + edges[1:]) / 2
         half = (edges[1:] - edges[:-1]) / 2
         ts = mid[:, None] + half[:, None] * _GL8_NODES  # one row of nodes per cell

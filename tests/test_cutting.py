@@ -1,7 +1,9 @@
+import dataclasses
 import gc
 import math
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from tropzeta.cutting import (
 )
 from tropzeta.equiaffine import length_via_triangles
 from tropzeta.geometry import ConvexDomain, domain_from_dict
+from tropzeta.minimal import k_squared
 
 
 def pentagon_family_member():
@@ -98,6 +101,12 @@ class TestChartDescent:
         dom = polynomial_domain()
         assert all(chart.triangle_area is None for chart in dom.charts)
         assert length_via_triangles(dom, 1e-4) == pytest.approx(4 * 2 ** (1 / 3.0), rel=1e-9)
+
+    def test_triangle_route_returns_a_python_float(self):
+        # graph data (numpy polynomials) and the oracle charts alike
+        for source in (polynomial_domain(), polynomial_domain().charts[0],
+                       ConvexDomain.domain_L(), ConvexDomain.disk().charts[0]):
+            assert type(length_via_triangles(source, 1e-3)) is float
 
 
 class TestEnumerateCutsPolygon:
@@ -180,6 +189,21 @@ class TestCutCount:
     def test_at_exact_threshold(self, make, count):
         third = Fraction(1, 3)
         assert enumerate_cuts(make(), third).cut_count(third) == count
+
+    @pytest.mark.parametrize("make, count", [(ConvexDomain.domain_L, 20),
+                                             (ConvexDomain.parabolic_triangle, 4)],
+                             ids=["L", "parabolic_triangle"])
+    def test_exact_on_den_trees(self, make, count):
+        # the float 0.05 lies above the size 1/20: cuts of den 20 are not
+        # counted, as Sizes.at_least and mediant_constraints do not keep them
+        tree = enumerate_cuts(make(), 1e-3)
+        assert tree.cut_count(0.05) == count
+        ts = [0.9, 0.5, 1 / 3, 0.3, 0.1, 0.05, 0.02, 0.0123, 1e-3, 1.1]
+        counts = [int(tree.cut_sizes.at_least(t).sum()) for t in ts]
+        assert [tree.cut_count(t) for t in ts] == counts
+        assert tree.cut_count(np.array(ts)).tolist() == counts
+        assert tree.cut_count(0.05) < tree.cut_count(np.nextafter(0.05, 0))
+        assert tree.cut_count(0.05) == len(tree.mediant_constraints(0.05))
 
 
 class TestPartialCut:
@@ -293,8 +317,8 @@ class TestProfiles:
         # between critical times, dP/dt = -K_t^2
         dom = ConvexDomain.from_polygon([(2, 0), (3, 0), (3, 3), (0, 3), (0, 1)])
         tree = enumerate_cuts(dom, 0)
-        # all cuts have size 1; below that K^2 = k2_start - 2
-        k2 = tree.k_squared_start - 2
+        # all cuts have size 1; below that K^2 = K^2(hat) - 2
+        k2 = k_squared(tree.minimal_model.polygon) - 2
         (t1, l1, _), (t2, l2, _) = profiles(dom, [0.3, 0.6])
         assert (l2 - l1) / (t2 - t1) == pytest.approx(-k2, abs=1e-12)
 
@@ -307,13 +331,14 @@ class TestProfiles:
         ts = [0.9, 0.3, 0.05, 1e-3, 2e-5, 1e-5]
         got = profiles(dom, ts)
         tree = enumerate_cuts(dom, 0 if dom.is_polygon else 1e-5)
-        sizes = sorted(tree.cut_sizes.floats().tolist(), reverse=True)
+        sizes = tree.cut_sizes.floats()
         hat = tree.minimal_model.polygon
         l_hat, a_hat = float(hat.lattice_perimeter()), float(hat.area())
         expected = []
         for t in ts:
-            kept = [c for c in sizes if c >= t]
-            k2_t = tree.k_squared_start - len(kept)
+            # the cuts of size >= t, compared exactly, largest first
+            kept = sorted(sizes[tree.cut_sizes.at_least(t)].tolist(), reverse=True)
+            k2_t = k_squared(hat) - len(kept)
             length_cut = l_hat - sum(kept)
             area_cut = a_hat - sum(c * c for c in kept) / 2
             expected.append((t, length_cut - t * k2_t,
@@ -415,12 +440,37 @@ class TestCaustic:
         with pytest.raises(ValueError, match="A_n"):
             caustic(dom, 0.1)
 
+    def test_chart_order_moves_only_the_edge_order(self):
+        # the parabolic triangle's trees descend its charts lower arc first;
+        # listed upper first (the minimal model's corner order), the same
+        # edges come in another order
+        dom = ConvexDomain.parabolic_triangle()
+        upper_first = ConvexDomain(kind="builtin", hat_polygon=dom.hat_polygon,
+                                   charts=dom.charts[::-1], tag=dom.tag)
+        edges = [dataclasses.astuple(e) for e in caustic(dom, 1e-3).edges]
+        flipped = [dataclasses.astuple(e) for e in caustic(upper_first, 1e-3).edges]
+        assert edges != flipped and Counter(edges) == Counter(flipped)
+        assert len(edges) == 249 and sum(e[2] for e in edges) == 250
+
     def test_caustic_vertices_lie_on_rho_level(self):
         dom = ConvexDomain.domain_L()
         g = caustic(dom, 0.05)
         for e in g.edges[:10]:
             if e.t_end < 1.0:
                 assert dom.rho(e.end) == pytest.approx(e.t_end, abs=1e-9)
+
+
+class TestDeclaredCharts:
+    @pytest.mark.parametrize("make", [ConvexDomain.parabolic_triangle, ConvexDomain.domain_L,
+                                      ConvexDomain.disk, polynomial_domain],
+                             ids=["parabolic_triangle", "L", "disk", "polynomial"])
+    def test_trees_descend_the_declared_charts(self, make):
+        dom = make()
+        for eps in (1e-2, 1e-3):  # a fresh tree, then a deepened memo
+            tree = deepest_tree(dom, eps)
+            assert len(tree.charts) == len(dom.charts)
+            assert all(a is b for a, b in zip(tree.charts, dom.charts))
+        assert [c.name for c in enumerate_cuts(dom, 2e-3).charts] == [c.name for c in dom.charts]
 
 
 class TestSmoothRho:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from test_random_polygons import convex_hull
 
-from tropzeta.geometry import ConvexDomain, Polygon
+from tropzeta.geometry import ArcChart, ConvexDomain, Polygon
 from tropzeta.minimal import (
     _max_of_min_slacks,
     compute_minimal_model,
@@ -93,6 +93,37 @@ class TestComputeMinimalModel:
         assert mm.m == 1 and mm.l == 3
         assert mm.k == 4
         assert mm.type_params["k1_minus_k2_abs"] == 1
+
+
+class TestDeclaredFrame:
+    """minimal_model_of checks each chart of a smooth domain against its
+    frame corner once; the descent then takes the charts as declared."""
+
+    @staticmethod
+    def _square_with(chart):
+        """Domain L's frame square and charts, the first replaced by chart."""
+        dom = ConvexDomain.domain_L()
+        return ConvexDomain.smooth(dom.hat_polygon.vertices, [chart] + dom.charts[1:])
+
+    def test_chart_normals_must_be_the_corner_normals(self):
+        # a positive lattice basis, but not the normals of the corner (-1, -1)
+        sw = ConvexDomain.domain_L().charts[0]
+        chart = ArcChart(corner=sw.corner, u1=(1, 0), u2=(1, 1), support=sw.support, exact=True)
+        with pytest.raises(ValueError, match="do not match the minimal-model corner normals"):
+            minimal_model_of(self._square_with(chart))
+
+    def test_chart_corner_must_be_a_frame_vertex(self):
+        sw = ConvexDomain.domain_L().charts[0]
+        chart = ArcChart(corner=(Fraction(-1), Fraction(0)), u1=sw.u1, u2=sw.u2,
+                         support=sw.support, exact=True)
+        with pytest.raises(ValueError, match="not a vertex of the frame polygon"):
+            minimal_model_of(self._square_with(chart))
+
+    def test_one_chart_per_corner(self):
+        dom = ConvexDomain.domain_L()
+        twice = ConvexDomain.smooth(dom.hat_polygon.vertices, dom.charts + dom.charts[:1])
+        with pytest.raises(ValueError, match="holds another chart"):
+            minimal_model_of(twice)
 
 
 # -- the brute-force vertex search, kept as an independent oracle ----------
