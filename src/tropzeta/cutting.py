@@ -53,22 +53,16 @@ class _SizeOrder(NamedTuple):
     """A tree's row table sorted by size, largest first (ties in node order)."""
 
     slack: tuple  # (W, H, S) of CutTree.slack_arrays
-    neg_sizes: np.ndarray  # -S, ascending, for searchsorted
+    ranks: np.ndarray  # Sizes.rank(), ascending, for exact counts
     prefix: np.ndarray  # prefix sums of S, starting at 0
     prefix_sq: np.ndarray  # prefix sums of S^2, starting at 0
 
 
 def _den_cap(eps) -> int:
-    """floor(1/eps): the size 1/den is >= eps exactly when den <= floor(1/eps)."""
-    num, den = eps.as_integer_ratio()
+    """floor(1/eps): the size 1/den is >= eps exactly when den <= floor(1/eps).
+    (numpy integers have no as_integer_ratio; Fraction costs 4x more.)"""
+    num, den = (eps if hasattr(eps, "as_integer_ratio") else Fraction(eps)).as_integer_ratio()
     return den // num
-
-
-def _den_key(t) -> float:
-    """cut_count's search key on defect_den trees: the float -1/floor(1/t),
-    the negated size of the largest den with 1/den >= t (-inf if none)."""
-    cap = _den_cap(t)
-    return -1.0 / cap if cap else -math.inf
 
 
 # The largest floor(1/eps) whose descent keeps defect_den in int64.  A cut
@@ -83,7 +77,12 @@ class Sizes:
     On defect_den trees it holds the int64 denominators, size = 1/den
     exactly; otherwise the sizes themselves, float64 on float charts and
     Python objects (Fraction or int) on exact ones.  Exact values are made
-    only when read (tolist)."""
+    only when read (tolist).
+
+    The one exact "size >= t" test: a size is >= t exactly when its rank is
+    <= rank_of(t).  The rank is den on defect_den trees (t ranks as
+    floor(1/t)) and -size elsewhere (t ranks as -t, compared exactly on
+    Fraction sizes); ascending rank is descending size."""
 
     __slots__ = ("values", "is_den")
 
@@ -114,11 +113,20 @@ class Sizes:
             return np.array([float(x) for x in vals.tolist()], dtype=np.float64)
         return vals
 
+    def rank(self) -> np.ndarray:
+        return self.values if self.is_den else -self.values
+
+    def rank_of(self, t):
+        """The rank of the threshold t (elementwise on a numpy array)."""
+        if not self.is_den:
+            return -t
+        if getattr(t, "ndim", 0):  # np.ndim would outcost a scalar search
+            return np.array([self.rank_of(x) for x in t.tolist()])
+        return _den_cap(t) if t > 0 else math.inf
+
     def at_least(self, t) -> np.ndarray:
         """Mask of the sizes >= t, compared exactly."""
-        if self.is_den:
-            return self.values <= _den_cap(t) if t > 0 else np.ones(len(self), dtype=bool)
-        return np.asarray(self.values >= t, dtype=bool)
+        return self.rank() <= self.rank_of(t)
 
 
 @dataclass
@@ -185,9 +193,11 @@ class CutTree:
 
     @cached_property
     def _by_size(self) -> _SizeOrder:
-        rows = self._rows[np.argsort(-self._rows[:, 0], kind="stable")]
+        ranks = self.cut_sizes.rank()
+        order = np.argsort(ranks, kind="stable")
+        rows = self._rows[order]
         s = rows[:, 0]
-        return _SizeOrder((rows[:, 1:3], rows[:, 3], s), -s,
+        return _SizeOrder((rows[:, 1:3], rows[:, 3], s), ranks[order],
                           np.concatenate([[0.0], np.cumsum(s)]),
                           np.concatenate([[0.0], np.cumsum(s * s)]))
 
@@ -202,21 +212,19 @@ class CutTree:
 
     def cut_count(self, t):
         """N^cut(t) = number of cuts of size >= t; elementwise (an int64
-        array) on an array of t.  On defect_den trees the sizes are compared
-        exactly, as in Sizes.at_least: the cuts with den <= floor(1/t)."""
-        ts = np.asarray(t, dtype=np.float64)
+        array) on an array of t.  Sizes are compared exactly on every tree,
+        by the rank test of Sizes.at_least."""
+        ts = np.asarray(t)
         if (ts.min() if ts.ndim else t) < self.threshold:  # np.min would outcost a scalar search
             raise ValueError("tree too shallow")
-        key = -ts
-        if self.cut_sizes.is_den:
-            key = np.array([_den_key(x) for x in ts.tolist()]) if ts.ndim else _den_key(t)
-        n = np.searchsorted(self._by_size.neg_sizes, key, side="right")
+        key = self.cut_sizes.rank_of(ts if ts.ndim else t)
+        n = np.searchsorted(self._by_size.ranks, key, side="right")
         return n if ts.ndim else int(n)
 
     def kinks(self, lo: float, hi: float) -> np.ndarray:
         """The distinct cut sizes strictly between lo and hi, ascending: the
         kinks of the wave-front perimeter there."""
-        neg = self._by_size.neg_sizes
+        neg = -self._by_size.slack[2]
         start = np.searchsorted(neg, -hi, side="right")
         end = np.searchsorted(neg, -lo, side="left")
         return np.unique(self._by_size.slack[2][start:end])
@@ -242,7 +250,7 @@ class CutTree:
         out = np.empty(len(ts))
         keep = self._by_angle[3] >= ts.min()
         wx, wy, h, sizes = (col[keep] for col in self._by_angle)
-        counts = np.searchsorted(self._by_size.neg_sizes, -ts, side="right")
+        counts = np.searchsorted(-self._by_size.slack[2], -ts, side="right")
         for count in np.unique(counts):
             rows = np.flatnonzero(counts == count)
             t = ts[rows]
@@ -348,9 +356,7 @@ def _level_descent(charts, oracle, cids, eps, dtype) -> list:
     kind, fn = oracle
     exact = dtype == object
     quads = _roots(len(cids))
-    if kind == "den":
-        cap = _den_cap(eps)
-    else:  # a chart root has no parent
+    if kind != "den":  # a chart root has no parent
         psize = np.full(len(cids), math.inf, dtype=dtype)
     if kind == "scalar":
         def fn(ca, cb):
@@ -360,16 +366,14 @@ def _level_descent(charts, oracle, cids, eps, dtype) -> list:
         gu, gv = fn(quads[:, 0], quads[:, 1]), fn(quads[:, 2], quads[:, 3])
     levels = []
     while len(quads):
-        if kind == "den":
-            size = fn(*quads.T)
-            cut = size <= cap
+        if kind == "scalar":
+            mediant = quads[:, :2] + quads[:, 2:]
+            gm = fn(mediant[:, 0], mediant[:, 1])
+            size = gm - gu - gv
         else:
-            if kind == "defect":
-                size = fn(*quads.T)
-            else:  # scalar
-                mediant = quads[:, :2] + quads[:, 2:]
-                gm = fn(mediant[:, 0], mediant[:, 1])
-                size = gm - gu - gv
+            size = fn(*quads.T)
+        cut = Sizes(size, kind == "den").at_least(eps) if eps > 0 else size > 0
+        if kind != "den":
             bad = size < 0 if exact else size < -1e-9
             if bad.any():
                 i = int(np.flatnonzero(bad)[0])
@@ -377,11 +381,10 @@ def _level_descent(charts, oracle, cids, eps, dtype) -> list:
                                  f"{tuple(quads[i].tolist())}")
             if (size > (psize if exact else psize + 1e-12 * (1 + psize))).any():
                 raise AssertionError("support triangle nesting violated: child larger than parent")
-            cut = size >= eps if eps > 0 else size > 0
             psize = np.repeat(size[cut], 2)
-            if kind == "scalar":
-                gm = gm[cut]
-                gu, gv = _interleave(gm, gu[cut]), _interleave(gv[cut], gm)
+        if kind == "scalar":
+            gm = gm[cut]
+            gu, gv = _interleave(gm, gu[cut]), _interleave(gv[cut], gm)
         levels.append((size, cut))
         quads = _children(quads[cut])
         cids = np.repeat(cids[cut], 2)

@@ -39,6 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import gamma as _gamma
 
+from . import models
 from .estimates import SeriesEstimate, add_in_order, term_powers
 from .geometry import ArcChart
 from .lattice import arithmetic_functions, mod_inverse_array
@@ -381,11 +382,10 @@ def fejer_defect(g: Callable[[float], float], n: int) -> float:
 
 def residue_main_term(weight: SmoothWeight) -> float:
     """Res_{s=2/3} Z_f(s) = (sqrt(3) Gamma(1/3)^3 / 2^(2/3) / pi^3)
-    * int_0^1 |f''|^(2/3)."""
-    g3 = math.gamma(1 / 3.0) ** 3
-    const = math.sqrt(3) * g3 / (2 ** (2 / 3.0) * math.pi**3)
+    * int_0^1 |f''|^(2/3), the constant being
+    models.boundary_residue_constant()."""
     integral = _adaptive_simpson(lambda v: abs(weight.d2f(v)) ** (2 / 3.0), 0.0, 1.0)
-    return const * integral
+    return models.boundary_residue_constant() * integral
 
 
 def legendre_dual(chart: ArcChart) -> SmoothWeight:

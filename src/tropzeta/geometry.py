@@ -386,10 +386,9 @@ class ArcChart:
     chart coordinates; gamma(1,0) = gamma(0,1) = 0.  When the graph data g is
     present it must agree with the oracle (checked by tests, not here).
 
-    The charts of L and of the parabolic triangle are parabola arcs, one
-    family with support a b / (p q S) for the form S = p a + q b: (1, 1) for
-    L's four arcs, (2, 1) and (1, 2) for the triangle's lower and upper arc
-    (_parabola_form derives every oracle and the graph from (p, q)).
+    The charts of L ((p, q) = (1, 1)) and of the parabolic triangle ((2, 1),
+    (1, 2)) are parabola arcs with support a b / (p q S), S = p a + q b, and
+    every oracle and the graph from models.parabola_form(p, q).
     """
 
     corner: tuple  # ambient frame corner (intersection of the two support lines)
@@ -487,61 +486,10 @@ class ArcChart:
 # builtin charts
 
 
-@functools.lru_cache(maxsize=None)
-def _parabola_form(p: int, q: int) -> dict:
-    """The oracles and graph data of the parabola-arc chart of form
-    S = p a + q b: support a b / (p q S), the arc
-    g(x) = (A - sqrt(B x))^2 on [0, 1/(p q^2)] with A = 1/(p sqrt(q)) and
-    B = q/p.  Built once per form, so that charts of one form share every
-    oracle object and the descent measures them in one call per level."""
-    pq = p * q
-
-    def form(a, b):  # no product by a unit coefficient: L's (1, 1) form is a + b
-        return (a if p == 1 else p * a) + (b if q == 1 else q * b)
-
-    def support(a, b):
-        if a < 0 or b < 0:
-            raise ValueError("direction entries must be nonnegative")
-        if a == 0 and b == 0:
-            raise ValueError("direction (0, 0) has no supporting line")
-        if a == 0 or b == 0:
-            return Fraction(0)
-        return Fraction(a * b, pq * form(a, b))
-
-    def support_float(a, b):
-        return a * b / (form(a, b) if pq == 1 else pq * form(a, b))
-
-    def defect_den(a, b, c, d):
-        su, sv = form(a, b), form(c, d)
-        return su * sv * (su + sv)
-
-    def triangle_area(a, b, c, d):
-        # with det(u, v) = 1 the slacks of the tangency points are
-        # 1/(S_u S_v^2) and 1/(S_v S_u^2), whatever the form
-        k = np.multiply(form(a, b), form(c, d), dtype=np.float64)
-        return 0.5 / (k * k * k)
-
-    # g = (A - sqrt(B x))^2, g' = B - C / sqrt(x), g'' = C x^(-3/2) / 2
-    big_a, big_b, big_c = 1 / (p * math.sqrt(q)), q / p, p ** -1.5
-    half_c = 0.5 * big_c
-
-    def g(x):
-        return (big_a - math.sqrt(big_b * x)) ** 2
-
-    def dg(x):
-        return big_b - big_c / math.sqrt(x)
-
-    def d2g(x):
-        return half_c * x ** (-1.5)
-
-    return dict(support=support, support_float=support_float, defect_den=defect_den,
-                triangle_area=triangle_area, g=g, dg=dg, d2g=d2g, x_max=1 / (pq * q),
-                exact=True)
-
-
 def _parabola_chart(corner, u1, u2, name, p, q):
-    """The parabola-arc chart of form S = p a + q b at the given frame."""
-    return ArcChart(corner=corner, u1=u1, u2=u2, name=name, **_parabola_form(p, q))
+    """The parabola-arc chart of form S = p a + q b at the given frame, with
+    the oracles and graph of models.parabola_form(p, q)."""
+    return ArcChart(corner=corner, u1=u1, u2=u2, name=name, **models.parabola_form(p, q))
 
 
 def _disk_charts(radius: float) -> list[ArcChart]:

@@ -248,38 +248,31 @@ def quadruple_to_coprime(quad: UnimodularQuadruple) -> tuple[int, int]:
     return (quad.a + quad.b, quad.c + quad.d)
 
 
+def _stern_brocot_walk(root, key, bound) -> Iterator[tuple[int, int, int, int]]:
+    """The quadruples (a, b, c, d) at and below root whose key <= bound,
+    depth first, (a+c, b+d, c, d) before (a, b, a+c, b+d).  The key must not
+    decrease from a quadruple to its children: the walk prunes there."""
+    stack = [root] if key(*root) <= bound else []
+    while stack:
+        quad = a, b, c, d = stack.pop()
+        yield quad
+        for child in ((a, b, a + c, b + d), (a + c, b + d, c, d)):
+            if key(*child) <= bound:
+                stack.append(child)
+
+
 def stern_brocot_quadruples(max_p_plus_q: int) -> Iterator[UnimodularQuadruple]:
     """All nonnegative unimodular quadruples with (a+b) + (c+d) <= bound,
     depth-first in Stern-Brocot order from the root (1, 0, 0, 1)."""
-    root = (1, 0, 0, 1)
-    if root[0] + root[1] + root[2] + root[3] > max_p_plus_q:
-        return
-    stack = [root]
-    while stack:
-        a, b, c, d = stack.pop()
-        yield UnimodularQuadruple(a, b, c, d)
-        m1, m2 = a + c, b + d
-        if a + b + m1 + m2 <= max_p_plus_q:
-            stack.append((a, b, m1, m2))
-        if m1 + m2 + c + d <= max_p_plus_q:
-            stack.append((m1, m2, c, d))
+    walk = _stern_brocot_walk((1, 0, 0, 1), lambda a, b, c, d: a + b + c + d, max_p_plus_q)
+    return (UnimodularQuadruple(*quad) for quad in walk)
 
 
 def farey_intervals_stern_brocot(max_denominator: int) -> list[FareyInterval]:
-    """All Farey intervals with max(b, d) <= N by mediant descent from [0/1, 1/1]."""
-    if max_denominator < 1:
-        return []
-    out: list[FareyInterval] = []
-    stack = [(0, 1, 1, 1)]  # (c, d, a, b)
-    while stack:
-        c, d, a, b = stack.pop()
-        if max(b, d) <= max_denominator:
-            out.append(FareyInterval(c=c, d=d, a=a, b=b))
-        bd = b + d
-        if bd <= max_denominator:
-            stack.append((c, d, a + c, bd))
-            stack.append((a + c, bd, a, b))
-    return out
+    """All Farey intervals with max(b, d) <= N by mediant descent from
+    [0/1, 1/1]: [c/d, a/b] is the quadruple (a, b, c, d) of the same walk."""
+    walk = _stern_brocot_walk((1, 1, 0, 1), lambda a, b, c, d: max(b, d), max_denominator)
+    return [FareyInterval(c=c, d=d, a=a, b=b) for a, b, c, d in walk]
 
 
 def coprime_pairs_by_max(bound: int) -> Iterator[tuple[int, int]]:

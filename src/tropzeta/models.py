@@ -11,10 +11,15 @@ the primitive Mordell-Tornheim double series sum over coprime (p, q) of
     L = { |x|, |y| <= 1 : sqrt(1-|x|) + sqrt(1-|y|) >= 1 }
 
 has four such arcs and zeta function (8 - 2^(2-s) zeta_SU3(s)/zeta(3s)) / (s(s-1)).
+
+parabola_form(p, q) holds the one copy of the parabola-arc closed forms:
+geometry builds the charts of L and the parabolic triangle from it.  This
+module imports nothing from the pipeline modules that build on it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -85,21 +90,66 @@ def riemann_zeta_eta(s: complex) -> complex:
 # Parabolic arc oracles (exact rational).
 
 
+@functools.lru_cache(maxsize=None)
+def parabola_form(p: int, q: int) -> dict:
+    """The oracles and graph data of the parabola-arc chart of form
+    S = p a + q b: support a b / (p q S), the arc
+    g(x) = (A - sqrt(B x))^2 on [0, 1/(p q^2)] with A = 1/(p sqrt(q)) and
+    B = q/p.  Built once per form, so that charts of one form share every
+    oracle object and the descent measures them in one call per level."""
+    pq = p * q
+
+    def form(a, b):  # no product by a unit coefficient: L's (1, 1) form is a + b
+        return (a if p == 1 else p * a) + (b if q == 1 else q * b)
+
+    def support(a, b):
+        if a < 0 or b < 0:
+            raise ValueError("direction entries must be nonnegative")
+        if a == 0 and b == 0:
+            raise ValueError("direction (0, 0) has no supporting line")
+        if a == 0 or b == 0:
+            return Fraction(0)
+        return Fraction(a * b, pq * form(a, b))
+
+    def support_float(a, b):
+        return a * b / (form(a, b) if pq == 1 else pq * form(a, b))
+
+    def defect_den(a, b, c, d):
+        su, sv = form(a, b), form(c, d)
+        return su * sv * (su + sv)
+
+    def triangle_area(a, b, c, d):
+        # with det(u, v) = 1 the slacks of the tangency points are
+        # 1/(S_u S_v^2) and 1/(S_v S_u^2), whatever the form
+        k = np.multiply(form(a, b), form(c, d), dtype=np.float64)
+        return 0.5 / (k * k * k)
+
+    # g = (A - sqrt(B x))^2, g' = B - C / sqrt(x), g'' = C x^(-3/2) / 2
+    big_a, big_b, big_c = 1 / (p * math.sqrt(q)), q / p, p ** -1.5
+    half_c = 0.5 * big_c
+
+    def g(x):
+        return (big_a - math.sqrt(big_b * x)) ** 2
+
+    def dg(x):
+        return big_b - big_c / math.sqrt(x)
+
+    def d2g(x):
+        return half_c * x ** (-1.5)
+
+    return dict(support=support, support_float=support_float, defect_den=defect_den,
+                triangle_area=triangle_area, g=g, dg=dg, d2g=d2g, x_max=1 / (pq * q),
+                exact=True)
+
+
 def parabola_support(a: int, b: int) -> Fraction:
-    """Support value gamma_{a,b} = a*b/(a+b) of the arc sqrt(x)+sqrt(y)=1."""
-    if a < 0 or b < 0:
-        raise ValueError("direction entries must be nonnegative")
-    if a == 0 and b == 0:
-        raise ValueError("direction (0, 0) has no supporting line")
-    if a == 0 or b == 0:
-        return Fraction(0)
-    return Fraction(a * b, a + b)
+    """gamma_{a,b} = a*b/(a+b) of the arc sqrt(x)+sqrt(y)=1: L's chart support."""
+    return parabola_form(1, 1)["support"](a, b)
 
 
 def parabola_defect(quad: UnimodularQuadruple) -> Fraction:
-    """Support defect 1/((a+b)(c+d)(a+b+c+d)) of a unimodular normal pair."""
-    a, b, c, d = quad.as_tuple()
-    return Fraction(1, (a + b) * (c + d) * (a + b + c + d))
+    """Support defect 1/((a+b)(c+d)(a+b+c+d)): the descent's size of an L cut."""
+    return Fraction(1, parabola_form(1, 1)["defect_den"](*quad.as_tuple()))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,9 @@ class NumericalRegimeError(RuntimeError):
 def boundary_series(domain: ConvexDomain, s, eps) -> SeriesEstimate:
     """F(s) truncated at size eps: sum of size^s over all cuts of size >= eps,
     summed per chart and then totaled.  Exact rational for polygon domains at
-    integer s (eps = 0 gives the full finite sum)."""
+    integer s (eps = 0 gives the full finite sum).  On smooth domains
+    tail_hint estimates (does not bound) the rest for Re s > a, from the cut
+    count N(t) ~ C t^(-a): a = 2/3 on smooth arcs, alpha on D_alpha."""
     tree = deepest_tree(domain, eps)
     exact = domain.is_polygon and domain.polygon.is_exact and isinstance(s, int)
     keep = tree.cut_sizes.at_least(eps)
@@ -62,11 +64,12 @@ def boundary_series(domain: ConvexDomain, s, eps) -> SeriesEstimate:
         count += terms.size
     total = sum(per_chart) if per_chart else (Fraction(0) if exact else 0j)
     sigma = complex(s).real
+    a = domain.params["alpha"] if domain.tag == "d_alpha" else 2 / 3
     tail = None
-    if not domain.is_polygon and sigma > 2 / 3 and count:
-        # from N(t) ~ C t^(-2/3): sum_{c < eps} c^sigma ~ N(eps) eps^sigma
-        # * (2/3)/(sigma - 2/3)
-        tail = count * float(eps) ** sigma * (2 / 3) / (sigma - 2 / 3)
+    if not domain.is_polygon and sigma > a and count:
+        # from N(t) ~ C t^(-a): sum_{c < eps} c^sigma ~ N(eps) eps^sigma
+        # * a/(sigma - a)
+        tail = count * float(eps) ** sigma * a / (sigma - a)
     return SeriesEstimate(value=total, cutoff=float(eps), terms_used=count, tail_hint=tail)
 
 

@@ -83,3 +83,50 @@ def test_criterion_14_d_alpha():
 
 def test_criterion_15_hata_reconstruction():
     assert _run(acceptance.criterion_15_hata_reconstruction).passed
+
+
+def _stub(number, passed=True, error=None):
+    def fn():
+        if error is not None:
+            raise error
+        return acceptance.CriterionResult(number, f"stub {number}", passed, f"detail {number}")
+
+    fn.__name__ = f"criterion_{number:02d}_stub"
+    return fn
+
+
+@pytest.fixture
+def stub_criteria(monkeypatch):
+    """ALL_CRITERIA replaced by a passing (1), a failing (9, not quick) and
+    a raising (14) stub; the real suite is not run."""
+    stubs = [_stub(1), _stub(9, passed=False), _stub(14, error=RuntimeError("boom"))]
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", stubs)
+    return stubs
+
+
+def test_run_suite_filters_and_catches(stub_criteria):
+    quick = acceptance.run_suite("quick")
+    assert [(r.number, r.passed) for r in quick] == [(1, True), (14, False)]
+    assert quick[1].detail == "error: boom"
+    assert quick[1].name == "criterion_14_stub"
+    assert all(r.runtime >= 0 for r in quick)
+    full = acceptance.run_suite("full")
+    assert [(r.number, r.passed) for r in full] == [(1, True), (9, False), (14, False)]
+
+
+def test_verify_prints_and_exits(stub_criteria, monkeypatch, capsys):
+    from tropzeta.cli import main
+
+    assert main(["verify", "--suite", "quick"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("[PASS] criterion  1 stub 1 (")
+    assert lines[0].endswith("s): detail 1")
+    assert lines[1].startswith("[FAIL] criterion 14 criterion_14_stub (")
+    assert lines[1].endswith("s): error: boom")
+    assert lines[2] == "1/2 criteria passed"
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "1/3 criteria passed"
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", stub_criteria[:1])
+    assert main(["verify", "--suite", "full"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "1/1 criteria passed"

@@ -206,6 +206,61 @@ class TestCutCount:
         assert tree.cut_count(0.05) == len(tree.mediant_constraints(0.05))
 
 
+def corner_cut_square():
+    """The unit square with the corner cut x + y >= 1/10: one cut, of size
+    exactly 1/10, below the float 0.1."""
+    tenth = Fraction(1, 10)
+    return ConvexDomain.from_polygon([(tenth, 0), (1, 0), (1, 1), (0, 1), (0, tenth)])
+
+
+class TestExactSizeTest:
+    """Every "size >= t" question of a tree is one exact test (Sizes.rank)."""
+
+    def test_fraction_tree_at_a_rounded_up_t(self):
+        tree = enumerate_cuts(corner_cut_square(), 0)
+        assert tree.sizes() == [Fraction(1, 10)]
+        assert tree.cut_count(0.1) == 0
+        assert int(tree.cut_sizes.at_least(0.1).sum()) == 0
+        assert len(tree.mediant_constraints(0.1)) == 0
+        assert tree.cut_count(np.array([0.1, Fraction(1, 10)], dtype=object)).tolist() == [0, 1]
+        assert tree.cut_count(Fraction(1, 10)) == 1
+
+    def test_profiles_use_the_partial_cut_polygon(self):
+        # the front at 0.1 is the square inset by 0.1: Omega^0.1 keeps no cut
+        dom = corner_cut_square()
+        assert partial_cut_polygon(dom, 0.1).lattice_perimeter() == 4
+        (t, length, area), = profiles(dom, [0.1])
+        assert length == 3.2
+        assert area == pytest.approx(0.64, rel=1e-15)
+
+    @pytest.mark.parametrize("t, count", [(1, 0), (np.int64(1), 0), (np.int64(2), 0),
+                                          (np.float64(0.1), 12)])
+    def test_integer_thresholds_on_den_tree(self, t, count):
+        tree = enumerate_cuts(ConvexDomain.domain_L(), 0.05)
+        assert tree.cut_sizes.is_den
+        assert tree.cut_count(t) == count
+        assert int(tree.cut_sizes.at_least(t).sum()) == count
+        assert tree.cut_count(np.array([t, 1])).tolist() == [count, 0]
+
+    @pytest.mark.parametrize("t", [0, np.int64(0)])
+    def test_integer_thresholds_on_fraction_tree(self, t):
+        tree = enumerate_cuts(pentagon_family_member(), 0)
+        assert tree.cut_count(t) == 2
+        assert int(tree.cut_sizes.at_least(t).sum()) == 2
+
+    @pytest.mark.parametrize("make, eps", [(ConvexDomain.domain_L, 1e-3),
+                                           (ConvexDomain.disk, 1e-3),
+                                           (pentagon_family_member, 0)],
+                             ids=["den", "float", "fraction"])
+    def test_size_order_is_the_rank_order(self, make, eps):
+        tree = enumerate_cuts(make(), eps)
+        ranks = tree._by_size.ranks
+        assert (ranks[:-1] <= ranks[1:]).all()
+        assert (np.diff(tree._by_size.slack[2]) <= 0).all()
+        exact = sorted(tree.sizes(), reverse=True)
+        assert [float(x) for x in exact] == tree._by_size.slack[2].tolist()
+
+
 class TestPartialCut:
     def test_above_m_gives_hat(self):
         dom = ConvexDomain.domain_L()

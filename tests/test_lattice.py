@@ -182,6 +182,31 @@ class TestQuadrupleBijection:
         assert lattice.quadruple_to_coprime(quad) == (p, q)
 
 
+class TestSternBrocotWalk:
+    def test_farey_intervals_walk_side_one_first(self):
+        # [c/d, a/b] is the quadruple (a, b, c, d): depth first from
+        # [0/1, 1/1], the left half [c/d, mediant] before the right one
+        walk = [(iv.c, iv.d, iv.a, iv.b) for iv in lattice.farey_intervals_stern_brocot(3)]
+        assert walk == [(0, 1, 1, 1), (0, 1, 1, 2), (0, 1, 1, 3), (1, 3, 1, 2),
+                        (1, 2, 1, 1), (1, 2, 2, 3), (2, 3, 1, 1)]
+
+    def test_one_walk_for_both_enumerations(self):
+        # [0/1, 1/1] is the quadruple (1, 1, 0, 1), the side-1 child of the
+        # quadruple root; its subtree holds the quadruples with a <= b, and
+        # a + b + c + d <= 2 (b + d) there
+        n = 30
+        quads = [q.as_tuple() for q in lattice.stern_brocot_quadruples(4 * n)]
+        left = [(a, b, c, d) for a, b, c, d in quads if a <= b and max(b, d) <= n]
+        assert [(iv.a, iv.b, iv.c, iv.d) for iv in lattice.farey_intervals_stern_brocot(n)] == left
+
+    @pytest.mark.parametrize("bound", [-1, 0, 1])
+    def test_bound_below_the_root(self, bound):
+        # the quadruple root has key 2, the interval root key 1
+        assert list(lattice.stern_brocot_quadruples(bound)) == []
+        root = [lattice.FareyInterval(c=0, d=1, a=1, b=1)]
+        assert lattice.farey_intervals_stern_brocot(bound) == (root if bound == 1 else [])
+
+
 class TestEnumerationOrder:
     def test_by_max_is_deterministic_and_complete(self):
         pairs = list(lattice.coprime_pairs_by_max(12))

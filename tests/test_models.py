@@ -53,6 +53,28 @@ class TestParabola:
             )
             assert abs(gamma_comb) == models.parabola_defect(quad)
 
+    def test_closed_forms_are_the_descent_oracles(self):
+        # L's charts and the parabolic triangle's share the oracle objects of
+        # models.parabola_form, which parabola_support/parabola_defect read
+        from tropzeta.geometry import ConvexDomain
+
+        form = models.parabola_form(1, 1)
+        for chart in ConvexDomain.domain_L().charts:
+            assert chart.support is form["support"]
+            assert chart.defect_den is form["defect_den"]
+        lower, upper = ConvexDomain.parabolic_triangle().charts
+        assert lower.support is models.parabola_form(2, 1)["support"]
+        assert upper.support is models.parabola_form(1, 2)["support"]
+        for quad in stern_brocot_quadruples(30):
+            a, b, c, d = quad.as_tuple()
+            assert models.parabola_support(a, b) == form["support"](a, b)
+            assert models.parabola_defect(quad) == Fraction(1, form["defect_den"](a, b, c, d))
+
+    @pytest.mark.parametrize("a, b", [(-1, 2), (0, 0)])
+    def test_support_rejects_bad_directions(self, a, b):
+        with pytest.raises(ValueError):
+            models.parabola_support(a, b)
+
 
 class TestMordellTornheim:
     def test_hand_enumeration_s1_pmax3(self):

@@ -104,6 +104,21 @@ class TestBoundarySeries:
         one_chart = sum(float(c) ** 2 for c in chart_sizes)
         assert complex(est.value).real == pytest.approx(4 * one_chart, rel=1e-12)
 
+    @pytest.mark.parametrize("s", [1.5, 2])
+    def test_d_alpha_tail_uses_alpha(self, s):
+        # D_alpha's cuts are n^(-1/alpha): N(t) ~ t^(-alpha), and the rest
+        # of the series past the last counted cut is sum_{n > N} n^(-s/alpha)
+        alpha, eps = 0.5, 200 ** -2
+        est = boundary_series(ConvexDomain.d_alpha(alpha, 2000), s, eps)
+        n = np.arange(est.terms_used + 1, 10**6, dtype=np.float64)
+        true_tail = float((n ** (-s / alpha)).sum())
+        assert est.tail_hint == pytest.approx(true_tail, rel=0.05)
+
+    def test_d_alpha_tail_needs_sigma_above_alpha(self):
+        dom = ConvexDomain.d_alpha(0.8, 2000)
+        assert boundary_series(dom, 0.75, 1e-3).tail_hint is None
+        assert boundary_series(dom, 0.85, 1e-3).tail_hint > 0
+
     def test_sl2_invariance_term_multiset(self):
         dom = pentagon_family_member()
         from tropzeta.cutting import enumerate_cuts
