@@ -14,6 +14,7 @@ key = value lines).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -24,7 +25,6 @@ from . import models
 from .cutting import caustic as compute_caustic
 from .cutting import enumerate_cuts, wave_front
 from .equiaffine import length_graph, length_parametric, length_via_triangles
-from .estimates import ResidueEstimate, SeriesEstimate
 from .farey import (
     SmoothWeight,
     endpoint_model,
@@ -115,29 +115,6 @@ def _pretty(args) -> bool:
         except OSError:
             pass
     return value is not None and value not in ("0", "false", "")
-
-
-def _series_payload(est: SeriesEstimate) -> dict:
-    value = est.value
-    if isinstance(value, Fraction):
-        out_value = value
-    else:
-        out_value = complex(value)
-    return {
-        "value": out_value,
-        "cutoff": est.cutoff,
-        "terms_used": est.terms_used,
-        "tail_hint": est.tail_hint,
-    }
-
-
-def _residue_payload(est: ResidueEstimate) -> dict:
-    return {
-        "location": est.location,
-        "value": est.value,
-        "method": est.method,
-        "fit_diagnostics": est.fit_diagnostics,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +210,7 @@ def _cmd_zeta(args) -> dict:
         return {"value": val, "route": "mellin", "s": s}
     s_exact = int(s.real) if s.imag == 0 and s.real == int(s.real) else s
     est = zeta_via_identity(dom, s_exact, eps)
-    payload = _series_payload(est)
+    payload = dataclasses.asdict(est)
     payload.update(route="identity", s=s)
     return payload
 
@@ -251,7 +228,7 @@ def _cmd_residue(args) -> dict:
     if at in ("2/3", str(2 / 3)):
         eps_min = args.eps_min if args.eps_min is not None else 1e-6
         est = residue_two_thirds(dom, eps_min)
-        return _residue_payload(est)
+        return dataclasses.asdict(est)
     raise ValueError("--at must be one of 1, 0, 2/3")
 
 
@@ -288,8 +265,8 @@ def _cmd_farey(args) -> dict:
         "weight": weight.name,
         "s": s,
         "bound": bound,
-        "farey_zeta": _series_payload(zf),
-        "endpoint_model": _series_payload(ze),
+        "farey_zeta": dataclasses.asdict(zf),
+        "endpoint_model": dataclasses.asdict(ze),
         "residue_main_term": residue_main_term(weight),
     }
 

@@ -38,13 +38,13 @@ from .geometry import (
     ConvexDomain,
     Polygon,
     Vec,
-    corner_singularity,
     det2,
     dot2,
     halfplane_intersection,
+    loop_area,
+    loop_lattice_perimeter,
     meet,
-    sub2,
-    twice_area,
+    require_a_n_corners,
 )
 from .minimal import MinimalModel, k_squared, minimal_model_of
 
@@ -429,8 +429,6 @@ def _grow(charts: list, eps, mm: Optional[MinimalModel] = None) -> CutTree:
     descent per oracle, written in depth-first order chart by chart."""
     all_den = bool(charts) and all(chart.defect_den is not None for chart in charts)
     if all_den:
-        if eps <= 0:
-            raise ValueError("eps = 0 is only allowed for polygon domains")
         if _den_cap(eps) > _DEN_CAP_MAX:
             raise ValueError(f"eps = {eps} is too small for int64 defect denominators; "
                              f"the smallest allowed eps is 1/{_DEN_CAP_MAX} "
@@ -509,13 +507,17 @@ def _domain_charts(domain: ConvexDomain, mm: MinimalModel) -> list:
 
 def deepest_tree(domain: ConvexDomain, eps) -> CutTree:
     """The deepest tree built on the domain so far, replaced by a descent of
-    the domain's charts down to eps if it does not reach that far.  For
-    readers that select the cuts of size >= some t >= eps themselves;
-    everything else calls enumerate_cuts."""
+    the domain's charts down to eps if it does not reach that far.  A
+    polygon's tree is finite, so a polygon always gets its whole tree (eps
+    = 0), once, whatever eps its readers ask for.  For readers that select
+    the cuts of size >= some t >= eps themselves; everything else calls
+    enumerate_cuts."""
     mm = minimal_model_of(domain)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if eps == 0 and not domain.is_polygon:
+    if domain.is_polygon:
+        eps = 0
+    elif eps == 0:
         raise ValueError("eps = 0 is only allowed for polygon domains")
     tree = domain._cut_tree
     if tree is None or eps < tree.threshold:
@@ -557,22 +559,20 @@ class WaveFrontPolygon:
     def area(self):
         if self.is_degenerate:
             return 0.0
-        tot = twice_area(self.vertices)
-        return tot / 2 if not isinstance(tot, (Fraction, int)) else Fraction(tot, 2)
+        return loop_area(self.vertices)
 
     def lattice_perimeter(self):
         if self.is_degenerate:
             m, l = self.m_l
             return 2 * l
-        tot = 0
-        vs = self.vertices
-        n = len(vs)
-        for i in range(n):
-            d = (self.normals[i][1], -self.normals[i][0])  # edge direction, CCW travel
-            delta = sub2(vs[i], vs[(i - 1) % n])
-            t = (delta[0] * d[0] + delta[1] * d[1]) / (d[0] * d[0] + d[1] * d[1])
-            tot += t
-        return tot
+        # normals[i] belongs to the edge that ends at vertices[i]
+        return loop_lattice_perimeter(self.vertices[-1:] + self.vertices[:-1], self.normals)
+
+
+def _partial_cut_lines(domain: ConvexDomain, mm: MinimalModel, t) -> list:
+    """The support lines (normal, offset) of Omega^t: the minimal model's
+    edges and the mediant line of every cut of size >= t."""
+    return mm.polygon.halfplanes() + deepest_tree(domain, t).mediant_constraints(t)
 
 
 def partial_cut_polygon(domain: ConvexDomain, t) -> WaveFrontPolygon:
@@ -584,9 +584,7 @@ def partial_cut_polygon(domain: ConvexDomain, t) -> WaveFrontPolygon:
         hat = mm.polygon
         verts = list(hat.vertices)
         return WaveFrontPolygon(t=float(t), vertices=verts, normals=hat.edge_normals())
-    tree = deepest_tree(domain, t)
-    cons = mm.polygon.halfplanes() + tree.mediant_constraints(t)
-    verts, normals = halfplane_intersection(cons)
+    verts, normals = halfplane_intersection(_partial_cut_lines(domain, mm, t))
     return WaveFrontPolygon(t=float(t), vertices=verts, normals=normals)
 
 
@@ -598,9 +596,8 @@ def wave_front(domain: ConvexDomain, t) -> WaveFrontPolygon:
     if t >= mm.m:
         return WaveFrontPolygon(t=float(t), vertices=list(mm.max_locus), normals=[],
                                 degenerate_locus=mm.max_locus, m_l=(mm.m, mm.l))
-    tree = deepest_tree(domain, t)
-    cons = [(u, h + t) for u, h in mm.polygon.halfplanes() + tree.mediant_constraints(t)]
-    verts, normals = halfplane_intersection(cons)
+    lines = _partial_cut_lines(domain, mm, t)
+    verts, normals = halfplane_intersection([(u, h + t) for u, h in lines])
     if len(verts) < 3:
         return WaveFrontPolygon(t=float(t), vertices=verts, normals=[],
                                 degenerate_locus=tuple(verts), m_l=(mm.m, mm.l))
@@ -622,7 +619,7 @@ def profiles(domain: ConvexDomain, t_grid: Sequence[float]) -> list[tuple[float,
         if float(mm.k) != int(mm.k):
             raise ValueError("K^2 of the minimal model is undefined (non-A_n corner)") from None
         k2 = int(mm.k)
-    tree = deepest_tree(domain, min(ts) if not domain.is_polygon else 0)
+    tree = deepest_tree(domain, min(ts))
     l_hat = float(hat.lattice_perimeter())
     a_hat = float(hat.area())
     t = np.array(ts)
@@ -663,19 +660,18 @@ def caustic(domain: ConvexDomain, eps) -> CausticGraph:
     """The corner locus of the tropical distance function, materialized down
     to critical times >= eps: one edge per wave-front-vertex trajectory, with
     weight the lattice length of the gradient jump (n+1 on A_n trajectories,
-    2 along the final segment)."""
+    2 along the final segment).
+
+    A trajectory is born when its corner appears on the wave front: at the
+    size of the corner it follows (a cut, or a frontier corner left uncut at
+    eps), where rho equals that size.  The trajectory of a minimal-model
+    corner follows its chart's root corner; a corner without a chart is a
+    corner of the domain and is born at 0.  Requires at-most-A_n corners."""
     mm = minimal_model_of(domain)
     hat = mm.polygon
-    corner_sources = [hat]
+    require_a_n_corners(hat)
     if domain.is_polygon:
-        corner_sources.append(domain.polygon)
-    for poly in corner_sources:
-        for _vtx, u, v in poly.corners():
-            if corner_singularity(u, v) is None:
-                raise ValueError(
-                    "caustic extraction requires at-most-A_n corners; "
-                    f"corner with normals {u}, {v} is not of that type"
-                )
+        require_a_n_corners(domain.polygon)
     tree = enumerate_cuts(domain, eps if not domain.is_polygon else 0)
     graph = CausticGraph()
     m = float(mm.m)
@@ -686,19 +682,20 @@ def caustic(domain: ConvexDomain, eps) -> CausticGraph:
     else:
         graph.max_locus = ((float(mm.max_locus[0][0]), float(mm.max_locus[0][1])),)
 
-    # root trajectories: one per minimal-model corner, from its first cut
-    # event (or the corner itself) up to time m; a chart is known by its
-    # corner's normals
-    chart_of_corner = {(tuple(chart.u1), tuple(chart.u2)): cid
-                       for cid, chart in enumerate(tree.charts)}
-    offsets = tree.chart_offsets
+    # the size of every corner the descent met, cut or frontier: a root
+    # corner by its chart's normals (chart k's first cut, or with no cut its
+    # only frontier corner), any other corner by its link
     sizes = tree.cut_sizes.floats().tolist()
+    leaf_sizes = tree.leaf_sizes.floats().tolist()
+    root_size = {(tuple(chart.u1), tuple(chart.u2)): sizes[lo] if lo < hi
+                 else leaf_sizes[lo + k] for k, (chart, lo, hi) in enumerate(tree._chart_spans())}
+    born = dict(zip(tree.leaf_links.tolist(), leaf_sizes))
+    born.update((link, size) for link, size in zip(tree.links.tolist(), sizes) if link >= 0)
+
+    # root trajectories: one per minimal-model corner, up to time m
     for vtx, u, v in hat.corners():
         hu, hv = dot2(u, vtx), dot2(v, vtx)  # the corner lies on both edge lines
-        cid = chart_of_corner.get((u, v))
-        t_birth = 0.0
-        if cid is not None and offsets[cid] < offsets[cid + 1]:
-            t_birth = sizes[offsets[cid]]  # the chart's root cut
+        t_birth = root_size.get((u, v), 0.0)
         weight = math.gcd(abs(v[0] - u[0]), abs(v[1] - u[1]))
         graph.edges.append(CausticEdge(
             start=_inset_vertex(u, hu, v, hv, t_birth),
@@ -706,10 +703,8 @@ def caustic(domain: ConvexDomain, eps) -> CausticGraph:
             weight=weight, t_start=t_birth, t_end=m,
         ))
 
-    # interior trajectories: two per cut, each born at the size of the child
-    # corner (a cut or a frontier corner) on its side
-    born = dict(zip(tree.leaf_links.tolist(), tree.leaf_sizes.floats().tolist()))
-    born.update((link, size) for link, size in zip(tree.links.tolist(), sizes) if link >= 0)
+    # interior trajectories: two per cut, each following the child corner
+    # on its side
     for chart, lo, hi in tree._chart_spans():
         for idx, (a, b, c, d) in enumerate(tree.nodes[lo:hi].tolist(), lo):
             t_death = sizes[idx]

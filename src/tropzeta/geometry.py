@@ -68,6 +68,31 @@ def twice_area(vertices: Sequence) -> Num:
     return tot
 
 
+def _exact_ratio(a, b: int) -> Num:
+    """a / b, a Fraction when a is rational."""
+    return Fraction(a, b) if isinstance(a, (Fraction, int)) else a / b
+
+
+def loop_area(vertices: Sequence) -> Num:
+    """Area of a counterclockwise vertex loop: a Fraction on rational
+    vertices, a float otherwise."""
+    return _exact_ratio(twice_area(vertices), 2)
+
+
+def loop_lattice_perimeter(vertices: Sequence, normals: Sequence[Vec]) -> Num:
+    """Lattice perimeter of a counterclockwise vertex loop whose edge i runs
+    from vertices[i] to vertices[i + 1] with inward primitive normal
+    normals[i]: each edge vector's projection <d, e> / <e, e> on its
+    direction e = (n1, -n0), summed in edge order.  A Fraction on rational
+    vertices, a float otherwise."""
+    n = len(vertices)
+    tot = 0
+    for i, (n0, n1) in enumerate(normals):
+        d = sub2(vertices[(i + 1) % n], vertices[i])
+        tot += _exact_ratio(d[0] * n1 - d[1] * n0, n0 * n0 + n1 * n1)
+    return tot
+
+
 def primitive_of(dx, dy) -> Vec:
     """Primitive integer vector parallel to the rational vector (dx, dy)."""
     fx, fy = Fraction(dx), Fraction(dy)
@@ -99,6 +124,15 @@ def rationalize_direction(dx: float, dy: float) -> Vec:
     if err > 1e-9:
         raise ValueError(f"direction ({dx}, {dy}) is not rational")
     return cand
+
+
+def edge_direction(d: Sequence) -> Vec:
+    """The primitive integer vector parallel to the nonzero vector d: exact on
+    rational entries, rationalized (raising on an irrational slope) on
+    floats."""
+    if all(isinstance(c, (Fraction, int)) for c in d):
+        return primitive_of(*d)
+    return rationalize_direction(float(d[0]), float(d[1]))
 
 
 def _angle_class(u: Vec) -> int:
@@ -184,6 +218,15 @@ def corner_singularity(u: Vec, v: Vec) -> Optional[int]:
     return None
 
 
+def require_a_n_corners(poly: "Polygon") -> None:
+    """Raise ValueError unless every corner of the polygon is of A_n type
+    (corner_singularity is not None): K^2, Res_0 and the caustic are defined
+    only then."""
+    for _vtx, u, v in poly.corners():
+        if corner_singularity(u, v) is None:
+            raise ValueError(f"corner with normals {u}, {v} is not of A_n type")
+
+
 # ---------------------------------------------------------------------------
 # polygons
 
@@ -220,11 +263,7 @@ class Polygon:
         object.__setattr__(self, "vertices", vs)
         normals = []
         for i in range(n):
-            d = sub2(vs[(i + 1) % n], vs[i])
-            if all(isinstance(c, (Fraction, int)) for c in d):
-                e = primitive_of(*d)
-            else:
-                e = rationalize_direction(float(d[0]), float(d[1]))
+            e = edge_direction(sub2(vs[(i + 1) % n], vs[i]))
             normals.append((-e[1], e[0]))
         directions = [(nrm, dot2(nrm, p)) for nrm, p in zip(normals, vs)]
         for i, vtx in enumerate(vs):
@@ -236,10 +275,6 @@ class Polygon:
     @property
     def is_exact(self) -> bool:
         return all(isinstance(c, (Fraction, int)) for v in self.vertices for c in v)
-
-    def edges(self) -> list[tuple[tuple, tuple]]:
-        n = len(self.vertices)
-        return [(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)]
 
     def halfplanes(self) -> list[tuple[Vec, Num]]:
         """(inward primitive normal, offset) per edge, in CCW order: the
@@ -255,11 +290,10 @@ class Polygon:
         return min(dot2(u, v) for v in self.vertices)
 
     def area(self):
-        tot = twice_area(self.vertices)
-        return tot / 2 if not self.is_exact else Fraction(tot, 2)
+        return loop_area(self.vertices)
 
     def lattice_perimeter(self):
-        return sum(lattice_length(p, q) for p, q in self.edges())
+        return loop_lattice_perimeter(self.vertices, self.edge_normals())
 
     def contains(self, x, tol=0) -> bool:
         return all(dot2(nrm, x) - h >= -tol for nrm, h in self.halfplanes())
@@ -298,13 +332,19 @@ def lattice_length(p, q):
     """Lattice length of the segment [p, q]: Euclidean length divided by the
     length of the parallel primitive integer vector."""
     d = sub2(q, p)
-    if all(isinstance(c, (Fraction, int)) for c in d):
-        prim = primitive_of(*d)
-        t = Fraction(d[0], prim[0]) if prim[0] != 0 else Fraction(d[1], prim[1])
-        return abs(t)
-    prim = rationalize_direction(float(d[0]), float(d[1]))
-    t = float(d[0]) / prim[0] if prim[0] != 0 else float(d[1]) / prim[1]
-    return abs(t)
+    e = edge_direction(d)
+    i = 0 if e[0] != 0 else 1
+    return abs(_exact_ratio(d[i], e[i]))
+
+
+def exact_offsets(constraints: list[tuple[Vec, Num]]) -> tuple[list, bool]:
+    """(constraints, exact): when every offset is rational they become
+    Fractions, so the meets of their lines are exact (integer offsets would
+    divide to floats); float offsets are left as they are."""
+    exact = all(isinstance(h, (Fraction, int)) for _, h in constraints)
+    if exact:
+        constraints = [(u, Fraction(h)) for u, h in constraints]
+    return constraints, exact
 
 
 _DROP_TOL = 1e-12  # relative length below which a float edge is dropped
@@ -324,9 +364,7 @@ def halfplane_intersection(constraints: list[tuple[Vec, Num]]):
     n = len(cs)
     if n < 3:
         raise ValueError("need at least 3 half-planes")
-    exact = all(isinstance(h, (Fraction, int)) for _, h in cs)
-    if exact:  # Fraction offsets keep the meets of integer offsets exact
-        cs = [(u, Fraction(h)) for u, h in cs]
+    cs, exact = exact_offsets(cs)
     raw = []
     for (u, h), (v, k) in zip(cs, cs[1:] + cs[:1]):
         if det2(u, v) == 0:
@@ -630,9 +668,9 @@ class ConvexDomain:
 
     @staticmethod
     def d_alpha(alpha: float, n_max: int) -> "ConvexDomain":
-        half = 2 * models.riemann_zeta(1.0 / alpha).real
-        hat = Polygon([(-half, -half), (half, -half), (half, half), (-half, half)])
         chart = _d_alpha_chart(alpha, n_max)
+        half = -chart.corner[0]
+        hat = Polygon([(-half, -half), (half, -half), (half, half), (-half, half)])
         return ConvexDomain(kind="builtin", hat_polygon=hat, charts=[chart],
                             tag="d_alpha", params={"alpha": float(alpha), "n_max": int(n_max)})
 

@@ -165,8 +165,6 @@ def divisors(b: int) -> list[int]:
 
 def reduced_residues(b: int) -> list[int]:
     """Residues r in {1, ..., b} with gcd(r, b) = 1.  For b = 1 this is [1]."""
-    if b == 1:
-        return [1]
     return [r for r in range(1, b + 1) if math.gcd(r, b) == 1]
 
 
@@ -236,10 +234,7 @@ def quadruple_from_coprime(p: int, q: int) -> UnimodularQuadruple:
     if math.gcd(p, q) != 1:
         raise ValueError("p, q must be coprime")
     # unique b in [0, p) with q*b = -1 (mod p)
-    if p == 1:
-        b = 0
-    else:
-        b = (-mod_inverse(q, p)) % p
+    b = (-mod_inverse(q, p)) % p
     d = (q * b + 1) // p
     return UnimodularQuadruple(a=p - b, b=b, c=q - d, d=d)
 

@@ -25,10 +25,12 @@ from .geometry import (
     corner_singularity,
     det2,
     dot2,
+    exact_offsets,
     halfplane_intersection,
     lattice_length,
     meet,
     primitive_of,
+    require_a_n_corners,
     sail,
     sort_directions,
     sub2,
@@ -63,9 +65,7 @@ def _max_of_min_slacks(constraints):
     other constraints.  Otherwise a triple is strictly better, and M is the
     point where a minimizing triple is tight.
     constraints: list of (u, h) with distinct primitive u."""
-    exact = all(isinstance(h, (Fraction, int)) for _, h in constraints)
-    if exact:
-        constraints = [(u, Fraction(h)) for u, h in constraints]
+    constraints, exact = exact_offsets(constraints)
     tol = 0 if exact else 1e-9
     offsets = dict(constraints)
     pairs = [(-(h + offsets[(-u[0], -u[1])]) / 2, u, h) for u, h in constraints
@@ -376,10 +376,9 @@ def k_squared(poly: Polygon) -> int:
     On the smooth refined fan, [D_j]^2 = det(v_{j+1}, v_{j-1}) in CCW order
     and K^2 = sum_j [D_j]^2 + 2 * (number of rays).
     """
+    require_a_n_corners(poly)
     rays: list[Vec] = []
     for _vtx, u, v in poly.corners():
-        if corner_singularity(u, v) is None:
-            raise ValueError(f"corner with normals {u}, {v} is not of A_n type")
         chain = sail(u, v)
         rays.extend(chain[:-1])  # v is the next corner's u
     n = len(rays)

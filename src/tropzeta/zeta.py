@@ -26,9 +26,9 @@ from .estimates import ResidueEstimate, SeriesEstimate, add_in_order, term_power
 from .geometry import (
     ConvexDomain,
     clip_polygon,
-    corner_singularity,
     det2,
     dot2,
+    require_a_n_corners,
     sub2,
 )
 from .minimal import correction_h, k_squared, minimal_model_of
@@ -80,13 +80,10 @@ def zeta_via_identity(domain: ConvexDomain, s, eps) -> SeriesEstimate:
         raise ValueError("pole of prefactor; use residue operations")
     mm = minimal_model_of(domain)
     fest = boundary_series(domain, s, eps)
-    exact = isinstance(fest.value, Fraction) and isinstance(s, int)
-    if exact:
-        h = correction_h(mm, s)
-        if isinstance(h, Fraction):
-            val = (h - fest.value) / (s * (s - 1))
-            return SeriesEstimate(value=val, cutoff=fest.cutoff,
-                                  terms_used=fest.terms_used, tail_hint=fest.tail_hint)
+    if isinstance(fest.value, Fraction):  # an exact polygon at integer s: H is exact too
+        val = (correction_h(mm, s) - fest.value) / (s * (s - 1))
+        return SeriesEstimate(value=val, cutoff=fest.cutoff,
+                              terms_used=fest.terms_used, tail_hint=fest.tail_hint)
     h = correction_h(mm, sc)
     val = (complex(h) - complex(fest.value)) / (sc * (sc - 1))
     tail = fest.tail_hint / abs(sc * (sc - 1)) if fest.tail_hint else None
@@ -124,7 +121,7 @@ def zeta_via_mellin(domain: ConvexDomain, s) -> complex:
     hi = m
     for level in range(_MELLIN_MAX_LEVELS):
         lo = hi / 2
-        tree = deepest_tree(domain, 0 if domain.is_polygon else lo)
+        tree = deepest_tree(domain, lo)
         inside = tree.kinks(lo, hi)
         if len(inside) <= 256:
             edges = np.concatenate([[lo], inside, [hi]])
@@ -251,9 +248,7 @@ def polygon_residues(domain: ConvexDomain) -> tuple[Fraction, Optional[Fraction]
     res1 = Fraction(domain.polygon.lattice_perimeter())
     tree = enumerate_cuts(domain, 0)
     hat_k2 = k_squared(tree.minimal_model.polygon)  # raises on non-A_n corner
-    for _vtx, u, v in domain.polygon.corners():
-        if corner_singularity(u, v) is None:
-            raise ValueError(f"corner with normals {u}, {v} is not of A_n type")
+    require_a_n_corners(domain.polygon)
     res0 = -Fraction(hat_k2 - len(tree.nodes))
     return res1, res0
 

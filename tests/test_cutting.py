@@ -23,7 +23,8 @@ from tropzeta.cutting import (
 )
 from tropzeta.equiaffine import length_via_triangles
 from tropzeta.geometry import ConvexDomain, domain_from_dict
-from tropzeta.minimal import k_squared
+from tropzeta.minimal import k_squared, minimal_model_of
+from tropzeta.zeta import zeta_via_mellin
 
 
 def pentagon_family_member():
@@ -490,6 +491,16 @@ class TestCaustic:
         assert len([e for e in g.edges if e.t_end == 1.0]) == 4
         assert len(g.edges) == 4 + 8
 
+    @pytest.mark.parametrize("make, eps", [(ConvexDomain.disk, 0.7), (ConvexDomain.domain_L, 0.6),
+                                           (ConvexDomain.parabolic_triangle, 0.5)],
+                             ids=["disk", "L", "parabolic_triangle"])
+    def test_edges_start_where_rho_is_their_birth(self, make, eps):
+        # every chart root is uncut at these eps; its trajectory is still
+        # born at the root corner's size, inside the domain
+        dom = make()
+        for e in caustic(dom, eps).edges:
+            assert dom.rho(e.start) == pytest.approx(e.t_start, abs=1e-9)
+
     def test_non_a_corner_rejected(self):
         dom = ConvexDomain.from_polygon([(0, 0), (5, -2), (6, 6), (-4, 8)])
         with pytest.raises(ValueError, match="A_n"):
@@ -721,6 +732,24 @@ class TestDefectAudit:
 class TestHistoryFree:
     """A tree depends only on the domain and the eps asked for, not on which
     trees were built on the same domain object before."""
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fronts_first", "mellin_first"])
+    def test_polygon_readers_build_one_tree(self, reverse, monkeypatch):
+        # a polygon's tree is its whole, finite tree, whatever t is asked
+        grow, calls = cutting._grow, []
+
+        def counting_grow(charts, eps, *args):
+            calls.append(eps)
+            return grow(charts, eps, *args)
+
+        monkeypatch.setattr(cutting, "_grow", counting_grow)
+        dom = pentagon_family_member()
+        m = minimal_model_of(dom).m
+        readers = [lambda: wave_front(dom, m / 3), lambda: wave_front(dom, m / 5),
+                   lambda: profiles(dom, [float(m) / 4]), lambda: zeta_via_mellin(dom, 3)]
+        for read in readers[::-1] if reverse else readers:
+            read()
+        assert calls == [0]
 
     @pytest.mark.parametrize("make", [ConvexDomain.domain_L, ConvexDomain.disk,
                                       ConvexDomain.parabolic_triangle,

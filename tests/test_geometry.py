@@ -40,6 +40,17 @@ class TestPolygonBasics:
         assert tri.lattice_perimeter() == 3
         rect = Polygon([(0, 0), (3, 0), (3, 2), (0, 2)])
         assert rect.lattice_perimeter() == 10
+        # integer vertices give Fractions; float vertices (the hats of the
+        # disk and of D_alpha) give floats
+        half = 2 * models.riemann_zeta(2).real  # D_alpha's half side at alpha = 1/2
+        squares = [(tri, Fraction(1, 2), 3, Fraction), (rect, 6, 10, Fraction),
+                   (Polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)]), 4, 8, Fraction),
+                   (ConvexDomain.disk(1.0).hat_polygon, 4.0, 8.0, float),
+                   (ConvexDomain.d_alpha(0.5, 100).hat_polygon, 4 * half * half, 8 * half, float)]
+        for poly, area, perimeter, kind in squares:
+            assert type(poly.area()) is kind and type(poly.lattice_perimeter()) is kind
+            assert poly.area() == pytest.approx(area, rel=1e-15)
+            assert poly.lattice_perimeter() == pytest.approx(perimeter, rel=1e-15)
 
 
 class TestLatticeLength:
@@ -118,10 +129,7 @@ class TestRho:
         assert (1, 1) in dirs
         x = (Fraction(1, 2), Fraction(1, 4))
         rho = poly.rho(x)
-        edge_only = min(
-            geo.dot2(nrm, x) - geo.dot2(nrm, p)
-            for (p, q), nrm in zip(poly.edges(), poly.edge_normals())
-        )
+        edge_only = min(geo.dot2(nrm, x) - h for nrm, h in poly.halfplanes())
         assert rho < edge_only
 
     def test_concavity_on_chords(self):
