@@ -580,11 +580,8 @@ def partial_cut_polygon(domain: ConvexDomain, t) -> WaveFrontPolygon:
     if t < 0:
         raise ValueError("t must be nonnegative for a partial cut")
     mm = minimal_model_of(domain)
-    if t > mm.m:
-        hat = mm.polygon
-        verts = list(hat.vertices)
-        return WaveFrontPolygon(t=float(t), vertices=verts, normals=hat.edge_normals())
-    verts, normals = halfplane_intersection(_partial_cut_lines(domain, mm, t))
+    lines = mm.polygon.halfplanes() if t > mm.m else _partial_cut_lines(domain, mm, t)
+    verts, normals = halfplane_intersection(lines)
     return WaveFrontPolygon(t=float(t), vertices=verts, normals=normals)
 
 

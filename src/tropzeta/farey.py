@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from . import models
 from .estimates import SeriesEstimate, add_in_order, term_powers
@@ -276,10 +275,12 @@ def h_kernel(s, u: float) -> complex:
 def h_kernel_integral(s) -> complex:
     """int_0^1 H_s(u) du = Gamma(1-s) Gamma(2s-1) / Gamma(s) on the strip
     1/2 < Re(s) < 1."""
+    from scipy.special import gamma
+
     sc = complex(s)
     if not 0.5 < sc.real < 1:
         raise ValueError("closed form needs 1/2 < Re(s) < 1")
-    val = _gamma(1 - sc) * _gamma(2 * sc - 1) / _gamma(sc)
+    val = gamma(1 - sc) * gamma(2 * sc - 1) / gamma(sc)
     return complex(val)
 
 

@@ -231,19 +231,75 @@ def require_a_n_corners(poly: "Polygon") -> None:
 # polygons
 
 
+def _is_rational_pair(x) -> bool:
+    return isinstance(x[0], (int, Fraction)) and isinstance(x[1], (int, Fraction))
+
+
+def _numerators(x) -> tuple[int, int, int]:
+    """(p0 q1, p1 q0, q0 q1) for the rational point x = (p0/q0, p1/q1)."""
+    x0, x1 = x[0], x[1]
+    return (x0.numerator * x1.denominator, x1.numerator * x0.denominator,
+            x0.denominator * x1.denominator)
+
+
+@dataclass(frozen=True)
+class _IntegerRows:
+    """Rational rows (a, b, c), read as the linear forms a x0 + b x1 - c,
+    kept as Python ints over one common denominator: the fraction-free idea
+    of Bareiss (Math. Comp. 22, 1968).  A min of the forms at a rational
+    point then runs on ints and builds one Fraction at the end."""
+
+    rows: tuple  # (a, b, c) * den, ints
+    den: int
+    int_rows: tuple  # per row: were a, b and c all ints
+
+    @classmethod
+    def of(cls, rows) -> "_IntegerRows":
+        den = math.lcm(*(c.denominator for row in rows for c in row))
+        return cls(tuple(tuple(c.numerator * (den // c.denominator) for c in row) for row in rows),
+                   den, tuple(all(isinstance(c, int) for c in row) for row in rows))
+
+    def min_at(self, x):
+        """min over the rows of a x0 + b x1 - c at the rational point x, with
+        the value and the type the plain min over the rational rows gives:
+        an int when x is an integer point and the first minimal row is all
+        ints, a Fraction otherwise."""
+        x0, x1 = x[0], x[1]
+        if isinstance(x0, int) and isinstance(x1, int):
+            vals = [a * x0 + b * x1 - c for a, b, c in self.rows]
+            best = min(vals)
+            return best // self.den if self.int_rows[vals.index(best)] else Fraction(best, self.den)
+        # D q0 q1 (a p0/q0 + b p1/q1 - c) = aD p0 q1 + bD p1 q0 - cD q0 q1
+        s0, s1, q = _numerators(x)
+        return Fraction(min([a * s0 + b * s1 - c * q for a, b, c in self.rows]), self.den * q)
+
+    def nonnegative_at(self, x, n: int) -> bool:
+        """Whether each of the first n forms is >= 0 at the rational point x."""
+        s0, s1, q = _numerators(x)
+        return all(a * s0 + b * s1 - c * q >= 0 for a, b, c in self.rows[:n])
+
+
 @dataclass(frozen=True)
 class Polygon:
     """Convex polygon, counterclockwise strictly convex vertex list.
 
-    Vertices are Fractions for exact polygons; floats are allowed (used by
-    the staircase domains and wave fronts) as long as every edge direction is
-    rational.  The half-planes are derived once, at construction.
+    Vertices are Fractions (or ints) for exact polygons; floats are allowed
+    (used by the staircase domains and wave fronts) as long as every edge
+    direction is rational.  The half-planes are derived once, at
+    construction.  An exact polygon also keeps them, and its vertices, as
+    integer numerators over common denominators: rho, support and
+    contains (tol 0) at a rational point or direction run on those ints and
+    return the same ints and Fractions as the Fraction formulas.
     """
 
     vertices: list[tuple[Num, Num]]
     # (inward primitive normal, offset) per edge in CCW order, then the
     # interior sail directions of every non-unimodular corner
     _directions: tuple = field(init=False, compare=False, repr=False)
+    # exact polygons: (_directions as rows (u0, u1, h), vertices as rows
+    # (x, y, 0)) over common denominators; None on a float polygon
+    _int_form: Optional[tuple[_IntegerRows, _IntegerRows]] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
         vs = [tuple(v) for v in self.vertices]
@@ -271,10 +327,15 @@ class Polygon:
             if det2(u, v) > 1:
                 directions.extend((w, dot2(w, vtx)) for w in sail(u, v)[1:-1])
         object.__setattr__(self, "_directions", tuple(directions))
+        exact = all(_is_rational_pair(v) for v in vs)
+        object.__setattr__(self, "_int_form", (
+            _IntegerRows.of([(u[0], u[1], h) for u, h in directions]),
+            _IntegerRows.of([(v[0], v[1], 0) for v in vs]),
+        ) if exact else None)
 
     @property
     def is_exact(self) -> bool:
-        return all(isinstance(c, (Fraction, int)) for v in self.vertices for c in v)
+        return self._int_form is not None
 
     def halfplanes(self) -> list[tuple[Vec, Num]]:
         """(inward primitive normal, offset) per edge, in CCW order: the
@@ -287,6 +348,8 @@ class Polygon:
 
     def support(self, u: Vec):
         """Lower support value h(u) = min over vertices of <u, x>."""
+        if self._int_form is not None and _is_rational_pair(u):
+            return self._int_form[1].min_at(u)
         return min(dot2(u, v) for v in self.vertices)
 
     def area(self):
@@ -296,6 +359,8 @@ class Polygon:
         return loop_lattice_perimeter(self.vertices, self.edge_normals())
 
     def contains(self, x, tol=0) -> bool:
+        if self._int_form is not None and tol == 0 and _is_rational_pair(x):
+            return self._int_form[0].nonnegative_at(x, len(self.vertices))
         return all(dot2(nrm, x) - h >= -tol for nrm, h in self.halfplanes())
 
     def corners(self) -> list[tuple[tuple, Vec, Vec]]:
@@ -312,7 +377,10 @@ class Polygon:
 
     def rho(self, x):
         """Exact tropical distance min_u (<u, x> - h(u)); raises outside."""
-        val = min(dot2(u, x) - h for u, h in self._directions)
+        if self._int_form is not None and _is_rational_pair(x):
+            val = self._int_form[0].min_at(x)
+        else:
+            val = min(dot2(u, x) - h for u, h in self._directions)
         if val < 0:
             raise ValueError("exterior point")
         return val

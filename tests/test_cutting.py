@@ -264,9 +264,12 @@ class TestExactSizeTest:
 
 class TestPartialCut:
     def test_above_m_gives_hat(self):
-        dom = ConvexDomain.domain_L()
-        cut = partial_cut_polygon(dom, 1.5)
-        assert len(cut.vertices) == 4
+        for dom, t in [(ConvexDomain.domain_L(), 1.5), (ConvexDomain.disk(1.0), 1.5),
+                       (ConvexDomain.rectangle(3, 2), 2)]:
+            hat = minimal_model_of(dom).polygon
+            cut = partial_cut_polygon(dom, t)
+            assert set(cut.vertices) == set(hat.vertices)
+            assert cut.lattice_perimeter() == hat.lattice_perimeter()  # 8, 8.0 and 10
 
     def test_L_octagon(self):
         cut = partial_cut_polygon(ConvexDomain.domain_L(), 0.3)

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_random_polygons import convex_hull
 
 from tropzeta import geometry as geo
 from tropzeta import models
@@ -171,6 +172,73 @@ class TestRho:
             for x in pts:
                 y = (m[0][0] * x[0] + m[0][1] * x[1], m[1][0] * x[0] + m[1][1] * x[1])
                 assert image.rho(y) == poly.rho(x)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_form_equals_the_fraction_formulas(self, data):
+        """rho, contains and support read the polygon's integer numerators;
+        each must give the value and the type (int or Fraction, by repr) of
+        the plain formulas over the rational directions and vertices."""
+        poly = data.draw(_rational_polygons())
+        x = data.draw(_query_points(poly))
+        if data.draw(st.booleans()):
+            x = (float(x[0]), float(x[1]))
+
+        def plain_rho():
+            val = min(geo.dot2(u, x) - h for u, h in poly._directions)
+            return "exterior" if val < 0 else repr(val)
+
+        def fast_rho():
+            try:
+                return repr(poly.rho(x))
+            except ValueError as exc:
+                assert str(exc) == "exterior point"
+                return "exterior"
+
+        assert fast_rho() == plain_rho()
+        assert poly.contains(x) == all(geo.dot2(u, x) - h >= 0 for u, h in poly.halfplanes())
+        u = data.draw(st.one_of(
+            st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda u: u != (0, 0)),
+            st.tuples(_COORDS, _COORDS)))
+        assert repr(poly.support(u)) == repr(min(geo.dot2(u, v) for v in poly.vertices))
+
+
+# a rational coordinate: an int, or a Fraction (denominator 1 included, which
+# the plain formulas keep apart from an int by its type)
+_COORDS = st.one_of(st.integers(-12, 12),
+                    st.builds(Fraction, st.integers(-36, 36), st.integers(1, 4)))
+
+
+@st.composite
+def _rational_polygons(draw):
+    hull = convex_hull(draw(st.lists(st.tuples(_COORDS, _COORDS), min_size=3, max_size=8)))
+    assume(len(hull) >= 3)
+    poly = Polygon(hull)
+    for k in draw(st.lists(st.integers(-2, 2), max_size=3)):  # an SL(2,Z) image
+        poly = poly.unimodular_image(((1, k), (0, 1)) if k % 2 else ((1, 0), (k, 1)))
+    return poly
+
+
+@st.composite
+def _query_points(draw, poly):
+    """A vertex, a point of an edge, an interior point, an exterior point,
+    or a lattice point near the polygon."""
+    vs = poly.vertices
+    i = draw(st.integers(0, len(vs) - 1))
+    v, w = vs[i], vs[i - 1]
+    c = (sum(p[0] for p in vs) / Fraction(len(vs)), sum(p[1] for p in vs) / Fraction(len(vs)))
+    t = draw(st.fractions(0, 1, max_denominator=12))
+    kind = draw(st.sampled_from(["vertex", "edge", "inside", "outside", "lattice"]))
+    if kind == "vertex":
+        return v
+    if kind == "edge":
+        return (v[0] + t * (w[0] - v[0]), v[1] + t * (w[1] - v[1]))
+    if kind in ("inside", "outside"):
+        s = t if kind == "inside" else 1 + t + Fraction(1, 12)  # past the vertex v
+        return (c[0] + s * (v[0] - c[0]), c[1] + s * (v[1] - c[1]))
+    lo = [math.floor(min(p[k] for p in vs)) - 2 for k in (0, 1)]
+    hi = [math.ceil(max(p[k] for p in vs)) + 2 for k in (0, 1)]
+    return (draw(st.integers(lo[0], hi[0])), draw(st.integers(lo[1], hi[1])))
 
 
 class TestHalfplaneIntersection:

@@ -4,9 +4,15 @@ builds its parabola charts from models.parabola_form).  minimal.py sits
 below the tree readers: it imports only from geometry and the layers under
 it, so the polygon rules it shares with cutting and zeta stay in geometry.
 Importing any tropzeta module loads the whole package, so the rule is read
-from the source, not from sys.modules."""
+from the source, not from sys.modules.
+
+scipy is imported only inside the functions that use it (the Farey H_s
+closed form and its quadrature), so `import tropzeta` does not load it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +49,38 @@ def test_lower_layers_import_no_pipeline_module(name):
 def test_the_guard_sees_relative_imports():
     assert {"models", "lattice"} <= _imported_modules(SRC / "geometry.py")
     assert "geometry" in _imported_modules(SRC / "cutting.py")
+
+
+def _import_time_modules(path):
+    """The absolute module names a file imports outside every function body."""
+    out, stack = set(), [ast.parse(path.read_text())]
+    while stack:
+        for node in ast.iter_child_nodes(stack.pop()):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Import):
+                out.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                out.add(node.module)
+            stack.append(node)
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_imports_scipy_at_import_time(path):
+    assert not [m for m in _import_time_modules(path) if m.split(".")[0] == "scipy"]
+
+
+def test_the_scipy_guard_skips_function_bodies():
+    source = (SRC / "farey.py").read_text()
+    assert "from scipy.special import" in source
+    assert "numpy" in _import_time_modules(SRC / "farey.py")
+
+
+def test_import_tropzeta_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, tropzeta; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
