@@ -129,6 +129,14 @@ class Sizes:
         return self.rank() <= self.rank_of(t)
 
 
+def _from_previous(v: np.ndarray) -> np.ndarray:
+    """v[:, j] - v[:, j - 1] for every column j, cyclically."""
+    out = np.empty_like(v)
+    np.subtract(v[:, 1:], v[:, :-1], out=out[:, 1:])
+    np.subtract(v[:, :1], v[:, -1:], out=out[:, :1])
+    return out
+
+
 @dataclass
 class CutTree:
     """The corner cuts of a domain down to size threshold, and the frontier
@@ -251,12 +259,15 @@ class CutTree:
         keep = self._by_angle[3] >= ts.min()
         wx, wy, h, sizes = (col[keep] for col in self._by_angle)
         counts = np.searchsorted(-self._by_size.slack[2], -ts, side="right")
-        for count in np.unique(counts):
-            rows = np.flatnonzero(counts == count)
+        order = np.argsort(counts, kind="stable")
+        ends = np.flatnonzero(np.diff(counts[order])) + 1
+        for rows in np.split(order, ends):
             t = ts[rows]
             mask = sizes >= t[0]
             ax, ay, off = wx[mask], wy[mask], h[mask] + t[:, None]
-            bx, by, boff = np.roll(ax, -1), np.roll(ay, -1), np.roll(off, -1, axis=1)
+            # the next constraint of each, cyclically
+            bx, by = np.concatenate((ax[1:], ax[:1])), np.concatenate((ay[1:], ay[:1]))
+            boff = np.concatenate((off[:, 1:], off[:, :1]), axis=1)
             det = ax * by - bx * ay
             # the (rows, n) arrays are updated in place, one operation at a
             # time as in (off * by - boff * ay) / det: same values, less memory
@@ -268,8 +279,11 @@ class CutTree:
             vy /= det
             del off, boff
             dirx, diry = ay, -ax  # edge direction of the normal (ax, ay)
-            tpar = (vx - np.roll(vx, 1, axis=1)) * dirx
-            tpar += (vy - np.roll(vy, 1, axis=1)) * diry
+            tpar = _from_previous(vx)
+            tpar *= dirx
+            dy = _from_previous(vy)
+            dy *= diry
+            tpar += dy
             tpar /= dirx * dirx + diry * diry
             out[rows] = np.clip(tpar, 0.0, None, out=tpar).sum(axis=1)
         return out
@@ -531,7 +545,11 @@ def enumerate_cuts(domain: ConvexDomain, eps) -> CutTree:
 
     The result depends on the domain and eps only: the domain's memoized
     tree when that reaches exactly eps (deepened to it if needed), otherwise
-    a fresh descent to eps."""
+    a fresh descent to eps.  A polygon's memo holds its whole tree, so at
+    eps > 0 a polygon gets one descent to eps and its memo is left alone."""
+    if domain.is_polygon and eps > 0:
+        mm = minimal_model_of(domain)
+        return _grow(_domain_charts(domain, mm), eps, mm)
     tree = deepest_tree(domain, eps)
     if tree.threshold == eps:
         return tree

@@ -6,7 +6,9 @@ Identity route:  s(s-1) Z(s) = H(s) - F(s), with H the minimal-model
 correction and F = sum of size^s over the corner cuts.  Mellin route:
 Z(s) = integral of t^(s-2) P(t) dt over (0, m) with P(t) the lattice
 perimeter of the wave front, computed geometrically from the wave-front
-polygon so the two routes share no bookkeeping.
+polygon so the two routes share no bookkeeping.  P is affine between
+consecutive cut sizes, so the integral over such a cell is in closed form;
+on a polygon Z(s) is a finite sum of them, continued to every s but 0, 1.
 
 Residues:  Res_1 Z = lattice perimeter (exact); Res_0 Z = -K^2 for at most
 A_n-singular polygons; Res_{2/3} Z = (9/2) r with r fitted from the counting
@@ -98,40 +100,85 @@ def zeta_via_identity(domain: ConvexDomain, s, eps) -> SeriesEstimate:
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _MELLIN_REL_TOL = 1e-10  # stop once a level adds less than this, relatively
 _MELLIN_MAX_LEVELS = 40  # halvings of the t range toward 0
+_KINK_CELLS_MAX = 256  # a level with more kinks than this gets geomspace cells
+
+
+def _affine_cells(tree, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) per cell [edges[i], edges[i + 1]] of a cell without a kink,
+    where the wave-front perimeter is P(t) = A + B t: read off P at the
+    interior points a + w/4 and a + 3w/4 of each cell [a, a + w], all asked
+    of the tree in one call."""
+    a = edges[:-1]
+    w = edges[1:] - a
+    t1, t2 = a + w / 4, a + 3 * w / 4
+    p1, p2 = np.split(tree.front_perimeter_geometric(np.concatenate((t1, t2))), 2)
+    slope = (p2 - p1) / (t2 - t1)
+    return p1 - slope * t1, slope
+
+
+def _power_integrals(edges: np.ndarray, sigma: complex) -> np.ndarray:
+    """The integral of t^(sigma - 1) over each cell [a, b] of the edges, as
+    a^sigma expm1(sigma log1p((b - a)/a)) / sigma, free of cancellation;
+    b^sigma / sigma (continued in sigma) on a cell that starts at 0."""
+    a, b = edges[:-1], edges[1:]
+    out = np.empty(len(a), dtype=complex)
+    pos = a > 0
+    out[~pos] = b[~pos] ** sigma / sigma
+    a = a[pos]
+    out[pos] = a ** sigma * np.expm1(sigma * np.log1p((b[pos] - a) / a)) / sigma
+    return out
+
+
+def _kink_cells(tree, edges: np.ndarray, sc: complex) -> np.ndarray:
+    """The integral of t^(s-2) P(t) over each cell of the edges, none of
+    which holds a kink: A times the integral of t^(s-2) plus B times that
+    of t^(s-1), in closed form."""
+    a_coef, b_coef = _affine_cells(tree, edges)
+    return a_coef * _power_integrals(edges, sc - 1) + b_coef * _power_integrals(edges, sc)
 
 
 def zeta_via_mellin(domain: ConvexDomain, s) -> complex:
-    """Z(s) = integral over (0, m) of t^(s-2) * Length_Z(boundary Omega_t) dt
-    by composite Gauss-Legendre on a geometric grid refined toward 0, with
-    cells split at the perimeter's kinks (the cut sizes) while those are
-    sparse.  Each level (a halving of the t range) asks the tree for the
-    perimeters at all of its cells' nodes in one call, and adds the cells'
-    contributions in order.
+    """Z(s) = integral over (0, m) of t^(s-2) * Length_Z(boundary Omega_t) dt.
 
-    Requires Re(s) > 2 (absolute convergence at t = 0).  The perimeter is
-    evaluated geometrically from the wave-front support lines, independently
-    of the size bookkeeping used by the identity route.
+    Between consecutive cut sizes (kinks) the perimeter is affine,
+    P(t) = Length_Z(Omega^t) - t K_t^2, and such a cell adds A times the
+    integral of t^(s-2) plus B times that of t^(s-1), in closed form.  A
+    polygon's (0, m] is finitely many such cells, the first [0, smallest
+    size]: Z(s) is one finite sum, continued to every s but 0 and 1.  A
+    smooth domain needs Re(s) > 2; its t range is halved toward 0 until a
+    level adds less than _MELLIN_REL_TOL of the total, and a level with more
+    than _KINK_CELLS_MAX kinks takes 8-node Gauss-Legendre on 8 geometric
+    cells instead.  Each level asks the tree for all of its perimeters in
+    one call, computed geometrically from the wave-front support lines
+    (independent of the identity route's size bookkeeping), and adds its
+    cells in order.
     """
     sc = complex(s)
-    if sc.real <= 2:
-        raise ValueError("outside Mellin convergence; use identity route")
+    if sc in (0j, 1 + 0j):
+        raise ValueError("pole of Z; use residue operations")
     mm = minimal_model_of(domain)
     m = float(mm.m)
+    if domain.is_polygon:
+        tree = deepest_tree(domain, 0)
+        edges = np.concatenate(([0.0], tree.kinks(0, m), [m]))
+        return add_in_order(0j, _kink_cells(tree, edges, sc))
+    if sc.real <= 2:
+        raise ValueError("outside Mellin convergence; use identity route")
     total = 0j
     hi = m
     for level in range(_MELLIN_MAX_LEVELS):
         lo = hi / 2
         tree = deepest_tree(domain, lo)
         inside = tree.kinks(lo, hi)
-        if len(inside) <= 256:
-            edges = np.concatenate([[lo], inside, [hi]])
+        if len(inside) <= _KINK_CELLS_MAX:
+            contrib = add_in_order(0j, _kink_cells(tree, np.concatenate(([lo], inside, [hi])), sc))
         else:
             edges = np.geomspace(lo, hi, 9)
-        mid = (edges[:-1] + edges[1:]) / 2
-        half = (edges[1:] - edges[:-1]) / 2
-        ts = mid[:, None] + half[:, None] * _GL8_NODES  # one row of nodes per cell
-        vals = ts ** (sc - 2) * tree.front_perimeter_geometric(ts.ravel()).reshape(ts.shape)
-        contrib = add_in_order(0j, half * (vals * _GL8_WEIGHTS).sum(axis=1))
+            mid = (edges[:-1] + edges[1:]) / 2
+            half = (edges[1:] - edges[:-1]) / 2
+            ts = mid[:, None] + half[:, None] * _GL8_NODES  # one row of nodes per cell
+            vals = ts ** (sc - 2) * tree.front_perimeter_geometric(ts.ravel()).reshape(ts.shape)
+            contrib = add_in_order(0j, half * (vals * _GL8_WEIGHTS).sum(axis=1))
         total += contrib
         if abs(contrib) < _MELLIN_REL_TOL * max(abs(total), 1e-30) and level > 3:
             break

@@ -754,6 +754,22 @@ class TestHistoryFree:
             read()
         assert calls == [0]
 
+    def test_polygon_cut_above_zero_descends_once(self, monkeypatch):
+        grow, calls = cutting._grow, []
+
+        def counting_grow(charts, eps, *args):
+            calls.append(eps)
+            return grow(charts, eps, *args)
+
+        monkeypatch.setattr(cutting, "_grow", counting_grow)
+        assert enumerate_cuts(ConvexDomain.rectangle(3, 2), Fraction(1, 2)).threshold == Fraction(1, 2)
+        assert calls == [Fraction(1, 2)]
+        # with the whole tree built first, the cut at eps is one descent more
+        dom = pentagon_family_member()
+        enumerate_cuts(dom, 0)
+        assert enumerate_cuts(dom, Fraction(2, 5)).sizes() == [Fraction(1, 2)]
+        assert calls == [Fraction(1, 2), 0, Fraction(2, 5)]
+
     @pytest.mark.parametrize("make", [ConvexDomain.domain_L, ConvexDomain.disk,
                                       ConvexDomain.parabolic_triangle,
                                       lambda: ConvexDomain.d_alpha(0.5, 1000)],

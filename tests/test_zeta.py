@@ -1,8 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_cutting import polynomial_domain
+from test_random_polygons import random_polygon
 
 from tropzeta import models, zeta
 from tropzeta.cutting import CutTree, enumerate_cuts
@@ -170,6 +173,82 @@ class TestZetaExactOracle:
                 assert zeta_polygon_exact(dom, s) == zeta_via_identity(dom, s, 0).value
 
 
+def mellin_per_cell(domain, s):
+    """zeta_via_mellin as a plain loop: one cell at a time, its perimeters
+    asked one t at a time.  A cell without a kink adds A times the integral
+    of t^(s-2) plus B times that of t^(s-1), with P = A + B t through the
+    perimeters at a + w/4 and a + 3w/4; a geomspace cell adds its 8-node
+    Gauss-Legendre sum.  A kink cell's arithmetic runs on one-element
+    arrays: numpy's array loops may fuse the multiply and add of a complex
+    product, where its scalar arithmetic rounds each step."""
+    sc = complex(s)
+    m = float(zeta.minimal_model_of(domain).m)
+
+    def perimeter(tree, t):
+        return tree.front_perimeter_geometric(np.atleast_1d(t))[0]
+
+    def power_integral(a, b, sigma):
+        if a[0] == 0:
+            return b ** sigma / sigma
+        return a ** sigma * np.expm1(sigma * np.log1p((b - a) / a)) / sigma
+
+    def kink_cells(tree, edges):
+        total = 0j
+        for a, b in zip(edges[:-1], edges[1:]):
+            a, b = np.array([a]), np.array([b])
+            w = b - a
+            t1, t2 = a + w / 4, a + 3 * w / 4
+            p1, p2 = perimeter(tree, t1), perimeter(tree, t2)
+            slope = (p2 - p1) / (t2 - t1)
+            total += complex(((p1 - slope * t1) * power_integral(a, b, sc - 1)
+                              + slope * power_integral(a, b, sc))[0])
+        return total
+
+    if domain.is_polygon:
+        tree = zeta.deepest_tree(domain, 0)
+        return kink_cells(tree, [0.0] + tree.kinks(0, m).tolist() + [m])
+    total, hi = 0j, m
+    for level in range(zeta._MELLIN_MAX_LEVELS):
+        lo = hi / 2
+        tree = zeta.deepest_tree(domain, lo)
+        inside = tree.kinks(lo, hi)
+        if len(inside) <= zeta._KINK_CELLS_MAX:
+            contrib = kink_cells(tree, [lo] + inside.tolist() + [hi])
+        else:
+            contrib = 0j
+            edges = np.geomspace(lo, hi, 9)
+            for a, b in zip(edges[:-1], edges[1:]):
+                mid, half = (a + b) / 2, (b - a) / 2
+                ts = mid + half * zeta._GL8_NODES
+                vals = np.array([t ** (sc - 2) * perimeter(tree, t) for t in ts])
+                contrib += half * complex((vals * zeta._GL8_WEIGHTS).sum())
+        total += contrib
+        if abs(contrib) < zeta._MELLIN_REL_TOL * max(abs(total), 1e-30) and level > 3:
+            break
+        hi = lo
+    return total
+
+
+def kink_levels(domain, floor):
+    """(tree, edges) of each level zeta_via_mellin sums in closed form: a
+    polygon's one level of cells from 0 to m; a smooth domain's levels from
+    m down, while they hold at most 256 kinks and reach no lower than
+    floor."""
+    m = float(zeta.minimal_model_of(domain).m)
+    if domain.is_polygon:
+        tree = zeta.deepest_tree(domain, 0)
+        yield tree, np.concatenate(([0.0], tree.kinks(0, m), [m]))
+        return
+    tree = zeta.deepest_tree(domain, floor)
+    hi = m
+    while hi / 2 >= floor:
+        inside = tree.kinks(hi / 2, hi)
+        if len(inside) > zeta._KINK_CELLS_MAX:
+            return
+        yield tree, np.concatenate(([hi / 2], inside, [hi]))
+        hi /= 2
+
+
 class TestMellinRoute:
     def test_rectangle_s3(self):
         val = zeta_via_mellin(ConvexDomain.rectangle(3, 2), 3)
@@ -177,7 +256,58 @@ class TestMellinRoute:
 
     def test_outside_convergence(self):
         with pytest.raises(ValueError, match="Mellin"):
-            zeta_via_mellin(ConvexDomain.rectangle(3, 2), 1.5)
+            zeta_via_mellin(ConvexDomain.disk(1.0), 1.5)
+        # a polygon's finite sum is continued past Re s = 2
+        want = rectangle_closed_form(3, 2, 1.5) / (1.5 * 0.5)
+        assert zeta_via_mellin(ConvexDomain.rectangle(3, 2), 1.5) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("s", [0, 1])
+    def test_poles_refused(self, s):
+        with pytest.raises(ValueError, match="pole"):
+            zeta_via_mellin(ConvexDomain.rectangle(3, 2), s)
+
+    @pytest.mark.parametrize("make", [
+        pentagon_family_member, lambda: ConvexDomain.rectangle(3, 2),
+        *[lambda seed=seed: random_polygon(random.Random(seed)) for seed in (1, 2, 5, 9)],
+    ], ids=["pentagon", "rectangle", "random1", "random2", "random5", "random9"])
+    def test_polygons_at_every_s(self, make):
+        # the finite sum against the exact identity route, in and outside
+        # the half-plane Re s > 2 where the integral converges
+        dom = make()
+        for s in (3, 2.5, 3 + 1j, 1.5, 0.5, 0.5 + 2j, -0.7, -2.3 + 1j):
+            ident = complex(zeta_via_identity(dom, s, 0).value)
+            assert abs(zeta_via_mellin(dom, s) - ident) <= 1e-10 * abs(ident), s
+
+    @pytest.mark.parametrize("make", [pentagon_family_member, lambda: ConvexDomain.rectangle(3, 2)],
+                             ids=["pentagon", "rectangle"])
+    def test_first_cell_gives_the_residues(self, make):
+        # on [0, smallest size] every cut is applied: P(t) = Res_1 + Res_0 t
+        dom = make()
+        tree = zeta.deepest_tree(dom, 0)
+        m = float(zeta.minimal_model_of(dom).m)
+        first = np.concatenate((tree.kinks(0, m), [m]))[0]
+        (a_coef,), (b_coef,) = zeta._affine_cells(tree, np.array([0.0, first]))
+        res1, res0 = polygon_residues(dom)
+        assert abs(a_coef - res1) <= 1e-12 and abs(b_coef - res0) <= 1e-12
+
+    @pytest.mark.parametrize("make, floor", [
+        (ConvexDomain.domain_L, 1e-5), (ConvexDomain.disk, 1e-5),
+        (ConvexDomain.parabolic_triangle, 1e-5), (lambda: ConvexDomain.d_alpha(0.5, 1000), 1e-5),
+        (polynomial_domain, 1e-4),
+        *[(lambda seed=seed: random_polygon(random.Random(seed)), 0) for seed in range(30)],
+    ], ids=["L", "disk", "parabolic_triangle", "d_alpha", "polynomial",
+            *[f"random{seed}" for seed in range(30)]])
+    def test_kink_cells_are_affine(self, make, floor):
+        # the closed form holds on a cell only if P is affine there: the
+        # perimeter at each cell's midpoint is the mean of the two it reads
+        cells = 0
+        for tree, edges in kink_levels(make(), floor):
+            a, w = edges[:-1], edges[1:] - edges[:-1]
+            p1, p2 = np.split(tree.front_perimeter_geometric(np.concatenate((a + w / 4, a + 3 * w / 4))), 2)
+            mid = tree.front_perimeter_geometric(a + w / 2)
+            assert np.all(np.abs(mid - (p1 + p2) / 2) <= 1e-10 * np.abs(mid))
+            cells += len(a)
+        assert cells > 0
 
     def test_route_agreement_L(self):
         dom = ConvexDomain.domain_L()
@@ -197,49 +327,24 @@ class TestMellinRoute:
 
     @pytest.mark.parametrize("make, s", [
         (ConvexDomain.disk, 3 + 1.3j), (ConvexDomain.parabolic_triangle, 5 - 2j),
-        (pentagon_family_member, 2.5),
-    ], ids=["disk", "parabolic_triangle", "pentagon"])
+        (pentagon_family_member, 2.5), (pentagon_family_member, -0.7 + 1j),
+    ], ids=["disk", "parabolic_triangle", "pentagon", "pentagon_continued"])
     def test_matches_per_cell_loop(self, make, s):
-        # one perimeter call per level gives the per-cell, per-node loop's
-        # value bit for bit
-        def per_cell(domain):
-            sc, total, hi = complex(s), 0j, float(zeta.minimal_model_of(domain).m)
-            for level in range(zeta._MELLIN_MAX_LEVELS):
-                lo = hi / 2
-                tree = zeta.deepest_tree(domain, 0 if domain.is_polygon else lo)
-                inside = tree.kinks(lo, hi)
-                if 0 < len(inside) <= 256:
-                    edges = [lo] + [float(x) for x in inside] + [hi]
-                elif len(inside) > 256:
-                    edges = list(np.geomspace(lo, hi, 9))
-                else:
-                    edges = [lo, hi]
-                contrib = 0j
-                for a, b in zip(edges[:-1], edges[1:]):
-                    mid, half = (a + b) / 2, (b - a) / 2
-                    ts = mid + half * zeta._GL8_NODES
-                    perimeters = tree.front_perimeter_geometric(ts).tolist()
-                    vals = np.array([t ** (sc - 2) * p for t, p in zip(ts, perimeters)])
-                    contrib += half * complex((vals * zeta._GL8_WEIGHTS).sum())
-                total += contrib
-                if abs(contrib) < zeta._MELLIN_REL_TOL * max(abs(total), 1e-30) and level > 3:
-                    break
-                hi = lo
-            return total
-
-        assert zeta_via_mellin(make(), s) == per_cell(make())
+        # one perimeter call per level gives the per-cell loop's value bit
+        # for bit
+        assert zeta_via_mellin(make(), s) == mellin_per_cell(make(), s)
 
     def test_one_perimeter_call_per_level(self, monkeypatch):
-        # every level's quadrature cells, 8 Gauss nodes each, go to the
-        # perimeter in one call
+        # every level's cells go to the perimeter in one call: two times per
+        # kink cell, 8 Gauss nodes on each of 8 geomspace cells
         dom = ConvexDomain.domain_L()
         enumerate_cuts(dom, 1e-6)
         kinks, perimeter = CutTree.kinks, CutTree.front_perimeter_geometric
-        cells, calls = [], []
+        times, calls = [], []
 
         def counting_kinks(tree, lo, hi):
             inside = kinks(tree, lo, hi)
-            cells.append(len(inside) + 1 if len(inside) <= 256 else 8)
+            times.append(2 * (len(inside) + 1) if len(inside) <= zeta._KINK_CELLS_MAX else 64)
             return inside
 
         def counting_perimeter(tree, ts):
@@ -248,8 +353,9 @@ class TestMellinRoute:
 
         monkeypatch.setattr(CutTree, "kinks", counting_kinks)
         monkeypatch.setattr(CutTree, "front_perimeter_geometric", counting_perimeter)
-        assert zeta_via_mellin(dom, 3) == 1.2427479811266888  # the CLI golden value
-        assert calls == [8 * n for n in cells]
+        assert zeta_via_mellin(dom, 3) == 1.24274798112669  # the CLI golden value
+        assert calls == times
+        assert 64 in times and min(times) < 64  # both kinds of level ran
 
 
 class TestRectangleAndOneCut:
