@@ -79,10 +79,12 @@ class Sizes:
     Python objects (Fraction or int) on exact ones.  Exact values are made
     only when read (tolist).
 
-    The one exact "size >= t" test: a size is >= t exactly when its rank is
-    <= rank_of(t).  The rank is den on defect_den trees (t ranks as
-    floor(1/t)) and -size elsewhere (t ranks as -t, compared exactly on
-    Fraction sizes); ascending rank is descending size."""
+    The exact "size >= t" test is at_least: den <= floor(1/t) on
+    defect_den trees, size >= t elsewhere (exact on Fraction sizes).  The
+    sorted searches (cut_count) read rank() and rank_of(t) instead: the rank
+    is den on defect_den trees (t ranks as floor(1/t)) and -size elsewhere
+    (t ranks as -t); ascending rank is descending size, and a size is >= t
+    exactly when its rank is <= rank_of(t)."""
 
     __slots__ = ("values", "is_den")
 
@@ -126,7 +128,9 @@ class Sizes:
 
     def at_least(self, t) -> np.ndarray:
         """Mask of the sizes >= t, compared exactly."""
-        return self.rank() <= self.rank_of(t)
+        if self.is_den:
+            return self.values <= self.rank_of(t)
+        return self.values >= t
 
 
 def _from_previous(v: np.ndarray) -> np.ndarray:
@@ -561,10 +565,11 @@ class WaveFrontPolygon:
     """A wave front (or partial-cut) polygon: support data plus vertices.
 
     For t >= m the front degenerates to the max locus; vertices then hold the
-    locus endpoint(s) and normals is empty.
+    locus endpoint(s), normals is empty and the area is 0 in the vertices'
+    own type.  t is kept as given.
     """
 
-    t: float
+    t: object
     vertices: list
     normals: list[Vec]
     degenerate_locus: Optional[tuple] = None
@@ -575,8 +580,6 @@ class WaveFrontPolygon:
         return self.degenerate_locus is not None
 
     def area(self):
-        if self.is_degenerate:
-            return 0.0
         return loop_area(self.vertices)
 
     def lattice_perimeter(self):
@@ -600,7 +603,7 @@ def partial_cut_polygon(domain: ConvexDomain, t) -> WaveFrontPolygon:
     mm = minimal_model_of(domain)
     lines = mm.polygon.halfplanes() if t > mm.m else _partial_cut_lines(domain, mm, t)
     verts, normals = halfplane_intersection(lines)
-    return WaveFrontPolygon(t=float(t), vertices=verts, normals=normals)
+    return WaveFrontPolygon(t=t, vertices=verts, normals=normals)
 
 
 def wave_front(domain: ConvexDomain, t) -> WaveFrontPolygon:
@@ -609,14 +612,14 @@ def wave_front(domain: ConvexDomain, t) -> WaveFrontPolygon:
         raise ValueError("wave front needs t > 0")
     mm = minimal_model_of(domain)
     if t >= mm.m:
-        return WaveFrontPolygon(t=float(t), vertices=list(mm.max_locus), normals=[],
+        return WaveFrontPolygon(t=t, vertices=list(mm.max_locus), normals=[],
                                 degenerate_locus=mm.max_locus, m_l=(mm.m, mm.l))
     lines = _partial_cut_lines(domain, mm, t)
     verts, normals = halfplane_intersection([(u, h + t) for u, h in lines])
     if len(verts) < 3:
-        return WaveFrontPolygon(t=float(t), vertices=verts, normals=[],
+        return WaveFrontPolygon(t=t, vertices=verts, normals=[],
                                 degenerate_locus=tuple(verts), m_l=(mm.m, mm.l))
-    return WaveFrontPolygon(t=float(t), vertices=verts, normals=normals)
+    return WaveFrontPolygon(t=t, vertices=verts, normals=normals)
 
 
 def profiles(domain: ConvexDomain, t_grid: Sequence[float]) -> list[tuple[float, float, float]]:

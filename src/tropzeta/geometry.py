@@ -57,8 +57,18 @@ def meet(u: Sequence, a, v: Sequence, b):
     return ((a * v[1] - b * u[1]) / d, (b * u[0] - a * v[0]) / d)
 
 
-def twice_area(vertices: Sequence) -> Num:
-    """Twice the signed area of a closed vertex loop (shoelace formula)."""
+def _rational_numerators(vertices: Sequence):
+    """(points, L): rational vertices as int pairs over their common
+    denominator L; None when some coordinate is not an int or a Fraction."""
+    if not all(isinstance(c, (Fraction, int)) for v in vertices for c in v):
+        return None
+    den = math.lcm(*{c.denominator for v in vertices for c in v})
+    return [(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+            for x, y in vertices], den
+
+
+def _shoelace(vertices: Sequence):
+    """Sum of x1 y2 - x2 y1 over the edges of a closed vertex loop."""
     tot = 0
     n = len(vertices)
     for i in range(n):
@@ -66,6 +76,17 @@ def twice_area(vertices: Sequence) -> Num:
         x2, y2 = vertices[(i + 1) % n]
         tot += x1 * y2 - x2 * y1
     return tot
+
+
+def twice_area(vertices: Sequence) -> Num:
+    """Twice the signed area of a closed vertex loop (shoelace formula): an
+    int on int vertices, a Fraction on other rational vertices (summed on
+    their numerators over the common denominator), a float otherwise."""
+    ints = _rational_numerators(vertices)
+    if ints is None or all(isinstance(c, int) for v in vertices for c in v):
+        return _shoelace(vertices)
+    pts, den = ints
+    return Fraction(_shoelace(pts), den * den)
 
 
 def _exact_ratio(a, b: int) -> Num:
@@ -83,14 +104,31 @@ def loop_lattice_perimeter(vertices: Sequence, normals: Sequence[Vec]) -> Num:
     """Lattice perimeter of a counterclockwise vertex loop whose edge i runs
     from vertices[i] to vertices[i + 1] with inward primitive normal
     normals[i]: each edge vector's projection <d, e> / <e, e> on its
-    direction e = (n1, -n0), summed in edge order.  A Fraction on rational
-    vertices, a float otherwise."""
+    direction e = (n1, -n0), summed in edge order.
+
+    On rational vertices over the common denominator L, L <d, e> is a
+    multiple of <e, e> (d is parallel to the primitive e), so the sum runs
+    on ints and one Fraction is built; ValueError when an edge is not normal
+    to its primitive normal.  A float on float vertices."""
     n = len(vertices)
+    ints = _rational_numerators(vertices)
+    if ints is None:
+        tot = 0
+        for i, (n0, n1) in enumerate(normals):
+            d = sub2(vertices[(i + 1) % n], vertices[i])
+            tot += _exact_ratio(d[0] * n1 - d[1] * n0, n0 * n0 + n1 * n1)
+        return tot
+    if not normals:
+        return 0
+    pts, den = ints
     tot = 0
     for i, (n0, n1) in enumerate(normals):
-        d = sub2(vertices[(i + 1) % n], vertices[i])
-        tot += _exact_ratio(d[0] * n1 - d[1] * n0, n0 * n0 + n1 * n1)
-    return tot
+        (x1, y1), (x2, y2) = pts[i], pts[(i + 1) % n]
+        q, r = divmod((x2 - x1) * n1 - (y2 - y1) * n0, n0 * n0 + n1 * n1)
+        if r:
+            raise ValueError(f"edge {i} is not normal to the primitive normal {(n0, n1)}")
+        tot += q
+    return Fraction(tot, den)
 
 
 def primitive_of(dx, dy) -> Vec:
@@ -422,8 +460,13 @@ def halfplane_intersection(constraints: list[tuple[Vec, Num]]):
     """Vertices of the bounded region {<u_i, x> >= h_i} when every constraint
     is a *support* constraint (touches the region).  Constraints may arrive in
     any order; they are sorted CCW by normal angle.  Zero-length edges (equal
-    consecutive intersection points) are dropped: exactly for Fractions,
-    within _DROP_TOL (relative) for floats.
+    consecutive intersection points) are dropped: exactly for rational
+    offsets, within _DROP_TOL (relative) for floats.
+
+    Rational offsets are put over one common denominator D as ints H_i, and
+    consecutive lines meet at (H_i v1 - H_j u1, H_j u0 - H_i v0) / (D det):
+    the meets and the zero-length test run on ints, and each kept vertex
+    coordinate is one Fraction.  Float offsets use the float formulas.
 
     Returns (vertices, kept_normals); degenerate regions (point or segment)
     return fewer than 3 vertices.
@@ -432,25 +475,33 @@ def halfplane_intersection(constraints: list[tuple[Vec, Num]]):
     n = len(cs)
     if n < 3:
         raise ValueError("need at least 3 half-planes")
-    cs, exact = exact_offsets(cs)
-    raw = []
-    for (u, h), (v, k) in zip(cs, cs[1:] + cs[:1]):
-        if det2(u, v) == 0:
-            raise ValueError("adjacent parallel support lines: empty or unbounded region")
-        raw.append(meet(u, h, v, k))
-    # vertex raw[i] joins edge i and edge i+1; edge i runs raw[i-1] -> raw[i]
+    pairs = list(zip(cs, cs[1:] + cs[:1]))
+    if any(det2(u, v) == 0 for (u, _), (v, _) in pairs):
+        raise ValueError("adjacent parallel support lines: empty or unbounded region")
+    # vertex i joins edge i and edge i+1; edge i runs vertex i-1 -> vertex i
     verts, normals = [], []
+    if all(isinstance(h, (Fraction, int)) for _, h in cs):
+        den = math.lcm(*{h.denominator for _, h in cs})
+        raw = []  # (X, Y, det): the meet is (X, Y) / (den det)
+        for ((u0, u1), h), ((v0, v1), k) in pairs:
+            hi, hj = h.numerator * (den // h.denominator), k.numerator * (den // k.denominator)
+            raw.append((hi * v1 - hj * u1, hj * u0 - hi * v0, u0 * v1 - u1 * v0))
+        px, py, pd = raw[-1]
+        for (x, y, d), (u, _) in zip(raw, cs):
+            if x * pd != px * d or y * pd != py * d:
+                verts.append((Fraction(x, den * d), Fraction(y, den * d)))
+                normals.append(u)
+            px, py, pd = x, y, d
+        return verts, normals
+    raw = [meet(u, h, v, k) for (u, h), (v, k) in pairs]
     for i in range(n):
         prev = raw[(i - 1) % n]
         cur = raw[i]
-        if exact:
-            degenerate = prev == cur
-        else:
-            scale = 1 + abs(float(cur[0])) + abs(float(cur[1]))
-            degenerate = (
-                abs(float(cur[0]) - float(prev[0])) <= _DROP_TOL * scale
-                and abs(float(cur[1]) - float(prev[1])) <= _DROP_TOL * scale
-            )
+        scale = 1 + abs(float(cur[0])) + abs(float(cur[1]))
+        degenerate = (
+            abs(float(cur[0]) - float(prev[0])) <= _DROP_TOL * scale
+            and abs(float(cur[1]) - float(prev[1])) <= _DROP_TOL * scale
+        )
         if not degenerate:
             verts.append(cur)
             normals.append(cs[i][0])

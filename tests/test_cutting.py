@@ -306,6 +306,20 @@ class TestWaveFront:
         assert set(map(tuple, wf.vertices)) == {(1, 1), (2, 1)}
         assert wf.lattice_perimeter() == 2  # 2 * l
 
+    def test_degenerate_front_stays_exact(self):
+        # past m an exact polygon's front is its max locus: the area is 0 in
+        # the vertices' own type, and t is kept as given
+        dom = ConvexDomain.rectangle(3, 2)
+        wf = wave_front(dom, Fraction(3, 2))
+        assert wf.is_degenerate
+        assert (repr(wf.t), repr(wf.area()), repr(wf.lattice_perimeter())) == (
+            "Fraction(3, 2)", "Fraction(0, 1)", "Fraction(2, 1)")
+        assert repr(partial_cut_polygon(dom, Fraction(5, 2)).t) == "Fraction(5, 2)"
+        assert repr(wave_front(dom, 1.5).t) == "1.5"
+        # a float domain's locus keeps a float 0
+        disk = ConvexDomain.disk(1.0)
+        assert repr(wave_front(disk, 2.0).area()) == "0.0"
+
     def test_L_area_against_rho_quadrature(self):
         dom = ConvexDomain.domain_L()
         t = 0.5

@@ -1,16 +1,21 @@
+import functools
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_random_polygons import convex_hull
+from test_random_polygons import convex_hull, random_polygon
 
+from tropzeta import cutting, models
 from tropzeta import geometry as geo
-from tropzeta import models
+from tropzeta.cutting import enumerate_cuts, partial_cut_polygon, wave_front
 from tropzeta.geometry import ConvexDomain, Polygon
 from tropzeta.lattice import stern_brocot_quadruples
+from tropzeta.minimal import minimal_model_of
 
 
 def unit_square():
@@ -209,14 +214,18 @@ _COORDS = st.one_of(st.integers(-12, 12),
                     st.builds(Fraction, st.integers(-36, 36), st.integers(1, 4)))
 
 
+def _sl2_image(draw, poly):
+    """poly under a drawn SL(2,Z) word of elementary matrices."""
+    for k in draw(st.lists(st.integers(-2, 2), max_size=3)):
+        poly = poly.unimodular_image(((1, k), (0, 1)) if k % 2 else ((1, 0), (k, 1)))
+    return poly
+
+
 @st.composite
 def _rational_polygons(draw):
     hull = convex_hull(draw(st.lists(st.tuples(_COORDS, _COORDS), min_size=3, max_size=8)))
     assume(len(hull) >= 3)
-    poly = Polygon(hull)
-    for k in draw(st.lists(st.integers(-2, 2), max_size=3)):  # an SL(2,Z) image
-        poly = poly.unimodular_image(((1, k), (0, 1)) if k % 2 else ((1, 0), (k, 1)))
-    return poly
+    return _sl2_image(draw, Polygon(hull))
 
 
 @st.composite
@@ -260,6 +269,153 @@ class TestHalfplaneIntersection:
         sq = [(0, 0), (1, 0), (1, 1), (0, 1)]
         clipped = geo.clip_polygon([(Fraction(x), Fraction(y)) for x, y in sq], (1, 1), Fraction(1))
         assert set(clipped) == {(1, 0), (1, 1), (0, 1)}
+
+
+# The plain Fraction formulas of the exact loop helpers, the oracle for their
+# integer-numerator forms.
+
+
+def _plain_halfplane_intersection(constraints):
+    cs = sorted(constraints, key=functools.cmp_to_key(
+        lambda a, b: geo.angular_compare(a[0], b[0])))
+    cs = [(u, Fraction(h)) for u, h in cs]
+    raw = []
+    for (u, a), (v, b) in zip(cs, cs[1:] + cs[:1]):
+        d = u[0] * v[1] - u[1] * v[0]
+        raw.append(((a * v[1] - b * u[1]) / d, (b * u[0] - a * v[0]) / d))
+    keep = [i for i in range(len(cs)) if raw[i - 1] != raw[i]]
+    return [raw[i] for i in keep], [cs[i][0] for i in keep]
+
+
+def _plain_twice_area(vs):
+    tot = 0
+    for (x1, y1), (x2, y2) in zip(vs, vs[1:] + vs[:1]):
+        tot += x1 * y2 - x2 * y1
+    return tot
+
+
+def _plain_lattice_perimeter(vs, normals):
+    tot = 0
+    for i, (n0, n1) in enumerate(normals):
+        (x1, y1), (x2, y2) = vs[i], vs[(i + 1) % len(vs)]
+        tot += Fraction((x2 - x1) * n1 - (y2 - y1) * n0, n0 * n0 + n1 * n1)
+    return tot
+
+
+@st.composite
+def _exact_domains(draw):
+    """A polygon of the tests/test_random_polygons.py generator under an
+    SL(2,Z) image, or a small one with int and Fraction vertices."""
+    if draw(st.booleans()):
+        poly = _sl2_image(draw, random_polygon(random.Random(draw(st.integers(0, 2**32)))).polygon)
+    else:
+        poly = draw(_rational_polygons())
+    return ConvexDomain.from_polygon(poly.vertices)
+
+
+def _fronts_of(dom, t):
+    """(support lines, vertices, normals) of the partial cut and the wave
+    front at t, and of the polygon and its minimal model."""
+    mm = minimal_model_of(dom)
+    lines = cutting._partial_cut_lines(dom, mm, t)
+    out = []
+    for cons in (lines, [(u, h + t) for u, h in lines], dom.polygon.halfplanes(),
+                 mm.polygon.halfplanes()):
+        verts, normals = geo.halfplane_intersection(cons)
+        out.append((cons, verts, normals))
+    return out
+
+
+def _counting(op, name, calls):
+    def counted(*args):
+        calls[name] += 1
+        return op(*args)
+    return counted
+
+
+class TestExactLoops:
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_integer_numerators_equal_the_fraction_formulas(self, data):
+        """halfplane_intersection, twice_area, loop_area,
+        loop_lattice_perimeter and Sizes.at_least on rational input give the
+        value and the type (by repr: int stays int) of the plain Fraction
+        formulas, on polygons, minimal models, wave fronts and partial cuts."""
+        dom = data.draw(_exact_domains())
+        sizes = enumerate_cuts(dom, 0).cut_sizes  # the whole tree, kept for the fronts
+        hat = minimal_model_of(dom).polygon
+        m = minimal_model_of(dom).m
+        t = m * data.draw(st.fractions(Fraction(1, 30), Fraction(29, 30), max_denominator=30))
+        fronts = _fronts_of(dom, t)
+        if len(sizes):  # a front at a cut size, where edges shrink to points
+            fronts += _fronts_of(dom, data.draw(st.sampled_from(sizes.tolist())))
+        for cons, verts, normals in fronts:
+            assert repr((verts, normals)) == repr(_plain_halfplane_intersection(cons))
+            edges = verts[-1:] + verts[:-1]  # normals[i] ends at verts[i]
+            assert repr(geo.loop_lattice_perimeter(edges, normals)) == repr(
+                _plain_lattice_perimeter(edges, normals))
+        for poly in (dom.polygon, hat):
+            assert repr(poly.lattice_perimeter()) == repr(
+                _plain_lattice_perimeter(poly.vertices, poly.edge_normals()))
+        for vs in [dom.polygon.vertices, hat.vertices, wave_front(dom, m).vertices] + [
+                verts for _, verts, _ in fronts]:
+            assert repr(geo.twice_area(vs)) == repr(_plain_twice_area(vs))
+            assert repr(geo.loop_area(vs)) == repr(Fraction(_plain_twice_area(vs), 2))
+        for s in [t, m] + sizes.tolist()[:5]:
+            assert sizes.at_least(s).tolist() == [x >= s for x in sizes.tolist()]
+
+    def test_int_vertices_keep_an_int_twice_area(self):
+        square = [(0, 0), (3, 0), (3, 2), (0, 2)]
+        assert repr(geo.twice_area(square)) == "12"
+        assert repr(geo.loop_area(square)) == "Fraction(6, 1)"
+        assert repr(geo.twice_area([(0, 0), (Fraction(3), 0), (3, 2)])) == "Fraction(6, 1)"
+
+    def test_edge_off_its_normal_refused(self):
+        # edge (0,0) -> (1,0) against the normal (1,1): no integer lattice length
+        with pytest.raises(ValueError, match="not normal"):
+            geo.loop_lattice_perimeter([(0, 0), (1, 0), (1, 1), (0, 1)], [(1, 1)])
+
+    def test_float_fronts_pinned(self):
+        """The float branch keeps the float formulas, bit for bit."""
+        ring = ("[(-0.7, -{b}), (-{b}, -0.7), ({b}, -0.7), (0.7, -{b}), (0.7, {b}), "
+                "({b}, 0.7), (-{b}, 0.7), (-0.7, {b})]")
+        cases = [(ConvexDomain.domain_L(), "0.5", "1.8799999999999994", "4.800000000000001"),
+                 (ConvexDomain.disk(1.0), "0.41421356237309515", "1.7966522241370464",
+                  "4.45685424949238")]
+        for dom, b, area, perimeter in cases:
+            wf = wave_front(dom, 0.3)
+            assert repr(wf.vertices) == ring.format(b=b)
+            assert (repr(wf.area()), repr(wf.lattice_perimeter())) == (area, perimeter)
+        cut = partial_cut_polygon(ConvexDomain.disk(1.0), 0.3)
+        assert repr(cut.vertices[0]) == "(-1.0, -0.41421356237309515)"
+        assert (repr(cut.area()), repr(cut.lattice_perimeter())) == (
+            "3.3137084989847603", "5.656854249492381")
+
+    def test_no_fraction_arithmetic(self, monkeypatch):
+        """A work count, not a timing: the exact front of a 30-direction fuzz
+        polygon, its area and lattice perimeter, and the size test on its
+        exact tree do no Fraction arithmetic (only constructions)."""
+        rng = random.Random(30)  # the first 30-direction draw, as perfbench's
+        dom = random_polygon(rng)
+        while len(dom.polygon.active_directions()) != 30:
+            dom = random_polygon(rng)
+        mm = minimal_model_of(dom)
+        sizes = enumerate_cuts(dom, 0).cut_sizes
+        t = mm.m / 3
+        cons = [(u, h + t) for u, h in cutting._partial_cut_lines(dom, mm, t)]
+        calls = Counter()
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__neg__", "__eq__"):
+            monkeypatch.setattr(Fraction, name, _counting(getattr(Fraction, name), name, calls))
+        verts, normals = geo.halfplane_intersection(cons)
+        area = geo.loop_area(verts)
+        perimeter = geo.loop_lattice_perimeter(verts[-1:] + verts[:-1], normals)
+        kept = sizes.at_least(t)
+        monkeypatch.undo()
+        assert calls == Counter()
+        assert len(verts) > 3 and 0 < kept.sum() < len(sizes)
+        wf = wave_front(dom, t)
+        assert (verts, area, perimeter) == (wf.vertices, wf.area(), wf.lattice_perimeter())
 
 
 # every builtin chart that carries graph data, as (domain constructor, chart name)
