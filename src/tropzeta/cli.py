@@ -32,7 +32,7 @@ from .farey import (
     residue_main_term,
     sigma_b,
 )
-from .geometry import ConvexDomain, domain_from_dict
+from .geometry import ConvexDomain, _frac_to_str, domain_from_dict
 from .lattice import UnimodularQuadruple
 from .minimal import minimal_model_of
 from .svgout import caustic_svg, wavefront_svg
@@ -48,8 +48,7 @@ def _fmt(value):
     """JSON-ready form: rationals as 'p/q', complex as [re, im], floats with
     17 significant digits."""
     if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else (
-            f"{value.numerator}/{value.denominator}")
+        return _frac_to_str(value)
     if isinstance(value, complex):
         return [_fmt(value.real), _fmt(value.imag)]
     if isinstance(value, float):
@@ -138,7 +137,7 @@ def _cmd_minimal_model(args) -> dict:
 def _cmd_cuts(args) -> dict:
     dom = _load_domain(args.domain)
     eps = args.eps if args.eps is not None else (0.0 if dom.is_polygon else 1e-4)
-    tree = enumerate_cuts(dom, Fraction(eps) if dom.is_polygon and eps == 0 else eps)
+    tree = enumerate_cuts(dom, eps)
     sizes = tree.cut_sizes.floats().tolist()
     if args.csv:
         depth: list[int] = []  # parents come before their children

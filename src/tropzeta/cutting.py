@@ -41,6 +41,7 @@ from .geometry import (
     det2,
     dot2,
     halfplane_intersection,
+    lattice_length,
     loop_area,
     loop_lattice_perimeter,
     meet,
@@ -141,7 +142,7 @@ def _from_previous(v: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class CutTree:
     """The corner cuts of a domain down to size threshold, and the frontier
     of corners left uncut, both in descent order (depth first, side-1 child
@@ -159,8 +160,10 @@ class CutTree:
     denominators on defect_den charts (L, the parabolic triangle), float64
     on float charts, Fraction/int objects on exact polygon corners;
     sizes() makes the exact values.  The descent writes every column once;
-    a deeper tree is a fresh descent.  Trees are shared between readers and
-    must be treated as read-only.
+    a deeper tree is a fresh descent.  The float readers share one row table
+    per tree, kept sorted by size (_by_size) and by angle (_by_angle).
+    Trees are shared between readers and must be treated as read-only; they
+    compare by identity and can be hashed.
     """
 
     charts: list
@@ -173,7 +176,7 @@ class CutTree:
     leaf_links: np.ndarray
     minimal_model: Optional[MinimalModel] = None
     # exact mediant line per cut index, for the cuts some call kept
-    _mediants: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _mediants: dict = field(default_factory=dict, init=False, repr=False)
 
     def sizes(self) -> list:
         return self.cut_sizes.tolist()
@@ -183,10 +186,11 @@ class CutTree:
         return zip(self.charts, self.chart_offsets, self.chart_offsets[1:])
 
     @cached_property
-    def _rows(self) -> np.ndarray:
-        """The float row table, one row (size, wx, wy, h) per cut in node
-        order: the size and the mediant's normal w and support offset h.
-        Every float reader of the tree is a view of it."""
+    def _by_size(self) -> _SizeOrder:
+        """The float row table, one row (size, wx, wy, h) per cut: the size
+        and the mediant's normal w and support offset h, built in node order
+        and kept only sorted by size.  Every float reader of the tree reads
+        it or _by_angle."""
         rows = np.empty((len(self.nodes), 4))
         rows[:, 0] = self.cut_sizes.floats()
         for chart, lo, hi in self._chart_spans():
@@ -201,13 +205,9 @@ class CutTree:
                                dtype=np.float64)
             rows[lo:hi, 1], rows[lo:hi, 2] = wx, wy
             rows[lo:hi, 3] = sup + wx * float(chart.corner[0]) + wy * float(chart.corner[1])
-        return rows
-
-    @cached_property
-    def _by_size(self) -> _SizeOrder:
         ranks = self.cut_sizes.rank()
         order = np.argsort(ranks, kind="stable")
-        rows = self._rows[order]
+        rows = rows[order]
         s = rows[:, 0]
         return _SizeOrder((rows[:, 1:3], rows[:, 3], s), ranks[order],
                           np.concatenate([[0.0], np.cumsum(s)]),
@@ -215,10 +215,13 @@ class CutTree:
 
     @cached_property
     def _by_angle(self) -> tuple:
-        rows = [(float(nrm[0]), float(nrm[1]), float(h), math.inf)
-                for nrm, h in self.minimal_model.polygon.halfplanes()]
-        arr = np.vstack([np.array(rows, dtype=np.float64).reshape(-1, 4),
-                         self._rows[:, [1, 2, 3, 0]]])
+        """The minimal model's edges (size +inf) and the cuts' rows of
+        _by_size, sorted by the angle of their normals (all distinct)."""
+        edges = [(float(nrm[0]), float(nrm[1]), float(h), math.inf)
+                 for nrm, h in self.minimal_model.polygon.halfplanes()]
+        w, h, s = self._by_size.slack
+        arr = np.vstack([np.array(edges, dtype=np.float64).reshape(-1, 4),
+                         np.column_stack((w, h, s))])
         arr = arr[np.argsort(np.arctan2(arr[:, 1], arr[:, 0]))]
         return arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy(), arr[:, 3].copy()
 
@@ -564,28 +567,29 @@ def enumerate_cuts(domain: ConvexDomain, eps) -> CutTree:
 class WaveFrontPolygon:
     """A wave front (or partial-cut) polygon: support data plus vertices.
 
-    For t >= m the front degenerates to the max locus; vertices then hold the
-    locus endpoint(s), normals is empty and the area is 0 in the vertices'
-    own type.  t is kept as given.
+    A front with fewer than 3 vertices is degenerate: its vertices are its
+    locus (past m, the max locus), a point or a segment, and normals is
+    empty; its area is 0 and its lattice perimeter is the segment's, walked
+    there and back (0 on a point), in the vertices' own type.  t is kept as
+    given.
     """
 
     t: object
     vertices: list
     normals: list[Vec]
-    degenerate_locus: Optional[tuple] = None
-    m_l: Optional[tuple] = None  # (m, l) when degenerate
 
     @property
     def is_degenerate(self) -> bool:
-        return self.degenerate_locus is not None
+        return len(self.vertices) < 3
 
     def area(self):
         return loop_area(self.vertices)
 
     def lattice_perimeter(self):
-        if self.is_degenerate:
-            m, l = self.m_l
-            return 2 * l
+        if len(self.vertices) == 2:  # a segment, walked there and back
+            return 2 * lattice_length(*self.vertices)
+        if self.is_degenerate:  # a point: 0, as its area is
+            return self.area()
         # normals[i] belongs to the edge that ends at vertices[i]
         return loop_lattice_perimeter(self.vertices[-1:] + self.vertices[:-1], self.normals)
 
@@ -612,14 +616,10 @@ def wave_front(domain: ConvexDomain, t) -> WaveFrontPolygon:
         raise ValueError("wave front needs t > 0")
     mm = minimal_model_of(domain)
     if t >= mm.m:
-        return WaveFrontPolygon(t=t, vertices=list(mm.max_locus), normals=[],
-                                degenerate_locus=mm.max_locus, m_l=(mm.m, mm.l))
+        return WaveFrontPolygon(t=t, vertices=list(mm.max_locus), normals=[])
     lines = _partial_cut_lines(domain, mm, t)
     verts, normals = halfplane_intersection([(u, h + t) for u, h in lines])
-    if len(verts) < 3:
-        return WaveFrontPolygon(t=t, vertices=verts, normals=[],
-                                degenerate_locus=tuple(verts), m_l=(mm.m, mm.l))
-    return WaveFrontPolygon(t=t, vertices=verts, normals=normals)
+    return WaveFrontPolygon(t=t, vertices=verts, normals=normals if len(verts) >= 3 else [])
 
 
 def profiles(domain: ConvexDomain, t_grid: Sequence[float]) -> list[tuple[float, float, float]]:

@@ -43,9 +43,6 @@ class SeriesEstimate:
     terms_used: int
     tail_hint: Optional[float] = None
 
-    def __complex__(self) -> complex:
-        return complex(self.value)
-
 
 @dataclass
 class ResidueEstimate:

@@ -443,16 +443,6 @@ def lattice_length(p, q):
     return abs(_exact_ratio(d[i], e[i]))
 
 
-def exact_offsets(constraints: list[tuple[Vec, Num]]) -> tuple[list, bool]:
-    """(constraints, exact): when every offset is rational they become
-    Fractions, so the meets of their lines are exact (integer offsets would
-    divide to floats); float offsets are left as they are."""
-    exact = all(isinstance(h, (Fraction, int)) for _, h in constraints)
-    if exact:
-        constraints = [(u, Fraction(h)) for u, h in constraints]
-    return constraints, exact
-
-
 _DROP_TOL = 1e-12  # relative length below which a float edge is dropped
 
 

@@ -204,14 +204,6 @@ def kloosterman_incomplete(n: int, b: int, R: int) -> complex:
     return total
 
 
-def ramanujan_sum(b: int, n: int) -> int:
-    """c_b(n) = mu(b/g) * phi(b) / phi(b/g) with g = gcd(n, b)."""
-    g = math.gcd(n, b) if n != 0 else b
-    phi_b, _, _ = arithmetic_functions(b)
-    phi_bg, _, mu_bg = arithmetic_functions(b // g)
-    return mu_bg * phi_b // phi_bg
-
-
 def farey_from_denominators(b: int, d: int) -> FareyInterval:
     """The Farey interval [c/d, a/b] determined by its coprime denominators.
 

@@ -25,7 +25,6 @@ from .geometry import (
     corner_singularity,
     det2,
     dot2,
-    exact_offsets,
     halfplane_intersection,
     lattice_length,
     meet,
@@ -47,10 +46,6 @@ class MinimalModel:
     type_tag: str
     type_params: dict = field(default_factory=dict)
 
-    @property
-    def is_point_collapse(self) -> bool:
-        return len(self.max_locus) == 1
-
 
 def _max_of_min_slacks(constraints):
     """m = max over the plane of min_u (<u, x> - h_u), and its locus M as
@@ -64,8 +59,12 @@ def _max_of_min_slacks(constraints):
     by complementary slackness M is then that line, cut to an interval by the
     other constraints.  Otherwise a triple is strictly better, and M is the
     point where a minimizing triple is tight.
-    constraints: list of (u, h) with distinct primitive u."""
-    constraints, exact = exact_offsets(constraints)
+    constraints: list of (u, h) with distinct primitive u.  When every offset
+    is rational they become Fractions, so the meets of their lines are exact
+    (integer offsets would divide to floats)."""
+    exact = all(isinstance(h, (Fraction, int)) for _, h in constraints)
+    if exact:
+        constraints = [(u, Fraction(h)) for u, h in constraints]
     tol = 0 if exact else 1e-9
     offsets = dict(constraints)
     pairs = [(-(h + offsets[(-u[0], -u[1])]) / 2, u, h) for u, h in constraints

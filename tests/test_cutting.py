@@ -10,6 +10,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from test_random_polygons import random_polygon
 
 from tropzeta import cutting
 from tropzeta.cli import main
@@ -214,6 +215,17 @@ def corner_cut_square():
     return ConvexDomain.from_polygon([(tenth, 0), (1, 0), (1, 1), (0, 1), (0, tenth)])
 
 
+class TestTreeIdentity:
+    """Trees are shared read-only values: they compare by identity and hash."""
+
+    def test_equality_is_identity(self):
+        dom = ConvexDomain.domain_L()
+        tree, other = enumerate_cuts(dom, 1e-3), enumerate_cuts(ConvexDomain.domain_L(), 1e-3)
+        assert tree == tree and enumerate_cuts(dom, 1e-3) == tree  # the memo's tree
+        assert tree != other and other.nodes.tolist() == tree.nodes.tolist()
+        assert len({tree, other, tree}) == 2 and hash(tree) == hash(tree)
+
+
 class TestExactSizeTest:
     """Every "size >= t" question of a tree is one exact test (Sizes.rank)."""
 
@@ -319,6 +331,28 @@ class TestWaveFront:
         # a float domain's locus keeps a float 0
         disk = ConvexDomain.disk(1.0)
         assert repr(wave_front(disk, 2.0).area()) == "0.0"
+
+    @pytest.mark.parametrize("make, t, n, perimeter", [
+        (lambda: ConvexDomain.from_polygon([(0, 0), (1, 0), (0, 1)]), Fraction(1, 2), 1,
+         "Fraction(0, 1)"),
+        (ConvexDomain.domain_L, 1.5, 1, "Fraction(0, 1)"),
+        (ConvexDomain.disk, 2.0, 1, "0.0"),
+        (lambda: ConvexDomain.rectangle(3, 2), Fraction(3, 2), 2, "Fraction(2, 1)"),
+    ], ids=["triangle_point", "L_point", "disk_point", "rectangle_segment"])
+    def test_degenerate_front_is_its_locus(self, make, t, n, perimeter):
+        # a front past m is the max locus alone: a point's lattice perimeter
+        # is a 0 of the locus' kind, a segment's twice its lattice length
+        dom = make()
+        wf = wave_front(dom, t)
+        assert wf.is_degenerate and wf.normals == []
+        assert wf.vertices == list(minimal_model_of(dom).max_locus) and len(wf.vertices) == n
+        assert repr(wf.lattice_perimeter()) == perimeter
+
+    def test_polygon_front_is_not_degenerate(self):
+        dom = ConvexDomain.rectangle(3, 2)
+        wf = wave_front(dom, Fraction(1, 2))
+        assert not wf.is_degenerate and len(wf.vertices) == len(wf.normals) == 4
+        assert not partial_cut_polygon(dom, Fraction(5, 2)).is_degenerate
 
     def test_L_area_against_rho_quadrature(self):
         dom = ConvexDomain.domain_L()
@@ -435,6 +469,54 @@ def _perimeter_oracle(tree, t):
     dirx, diry = ay, -ax
     tpar = (dx * dirx + dy * diry) / (dirx * dirx + diry * diry)
     return float(np.clip(tpar, 0.0, None).sum())
+
+
+def _angular_reference(tree):
+    """The angular arrays as built from a node-order row table (size, wx,
+    wy, h) that the tree kept beside its size-sorted copy."""
+    rows = np.empty((len(tree.nodes), 4))
+    rows[:, 0] = tree.cut_sizes.floats()
+    for chart, lo, hi in tree._chart_spans():
+        quads = tree.nodes[lo:hi]
+        ma, mb = quads[:, 0] + quads[:, 2], quads[:, 1] + quads[:, 3]
+        wx = ma * chart.u1[0] + mb * chart.u2[0]
+        wy = ma * chart.u1[1] + mb * chart.u2[1]
+        if chart.support_float is not None:
+            sup = chart.support_float(ma, mb)
+        else:
+            sup = np.array([float(chart.support(a, b)) for a, b in zip(ma.tolist(), mb.tolist())],
+                           dtype=np.float64)
+        rows[lo:hi, 1], rows[lo:hi, 2] = wx, wy
+        rows[lo:hi, 3] = sup + wx * float(chart.corner[0]) + wy * float(chart.corner[1])
+    edges = [(float(nrm[0]), float(nrm[1]), float(h), math.inf)
+             for nrm, h in tree.minimal_model.polygon.halfplanes()]
+    arr = np.vstack([np.array(edges, dtype=np.float64).reshape(-1, 4), rows[:, [1, 2, 3, 0]]])
+    arr = arr[np.argsort(np.arctan2(arr[:, 1], arr[:, 0]))]
+    return arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy(), arr[:, 3].copy()
+
+
+def _random_rational_polygon():
+    return random_polygon(random.Random(12))
+
+
+class TestAngularArrays:
+    """The angular arrays, sorted from the size-sorted rows, equal the
+    node-order construction byte for byte: every normal has its own angle,
+    so the sort does not see the order it starts from."""
+
+    @pytest.mark.parametrize("make, eps", [
+        (ConvexDomain.domain_L, 1e-5), (ConvexDomain.disk, 1e-5),
+        (pentagon_family_member, 0), (ConvexDomain.parabolic_triangle, 1e-5),
+        (_random_rational_polygon, 0),
+    ], ids=["L", "disk", "pentagon", "parabolic_triangle", "random_polygon"])
+    def test_equal_to_node_order_construction(self, make, eps):
+        tree = enumerate_cuts(make(), eps)
+        got, expected = tree.angular_arrays(), _angular_reference(tree)
+        assert len(got[0]) == len(tree.nodes) + len(tree.minimal_model.polygon.halfplanes())
+        for col, ref in zip(got, expected):
+            assert col.dtype == ref.dtype and col.tobytes() == ref.tobytes()
+        angles = np.arctan2(got[1], got[0])
+        assert (np.diff(angles) > 0).all()
 
 
 def _gauss_nodes(a, b):

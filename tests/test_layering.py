@@ -7,10 +7,15 @@ Importing any tropzeta module loads the whole package, so the rule is read
 from the source, not from sys.modules.
 
 scipy is imported only inside the functions that use it (the Farey H_s
-closed form and its quadrature), so `import tropzeta` does not load it."""
+closed form and its quadrature), so `import tropzeta` does not load it.
+
+Every function and method of the package has a reader: its name appears
+somewhere besides its own definition, in the package or in the benchmark.
+The references that only tests read are listed by name."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -84,3 +89,31 @@ def test_import_tropzeta_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+BENCH = SRC.parent.parent / "perfbench"
+# kept as references that tests compare against
+TEST_ONLY = {"divisors", "riemann_zeta_eta"}
+
+
+def _unread_functions(sources):
+    """The names of the functions and methods defined in sources (dunders
+    aside) that appear nowhere else, as whole words, in sources and in the
+    benchmark's modules."""
+    texts = [path.read_text() for path in sources]
+    corpus = "\n".join(texts + [path.read_text() for path in sorted(BENCH.glob("*.py"))])
+    names = {node.name for text in texts for node in ast.walk(ast.parse(text))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and not node.name.startswith("__")}
+    return {name for name in names
+            if len(re.findall(rf"\b{name}\b", corpus)) <= len(re.findall(rf"\bdef\s+{name}\b", corpus))}
+
+
+def test_every_function_has_a_reader():
+    assert _unread_functions(sorted(SRC.glob("*.py"))) == TEST_ONLY
+
+
+def test_the_reader_guard_sees_an_unread_function(tmp_path):
+    extra = tmp_path / "extra.py"
+    extra.write_text("def _nobody_reads_this():\n    return riemann_zeta_eta\n")
+    assert _unread_functions(sorted(SRC.glob("*.py")) + [extra]) == {"divisors", "_nobody_reads_this"}

@@ -21,7 +21,7 @@ class TestComputeMinimalModel:
         dom = ConvexDomain.from_polygon([(0, 0), (1, 0), (0, 1)])
         mm = compute_minimal_model(dom)
         assert mm.m == Fraction(1, 3)
-        assert mm.is_point_collapse
+        assert len(mm.max_locus) == 1
         assert mm.max_locus[0] == (Fraction(1, 3), Fraction(1, 3))
         assert set(map(tuple, mm.polygon.vertices)) == {(0, 0), (1, 0), (0, 1)}
         assert mm.polygon.lattice_perimeter() == 3
