@@ -55,8 +55,7 @@ class _SizeOrder(NamedTuple):
 
     slack: tuple  # (W, H, S) of CutTree.slack_arrays
     ranks: np.ndarray  # Sizes.rank(), ascending, for exact counts
-    prefix: np.ndarray  # prefix sums of S, starting at 0
-    prefix_sq: np.ndarray  # prefix sums of S^2, starting at 0
+    order: np.ndarray  # the node index of each row
 
 
 def _den_cap(eps) -> int:
@@ -161,7 +160,8 @@ class CutTree:
     on float charts, Fraction/int objects on exact polygon corners;
     sizes() makes the exact values.  The descent writes every column once;
     a deeper tree is a fresh descent.  The float readers share one row table
-    per tree, kept sorted by size (_by_size) and by angle (_by_angle).
+    per tree, kept sorted by size (_by_size) and by angle (_by_angle); the
+    exact front lines are made in size order (mediant_constraints).
     Trees are shared between readers and must be treated as read-only; they
     compare by identity and can be hashed.
     """
@@ -175,8 +175,8 @@ class CutTree:
     leaf_sizes: Sizes
     leaf_links: np.ndarray
     minimal_model: Optional[MinimalModel] = None
-    # exact mediant line per cut index, for the cuts some call kept
-    _mediants: dict = field(default_factory=dict, init=False, repr=False)
+    # the exact mediant lines made so far, a prefix of the size order
+    _lines: list = field(default_factory=list, init=False, repr=False)
 
     def sizes(self) -> list:
         return self.cut_sizes.tolist()
@@ -189,8 +189,8 @@ class CutTree:
     def _by_size(self) -> _SizeOrder:
         """The float row table, one row (size, wx, wy, h) per cut: the size
         and the mediant's normal w and support offset h, built in node order
-        and kept only sorted by size.  Every float reader of the tree reads
-        it or _by_angle."""
+        and kept only sorted by size, with the node index of each row.
+        Every float reader of the tree reads it or _by_angle."""
         rows = np.empty((len(self.nodes), 4))
         rows[:, 0] = self.cut_sizes.floats()
         for chart, lo, hi in self._chart_spans():
@@ -208,10 +208,7 @@ class CutTree:
         ranks = self.cut_sizes.rank()
         order = np.argsort(ranks, kind="stable")
         rows = rows[order]
-        s = rows[:, 0]
-        return _SizeOrder((rows[:, 1:3], rows[:, 3], s), ranks[order],
-                          np.concatenate([[0.0], np.cumsum(s)]),
-                          np.concatenate([[0.0], np.cumsum(s * s)]))
+        return _SizeOrder((rows[:, 1:3], rows[:, 3], rows[:, 0]), ranks[order], order)
 
     @cached_property
     def _by_angle(self) -> tuple:
@@ -297,19 +294,15 @@ class CutTree:
 
     def mediant_constraints(self, t) -> list:
         """(normal, offset) of the mediant supporting line of every cut of
-        size >= t, exact, in ambient coordinates.  Each cut's line is made
-        once per tree, when a call first keeps that cut."""
-        kept = self.cut_sizes.at_least(t)
-        memo = self._mediants
-        out = []
-        for chart, lo, hi in self._chart_spans():
-            idx = np.flatnonzero(kept[lo:hi]) + lo
-            for i, (a, b, c, d) in zip(idx.tolist(), self.nodes[idx].tolist()):
-                line = memo.get(i)
-                if line is None:
-                    line = memo[i] = chart.line(a + c, b + d)
-                out.append(line)
-        return out
+        size >= t, exact, in ambient coordinates: the first cut_count(t)
+        rows of the size order, largest cut first (ties in node order).
+        Each line is made once per tree, when a call first reaches its row."""
+        n, lines = self.cut_count(t), self._lines
+        idx = self._by_size.order[len(lines):n]  # the rows no call reached yet
+        charts = np.searchsorted(self.chart_offsets, idx, side="right") - 1
+        for k, (a, b, c, d) in zip(charts.tolist(), self.nodes[idx].tolist()):
+            lines.append(self.charts[k].line(a + c, b + d))
+        return lines[:n]
 
     def slack_arrays(self):
         """(W, H, S): float arrays of mediant normals, offsets and sizes,
@@ -594,32 +587,32 @@ class WaveFrontPolygon:
         return loop_lattice_perimeter(self.vertices[-1:] + self.vertices[:-1], self.normals)
 
 
-def _partial_cut_lines(domain: ConvexDomain, mm: MinimalModel, t) -> list:
-    """The support lines (normal, offset) of Omega^t: the minimal model's
-    edges and the mediant line of every cut of size >= t."""
-    return mm.polygon.halfplanes() + deepest_tree(domain, t).mediant_constraints(t)
+def _front(domain: ConvexDomain, t, inset) -> WaveFrontPolygon:
+    """The minimal model with every cut of size >= t applied, its support
+    lines moved inward by inset."""
+    hat = minimal_model_of(domain).polygon
+    lines = hat.halfplanes() + deepest_tree(domain, t).mediant_constraints(t)
+    verts, normals = halfplane_intersection(lines, inset)
+    return WaveFrontPolygon(t=t, vertices=verts, normals=normals if len(verts) >= 3 else [])
 
 
 def partial_cut_polygon(domain: ConvexDomain, t) -> WaveFrontPolygon:
-    """Omega^t: the minimal model with every cut of size >= t applied."""
+    """Omega^t: the minimal model with every cut of size >= t applied (past
+    m, where no cut is that large, the minimal model itself)."""
     if t < 0:
         raise ValueError("t must be nonnegative for a partial cut")
-    mm = minimal_model_of(domain)
-    lines = mm.polygon.halfplanes() if t > mm.m else _partial_cut_lines(domain, mm, t)
-    verts, normals = halfplane_intersection(lines)
-    return WaveFrontPolygon(t=t, vertices=verts, normals=normals)
+    return _front(domain, t, 0)
 
 
 def wave_front(domain: ConvexDomain, t) -> WaveFrontPolygon:
-    """Omega_t = {rho >= t}, computed as the t-inset of Omega^t."""
+    """Omega_t = {rho >= t}, computed as the t-inset of Omega^t; from m on,
+    the max locus."""
     if t <= 0:
         raise ValueError("wave front needs t > 0")
     mm = minimal_model_of(domain)
     if t >= mm.m:
         return WaveFrontPolygon(t=t, vertices=list(mm.max_locus), normals=[])
-    lines = _partial_cut_lines(domain, mm, t)
-    verts, normals = halfplane_intersection([(u, h + t) for u, h in lines])
-    return WaveFrontPolygon(t=t, vertices=verts, normals=normals if len(verts) >= 3 else [])
+    return _front(domain, t, t)
 
 
 def profiles(domain: ConvexDomain, t_grid: Sequence[float]) -> list[tuple[float, float, float]]:
@@ -643,8 +636,9 @@ def profiles(domain: ConvexDomain, t_grid: Sequence[float]) -> list[tuple[float,
     t = np.array(ts)
     n_t = tree.cut_count(t)  # one search for the whole grid
     k2_t = k2 - n_t
-    length_cut = l_hat - tree._by_size.prefix[n_t]  # Length_Z of boundary Omega^t
-    area_cut = a_hat - tree._by_size.prefix_sq[n_t] / 2
+    s = tree._by_size.slack[2]
+    length_cut = l_hat - np.concatenate([[0.0], np.cumsum(s)])[n_t]  # Length_Z of boundary Omega^t
+    area_cut = a_hat - np.concatenate([[0.0], np.cumsum(s * s)])[n_t] / 2
     length_front = length_cut - t * k2_t
     area_front = area_cut - t * length_cut + t * t / 2 * k2_t
     return list(zip(ts, length_front.tolist(), area_front.tolist()))

@@ -446,17 +446,19 @@ def lattice_length(p, q):
 _DROP_TOL = 1e-12  # relative length below which a float edge is dropped
 
 
-def halfplane_intersection(constraints: list[tuple[Vec, Num]]):
-    """Vertices of the bounded region {<u_i, x> >= h_i} when every constraint
-    is a *support* constraint (touches the region).  Constraints may arrive in
-    any order; they are sorted CCW by normal angle.  Zero-length edges (equal
-    consecutive intersection points) are dropped: exactly for rational
-    offsets, within _DROP_TOL (relative) for floats.
+def halfplane_intersection(constraints: list[tuple[Vec, Num]], inset=0):
+    """Vertices of the bounded region {<u_i, x> >= h_i + inset} when every
+    constraint is a *support* constraint (touches the region).  Constraints
+    may arrive in any order; they are sorted CCW by normal angle.  Zero-length
+    edges (equal consecutive intersection points) are dropped: exactly for
+    rational offsets, within _DROP_TOL (relative) for floats.
 
-    Rational offsets are put over one common denominator D as ints H_i, and
-    consecutive lines meet at (H_i v1 - H_j u1, H_j u0 - H_i v0) / (D det):
-    the meets and the zero-length test run on ints, and each kept vertex
-    coordinate is one Fraction.  Float offsets use the float formulas.
+    Where every h_i + inset is rational (a numpy integer inset keeps a
+    Fraction h_i so, not an int one), they go over one common denominator D
+    as ints H_i, and consecutive lines meet at (H_i v1 - H_j u1, H_j u0 -
+    H_i v0) / (D det): the meets and the zero-length test run on ints, and
+    each kept vertex coordinate is one Fraction.  Otherwise the float
+    formulas meet the lines h_i + inset.
 
     Returns (vertices, kept_normals); degenerate regions (point or segment)
     return fewer than 3 vertices.
@@ -470,11 +472,14 @@ def halfplane_intersection(constraints: list[tuple[Vec, Num]]):
         raise ValueError("adjacent parallel support lines: empty or unbounded region")
     # vertex i joins edge i and edge i+1; edge i runs vertex i-1 -> vertex i
     verts, normals = [], []
-    if all(isinstance(h, (Fraction, int)) for _, h in cs):
-        den = math.lcm(*{h.denominator for _, h in cs})
+    rational = ((Fraction, int) if isinstance(inset, (Fraction, int))
+                else (Fraction,) if isinstance(inset, np.integer) else ())
+    if all(isinstance(h, rational) for _, h in cs):
+        den = math.lcm(inset.denominator, *{h.denominator for _, h in cs})
+        shift = int(inset.numerator) * (den // inset.denominator)
+        hs = [h.numerator * (den // h.denominator) + shift for _, h in cs]
         raw = []  # (X, Y, det): the meet is (X, Y) / (den det)
-        for ((u0, u1), h), ((v0, v1), k) in pairs:
-            hi, hj = h.numerator * (den // h.denominator), k.numerator * (den // k.denominator)
+        for (((u0, u1), _), ((v0, v1), _)), hi, hj in zip(pairs, hs, hs[1:] + hs[:1]):
             raw.append((hi * v1 - hj * u1, hj * u0 - hi * v0, u0 * v1 - u1 * v0))
         px, py, pd = raw[-1]
         for (x, y, d), (u, _) in zip(raw, cs):
@@ -483,7 +488,7 @@ def halfplane_intersection(constraints: list[tuple[Vec, Num]]):
                 normals.append(u)
             px, py, pd = x, y, d
         return verts, normals
-    raw = [meet(u, h, v, k) for (u, h), (v, k) in pairs]
+    raw = [meet(u, h + inset, v, k + inset) for (u, h), (v, k) in pairs]
     for i in range(n):
         prev = raw[(i - 1) % n]
         cur = raw[i]
@@ -859,11 +864,24 @@ def _frac_to_str(f) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def _spec_vertices(spec: dict) -> list:
+    """The spec's "vertices", a list of [x, y] pairs of numbers or strings,
+    as Fraction pairs."""
+    verts = spec["vertices"]
+    if not isinstance(verts, (list, tuple)) or not all(
+            isinstance(v, (list, tuple)) and len(v) == 2
+            and all(isinstance(c, (int, float, str)) for c in v) for v in verts):
+        raise ValueError("vertices must be a list of [x, y] pairs")
+    return [(Fraction(sx), Fraction(sy)) for sx, sy in verts]
+
+
 def domain_from_dict(spec: dict) -> ConvexDomain:
+    """The domain of a JSON spec; ValueError on a malformed one."""
+    if not isinstance(spec, dict):
+        raise ValueError("a domain spec must be a JSON object")
     kind = spec.get("kind")
     if kind == "polygon":
-        verts = [(Fraction(sx), Fraction(sy)) for sx, sy in spec["vertices"]]
-        return ConvexDomain.from_polygon(verts)
+        return ConvexDomain.from_polygon(_spec_vertices(spec))
     if kind == "builtin":
         tag = spec.get("tag")
         if tag == "domain_L":
@@ -878,11 +896,14 @@ def domain_from_dict(spec: dict) -> ConvexDomain:
             return ConvexDomain.rectangle(Fraction(spec["P"]), Fraction(spec["Q"]))
         raise ValueError(f"unknown builtin tag {tag!r}")
     if kind == "smooth":
-        hat = [(Fraction(sx), Fraction(sy)) for sx, sy in spec["minimal_model"]["vertices"]]
+        hat = _spec_vertices(spec["minimal_model"])
         hat_poly = Polygon(hat)
+        n = len(hat_poly.vertices)
         charts = []
         for cspec in spec["charts"]:
-            idx = int(cspec["corner"])
+            idx = cspec["corner"]
+            if type(idx) is not int or not 0 <= idx < n:
+                raise ValueError(f"chart corner must be an int in [0, {n}), not {idx!r}")
             vtx, u_in, u_out = hat_poly.corners()[idx]
             coeffs = [float(c) for c in cspec["g_poly"]]
             x_max = float(cspec["x_max"])

@@ -350,7 +350,10 @@ def residue_two_thirds(domain: ConvexDomain, eps_min: float) -> ResidueEstimate:
     if n_min < 10**4:
         raise NumericalRegimeError("asymptotic regime not reached")
     window = (eps_min, eps_min**0.6)
-    ts = np.logspace(math.log10(window[0]), math.log10(window[1]), _FIT_SAMPLES)
+    # logspace may round its first sample just below eps_min, where the
+    # tree need not reach
+    ts = np.maximum(np.logspace(math.log10(window[0]), math.log10(window[1]), _FIT_SAMPLES),
+                    eps_min)
     ns = tree.cut_count(ts).astype(float)
     free_slope, _, r2 = _loglog_fit(ts, ns)
     if abs(free_slope + 2 / 3) > 0.05:

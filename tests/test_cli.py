@@ -23,6 +23,14 @@ def write_domain(tmp_path, spec, name="dom.json"):
 
 
 RECT = {"kind": "builtin", "tag": "rectangle", "P": "3", "Q": "2"}
+
+
+def _rounded_square(corners):
+    """The square [0,2]^2 with a chart g(x) = (1 - x)^2 on [0, 1] at each of
+    the given corners (0..3 is a valid spec)."""
+    return {"kind": "smooth",
+            "minimal_model": {"vertices": [["0", "0"], ["2", "0"], ["2", "2"], ["0", "2"]]},
+            "charts": [{"corner": k, "g_poly": ["1", "-2", "1"], "x_max": 1.0} for k in corners]}
 LDOM = {"kind": "builtin", "tag": "domain_L"}
 
 
@@ -173,6 +181,24 @@ class TestAnalyticCommands:
         path.write_text(json.dumps({"kind": "nonsense"}))
         code, out = run_cli(["zeta", str(path), "--s", "2"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("spec", [
+        [RECT],
+        {"kind": "polygon", "vertices": 5},
+        {"kind": "polygon", "vertices": [[0, 0], [1, 0, 2], [0, 1]]},
+        _rounded_square([0, 1, 2, -1]),
+        _rounded_square([0, 1, 2.7, 3]),
+        _rounded_square([0, 1, 2, 7]),
+    ], ids=["list", "vertices-int", "vertex-triple", "corner-negative", "corner-float",
+            "corner-out-of-range"])
+    def test_malformed_domain_is_exit_1(self, tmp_path, capsys, spec):
+        code, out = run_cli(["minimal-model", write_domain(tmp_path, spec)], capsys)
+        assert code == 1 and "error" in json.loads(out)
+
+    def test_well_formed_smooth_domain(self, tmp_path, capsys):
+        code, out = run_cli(["minimal-model", write_domain(tmp_path, _rounded_square([0, 1, 2, 3]))],
+                            capsys)
+        assert code == 0 and "error" not in json.loads(out)
 
     def test_pretty_mode(self, tmp_path, capsys):
         dom = write_domain(tmp_path, RECT)

@@ -273,6 +273,30 @@ class TestExactSizeTest:
         exact = sorted(tree.sizes(), reverse=True)
         assert [float(x) for x in exact] == tree._by_size.slack[2].tolist()
 
+    @pytest.mark.parametrize("make, t", [
+        (ConvexDomain.domain_L, 0.02), (ConvexDomain.disk, 0.02),
+        (pentagon_family_member, Fraction(1, 3)),
+        (lambda: random_polygon(random.Random(7)), Fraction(19, 4)),  # a 7-fold tie at 31/4
+    ], ids=["L", "disk", "pentagon", "random"])
+    def test_mediant_lines_follow_the_size_order(self, make, t):
+        """mediant_constraints(t) is the first cut_count(t) rows of the size
+        order, largest first: as a set, the lines of the cuts that
+        at_least(t) keeps in node order."""
+        dom = make()
+        tree = deepest_tree(dom, t)
+        lines = tree.mediant_constraints(t)
+        assert len(lines) == tree.cut_count(t) > 1
+        sizes, kept = tree.sizes(), tree.cut_sizes.at_least(t)
+        by_line = {}
+        for chart, lo, hi in tree._chart_spans():
+            for i in range(lo, hi):
+                if kept[i]:
+                    a, b, c, d = tree.nodes[i].tolist()
+                    by_line[chart.line(a + c, b + d)] = sizes[i]
+        assert set(lines) == set(by_line)
+        in_order = [by_line[line] for line in lines]
+        assert in_order == sorted(in_order, reverse=True)
+
 
 class TestPartialCut:
     def test_above_m_gives_hat(self):
@@ -916,8 +940,8 @@ class TestHistoryFree:
         dom = make()
         tree = deepest_tree(dom, 1e-3 if not dom.is_polygon else 0)
         tree.mediant_constraints(ts[0])
-        # only the cuts a call keeps are memoized
-        assert sorted(tree._mediants) == np.flatnonzero(tree.cut_sizes.at_least(ts[0])).tolist()
+        # the memo is the prefix of the size order that some call kept
+        assert len(tree._lines) == tree.cut_count(ts[0])
         partial_cut_polygon(dom, ts[1])
         for t in ts:
             fresh = make()

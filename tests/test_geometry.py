@@ -313,17 +313,33 @@ def _exact_domains(draw):
     return ConvexDomain.from_polygon(poly.vertices)
 
 
+def _cut_lines(dom, t):
+    """The support lines of the partial cut at t: the minimal model's edges
+    and the mediant line of every cut of size >= t."""
+    return (minimal_model_of(dom).polygon.halfplanes()
+            + cutting.deepest_tree(dom, t).mediant_constraints(t))
+
+
 def _fronts_of(dom, t):
-    """(support lines, vertices, normals) of the partial cut and the wave
-    front at t, and of the polygon and its minimal model."""
-    mm = minimal_model_of(dom)
-    lines = cutting._partial_cut_lines(dom, mm, t)
+    """(support lines met, vertices, normals) of the partial cut and the
+    wave front (its lines, inset by t) at t, and of the polygon and its
+    minimal model."""
+    lines = _cut_lines(dom, t)
     out = []
-    for cons in (lines, [(u, h + t) for u, h in lines], dom.polygon.halfplanes(),
-                 mm.polygon.halfplanes()):
-        verts, normals = geo.halfplane_intersection(cons)
-        out.append((cons, verts, normals))
+    for cons, inset in ((lines, 0), (lines, t), (dom.polygon.halfplanes(), 0),
+                        (minimal_model_of(dom).polygon.halfplanes(), 0)):
+        verts, normals = geo.halfplane_intersection(cons, inset)
+        out.append(([(u, h + inset) for u, h in cons], verts, normals))
     return out
+
+
+def _thirty_directions():
+    """The first 30-direction draw of the random polygons, as perfbench's."""
+    rng = random.Random(30)
+    dom = random_polygon(rng)
+    while len(dom.polygon.active_directions()) != 30:
+        dom = random_polygon(rng)
+    return dom
 
 
 def _counting(op, name, calls):
@@ -395,19 +411,16 @@ class TestExactLoops:
         """A work count, not a timing: the exact front of a 30-direction fuzz
         polygon, its area and lattice perimeter, and the size test on its
         exact tree do no Fraction arithmetic (only constructions)."""
-        rng = random.Random(30)  # the first 30-direction draw, as perfbench's
-        dom = random_polygon(rng)
-        while len(dom.polygon.active_directions()) != 30:
-            dom = random_polygon(rng)
+        dom = _thirty_directions()
         mm = minimal_model_of(dom)
         sizes = enumerate_cuts(dom, 0).cut_sizes
         t = mm.m / 3
-        cons = [(u, h + t) for u, h in cutting._partial_cut_lines(dom, mm, t)]
+        lines = _cut_lines(dom, t)
         calls = Counter()
         for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                      "__truediv__", "__rtruediv__", "__neg__", "__eq__"):
             monkeypatch.setattr(Fraction, name, _counting(getattr(Fraction, name), name, calls))
-        verts, normals = geo.halfplane_intersection(cons)
+        verts, normals = geo.halfplane_intersection(lines, t)
         area = geo.loop_area(verts)
         perimeter = geo.loop_lattice_perimeter(verts[-1:] + verts[:-1], normals)
         kept = sizes.at_least(t)
@@ -416,6 +429,36 @@ class TestExactLoops:
         assert len(verts) > 3 and 0 < kept.sum() < len(sizes)
         wf = wave_front(dom, t)
         assert (verts, area, perimeter) == (wf.vertices, wf.area(), wf.lattice_perimeter())
+
+    def test_warm_wave_front_adds_no_fractions(self, monkeypatch):
+        """On a warm tree, a wave front insets its support lines on integer
+        numerators: no Fraction addition at all (one per line when the
+        lines were shifted as Fractions)."""
+        dom = _thirty_directions()
+        t = minimal_model_of(dom).m / 3
+        wave_front(dom, t)
+        calls = Counter()
+        for name in ("__add__", "__radd__"):
+            monkeypatch.setattr(Fraction, name, _counting(getattr(Fraction, name), name, calls))
+        wf = wave_front(dom, t)
+        monkeypatch.undo()
+        assert calls == Counter() and len(wf.vertices) > 3
+
+    @pytest.mark.parametrize("inset", [0, 2, Fraction(1, 3), 0.25, np.float64(0.25),
+                                       np.int64(1)], ids=repr)
+    def test_inset_takes_the_branch_of_the_sums(self, inset):
+        """halfplane_intersection(lines, inset) gives the repr (values and
+        types) of meeting the lines h + inset: exact on ints where every sum
+        is an int or a Fraction, the float formulas otherwise.  A numpy
+        integer inset keeps Fraction offsets exact but not int ones."""
+        square = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -5), ((0, -1), -5)]
+        cut = [((1, 0), Fraction(1, 2)), ((0, 1), Fraction(1, 3)), ((-1, 0), Fraction(-9, 2)),
+               ((0, -1), Fraction(-9, 2)), ((1, 1), Fraction(7, 6))]
+        rounded = cut[:4] + [((1, 1), 1.25)]
+        for lines in (square, cut, rounded):
+            shifted = [(u, h + inset) for u, h in lines]
+            assert repr(geo.halfplane_intersection(lines, inset)) == repr(
+                geo.halfplane_intersection(shifted))
 
 
 # every builtin chart that carries graph data, as (domain constructor, chart name)

@@ -27,6 +27,7 @@ CASES = {
     "L_zeta_identity": ["zeta", L, "--s", "2", "--eps", "1e-6"],
     "L_zeta_mellin": ["zeta", L, "--s", "3", "--route", "mellin"],
     "L_equiaffine_triangles": ["equiaffine", L, "--method", "triangles", "--eps", "1e-5"],
+    "L_residue_two_thirds": ["residue", L, "--at", "2/3", "--eps-min", "1e-6"],
     "rect_residue_1": ["residue", RECT, "--at", "1"],
     "rect_residue_0": ["residue", RECT, "--at", "0"],
     "farey_quadratic": ["farey", "--weight", "quadratic", "--s", "0.8", "--bound", "500"],

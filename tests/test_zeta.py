@@ -428,6 +428,18 @@ class TestResidueTwoThirds:
         with pytest.raises(NumericalRegimeError):
             residue_two_thirds(ConvexDomain.domain_L(), 1e-2)
 
+    @pytest.mark.parametrize("make", [ConvexDomain.domain_L, ConvexDomain.disk],
+                             ids=["L", "disk"])
+    @pytest.mark.parametrize("eps", [1e-5, 5e-6])
+    def test_fresh_equals_deepened(self, make, eps):
+        """At these depths logspace rounds the window's first sample below
+        eps; the fit samples no deeper than eps, so a fresh domain gives the
+        fit of one whose tree is already deeper."""
+        deep = make()
+        enumerate_cuts(deep, 1e-6)
+        fresh, deepened = residue_two_thirds(make(), eps), residue_two_thirds(deep, eps)
+        assert (fresh.value, fresh.fit_diagnostics) == (deepened.value, deepened.fit_diagnostics)
+
 
 class TestFitUtility:
     def test_d_alpha_counting_exponent(self):
