@@ -327,29 +327,26 @@ def _children(quads: np.ndarray) -> np.ndarray:
     return (quads @ _SPLIT).reshape(-1, 4)
 
 
-def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * len(x), dtype=x.dtype)
-    out[0::2], out[1::2] = x, y
-    return out
+_ROOT = np.array([[1, 0, 0, 1]], dtype=np.int64)
 
 
 def _roots(n: int) -> np.ndarray:
     """The root corners of n charts: (1, 0, 0, 1), the chart frame."""
-    return np.tile(np.array([1, 0, 0, 1], dtype=np.int64), (n, 1))
+    return _ROOT.repeat(n, axis=0)
 
 
 def _frontier_quads(nodes: np.ndarray, leaf_links: np.ndarray) -> np.ndarray:
     """The quadruples of a tree's frontier corners, in frontier order."""
     quads = _roots(len(leaf_links))
     inner = leaf_links >= 0
-    pairs = _children(nodes[leaf_links[inner] >> 1]).reshape(-1, 2, 4)
+    pairs = _children(nodes.take(leaf_links[inner] >> 1, axis=0)).reshape(-1, 2, 4)
     quads[inner] = pairs[np.arange(len(pairs)), 1 - (leaf_links[inner] & 1)]
     return quads
 
 
 def _oracle(chart, all_den: bool):
     """The batched size oracle of a chart, as (kind, function): charts that
-    share one are descended by one call per level."""
+    share one are descended by one call per batch."""
     if all_den:
         return "den", chart.defect_den
     if chart.defect_float is not None:
@@ -357,90 +354,307 @@ def _oracle(chart, all_den: bool):
     return "scalar", None  # each corner's own chart.support, in Python
 
 
-def _level_descent(charts, oracle, cids, eps, dtype) -> list:
-    """Level-synchronous Stern-Brocot descent from the roots of the given
-    charts (one per cids entry, all sharing one oracle) down to size eps:
-    every corner of a level is measured at once, and the children of its
-    cuts form the next level, interleaved side 1 first.  Returns (sizes,
-    cut mask) per level.
+# Every corner that a defect_den batch measures fits int64.  With
+# den = x y (x + y), x the form of a chain head's moving normal and y of
+# its fixed one, member j has x + j y in place of x.  The batches measure
+# members j0 .. 2 j0 for j0 = 0, 1, 3, 7, ...  Member 0 is a chart root or
+# a child of a cut, and member 1 a child of the cut member 0: _DEN_CAP_MAX
+# covers both.  Member 2 has (x + 2y)(x + 3y) <= 6 (x + y)^2, so
+# den <= 6 cap (x + y) / x <= 6 cap (1 + isqrt(cap)); where that could
+# overflow, member 1 is measured alone and the batches go on from j0 = 2.
+# Past a cut member i >= 1, x + j y <= (j / i)(x + i y) for j > i, so
+# member j has den <= cap j (j + 1) / (i (i + 1)); a batch from j0 >= 2
+# (i = j0 - 1) stops at j = 2 j0, at most 10 cap.
+
+# The most members of one chain measured in one batch.  A chain always ends
+# on a valid chart, but one whose sizes never fall (a broken oracle) would
+# otherwise double its batches until memory runs out.
+_BATCH_MAX = 1 << 16
+
+
+def _chain_descent(charts, oracle, cids, eps, dtype) -> list:
+    """Stern-Brocot descent by chains from the roots of the given charts
+    (one per cids entry, all sharing one oracle) down to size eps.
+
+    A chain is a corner and its run of same-side descendants: in round r
+    the members (u + j v, v) of the head corner (u, v) when r is even
+    (side 1), (u, v + j u) when r is odd (side 0), j = 0, 1, ...  Sizes do
+    not increase along a chain, so its cuts are the members before its
+    first uncut one, the chain's frontier corner.  Every chain of a round
+    is measured in one oracle call per batch of members j0 .. 2 j0, with
+    j0 = 0, 1, 3, 7, ... (at most _BATCH_MAX members; the scalar oracle
+    measures the first 8 one at a time), until its frontier corner; the
+    other-side children of its cuts head the chains of the next
+    round.  The rounds follow the runs of a path (the partial quotients of
+    its continued fraction), not its depth.  Returns per round the chain
+    lengths (cuts), the cut sizes (chain by chain, in member order; the
+    denominators as int32 where cap fits, since every round is held until
+    placed) and the frontier sizes.
 
     The scalar oracle measures size = gamma(u + v) - gamma(u) - gamma(v)
-    with gamma(u), gamma(v) handed down; it and the float defect check that
-    each size is nonnegative and at most its parent's."""
+    with the gammas handed down; it and the float defect check that each
+    size is nonnegative and at most its parent's, on every member up to a
+    chain's frontier corner (members past it are measured, never read)."""
     kind, fn = oracle
-    exact = dtype == object
-    quads = _roots(len(cids))
-    if kind != "den":  # a chart root has no parent
+    den, exact, scalar = kind == "den", dtype == object, kind == "scalar"
+    cap = _den_cap(eps) if den else None
+    # the members measured one at a time before the batches double: the
+    # scalar oracle pays a Python support call for each member past a
+    # chain's end, and member 2 may not join member 1 where its den could
+    # overflow (see above)
+    if scalar:
+        single = 8
+    else:
+        single = 2 if den and 6 * cap * (1 + math.isqrt(cap)) >= 2**63 else 1
+    heads = _roots(len(cids)).T.copy()  # one column (u, v) per chain
+    if not den:  # a chart root has no parent
         psize = np.full(len(cids), math.inf, dtype=dtype)
-    if kind == "scalar":
-        def fn(ca, cb):
-            return np.array([charts[k].support(a, b)
-                             for k, a, b in zip(cids.tolist(), ca.tolist(), cb.tolist())],
-                            dtype=dtype)
-        gu, gv = fn(quads[:, 0], quads[:, 1]), fn(quads[:, 2], quads[:, 3])
-    levels = []
-    while len(quads):
-        if kind == "scalar":
-            mediant = quads[:, :2] + quads[:, 2:]
-            gm = fn(mediant[:, 0], mediant[:, 1])
-            size = gm - gu - gv
-        else:
-            size = fn(*quads.T)
-        cut = Sizes(size, kind == "den").at_least(eps) if eps > 0 else size > 0
-        if kind != "den":
-            bad = size < 0 if exact else size < -1e-9
-            if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                raise ValueError(f"chart {charts[cids[i]].name}: negative defect at "
-                                 f"{tuple(quads[i].tolist())}")
-            if (size > (psize if exact else psize + 1e-12 * (1 + psize))).any():
-                raise AssertionError("support triangle nesting violated: child larger than parent")
-            psize = np.repeat(size[cut], 2)
-        if kind == "scalar":
-            gm = gm[cut]
-            gu, gv = _interleave(gm, gu[cut]), _interleave(gv[cut], gm)
-        levels.append((size, cut))
-        quads = _children(quads[cut])
-        cids = np.repeat(cids[cut], 2)
-    return levels
+    if scalar:
+        def gamma(ks, a, b):
+            return np.array([charts[k].support(x, y)
+                             for k, x, y in zip(ks.tolist(), a.tolist(), b.tolist())], dtype=dtype)
+        gu, gv = gamma(cids, *heads[:2]), gamma(cids, *heads[2:])
+    rounds, side = [], 1
+    while heads.shape[1]:
+        mv, fx = _SLOTS[side]
+        lengths = np.zeros(heads.shape[1], dtype=np.int32)  # chain lengths, kept per round
+        batches = []
+        # sub: member j0 of each chain still going (rows; None: all of them)
+        rows, sub, j0, k = None, heads, 0, 1
+        if not den:
+            last = psize  # the size of member j0 - 1 (of the head's parent at j0 = 0)
+        if scalar:
+            # the gammas of member j0's moving normal and of the fixed one
+            ks, glast, gfix = (cids, gu, gv) if side else (cids, gv, gu)
+        while True:
+            if k > 1:
+                quads = sub.repeat(k, axis=1)
+                quads[mv] += (sub[fx, :, None] * np.arange(k)).reshape(2, -1)
+            else:
+                quads = sub
+            if scalar:
+                gm = gamma(ks if k == 1 else ks.repeat(k), *(quads[:2] + quads[2:]))
+                if k > 1:
+                    gm2 = gm.reshape(-1, k)
+                    gvar, gf = np.concatenate((glast[:, None], gm2[:, :-1]), axis=1), gfix[:, None]
+                    size = (gm2 - gvar - gf if side else gm2 - gf - gvar).reshape(-1)
+                else:
+                    size = gm - glast - gfix if side else gm - gfix - glast
+            else:
+                size = fn(*quads)
+            if k == 1:
+                going = ncut = size <= cap if den else (size >= eps if eps > 0 else size > 0)
+            else:
+                # the first uncut member of each chain, k past a sentinel if none
+                cut = np.zeros((len(size) // k, k + 1), dtype=bool)
+                if den:
+                    np.less_equal(size.reshape(-1, k), cap, out=cut[:, :k])
+                elif eps > 0:
+                    np.greater_equal(size.reshape(-1, k), eps, out=cut[:, :k])
+                else:
+                    np.greater(size.reshape(-1, k), 0, out=cut[:, :k])
+                ncut = cut.argmin(axis=1)
+                going = ncut == k
+                measured = (np.arange(k) <= ncut[:, None]).reshape(-1)
+            if rows is None:
+                lengths += ncut
+            else:
+                lengths[rows] += ncut
+            if not den:
+                # each member's parent: the member before it, or the head's parent
+                prev = last if k == 1 else np.concatenate(
+                    (last[:, None], size.reshape(-1, k)[:, :-1]), axis=1).reshape(-1)
+                if np.count_nonzero(size < (0 if exact else -1e-9)) or np.count_nonzero(
+                        size > prev):
+                    _check(charts, cids, rows, k, quads, size, prev, k == 1 or measured, exact)
+            batches.append((rows, j0, None if k == 1 else measured, size, gm if scalar else None))
+            more = going.nonzero()[0]
+            if not len(more):
+                break
+            rows = more if rows is None else rows[more]
+            at = more if k == 1 else more * k + (k - 1)  # each going chain's last member
+            sub = quads[:, at]
+            sub[mv] += sub[fx]
+            if not den:
+                last = size[at]
+            if scalar:
+                ks, glast, gfix = ks[more], gm[at], gfix[more]
+            j0 += k
+            k = 1 if j0 < single else min(j0 + 1, _BATCH_MAX)
+        # each chain's members up to its frontier corner, in order, then
+        # the cuts and the frontier corners apart
+        ends = (lengths + 1).cumsum()
+        starts = ends - lengths - 1
+        vals = np.empty(ends[-1], dtype=dtype)
+        gvals = np.empty(len(vals), dtype=dtype) if scalar else None
+        for rows, j0, measured, size, gm in batches:
+            at = starts if rows is None else starts[rows]
+            if measured is not None:  # a batch of k > 1 members
+                k = len(measured) // len(at)
+                at = (at[:, None] + np.arange(j0, j0 + k)).reshape(-1)[measured]
+                size = size[measured]
+                gm = gm[measured] if scalar else None
+            elif j0:
+                at = at + j0
+            vals[at] = size
+            if scalar:
+                gvals[at] = gm
+        del batches, rows, size, gm, quads, sub  # a deep round's arrays go first
+        ends -= 1  # each chain's frontier corner
+        is_cut = np.ones(len(vals), dtype=bool)
+        is_cut[ends] = False
+        cuts = vals[is_cut]
+        rounds.append((lengths, cuts.astype(np.int32) if den and cap < 2**31 else cuts, vals[ends]))
+        if scalar:
+            # member j's moving gamma: member j - 1's mediant, the head's at j = 0
+            gvar = np.empty_like(gvals)
+            gvar[1:] = gvals[:-1]
+            gvar[starts] = gu if side else gv
+            gvar, gvals = gvar[is_cut], gvals[is_cut]
+            # the side-0 child (u, u + v) of a side-1 member, the side-1 child
+            # (u + v, v) of a side-0 one
+            gu, gv = (gvar, gvals) if side else (gvals, gvar)
+        # each cut's place in its chain; the next round's heads
+        j = is_cut.nonzero()[0] - starts.repeat(lengths)
+        del vals, is_cut
+        heads = _spawn(_members(heads, lengths, j, side), side)
+        if not den:
+            psize, cids = cuts, cids.repeat(lengths)
+        side ^= 1
+    return rounds
 
 
-def _subtree_cuts(levels) -> list:
-    """Per level, the number of cuts in the subtree of each corner."""
-    counts = [cut.astype(np.int64) for _, cut in levels]
-    for n, deeper, (_, cut) in zip(counts[-2::-1], counts[:0:-1], levels[-2::-1]):
-        n[cut] += deeper[0::2] + deeper[1::2]
-    return counts
+def _check(charts, cids, rows, k, quads, size, prev, measured, exact) -> None:
+    """Raise for the first member of a batch (k members of each chain in
+    rows, of every chain if None) that its descent measures, up to its
+    chain's frontier corner, with a negative size (ValueError) or one
+    larger than its parent's, prev (AssertionError); members past the
+    frontier are never read, and a float size may exceed its parent's by
+    rounding."""
+    bad = (size < (0 if exact else -1e-9)) & measured
+    if bad.any():
+        i = int(bad.nonzero()[0][0])
+        row = i // k if rows is None else rows[i // k]
+        raise ValueError(f"chart {charts[cids[row]].name}: negative defect at "
+                         f"{tuple(quads[:, i].tolist())}")
+    if ((size > (prev if exact else prev + 1e-12 * (1 + prev))) & measured).any():
+        raise AssertionError("support triangle nesting violated: child larger than parent")
 
 
-def _place(levels, counts, cpos, lpos, out) -> None:
-    """Write one descent's levels into the tree columns, in depth-first
-    order.  A corner's subtree takes the cut positions from cpos and the
-    frontier positions from lpos on (given per chart root); its side-1
-    child's subtree comes first, and a subtree holding n cuts holds n + 1
-    frontier corners."""
+# the rows (moving, fixed) of a chain's member columns (a, b, c, d) on
+# side 0 and on side 1
+_SLOTS = ((slice(2, 4), slice(0, 2)), (slice(0, 2), slice(2, 4)))
+
+
+def _members(heads, lengths, j, side) -> np.ndarray:
+    """The cut members of each chain heads[:, i] on the given side, chain
+    by chain, as columns: lengths[i] of them, member j[f] at column f."""
+    mv, fx = _SLOTS[side]
+    quads = heads.repeat(lengths, axis=1)
+    quads[mv] += j * quads[fx]
+    return quads
+
+
+def _spawn(quads, side) -> np.ndarray:
+    """Turn each corner column of a chain on the given side into its
+    other-side child, in place: (u, u + v) of a side-1 member (u, v),
+    (u + v, v) of a side-0 one."""
+    mv, fx = _SLOTS[side]
+    quads[fx] += quads[mv]
+    return quads
+
+
+def _subtree_cuts(rounds) -> list:
+    """Per round, the running sum of the cuts in the subtrees of its
+    chains (a leading 0, then one entry per chain); int32 where it fits,
+    since every round's sums are held until placed."""
+    sums, cs = [], np.zeros(1, dtype=np.int64)
+    for lengths, _, _ in rounds[::-1]:
+        ends = lengths.cumsum()
+        tot = lengths.astype(np.int64)
+        tot += cs[ends]
+        tot -= cs[ends - lengths]
+        cs = np.zeros(len(tot) + 1, dtype=np.int64)
+        tot.cumsum(out=cs[1:])
+        del tot
+        sums.append(cs if cs[-1] >= 2**31 else cs.astype(np.int32))
+    return sums[::-1]
+
+
+# chains placed at once: bounds the working memory of a deep round
+_PLACE_CHUNK = 1 << 14
+
+
+def _place(rounds, sums, cpos, lpos, out) -> None:
+    """Write one descent's rounds into the tree columns, in depth-first
+    order.  A chain head's subtree takes the cut positions from cpos and
+    the frontier positions from lpos on (given per chart root), and a
+    subtree holding n cuts holds n + 1 frontier corners.  Side 1 first: a
+    side-1 chain is its members, its frontier corner, then its members'
+    side-0 subtrees, last member's first; a side-0 chain is each member
+    followed by its side-1 subtree, then its frontier corner.  A round is
+    placed _PLACE_CHUNK chains at a time, and a chain head is read back
+    from its parent's row of nodes."""
     nodes, links, cut_vals, leaf_links, leaf_vals = out
-    quads, link = _roots(len(cpos)), np.full(len(cpos), -1, dtype=np.int64)
-    for i, (size, cut) in enumerate(levels):
-        levels[i] = counts[i] = None  # release each level once it is placed
-        leaf = ~cut
-        lp = lpos[leaf]
-        leaf_vals[lp], leaf_links[lp] = size[leaf], link[leaf]
-        p, quads = cpos[cut], quads[cut]
-        nodes[p], cut_vals[p], links[p] = quads, size[cut], link[cut]
-        if not len(p):
-            break
-        first = counts[i + 1][0::2]  # cuts below each side-1 child
-        q = lpos[cut]
-        cpos = _interleave(p + 1, p + 1 + first)
-        lpos = _interleave(q, q + first + 1)
-        link = _interleave(2 * p + 1, 2 * p)
-        quads = _children(quads)
+    link, side = np.full(len(cpos), -1, dtype=np.int64), 1
+    sums.append(np.zeros(1, dtype=np.int64))
+    for i, (lengths, cuts, leaves) in enumerate(rounds):
+        cs = sums[i + 1]  # cs[f]: the cuts below members before f
+        rounds[i] = sums[i + 1] = None  # release each round once it is placed
+        ends = lengths.cumsum()
+        # the next round's cpos, lpos and link, one per member
+        nxt, lead, below = (np.empty(len(cuts), dtype=np.int64) for _ in range(3))
+        for c0 in range(0, len(lengths), _PLACE_CHUNK):
+            ch = slice(c0, c0 + _PLACE_CHUNK)
+            n, e = lengths[ch], ends[ch]
+            off = e - n
+            f0, f1 = int(off[0]), int(e[-1])  # the chunk's members
+            j = np.arange(f0, f1) - off.repeat(n)  # each member's place in its chain
+            # int64, as every index array here: numpy converts narrower
+            # index arrays on each use
+            pos = j + cpos[ch].repeat(n)
+            if side:
+                # the members at cpos on, the frontier corner at lpos, then the
+                # members' subtrees, each after those of the later members
+                nxt[f0:f1] = (cpos[ch] + n + cs[e]).repeat(n) - cs[f0 + 1:f1 + 1]
+                lead[f0:f1] = nxt[f0:f1] + (lpos[ch] - cpos[ch]).repeat(n) - j
+                leaf_pos = lpos[ch].astype(np.int64)
+            else:
+                # each member after the earlier members and their subtrees, the
+                # frontier corner last
+                pos += cs[f0:f1]
+                pos -= cs[off].repeat(n)
+                nxt[f0:f1] = pos + 1
+                lead[f0:f1] = pos + (lpos[ch] - cpos[ch]).repeat(n)
+                leaf_pos = lpos[ch] + (e - off) + cs[e] - cs[off]
+            cut_vals[pos] = cuts[f0:f1]
+            grown = (n > 0).nonzero()[0]
+            head = link[ch]
+            if i:  # take: a row gather several times faster than nodes[...]
+                heads = _spawn(nodes.take(head[grown] >> 1, axis=0).T.copy(), 1 - side)
+            else:
+                heads = _roots(len(grown)).T.copy()
+            nodes[pos] = _members(heads, n[grown], j, side).T
+            # member j > 0 hangs below member j - 1 on the chain's side; the
+            # frontier corner below the last member, or in the head's place
+            same = 2 * pos + side
+            up = np.empty_like(pos)
+            up[1:] = same[:-1]
+            up[off[grown] - f0] = head[grown]
+            links[pos] = up
+            head[grown] = same[e[grown] - (f0 + 1)]
+            leaf_vals[leaf_pos], leaf_links[leaf_pos] = leaves[ch], head
+            below[f0:f1] = same + (1 - 2 * side)
+        cpos, lpos, link = nxt, lead, below
+        side ^= 1
 
 
 def _grow(charts: list, eps, mm: Optional[MinimalModel] = None) -> CutTree:
-    """The tree of the charts down to size eps: one level-synchronous
-    descent per oracle, written in depth-first order chart by chart."""
+    """The tree of the charts down to size eps.  The charts that share a
+    size oracle descend together by chains, one batched oracle call per
+    batch of each round's chains (_chain_descent); each descent is then
+    written into the tree columns in depth-first order, chart by chart
+    (_place)."""
     all_den = bool(charts) and all(chart.defect_den is not None for chart in charts)
     if all_den:
         if _den_cap(eps) > _DEN_CAP_MAX:
@@ -457,18 +671,18 @@ def _grow(charts: list, eps, mm: Optional[MinimalModel] = None) -> CutTree:
     runs = []
     for oracle, members in groups.items():
         sel = np.array(members, dtype=np.int64)
-        levels = _level_descent(charts, oracle, sel, eps, dtype)
-        counts = _subtree_cuts(levels)
-        grown[sel] = counts[0]
-        runs.append((sel, levels, counts))
+        rounds = _chain_descent(charts, oracle, sel, eps, dtype)
+        sums = _subtree_cuts(rounds)
+        grown[sel] = sums[0][1:] - sums[0][:-1]
+        runs.append((sel, rounds, sums))
     # chart k holds the cuts start[k]:start[k + 1] and one frontier corner more
     start = np.concatenate([[0], np.cumsum(grown)])
     n_cuts = int(start[-1])
     out = (np.empty((n_cuts, 4), dtype=np.int64), np.empty(n_cuts, dtype=np.int64),
            np.empty(n_cuts, dtype=dtype), np.empty(n_cuts + len(charts), dtype=np.int64),
            np.empty(n_cuts + len(charts), dtype=dtype))
-    for sel, levels, counts in runs:
-        _place(levels, counts, start[sel], start[sel] + sel, out)
+    for sel, rounds, sums in runs:
+        _place(rounds, sums, start[sel], start[sel] + sel, out)
     return CutTree(charts=charts, threshold=eps, nodes=out[0], links=out[1],
                    chart_offsets=tuple(start.tolist()),
                    cut_sizes=Sizes(out[2], all_den), leaf_sizes=Sizes(out[4], all_den),

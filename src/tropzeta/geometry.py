@@ -555,7 +555,7 @@ class ArcChart:
     name: str = ""
     # Batched oracles.  Each takes ints or int64 arrays of chart coordinates
     # and works elementwise; charts of one domain share them where they can,
-    # so one call serves every chart at each level of the descent.
+    # so one call serves every chart in each batch of the descent.
     # integer fast path: the support defect of (a,b,c,d) is exactly
     # 1 / defect_den(a, b, c, d), with den = x y (x + y) for lattice-linear
     # forms x, y of u = (a, b) and v = (c, d)
@@ -875,6 +875,16 @@ def _spec_vertices(spec: dict) -> list:
     return [(Fraction(sx), Fraction(sy)) for sx, sy in verts]
 
 
+def _spec_float(value, name: str) -> float:
+    """A spec number, a JSON number or a numeric string, as a float."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{name} must be a number, not {value!r}")
+
+
 def domain_from_dict(spec: dict) -> ConvexDomain:
     """The domain of a JSON spec; ValueError on a malformed one."""
     if not isinstance(spec, dict):
@@ -887,26 +897,34 @@ def domain_from_dict(spec: dict) -> ConvexDomain:
         if tag == "domain_L":
             return ConvexDomain.domain_L()
         if tag == "disk":
-            return ConvexDomain.disk(spec.get("radius", 1.0))
+            return ConvexDomain.disk(_spec_float(spec.get("radius", 1.0), "radius"))
         if tag == "parabolic_triangle":
             return ConvexDomain.parabolic_triangle()
         if tag == "d_alpha":
-            return ConvexDomain.d_alpha(spec["alpha"], int(spec.get("n_max", 10**5)))
+            return ConvexDomain.d_alpha(_spec_float(spec["alpha"], "alpha"),
+                                        int(_spec_float(spec.get("n_max", 10**5), "n_max")))
         if tag == "rectangle":
             return ConvexDomain.rectangle(Fraction(spec["P"]), Fraction(spec["Q"]))
         raise ValueError(f"unknown builtin tag {tag!r}")
     if kind == "smooth":
-        hat = _spec_vertices(spec["minimal_model"])
+        mm_spec, chart_specs = spec["minimal_model"], spec["charts"]
+        if not isinstance(mm_spec, dict):
+            raise ValueError("minimal_model must be an object with vertices")
+        if not isinstance(chart_specs, list) or not all(isinstance(c, dict) for c in chart_specs):
+            raise ValueError("charts must be a list of objects")
+        hat = _spec_vertices(mm_spec)
         hat_poly = Polygon(hat)
         n = len(hat_poly.vertices)
         charts = []
-        for cspec in spec["charts"]:
+        for cspec in chart_specs:
             idx = cspec["corner"]
             if type(idx) is not int or not 0 <= idx < n:
                 raise ValueError(f"chart corner must be an int in [0, {n}), not {idx!r}")
             vtx, u_in, u_out = hat_poly.corners()[idx]
-            coeffs = [float(c) for c in cspec["g_poly"]]
-            x_max = float(cspec["x_max"])
+            if not isinstance(cspec["g_poly"], list):
+                raise ValueError("g_poly must be a list of coefficients")
+            coeffs = [_spec_float(c, "a g_poly coefficient") for c in cspec["g_poly"]]
+            x_max = _spec_float(cspec["x_max"], "x_max")
             p = np.polynomial.Polynomial(coeffs)
             charts.append(ArcChart(corner=vtx, u1=u_in, u2=u_out,
                                    support=None, g=p, dg=p.deriv(1), d2g=p.deriv(2),

@@ -156,13 +156,6 @@ def arithmetic_functions(b: int) -> tuple[int, int, int]:
     return phi, tau, mu
 
 
-def divisors(b: int) -> list[int]:
-    ds = [1]
-    for p, e in factorize(b):
-        ds = [d * p**k for d in ds for k in range(e + 1)]
-    return sorted(ds)
-
-
 def reduced_residues(b: int) -> list[int]:
     """Residues r in {1, ..., b} with gcd(r, b) = 1.  For b = 1 this is [1]."""
     return [r for r in range(1, b + 1) if math.gcd(r, b) == 1]

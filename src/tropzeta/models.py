@@ -42,7 +42,6 @@ _BERNOULLI_EVEN = [
 
 
 _ZETA_TERMS = 24  # direct terms before the Euler-Maclaurin tail
-_ETA_TERMS = 40  # terms of the accelerated alternating series
 
 
 def riemann_zeta(s: complex) -> complex:
@@ -68,24 +67,6 @@ def riemann_zeta(s: complex) -> complex:
     return out
 
 
-def riemann_zeta_eta(s: complex) -> complex:
-    """zeta via the alternating eta series with Cohen-Rodriguez Villegas-Zagier
-    acceleration; independent of the Euler-Maclaurin route."""
-    s = complex(s)
-    if s == 1:
-        raise ValueError("zeta has a pole at s = 1")
-    n = _ETA_TERMS
-    d = (3 + math.sqrt(8)) ** n
-    d = (d + 1 / d) / 2
-    b, c, out = -1.0, -d, 0j
-    for k in range(n):
-        c = b - c
-        out += c * (k + 1) ** (-s)
-        b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1))
-    eta = out / d
-    return eta / (1 - 2 ** (1 - s))
-
-
 # ---------------------------------------------------------------------------
 # Parabolic arc oracles (exact rational).
 
@@ -96,7 +77,7 @@ def parabola_form(p: int, q: int) -> dict:
     S = p a + q b: support a b / (p q S), the arc
     g(x) = (A - sqrt(B x))^2 on [0, 1/(p q^2)] with A = 1/(p sqrt(q)) and
     B = q/p.  Built once per form, so that charts of one form share every
-    oracle object and the descent measures them in one call per level."""
+    oracle object and the descent measures them in one call per batch."""
     pq = p * q
 
     def form(a, b):  # no product by a unit coefficient: L's (1, 1) form is a + b

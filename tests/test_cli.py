@@ -189,8 +189,18 @@ class TestAnalyticCommands:
         _rounded_square([0, 1, 2, -1]),
         _rounded_square([0, 1, 2.7, 3]),
         _rounded_square([0, 1, 2, 7]),
+        dict(_rounded_square([0, 1, 2, 3]), minimal_model=5),
+        dict(_rounded_square([0, 1, 2, 3]), charts=5),
+        dict(_rounded_square([0, 1, 2, 3]), charts=[{"corner": 0, "g_poly": 5, "x_max": 1.0}]
+             + _rounded_square([1, 2, 3])["charts"]),
+        {"kind": "builtin", "tag": "d_alpha", "alpha": "x"},
+        {"kind": "builtin", "tag": "d_alpha", "alpha": 0.5, "n_max": [1]},
+        {"kind": "builtin", "tag": "disk", "radius": [1]},
+        dict(_rounded_square([0, 1, 2, 3]), charts=[{"corner": 0, "g_poly": ["1"], "x_max": [1]}]
+             + _rounded_square([1, 2, 3])["charts"]),
     ], ids=["list", "vertices-int", "vertex-triple", "corner-negative", "corner-float",
-            "corner-out-of-range"])
+            "corner-out-of-range", "minimal-model-int", "charts-int", "g-poly-int",
+            "alpha-string", "n-max-list", "radius-list", "x-max-list"])
     def test_malformed_domain_is_exit_1(self, tmp_path, capsys, spec):
         code, out = run_cli(["minimal-model", write_domain(tmp_path, spec)], capsys)
         assert code == 1 and "error" in json.loads(out)

@@ -23,7 +23,7 @@ from tropzeta.cutting import (
     wave_front,
 )
 from tropzeta.equiaffine import length_via_triangles
-from tropzeta.geometry import ConvexDomain, domain_from_dict
+from tropzeta.geometry import ArcChart, ConvexDomain, domain_from_dict
 from tropzeta.minimal import k_squared, minimal_model_of
 from tropzeta.zeta import zeta_via_mellin
 
@@ -761,9 +761,9 @@ LEVEL_IDS = ["L", "disk", "parabolic_triangle", "d_alpha", "polynomial", "pentag
 
 
 class TestLevelDescent:
-    """The level-synchronous descent writes the columns of the depth-first
-    reference descent: same cuts, links, sizes and size types, frontier and
-    chart offsets."""
+    """The chain descent writes the columns of the depth-first reference
+    descent: same cuts, links, sizes and size types, frontier and chart
+    offsets."""
 
     @pytest.mark.parametrize("make, epss", LEVEL_CASES, ids=LEVEL_IDS)
     def test_equals_depth_first_reference(self, make, epss):
@@ -781,6 +781,106 @@ class TestLevelDescent:
         L_json = str(Path(__file__).resolve().parent.parent / "domains" / "L.json")
         assert main(["cuts", L_json, "--eps", "1e-15"]) == 1
         assert "smallest allowed eps" in capsys.readouterr().out
+
+
+def _disk_with_defect(change):
+    """The disk's first chart with its float defect passed through
+    change(a, b, c, d, size)."""
+    chart = ConvexDomain.disk().charts[0]
+    return dataclasses.replace(
+        chart, defect_float=lambda a, b, c, d: change(a, b, c, d, chart.defect_float(a, b, c, d)))
+
+
+def _scalar_chart(support):
+    return ArcChart(corner=(0, 0), u1=(1, 0), u2=(0, 1), support=support, name="broken")
+
+
+class TestDescentChecks:
+    """A chart whose sizes break superadditivity (a negative size) or
+    nesting (a child larger than its parent) stops the descent, through the
+    float defect and through the scalar support oracle.  The corners two
+    levels down, (1, 2, 0, 1) and its siblings, sit below cuts, so every
+    descent measures them."""
+
+    def test_float_defect_negative(self):
+        chart = _disk_with_defect(lambda a, b, c, d, s: np.where(a + b + c + d >= 4, -s, s))
+        with pytest.raises(ValueError, match="negative defect"):
+            cutting.chart_frontier_wedges([chart], 1e-3)
+
+    def test_float_defect_nesting(self):
+        chart = _disk_with_defect(lambda a, b, c, d, s: np.where(a + b + c + d >= 4, 10 * s, s))
+        with pytest.raises(AssertionError, match="nesting"):
+            cutting.chart_frontier_wedges([chart], 1e-3)
+
+    def test_scalar_negative(self):
+        # minus L's support: every defect is negative, the root's -1/2
+        chart = _scalar_chart(lambda a, b: -a * b / (a + b) if a and b else 0.0)
+        with pytest.raises(ValueError, match="negative defect"):
+            cutting.chart_frontier_wedges([chart], 1e-3)
+
+    def test_scalar_nesting(self):
+        # gamma = a b^2: the root's defect is 1, its side-1 child's 3
+        chart = _scalar_chart(lambda a, b: float(a * b * b))
+        with pytest.raises(AssertionError, match="nesting"):
+            cutting.chart_frontier_wedges([chart], 1e-3)
+
+    def test_corners_below_the_frontier_are_not_checked(self):
+        # the defect reads -1 on every corner whose parent is not cut, which
+        # no descent needs; the tree is the disk chart's own
+        eps, true = 1e-3, ConvexDomain.disk().charts[0]
+
+        def poisoned(a, b, c, d, size):
+            side1 = (a >= c) & (b >= d)  # (a, b) = (a - c, b - d) + (c, d)
+            root = (a == 1) & (b == 0) & (c == 0) & (d == 1)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                parent = true.defect_float(np.where(side1, a - c, a), np.where(side1, b - d, b),
+                                           np.where(side1, c, c - a), np.where(side1, d, d - b))
+            return np.where(root | (parent >= eps), size, -1.0)
+
+        wedges = cutting.chart_frontier_wedges([_disk_with_defect(poisoned)], eps)
+        assert np.array_equal(wedges[0], cutting.chart_frontier_wedges([true], eps)[0])
+
+
+def _tree_levels(tree) -> int:
+    """The number of levels of a tree: one more than its deepest frontier
+    corner's depth (parents come before their children)."""
+    depth = []
+    for link in tree.links.tolist():
+        depth.append(0 if link < 0 else depth[link >> 1] + 1)
+    return 1 + max(0 if link < 0 else depth[link >> 1] + 1 for link in tree.leaf_links.tolist())
+
+
+class TestChainDescent:
+    """The descent measures each round's chains in batches, so its oracle
+    calls follow the runs of a path, not its depth."""
+
+    def test_L_makes_few_oracle_calls(self):
+        charts, calls = ConvexDomain.domain_L().charts, []
+        den = charts[0].defect_den
+
+        def counting(*quad):
+            calls.append(len(quad[0]))
+            return den(*quad)
+
+        counted = [dataclasses.replace(chart, defect_den=counting) for chart in charts]
+        tree = cutting._grow(counted, 1e-5)
+        assert _tree_levels(tree) == 316
+        assert 5 * len(calls) < 316
+        assert _columns(tree) == _columns(cutting._grow(charts, 1e-5))
+
+    def test_d_alpha_measures_at_most_twice_its_tree(self):
+        alpha, n_max = 0.4, 20000
+        chart, calls = ConvexDomain.d_alpha(alpha, n_max).charts[0], [0]
+
+        def counting(a, b):
+            calls[0] += 1
+            return chart.support(a, b)
+
+        eps = 0.5 * n_max ** (-1 / alpha)
+        tree = cutting._grow([dataclasses.replace(chart, support=counting)], eps)
+        assert len(tree.nodes) == n_max
+        # two supports at the root, then one per measured corner
+        assert calls[0] - 2 <= 2 * (len(tree.nodes) + len(tree.leaf_links))
 
 
 def _deep_sample(tree, k=40, seed=0):

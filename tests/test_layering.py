@@ -11,13 +11,14 @@ closed form and its quadrature), so `import tropzeta` does not load it.
 
 Every function and method of the package has a reader: its name appears
 somewhere besides its own definition, in the package or in the benchmark.
-The references that only tests read are listed by name."""
+Reference values that only tests compare against live in the tests."""
 
 import ast
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -92,21 +93,23 @@ def test_import_tropzeta_leaves_scipy_unloaded():
 
 
 BENCH = SRC.parent.parent / "perfbench"
-# kept as references that tests compare against
-TEST_ONLY = {"divisors", "riemann_zeta_eta"}
+# functions that only tests read: none; a test keeps its reference values itself
+TEST_ONLY: set = set()
 
 
 def _unread_functions(sources):
     """The names of the functions and methods defined in sources (dunders
     aside) that appear nowhere else, as whole words, in sources and in the
-    benchmark's modules."""
+    benchmark's modules.  One pass counts every word of the corpus and
+    every name that follows a def."""
     texts = [path.read_text() for path in sources]
     corpus = "\n".join(texts + [path.read_text() for path in sorted(BENCH.glob("*.py"))])
     names = {node.name for text in texts for node in ast.walk(ast.parse(text))
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and not node.name.startswith("__")}
-    return {name for name in names
-            if len(re.findall(rf"\b{name}\b", corpus)) <= len(re.findall(rf"\bdef\s+{name}\b", corpus))}
+    words = Counter(re.findall(r"\w+", corpus))
+    defined = Counter(re.findall(r"\bdef\s+(\w+)", corpus))
+    return {name for name in names if words[name] <= defined[name]}
 
 
 def test_every_function_has_a_reader():
@@ -114,6 +117,10 @@ def test_every_function_has_a_reader():
 
 
 def test_the_reader_guard_sees_an_unread_function(tmp_path):
+    # _nobody_reads_this appears only on its def line and inside a longer
+    # word; _read_below is read by the call above its def
     extra = tmp_path / "extra.py"
-    extra.write_text("def _nobody_reads_this():\n    return riemann_zeta_eta\n")
-    assert _unread_functions(sorted(SRC.glob("*.py")) + [extra]) == {"divisors", "_nobody_reads_this"}
+    extra.write_text("def _nobody_reads_this():\n    return _read_below()\n\n\n"
+                     "def _read_below():\n    return _nobody_reads_this_either\n\n\n"
+                     "_nobody_reads_this_either = 0\n")
+    assert _unread_functions(sorted(SRC.glob("*.py")) + [extra]) == {"_nobody_reads_this"}

@@ -7,6 +7,21 @@ from tropzeta import models
 from tropzeta.lattice import UnimodularQuadruple, stern_brocot_quadruples
 
 
+def riemann_zeta_eta(s: complex, n: int = 40) -> complex:
+    """zeta via the alternating eta series with Cohen-Rodriguez Villegas-Zagier
+    acceleration (n terms); independent of the Euler-Maclaurin route."""
+    s = complex(s)
+    d = (3 + math.sqrt(8)) ** n
+    d = (d + 1 / d) / 2
+    b, c, out = -1.0, -d, 0j
+    for k in range(n):
+        c = b - c
+        out += c * (k + 1) ** (-s)
+        b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1))
+    eta = out / d
+    return eta / (1 - 2 ** (1 - s))
+
+
 class TestRiemannZeta:
     def test_zeta_2(self):
         assert models.riemann_zeta(2).real == pytest.approx(math.pi**2 / 6, rel=1e-13)
@@ -17,7 +32,7 @@ class TestRiemannZeta:
     def test_two_routes_agree(self):
         for s in [2.4, 0.8, 1.5, 3 + 1j, 0.7 - 0.3j]:
             a = models.riemann_zeta(s)
-            b = models.riemann_zeta_eta(s)
+            b = riemann_zeta_eta(s)
             assert abs(a - b) <= 1e-12 * max(abs(a), 1)
 
     def test_pole_raises(self):
