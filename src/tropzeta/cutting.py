@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -48,14 +48,6 @@ from .geometry import (
     require_a_n_corners,
 )
 from .minimal import MinimalModel, k_squared, minimal_model_of
-
-
-class _SizeOrder(NamedTuple):
-    """A tree's row table sorted by size, largest first (ties in node order)."""
-
-    slack: tuple  # (W, H, S) of CutTree.slack_arrays
-    ranks: np.ndarray  # Sizes.rank(), ascending, for exact counts
-    order: np.ndarray  # the node index of each row
 
 
 def _den_cap(eps) -> int:
@@ -133,14 +125,6 @@ class Sizes:
         return self.values >= t
 
 
-def _from_previous(v: np.ndarray) -> np.ndarray:
-    """v[:, j] - v[:, j - 1] for every column j, cyclically."""
-    out = np.empty_like(v)
-    np.subtract(v[:, 1:], v[:, :-1], out=out[:, 1:])
-    np.subtract(v[:, :1], v[:, -1:], out=out[:, :1])
-    return out
-
-
 @dataclass(eq=False)
 class CutTree:
     """The corner cuts of a domain down to size threshold, and the frontier
@@ -159,9 +143,11 @@ class CutTree:
     denominators on defect_den charts (L, the parabolic triangle), float64
     on float charts, Fraction/int objects on exact polygon corners;
     sizes() makes the exact values.  The descent writes every column once;
-    a deeper tree is a fresh descent.  The float readers share one row table
-    per tree, kept sorted by size (_by_size) and by angle (_by_angle); the
-    exact front lines are made in size order (mediant_constraints).
+    a deeper tree is a fresh descent.  The cut order by size (_size_order)
+    is exact; the float readers share one row table per tree, kept sorted by
+    size (_by_size), and the wave-front perimeter reads two running sums
+    over that order (_perimeter_sums); the exact front lines are made in
+    size order (mediant_constraints).
     Trees are shared between readers and must be treated as read-only; they
     compare by identity and can be hashed.
     """
@@ -186,11 +172,20 @@ class CutTree:
         return zip(self.charts, self.chart_offsets, self.chart_offsets[1:])
 
     @cached_property
-    def _by_size(self) -> _SizeOrder:
-        """The float row table, one row (size, wx, wy, h) per cut: the size
-        and the mediant's normal w and support offset h, built in node order
-        and kept only sorted by size, with the node index of each row.
-        Every float reader of the tree reads it or _by_angle."""
+    def _size_order(self) -> tuple:
+        """(ranks, order): the cuts' Sizes.rank() ascending, largest size
+        first (ties in node order), and the node index of each.  Exact; the
+        readers that only count or select cuts read nothing else."""
+        ranks = self.cut_sizes.rank()
+        order = np.argsort(ranks, kind="stable")
+        return ranks[order], order
+
+    @cached_property
+    def _by_size(self) -> tuple:
+        """(W, H, S) of slack_arrays: the float row table, one row (size, wx,
+        wy, h) per cut, the size and the mediant's normal w and support
+        offset h, built in node order and kept only sorted by size.  Every
+        float reader of the tree reads it."""
         rows = np.empty((len(self.nodes), 4))
         rows[:, 0] = self.cut_sizes.floats()
         for chart, lo, hi in self._chart_spans():
@@ -205,22 +200,39 @@ class CutTree:
                                dtype=np.float64)
             rows[lo:hi, 1], rows[lo:hi, 2] = wx, wy
             rows[lo:hi, 3] = sup + wx * float(chart.corner[0]) + wy * float(chart.corner[1])
-        ranks = self.cut_sizes.rank()
-        order = np.argsort(ranks, kind="stable")
-        rows = rows[order]
-        return _SizeOrder((rows[:, 1:3], rows[:, 3], rows[:, 0]), ranks[order], order)
+        rows = rows[self._size_order[1]]
+        return rows[:, 1:3], rows[:, 3], rows[:, 0]
 
     @cached_property
-    def _by_angle(self) -> tuple:
-        """The minimal model's edges (size +inf) and the cuts' rows of
-        _by_size, sorted by the angle of their normals (all distinct)."""
-        edges = [(float(nrm[0]), float(nrm[1]), float(h), math.inf)
-                 for nrm, h in self.minimal_model.polygon.halfplanes()]
-        w, h, s = self._by_size.slack
-        arr = np.vstack([np.array(edges, dtype=np.float64).reshape(-1, 4),
-                         np.column_stack((w, h, s))])
-        arr = arr[np.argsort(np.arctan2(arr[:, 1], arr[:, 0]))]
-        return arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy(), arr[:, 3].copy()
+    def _perimeter_sums(self) -> tuple:
+        """(A, B): the wave-front perimeter is A[n] + B[n] t while exactly n
+        cuts have size >= t.  The minimal model's front is affine in t; its
+        A[0] and B[0] are the consecutive-line vertex formula, unclipped, at
+        t = 0 and t = 1.  Each cut of support difference sigma =
+        h(u+v) - h(u) - h(v) adds t - sigma, so A and B are running sums
+        over the size order.  sigma comes from support_float where a chart
+        has it; elsewhere it is the size column, which the scalar oracle
+        measured as that difference (chart.defect)."""
+        edges = np.array([(float(w[0]), float(w[1]), float(h))
+                          for w, h in self.minimal_model.polygon.halfplanes()])  # CCW
+        ax, ay = edges[:, 0], edges[:, 1]
+        off = edges[:, 2] + np.array([[0.0], [1.0]])  # the model's lines at t = 0 and 1
+        bx, by, boff = np.roll(ax, -1), np.roll(ay, -1), np.roll(off, -1, axis=1)
+        det = ax * by - bx * ay
+        vx = (off * by - boff * ay) / det  # vertex i: where line i meets line i + 1
+        vy = (ax * boff - bx * off) / det
+        # edge i runs from vertex i - 1 to vertex i along the primitive (ay, -ax)
+        dx, dy = vx - np.roll(vx, 1, axis=1), vy - np.roll(vy, 1, axis=1)
+        p0, p1 = ((dx * ay - dy * ax) / (ax * ax + ay * ay)).sum(axis=1)
+        sigma = np.array(self.cut_sizes.floats(), dtype=np.float64)
+        for chart, lo, hi in self._chart_spans():
+            if chart.support_float is not None:
+                a, b, c, d = self.nodes[lo:hi].T
+                sup = chart.support_float
+                sigma[lo:hi] = sup(a + c, b + d) - sup(a, b) - sup(c, d)
+        csum = np.zeros(len(sigma) + 1)
+        np.cumsum(sigma[self._size_order[1]], out=csum[1:])
+        return p0 - csum, (p1 - p0) + np.arange(len(csum))
 
     def cut_count(self, t):
         """N^cut(t) = number of cuts of size >= t; elementwise (an int64
@@ -230,67 +242,44 @@ class CutTree:
         if (ts.min() if ts.ndim else t) < self.threshold:  # np.min would outcost a scalar search
             raise ValueError("tree too shallow")
         key = self.cut_sizes.rank_of(ts if ts.ndim else t)
-        n = np.searchsorted(self._by_size.ranks, key, side="right")
+        n = np.searchsorted(self._size_order[0], key, side="right")
         return n if ts.ndim else int(n)
 
     def kinks(self, lo: float, hi: float) -> np.ndarray:
         """The distinct cut sizes strictly between lo and hi, ascending: the
         kinks of the wave-front perimeter there."""
-        neg = -self._by_size.slack[2]
+        neg = -self._by_size[2]
         start = np.searchsorted(neg, -hi, side="right")
         end = np.searchsorted(neg, -lo, side="left")
-        return np.unique(self._by_size.slack[2][start:end])
+        return np.unique(self._by_size[2][start:end])
 
     def angular_arrays(self):
         """All front constraints (minimal-model edges plus cut mediants) in
         angular order, as float arrays (Wx, Wy, H, S); model edges carry
-        S = +inf so a size mask S >= t always keeps them."""
-        return self._by_angle
+        S = +inf so a size mask S >= t always keeps them.  Built on each
+        call from the size-sorted rows (every normal has its own angle)."""
+        edges = [(float(nrm[0]), float(nrm[1]), float(h), math.inf)
+                 for nrm, h in self.minimal_model.polygon.halfplanes()]
+        w, h, s = self._by_size
+        arr = np.vstack([np.array(edges, dtype=np.float64).reshape(-1, 4),
+                         np.column_stack((w, h, s))])
+        arr = arr[np.argsort(np.arctan2(arr[:, 1], arr[:, 0]))]
+        return arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy(), arr[:, 3].copy()
 
     def front_perimeter_geometric(self, ts) -> np.ndarray:
         """Lattice perimeters of the wave fronts at the times ts (a 1-D
-        array, e.g. every quadrature node of a Mellin level), one per t,
-        from consecutive support line intersections (vectorized;
-        independent of the size bookkeeping).
-
-        The angular arrays are cut once per call to the constraints that
-        min(ts) keeps.  Times that keep the same constraints (the same
-        number of cuts of size >= t) form one group and are evaluated as the
-        rows of one 2-D array; every row sees the arithmetic a lone t would,
-        so each value is independent of the other times asked with it."""
+        array, e.g. every cell of a Mellin level), one per t: A[n] + B[n] t
+        from the running sums of _perimeter_sums, n the number of cuts of
+        size >= t.  The sums start from the minimal model's support lines
+        and read the cuts' support differences, not the identity route's
+        size bookkeeping, where the charts have a float support.  Each value
+        is independent of the other times asked with it."""
         ts = np.asarray(ts, dtype=np.float64)
-        out = np.empty(len(ts))
-        keep = self._by_angle[3] >= ts.min()
-        wx, wy, h, sizes = (col[keep] for col in self._by_angle)
-        counts = np.searchsorted(-self._by_size.slack[2], -ts, side="right")
-        order = np.argsort(counts, kind="stable")
-        ends = np.flatnonzero(np.diff(counts[order])) + 1
-        for rows in np.split(order, ends):
-            t = ts[rows]
-            mask = sizes >= t[0]
-            ax, ay, off = wx[mask], wy[mask], h[mask] + t[:, None]
-            # the next constraint of each, cyclically
-            bx, by = np.concatenate((ax[1:], ax[:1])), np.concatenate((ay[1:], ay[:1]))
-            boff = np.concatenate((off[:, 1:], off[:, :1]), axis=1)
-            det = ax * by - bx * ay
-            # the (rows, n) arrays are updated in place, one operation at a
-            # time as in (off * by - boff * ay) / det: same values, less memory
-            vx = off * by
-            vx -= boff * ay
-            vx /= det
-            vy = ax * boff
-            vy -= bx * off
-            vy /= det
-            del off, boff
-            dirx, diry = ay, -ax  # edge direction of the normal (ax, ay)
-            tpar = _from_previous(vx)
-            tpar *= dirx
-            dy = _from_previous(vy)
-            dy *= diry
-            tpar += dy
-            tpar /= dirx * dirx + diry * diry
-            out[rows] = np.clip(tpar, 0.0, None, out=tpar).sum(axis=1)
-        return out
+        if ts.min() < self.threshold:
+            raise ValueError("tree too shallow")
+        a, b = self._perimeter_sums
+        n = np.searchsorted(-self._by_size[2], -ts, side="right")
+        return a[n] + b[n] * ts
 
     def mediant_constraints(self, t) -> list:
         """(normal, offset) of the mediant supporting line of every cut of
@@ -298,7 +287,7 @@ class CutTree:
         rows of the size order, largest cut first (ties in node order).
         Each line is made once per tree, when a call first reaches its row."""
         n, lines = self.cut_count(t), self._lines
-        idx = self._by_size.order[len(lines):n]  # the rows no call reached yet
+        idx = self._size_order[1][len(lines):n]  # the rows no call reached yet
         charts = np.searchsorted(self.chart_offsets, idx, side="right") - 1
         for k, (a, b, c, d) in zip(charts.tolist(), self.nodes[idx].tolist()):
             lines.append(self.charts[k].line(a + c, b + d))
@@ -307,7 +296,7 @@ class CutTree:
     def slack_arrays(self):
         """(W, H, S): float arrays of mediant normals, offsets and sizes,
         sorted by size descending, for vectorized slack evaluation."""
-        return self._by_size.slack
+        return self._by_size
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +839,7 @@ def profiles(domain: ConvexDomain, t_grid: Sequence[float]) -> list[tuple[float,
     t = np.array(ts)
     n_t = tree.cut_count(t)  # one search for the whole grid
     k2_t = k2 - n_t
-    s = tree._by_size.slack[2]
+    s = tree._by_size[2]
     length_cut = l_hat - np.concatenate([[0.0], np.cumsum(s)])[n_t]  # Length_Z of boundary Omega^t
     area_cut = a_hat - np.concatenate([[0.0], np.cumsum(s * s)])[n_t] / 2
     length_front = length_cut - t * k2_t

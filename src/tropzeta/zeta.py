@@ -5,10 +5,12 @@ residue at s = 2/3.
 Identity route:  s(s-1) Z(s) = H(s) - F(s), with H the minimal-model
 correction and F = sum of size^s over the corner cuts.  Mellin route:
 Z(s) = integral of t^(s-2) P(t) dt over (0, m) with P(t) the lattice
-perimeter of the wave front, computed geometrically from the wave-front
-polygon so the two routes share no bookkeeping.  P is affine between
+perimeter of the wave front, from the minimal model's support lines and the
+cuts' support differences (float supports where the charts have them, so
+the two routes share no size oracle there).  P is affine between
 consecutive cut sizes, so the integral over such a cell is in closed form;
-on a polygon Z(s) is a finite sum of them, continued to every s but 0, 1.
+Z(s) is a sum of them, on a polygon a finite one, continued to every s but
+0, 1.
 
 Residues:  Res_1 Z = lattice perimeter (exact); Res_0 Z = -K^2 for at most
 A_n-singular polygons; Res_{2/3} Z = (9/2) r with r fitted from the counting
@@ -97,10 +99,8 @@ def zeta_via_identity(domain: ConvexDomain, s, eps) -> SeriesEstimate:
 # Mellin route
 
 
-_GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _MELLIN_REL_TOL = 1e-10  # stop once a level adds less than this, relatively
 _MELLIN_MAX_LEVELS = 40  # halvings of the t range toward 0
-_KINK_CELLS_MAX = 256  # a level with more kinks than this gets geomspace cells
 
 
 def _affine_cells(tree, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,12 +146,12 @@ def zeta_via_mellin(domain: ConvexDomain, s) -> complex:
     polygon's (0, m] is finitely many such cells, the first [0, smallest
     size]: Z(s) is one finite sum, continued to every s but 0 and 1.  A
     smooth domain needs Re(s) > 2; its t range is halved toward 0 until a
-    level adds less than _MELLIN_REL_TOL of the total, and a level with more
-    than _KINK_CELLS_MAX kinks takes 8-node Gauss-Legendre on 8 geometric
-    cells instead.  Each level asks the tree for all of its perimeters in
-    one call, computed geometrically from the wave-front support lines
-    (independent of the identity route's size bookkeeping), and adds its
-    cells in order.
+    level adds less than _MELLIN_REL_TOL of the total, every level a sum of
+    such cells.  Each level asks the tree for all of its perimeters in one
+    call: A + B t from the minimal model's support lines and running sums
+    of the cuts' support differences (CutTree.front_perimeter_geometric),
+    which on charts with a float support do not read the identity route's
+    size oracles.  Its cells are added in order.
     """
     sc = complex(s)
     if sc in (0j, 1 + 0j):
@@ -169,16 +169,8 @@ def zeta_via_mellin(domain: ConvexDomain, s) -> complex:
     for level in range(_MELLIN_MAX_LEVELS):
         lo = hi / 2
         tree = deepest_tree(domain, lo)
-        inside = tree.kinks(lo, hi)
-        if len(inside) <= _KINK_CELLS_MAX:
-            contrib = add_in_order(0j, _kink_cells(tree, np.concatenate(([lo], inside, [hi])), sc))
-        else:
-            edges = np.geomspace(lo, hi, 9)
-            mid = (edges[:-1] + edges[1:]) / 2
-            half = (edges[1:] - edges[:-1]) / 2
-            ts = mid[:, None] + half[:, None] * _GL8_NODES  # one row of nodes per cell
-            vals = ts ** (sc - 2) * tree.front_perimeter_geometric(ts.ravel()).reshape(ts.shape)
-            contrib = add_in_order(0j, half * (vals * _GL8_WEIGHTS).sum(axis=1))
+        edges = np.concatenate(([lo], tree.kinks(lo, hi), [hi]))
+        contrib = add_in_order(0j, _kink_cells(tree, edges, sc))
         total += contrib
         if abs(contrib) < _MELLIN_REL_TOL * max(abs(total), 1e-30) and level > 3:
             break

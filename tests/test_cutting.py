@@ -267,11 +267,11 @@ class TestExactSizeTest:
                              ids=["den", "float", "fraction"])
     def test_size_order_is_the_rank_order(self, make, eps):
         tree = enumerate_cuts(make(), eps)
-        ranks = tree._by_size.ranks
+        ranks = tree._size_order[0]
         assert (ranks[:-1] <= ranks[1:]).all()
-        assert (np.diff(tree._by_size.slack[2]) <= 0).all()
+        assert (np.diff(tree.slack_arrays()[2]) <= 0).all()
         exact = sorted(tree.sizes(), reverse=True)
-        assert [float(x) for x in exact] == tree._by_size.slack[2].tolist()
+        assert [float(x) for x in exact] == tree.slack_arrays()[2].tolist()
 
     @pytest.mark.parametrize("make, t", [
         (ConvexDomain.domain_L, 0.02), (ConvexDomain.disk, 0.02),
@@ -478,10 +478,11 @@ class TestProfiles:
 
 
 def _perimeter_oracle(tree, t):
-    """The wave-front perimeter at a single t, one numpy evaluation per t
-    over the full angular arrays: the scalar loop the batched
-    front_perimeter_geometric replaced."""
-    wx, wy, h, sizes = tree._by_angle
+    """The wave-front perimeter at a single t from consecutive support line
+    intersections over the full angular arrays: the front itself, built
+    anew for each t, apart from the running sums that
+    front_perimeter_geometric reads."""
+    wx, wy, h, sizes = tree.angular_arrays()
     mask = sizes >= t
     ax, ay, off = wx[mask], wy[mask], h[mask] + t
     bx, by, boff = np.roll(ax, -1), np.roll(ay, -1), np.roll(off, -1)
@@ -549,21 +550,24 @@ def _gauss_nodes(a, b):
 
 
 class TestFrontPerimeter:
-    """The batched perimeter equals the per-t scalar evaluation bit for bit,
-    whatever times are asked together."""
+    """The batched perimeter equals the per-t calls bit for bit, whatever
+    times are asked together, and the line-intersection oracle within
+    1e-10 relative."""
 
     @staticmethod
     def _check(tree, ts):
         ts = np.asarray(ts, dtype=np.float64)
         got = tree.front_perimeter_geometric(ts)
         assert got.shape == ts.shape
-        assert got.tolist() == [_perimeter_oracle(tree, t) for t in ts]
+        assert got.tolist() == [tree.front_perimeter_geometric(np.array([t]))[0] for t in ts]
+        oracle = np.array([_perimeter_oracle(tree, t) for t in ts])
+        assert np.all(np.abs(got - oracle) <= 1e-10 * np.abs(oracle))
 
     @pytest.mark.parametrize("make", [ConvexDomain.domain_L, ConvexDomain.disk],
                              ids=["L", "disk"])
     def test_smooth_regimes(self, make):
         tree = enumerate_cuts(make(), 1e-5)
-        # straddling powers of two: the octave arrays switch there
+        # straddling powers of two, where the Mellin levels meet
         for k in (3, 7, 12):
             p = math.ldexp(1.0, -k)
             self._check(tree, [p * 0.97, np.nextafter(p, 0), p, np.nextafter(p, 1), p * 1.03])
@@ -573,8 +577,8 @@ class TestFrontPerimeter:
         ts = _gauss_nodes(a, b)
         assert len(set(tree.cut_count(ts).tolist())) == 1
         self._check(tree, ts)
-        # a level with more than 256 kinks: geomspace cells, whose nodes
-        # differ in their constraints
+        # geomspace cells over many kinks, whose nodes differ in their
+        # constraints
         assert len(tree.kinks(2e-5, 4e-5)) > 256
         edges = np.geomspace(2e-5, 4e-5, 9)
         ts = np.concatenate([_gauss_nodes(a, b) for a, b in zip(edges[:-1], edges[1:])])
@@ -589,6 +593,25 @@ class TestFrontPerimeter:
         # kinks at 1/3 and 1/2, the second a power of two
         self._check(tree, [0.1, 0.25, 0.3, 1 / 3, 0.4, np.nextafter(0.5, 0), 0.5, 0.75, 0.99])
         self._check(tree, _gauss_nodes(1 / 3, 1 / 2))
+
+    @pytest.mark.parametrize("make", [ConvexDomain.domain_L, ConvexDomain.disk],
+                             ids=["L", "disk"])
+    def test_cancellation_free_bookkeeping(self, make):
+        # the running sums of support differences against l_hat - sum of
+        # sizes - t (K_hat^2 - n), whose sizes are the cancellation-free
+        # defect oracles (profiles)
+        dom = make()
+        tree = enumerate_cuts(dom, 1e-6)
+        ts = np.geomspace(1e-6, 0.999 * float(minimal_model_of(dom).m), 400)
+        ref = np.array([p[1] for p in profiles(dom, ts)])
+        got = tree.front_perimeter_geometric(ts)
+        assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref))
+
+    def test_too_shallow(self):
+        # a time below the threshold would miss the cuts the tree never made
+        tree = enumerate_cuts(ConvexDomain.domain_L(), 1e-3)
+        with pytest.raises(ValueError, match="too shallow"):
+            tree.front_perimeter_geometric(np.array([0.1, 1e-4]))
 
 
 class TestCaustic:
