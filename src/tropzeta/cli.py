@@ -3,8 +3,9 @@
 Subcommands: minimal-model, cuts, wavefront, caustic, zeta, residue,
 equiaffine, farey, sigma-b, model, verify.  Output is deterministic JSON on
 stdout (aligned key: value lines with --pretty); SVG/CSV side files on
-request.  Exit codes: 0 success, 1 domain/specification errors, 2
-numerical-regime errors (asymptotics out of reach at the requested depth).
+request.  Exit codes: 0 success, 1 domain/specification errors (an s that
+is not a finite number among them), 2 numerical-regime errors (asymptotics
+out of reach at the requested depth, or a value outside the float range).
 
 --pretty is the one configurable setting: the flag, else the TROPZETA_PRETTY
 environment variable, else a `pretty = ...` line of ./tropzeta.toml (flat
@@ -14,6 +15,7 @@ key = value lines).
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import math
@@ -70,14 +72,21 @@ def _emit(payload: dict, pretty: bool) -> None:
 
 
 def _parse_s(text: str) -> complex:
+    """s as a complex number: a ratio p/q, or a real or complex literal
+    (i or j); refused unless it is a finite number."""
     t = text.strip().replace(" ", "")
-    if "/" in t and "i" not in t and "j" not in t:
-        return complex(Fraction(t))
-    t = t.replace("i", "j")
     try:
-        return complex(t)
-    except ValueError as exc:
+        if "/" in t and "i" not in t and "j" not in t:
+            s = complex(Fraction(t))
+        else:
+            s = complex(t.replace("i", "j"))
+    except ZeroDivisionError:
+        raise ValueError(f"s value {text!r} is undefined: division by zero") from None
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"cannot parse s value {text!r}") from exc
+    if not cmath.isfinite(s):
+        raise ValueError(f"s value {text!r} is not finite")
+    return s
 
 
 def _load_domain(path: str) -> ConvexDomain:
@@ -443,6 +452,9 @@ def main(argv=None) -> int:
         payload = _COMMANDS[args.command](args)
     except NumericalRegimeError as exc:
         _emit({"error": str(exc)}, pretty)
+        return 2
+    except OverflowError as exc:  # a value outside the float range
+        _emit({"error": f"overflow: {exc}"}, pretty)
         return 2
     except (ValueError, OSError, KeyError) as exc:
         _emit({"error": str(exc)}, pretty)

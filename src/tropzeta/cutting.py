@@ -144,10 +144,10 @@ class CutTree:
     on float charts, Fraction/int objects on exact polygon corners;
     sizes() makes the exact values.  The descent writes every column once;
     a deeper tree is a fresh descent.  The cut order by size (_size_order)
-    is exact; the float readers share one row table per tree, kept sorted by
-    size (_by_size), and the wave-front perimeter reads two running sums
-    over that order (_perimeter_sums); the exact front lines are made in
-    size order (mediant_constraints).
+    is exact; each column in that order is made when first read, so a
+    reader pays only for its own: the float sizes (_sorted_sizes), the
+    wave-front perimeter's running sums (_perimeter_sums), the mediant
+    normals and offsets (_slack_rows), the exact lines (mediant_constraints).
     Trees are shared between readers and must be treated as read-only; they
     compare by identity and can be hashed.
     """
@@ -181,13 +181,16 @@ class CutTree:
         return ranks[order], order
 
     @cached_property
-    def _by_size(self) -> tuple:
-        """(W, H, S) of slack_arrays: the float row table, one row (size, wx,
-        wy, h) per cut, the size and the mediant's normal w and support
-        offset h, built in node order and kept only sorted by size.  Every
-        float reader of the tree reads it."""
-        rows = np.empty((len(self.nodes), 4))
-        rows[:, 0] = self.cut_sizes.floats()
+    def _sorted_sizes(self) -> np.ndarray:
+        """The cut sizes as float64 in size order: the one float column of
+        kinks, front_perimeter_geometric, profiles and slack_arrays."""
+        return self.cut_sizes.floats()[self._size_order[1]]
+
+    @cached_property
+    def _slack_rows(self) -> tuple:
+        """(W, H) of slack_arrays: each cut's mediant normal w and support
+        offset h, made per chart in node order, gathered into size order."""
+        rows = np.empty((len(self.nodes), 3))
         for chart, lo, hi in self._chart_spans():
             quads = self.nodes[lo:hi]
             ma, mb = quads[:, 0] + quads[:, 2], quads[:, 1] + quads[:, 3]
@@ -198,10 +201,10 @@ class CutTree:
             else:
                 sup = np.array([float(chart.support(a, b)) for a, b in zip(ma.tolist(), mb.tolist())],
                                dtype=np.float64)
-            rows[lo:hi, 1], rows[lo:hi, 2] = wx, wy
-            rows[lo:hi, 3] = sup + wx * float(chart.corner[0]) + wy * float(chart.corner[1])
+            rows[lo:hi, 0], rows[lo:hi, 1] = wx, wy
+            rows[lo:hi, 2] = sup + wx * float(chart.corner[0]) + wy * float(chart.corner[1])
         rows = rows[self._size_order[1]]
-        return rows[:, 1:3], rows[:, 3], rows[:, 0]
+        return rows[:, :2], rows[:, 2]
 
     @cached_property
     def _perimeter_sums(self) -> tuple:
@@ -248,19 +251,19 @@ class CutTree:
     def kinks(self, lo: float, hi: float) -> np.ndarray:
         """The distinct cut sizes strictly between lo and hi, ascending: the
         kinks of the wave-front perimeter there."""
-        neg = -self._by_size[2]
+        neg = -self._sorted_sizes
         start = np.searchsorted(neg, -hi, side="right")
         end = np.searchsorted(neg, -lo, side="left")
-        return np.unique(self._by_size[2][start:end])
+        return np.unique(self._sorted_sizes[start:end])
 
     def angular_arrays(self):
         """All front constraints (minimal-model edges plus cut mediants) in
         angular order, as float arrays (Wx, Wy, H, S); model edges carry
         S = +inf so a size mask S >= t always keeps them.  Built on each
-        call from the size-sorted rows (every normal has its own angle)."""
+        call from the slack_arrays columns (every normal has its own angle)."""
         edges = [(float(nrm[0]), float(nrm[1]), float(h), math.inf)
                  for nrm, h in self.minimal_model.polygon.halfplanes()]
-        w, h, s = self._by_size
+        (w, h), s = self._slack_rows, self._sorted_sizes
         arr = np.vstack([np.array(edges, dtype=np.float64).reshape(-1, 4),
                          np.column_stack((w, h, s))])
         arr = arr[np.argsort(np.arctan2(arr[:, 1], arr[:, 0]))]
@@ -278,7 +281,7 @@ class CutTree:
         if ts.min() < self.threshold:
             raise ValueError("tree too shallow")
         a, b = self._perimeter_sums
-        n = np.searchsorted(-self._by_size[2], -ts, side="right")
+        n = np.searchsorted(-self._sorted_sizes, -ts, side="right")
         return a[n] + b[n] * ts
 
     def mediant_constraints(self, t) -> list:
@@ -296,7 +299,7 @@ class CutTree:
     def slack_arrays(self):
         """(W, H, S): float arrays of mediant normals, offsets and sizes,
         sorted by size descending, for vectorized slack evaluation."""
-        return self._by_size
+        return (*self._slack_rows, self._sorted_sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -834,12 +837,11 @@ def profiles(domain: ConvexDomain, t_grid: Sequence[float]) -> list[tuple[float,
             raise ValueError("K^2 of the minimal model is undefined (non-A_n corner)") from None
         k2 = int(mm.k)
     tree = deepest_tree(domain, min(ts))
-    l_hat = float(hat.lattice_perimeter())
-    a_hat = float(hat.area())
+    l_hat, a_hat = float(hat.lattice_perimeter()), float(hat.area())
     t = np.array(ts)
     n_t = tree.cut_count(t)  # one search for the whole grid
     k2_t = k2 - n_t
-    s = tree._by_size[2]
+    s = tree._sorted_sizes
     length_cut = l_hat - np.concatenate([[0.0], np.cumsum(s)])[n_t]  # Length_Z of boundary Omega^t
     area_cut = a_hat - np.concatenate([[0.0], np.cumsum(s * s)])[n_t] / 2
     length_front = length_cut - t * k2_t
@@ -890,12 +892,10 @@ def caustic(domain: ConvexDomain, eps) -> CausticGraph:
     tree = enumerate_cuts(domain, eps if not domain.is_polygon else 0)
     graph = CausticGraph()
     m = float(mm.m)
-    if len(mm.max_locus) == 2:
-        graph.max_locus = tuple((float(p[0]), float(p[1])) for p in mm.max_locus)
+    graph.max_locus = tuple((float(p[0]), float(p[1])) for p in mm.max_locus)
+    if len(graph.max_locus) == 2:
         graph.edges.append(CausticEdge(start=graph.max_locus[0], end=graph.max_locus[1],
                                        weight=2, t_start=m, t_end=m))
-    else:
-        graph.max_locus = ((float(mm.max_locus[0][0]), float(mm.max_locus[0][1])),)
 
     # the size of every corner the descent met, cut or frontier: a root
     # corner by its chart's normals (chart k's first cut, or with no cut its

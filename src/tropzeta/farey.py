@@ -138,9 +138,9 @@ _HATA_BLOCK = 1 << 16
 
 
 def _pairs_by_max(bound: int):
-    """Coprime (b, d) with max(b, d) <= bound as int64 column chunks, in the
-    order of lattice.coprime_pairs_by_max: level m = max(b, d) holds the
-    2m - 1 candidates (1, m), ..., (m-1, m), (m, 1), ..., (m, m)."""
+    """Coprime (b, d) with max(b, d) <= bound as int64 column chunks, by
+    max(b, d) ascending, ties by (b, d) ascending: level m = max(b, d) holds
+    the 2m - 1 candidates (1, m), ..., (m-1, m), (m, 1), ..., (m, m)."""
     lo = 1
     while lo <= bound:
         # levels lo..hi hold hi^2 - (lo-1)^2 candidates
@@ -195,7 +195,9 @@ def hata_reconstruct_grid(weight: SmoothWeight, bound: int, xs) -> np.ndarray:
 def farey_zeta(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:
     """Z_f(s) truncated to intervals with max(b, d) <= bound (which contains
     every interval with b + d <= bound), summed in order of max(b, d)
-    ascending (lattice.coprime_pairs_by_max), skipping T_I = 0."""
+    ascending, ties by (b, d) ascending, skipping T_I = 0.  bound >= 1."""
+    if bound < 1:  # the sums would be empty
+        raise ValueError(f"bound must be at least 1, got {bound}")
     sc = complex(s)
     total = 0j
     count = 0
@@ -210,6 +212,8 @@ def endpoint_model(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:
     """Z^end_f(s) = 2^(-s) sum |f''(a/b)|^s / (b d (b+d))^s, same truncation
     and order as farey_zeta; each term is complex(|f''(a/b)|) ** s /
     complex(b d (b+d)) ** s in CPython's rounding."""
+    if bound < 1:  # the sums would be empty
+        raise ValueError(f"bound must be at least 1, got {bound}")
     sc = complex(s)
     total = 0j
     count = 0

@@ -254,14 +254,3 @@ def farey_intervals_stern_brocot(max_denominator: int) -> list[FareyInterval]:
     walk = _stern_brocot_walk((1, 1, 0, 1), lambda a, b, c, d: max(b, d), max_denominator)
     return [FareyInterval(c=c, d=d, a=a, b=b) for a, b, c, d in walk]
 
-
-def coprime_pairs_by_max(bound: int) -> Iterator[tuple[int, int]]:
-    """Coprime (b, d) with 1 <= b, d <= bound, ordered by max(b, d) ascending,
-    ties broken lexicographically: the order in which the Farey sums add
-    their terms (they build it on arrays, chunk by chunk)."""
-    for m in range(1, bound + 1):
-        # pairs with max exactly m: (m, d) and (b, m)
-        pairs = [(m, d) for d in range(1, m + 1)] + [(b, m) for b in range(1, m)]
-        for b, d in sorted(pairs):
-            if math.gcd(b, d) == 1:
-                yield (b, d)

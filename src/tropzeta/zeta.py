@@ -19,6 +19,7 @@ asymptotic N^cut(t) ~ (3/2) r t^(-2/3) of smooth domains.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -80,6 +81,8 @@ def boundary_series(domain: ConvexDomain, s, eps) -> SeriesEstimate:
 def zeta_via_identity(domain: ConvexDomain, s, eps) -> SeriesEstimate:
     """Z(s) = (H(s) - F(s)) / (s (s-1)) with F truncated at eps."""
     sc = complex(s)
+    if not cmath.isfinite(sc):
+        raise ValueError(f"s must be finite, got {s!r}")
     if sc in (0j, 1 + 0j):
         raise ValueError("pole of prefactor; use residue operations")
     mm = minimal_model_of(domain)
@@ -154,6 +157,8 @@ def zeta_via_mellin(domain: ConvexDomain, s) -> complex:
     size oracles.  Its cells are added in order.
     """
     sc = complex(s)
+    if not cmath.isfinite(sc):  # no smooth level would meet the stopping test
+        raise ValueError(f"s must be finite, got {s!r}")
     if sc in (0j, 1 + 0j):
         raise ValueError("pole of Z; use residue operations")
     mm = minimal_model_of(domain)

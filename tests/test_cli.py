@@ -62,6 +62,23 @@ class TestZetaCommand:
         payload = json.loads(out)
         assert abs(payload["value"][0] - 7 / 3) < 1e-8
 
+    @pytest.mark.parametrize("args, code, message", [
+        (["zeta", "L", "--s", "1/0"], 1, "undefined"),
+        (["farey", "--s", "1/0"], 1, "undefined"),
+        (["model", "L", "--s", "1/0"], 1, "undefined"),
+        (["zeta", "L", "--s", "1e400"], 1, "not finite"),
+        (["zeta", "L", "--s", "nan"], 1, "not finite"),
+        (["zeta", "L", "--s", "10000", "--route", "mellin"], 2, "overflow"),
+        (["farey", "--s", "2", "--bound", "0"], 1, "bound"),
+    ], ids=["zeta-1/0", "farey-1/0", "model-1/0", "zeta-1e400", "zeta-nan",
+            "mellin-10000", "farey-bound-0"])
+    def test_bad_input_is_a_json_error(self, tmp_path, capsys, args, code, message):
+        if args[:2] == ["zeta", "L"]:
+            args = ["zeta", write_domain(tmp_path, LDOM)] + args[2:]
+        got, out = run_cli(args, capsys)
+        assert got == code
+        assert message in json.loads(out)["error"]
+
     def test_determinism(self, tmp_path, capsys):
         dom = write_domain(tmp_path, LDOM)
         _, out1 = run_cli(["zeta", dom, "--s", "2.5", "--eps", "1e-4"], capsys)

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -542,6 +543,62 @@ class TestAngularArrays:
             assert col.dtype == ref.dtype and col.tobytes() == ref.tobytes()
         angles = np.arctan2(got[1], got[0])
         assert (np.diff(angles) > 0).all()
+
+
+def _cached_columns(tree):
+    """The columns a tree has made since its descent: its attributes beyond
+    the dataclass fields."""
+    return set(vars(tree)) - {f.name for f in dataclasses.fields(tree)}
+
+
+class TestColumnsOnDemand:
+    """A reader makes only the columns it reads: counts and exact fronts
+    the size order, the size bookkeeping and the Mellin route the float
+    sizes and the running sums, and only slack_arrays the mediant rows."""
+
+    def test_readers_make_no_slack_rows(self, monkeypatch):
+        dom, trees, grow = ConvexDomain.domain_L(), [], cutting._grow
+        monkeypatch.setattr(cutting, "_grow", lambda *args: trees.append(grow(*args)) or trees[-1])
+        tree = deepest_tree(dom, 1e-6)
+        tree.cut_count(1e-3)
+        partial_cut_polygon(dom, 0.05)
+        assert _cached_columns(tree) == {"_size_order"}
+        profiles(dom, [1e-6, 1e-4, 1e-2])
+        assert _cached_columns(tree) == {"_size_order", "_sorted_sizes"}
+        tree.kinks(1e-5, 1e-3)
+        zeta_via_mellin(dom, 3)
+        for grown in trees:
+            assert _cached_columns(grown) <= {"_size_order", "_sorted_sizes", "_perimeter_sums"}
+        tree.slack_arrays()
+        assert "_slack_rows" in _cached_columns(tree)
+
+    def test_profiles_keep_one_float_column(self):
+        dom = ConvexDomain.domain_L()
+        tree = deepest_tree(dom, 1e-6)
+        tree.cut_count(1e-6)  # the size order, read by every count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            profiles(dom, [1e-6, 1e-4, 1e-2])
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= 12 * len(tree.nodes)  # 8 B per cut: the float sizes
+
+    @pytest.mark.parametrize("make, eps", [
+        (ConvexDomain.domain_L, 1e-4), (ConvexDomain.disk, 1e-4), (_random_rational_polygon, 0),
+    ], ids=["L", "disk", "random_polygon"])
+    def test_slack_arrays_are_the_mediant_lines(self, make, eps):
+        tree = enumerate_cuts(make(), eps)
+        w, h, s = tree.slack_arrays()
+        assert s is tree._sorted_sizes  # one float size column per tree
+        order = tree._size_order[1]
+        charts = np.searchsorted(tree.chart_offsets, order, side="right") - 1
+        for i, (k, (a, b, c, d)) in enumerate(zip(charts.tolist(), tree.nodes[order].tolist())):
+            (wx, wy), offset = tree.charts[k].line(a + c, b + d)
+            assert w[i].tolist() == [float(wx), float(wy)]
+            assert abs(h[i] - float(offset)) <= 1e-12 * (1 + abs(float(offset)))
+        assert s.tolist() == [float(x) for x in sorted(tree.sizes(), reverse=True)]
 
 
 def _gauss_nodes(a, b):

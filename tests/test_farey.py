@@ -23,7 +23,6 @@ from tropzeta.farey import (
 )
 from tropzeta.geometry import ConvexDomain
 from tropzeta.lattice import (
-    coprime_pairs_by_max,
     farey_from_denominators,
     mod_inverse,
     mod_inverse_array,
@@ -33,6 +32,31 @@ from tropzeta.lattice import (
 
 def interval(b, d):
     return farey_from_denominators(b, d)
+
+
+def coprime_pairs_by_max(bound: int):
+    """Coprime (b, d) with 1 <= b, d <= bound, ordered by max(b, d) ascending,
+    ties broken lexicographically: the order in which the Farey sums add
+    their terms (they build it on arrays, chunk by chunk)."""
+    for m in range(1, bound + 1):
+        # pairs with max exactly m: (m, d) and (b, m)
+        pairs = [(m, d) for d in range(1, m + 1)] + [(b, m) for b in range(1, m)]
+        for b, d in sorted(pairs):
+            if math.gcd(b, d) == 1:
+                yield (b, d)
+
+
+class TestEnumerationOrder:
+    def test_by_max_is_deterministic_and_complete(self):
+        pairs = list(coprime_pairs_by_max(12))
+        assert pairs == sorted(set(pairs), key=lambda bd: (max(bd), bd))
+        expected = {
+            (b, d)
+            for b in range(1, 13)
+            for d in range(1, 13)
+            if math.gcd(b, d) == 1
+        }
+        assert set(pairs) == expected
 
 
 class TestHataBasis:
@@ -128,6 +152,13 @@ class TestFareyZeta:
     def test_linear_is_zero(self):
         est = farey_zeta(SmoothWeight.from_polynomial([0, 1]), 1.0, 30)
         assert abs(complex(est.value)) < 1e-12
+
+    @pytest.mark.parametrize("bound", [0, -5])
+    def test_bound_below_one_refused(self, bound):
+        # both sums would be empty: zero values with a negative cutoff
+        for fn in (farey_zeta, endpoint_model):
+            with pytest.raises(ValueError, match="bound"):
+                fn(SmoothWeight.quadratic(), 2.0, bound)
 
     def test_endpoint_model_equals_farey_zeta_for_constant_curvature(self):
         w = SmoothWeight.quadratic()

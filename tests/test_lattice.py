@@ -213,15 +213,3 @@ class TestSternBrocotWalk:
         root = [lattice.FareyInterval(c=0, d=1, a=1, b=1)]
         assert lattice.farey_intervals_stern_brocot(bound) == (root if bound == 1 else [])
 
-
-class TestEnumerationOrder:
-    def test_by_max_is_deterministic_and_complete(self):
-        pairs = list(lattice.coprime_pairs_by_max(12))
-        assert pairs == sorted(set(pairs), key=lambda bd: (max(bd), bd))
-        expected = {
-            (b, d)
-            for b in range(1, 13)
-            for d in range(1, 13)
-            if math.gcd(b, d) == 1
-        }
-        assert set(pairs) == expected

@@ -251,6 +251,18 @@ class TestMellinRoute:
         with pytest.raises(ValueError, match="pole"):
             zeta_via_mellin(ConvexDomain.rectangle(3, 2), s)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, complex(3, math.inf)],
+                             ids=["nan", "inf", "-inf", "complex-inf"])
+    def test_non_finite_s_refused(self, s):
+        # a smooth domain's Mellin levels would never meet their stopping
+        # test and descend toward m 2^-40; the identity route goes first,
+        # since it returns at once where s is not refused
+        for dom in (ConvexDomain.domain_L(), ConvexDomain.rectangle(3, 2)):
+            with pytest.raises(ValueError, match="finite"):
+                zeta_via_identity(dom, s, 1e-3 if not dom.is_polygon else 0)
+            with pytest.raises(ValueError, match="finite"):
+                zeta_via_mellin(dom, s)
+
     @pytest.mark.parametrize("make", [
         pentagon_family_member, lambda: ConvexDomain.rectangle(3, 2),
         *[lambda seed=seed: random_polygon(random.Random(seed)) for seed in (1, 2, 5, 9)],
