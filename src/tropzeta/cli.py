@@ -3,9 +3,10 @@
 Subcommands: minimal-model, cuts, wavefront, caustic, zeta, residue,
 equiaffine, farey, sigma-b, model, verify.  Output is deterministic JSON on
 stdout (aligned key: value lines with --pretty); SVG/CSV side files on
-request.  Exit codes: 0 success, 1 domain/specification errors (an s that
-is not a finite number among them), 2 numerical-regime errors (asymptotics
-out of reach at the requested depth, or a value outside the float range).
+request.  Exit codes: 0 success, 1 domain/specification errors (an s or a
+float option that is not a finite number among them), 2 numerical-regime
+errors (asymptotics out of reach at the requested depth, or a value outside
+the float range).
 
 --pretty is the one configurable setting: the flag, else the TROPZETA_PRETTY
 environment variable, else a `pretty = ...` line of ./tropzeta.toml (flat
@@ -87,6 +88,17 @@ def _parse_s(text: str) -> complex:
     if not cmath.isfinite(s):
         raise ValueError(f"s value {text!r} is not finite")
     return s
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the float options: a float, refused unless finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"value {text!r} is not finite")
+    return value
 
 
 def _load_domain(path: str) -> ConvexDomain:
@@ -373,35 +385,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cuts", help="materialize the corner-cut tree")
     p.add_argument("domain")
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=_finite_float, default=None)
     p.add_argument("--csv", default=None)
 
     p = sub.add_parser("wavefront", help="wave front at time t")
     p.add_argument("domain")
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--svg", default=None)
 
     p = sub.add_parser("caustic", help="tropical caustic graph")
     p.add_argument("domain")
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=_finite_float, default=None)
     p.add_argument("--svg", default=None)
 
     p = sub.add_parser("zeta", help="evaluate the zeta function")
     p.add_argument("domain")
     p.add_argument("--s", required=True, help='e.g. "3", "2.5", "3+0.5i"')
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=_finite_float, default=None)
     p.add_argument("--route", choices=("identity", "mellin"), default="identity")
 
     p = sub.add_parser("residue", help="residues at 1, 0, or 2/3")
     p.add_argument("domain")
     p.add_argument("--at", required=True, help="1, 0, or 2/3")
-    p.add_argument("--eps-min", dest="eps_min", type=float, default=None)
+    p.add_argument("--eps-min", dest="eps_min", type=_finite_float, default=None)
 
     p = sub.add_parser("equiaffine", help="equiaffine boundary length")
     p.add_argument("domain")
     p.add_argument("--method", choices=("parametric", "graph", "triangles"),
                    default="graph")
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=_finite_float, default=None)
 
     p = sub.add_parser("farey", help="weighted Farey zeta function")
     p.add_argument("--weight", default="quadratic",
@@ -419,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support", nargs=2, metavar=("A", "B"), default=None)
     p.add_argument("--defect", nargs=4, metavar=("A", "B", "C", "D"), default=None)
     p.add_argument("--s", default=None)
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--alpha", type=_finite_float, default=None)
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
     p.add_argument("--cutoff", type=int, default=None)
 

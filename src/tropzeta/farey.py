@@ -22,11 +22,16 @@ Evaluation.  The sums run on int64/float64 arrays, one chunk of whole
 max(b, d) levels (a few thousand pairs) at a time, so their memory does not
 grow with the bound: coprime pairs come from np.gcd, a = d^-1 mod b from an
 array extended Euclid, and c_I, T_I and f''(a/b) from one weight call per
-chunk.  Terms are added one at a time in the fixed pair order (np.cumsum
-with the running total carried across chunks), and each term's power is
-CPython's complex power of that term (math.pow for real s), so a value does
-not depend on the chunking and matches a per-pair Python loop bit for bit.
-Sigma_b and the Hata grid use the same columns.
+chunk.  The Euclid runs once per mirrored pair: a chunk's pairs with b < d
+are its pairs with b > d swapped, and their intervals follow by integer
+arithmetic.  Terms are added one at a time in the fixed pair order
+(np.cumsum with the running total carried across chunks), and each term's
+power is CPython's complex power of that term (math.pow for real s), so a
+value does not depend on the chunking and matches a per-pair Python loop
+bit for bit.  Sigma_b and the Hata grid use the same columns.  Sigma_b's
+kernel H_s takes its powers as exps of real logarithms.  The Hata grid
+evaluates each tent only on the points of its support, found by binary
+search in the sorted points.
 """
 
 from __future__ import annotations
@@ -133,8 +138,6 @@ def hata_coefficient(weight: SmoothWeight, interval):
 # Farey sums run over chunks of about this many candidate pairs (b, d); a
 # chunk holds whole max(b, d) levels.  It bounds the sums' working memory.
 _CHUNK_PAIRS = 8192
-# interval x grid cells per block of hata_reconstruct_grid
-_HATA_BLOCK = 1 << 16
 
 
 def _pairs_by_max(bound: int):
@@ -153,6 +156,22 @@ def _pairs_by_max(bound: int):
         keep = np.gcd(b, d) == 1
         yield b[keep], d[keep]
         lo = hi + 1
+
+
+def _intervals_by_max(b: np.ndarray, d: np.ndarray) -> _Intervals:
+    """_intervals(b, d) of a _pairs_by_max chunk, with one Euclid per
+    mirrored pair.  The chunk's b < d entries are its b > d entries swapped,
+    in the same order, and the interval [c/d, a/b] of (m, x) gives the one
+    of (x, m) as a' = x - c, c' = m - a (a' m - x c' = a x - m c = 1)."""
+    upper = b >= d
+    half = _intervals(b[upper], d[upper])
+    mirror = half.b > half.d
+    a = np.empty_like(b)
+    c = np.empty_like(b)
+    a[upper], c[upper] = half.a, half.c
+    a[~upper] = (half.d - half.c)[mirror]
+    c[~upper] = (half.b - half.a)[mirror]
+    return _Intervals(c=c, d=d, a=a, b=b)
 
 
 def farey_intervals_by_sum(max_bd_sum: int) -> _Intervals:
@@ -177,19 +196,27 @@ def hata_reconstruct_grid(weight: SmoothWeight, bound: int, xs) -> np.ndarray:
     """Partial Hata expansion f(0) + (f(1) - f(0)) x + sum c_I S_I(x) over
     intervals with b + d <= bound, evaluated on an array of x values.
 
-    The intervals are added in farey_intervals_by_sum order, a block of
-    intervals x points at a time."""
+    Each tent is added only on its support c/d <= x <= a/b (off it the tent
+    formula is 0 up to rounding), found by two binary searches in the
+    sorted points.  Every x gets its terms added one at a time in
+    farey_intervals_by_sum order, so an entry does not depend on the order
+    or shape of xs."""
     xs = np.asarray(xs, dtype=float)
     total = weight.f(0.0) + (weight.f(1.0) - weight.f(0.0)) * xs
     intervals = farey_intervals_by_sum(bound)
     c_i, _ = hata_coefficient(weight, intervals)
-    step = max(1, _HATA_BLOCK // max(xs.size, 1))
-    rows = (-1,) + (1,) * xs.ndim  # one interval per row, broadcast over xs
-    for lo in range(0, c_i.size, step):
-        block = _Intervals(*(col[lo:lo + step].reshape(rows) for col in intervals))
-        terms = c_i[lo:lo + step].reshape(rows) * hata_basis(block, xs)
-        total = np.cumsum(np.concatenate((total[None], terms)), axis=0)[-1]
-    return total
+    order = np.argsort(xs, axis=None)
+    sorted_x = xs.ravel()[order]
+    lo = np.searchsorted(sorted_x, intervals.c / intervals.d, side="left")
+    counts = np.searchsorted(sorted_x, intervals.a / intervals.b, side="right") - lo
+    # cell k: interval rows[k] at sorted point cols[k], intervals in order
+    rows = np.repeat(np.arange(c_i.size), counts)
+    cols = np.arange(rows.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    cells = _Intervals(*(col[rows] for col in intervals))
+    total = np.array(total, dtype=float).ravel()
+    # add.at applies repeated indices in index order
+    np.add.at(total, order[cols], c_i[rows] * hata_basis(cells, sorted_x[cols]))
+    return total.reshape(xs.shape)
 
 
 def farey_zeta(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:
@@ -202,7 +229,7 @@ def farey_zeta(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:
     total = 0j
     count = 0
     for b, d in _pairs_by_max(bound):
-        _, t_i = hata_coefficient(weight, _intervals(b, d))
+        _, t_i = hata_coefficient(weight, _intervals_by_max(b, d))
         total = add_in_order(total, term_powers(np.abs(t_i[t_i != 0]), sc))
         count += b.size
     return SeriesEstimate(value=total, cutoff=float(bound), terms_used=count)
@@ -218,7 +245,7 @@ def endpoint_model(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:
     total = 0j
     count = 0
     for b, d in _pairs_by_max(bound):
-        a = mod_inverse_array(d, b)
+        a = _intervals_by_max(b, d).a
         num = term_powers(np.abs(weight.d2f(a / b)), sc)
         den = term_powers((b * d * (b + d)).astype(float), sc)
         total = add_in_order(total, _quotients(num, den))
@@ -231,32 +258,54 @@ def endpoint_model(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:
 
 
 def _h_tail(s: complex, x0: np.ndarray) -> np.ndarray:
-    """sum_{k >= a} g(k) - midpoint Euler-Maclaurin at x0 = a - 1/2 + u:
-    integral + g'(x0)/24 - 7 g'''(x0)/5760, with the integral
-    int_{x0}^inf (t+u)^(-s)(t+1+u)^(-s) dt expanded around tau = t + 1/2."""
-    # here x0 is the tau-coordinate center: tau0 = K + 1/2 + u
+    """sum_{k >= K} g(k), g(t) = (t+u)^(-s) (t+1+u)^(-s), by the midpoint
+    Euler-Maclaurin formula from t = K - 1/2.  In tau = t + u + 1/2, which
+    is x0 = K + u there: int_{x0}^inf (tau^2 - 1/4)^(-s) dtau + g'/24
+    - 7 g'''/5760 + 31 g^(5)/967680, the derivatives taken at x0.  The
+    g^(5) term keeps H_s within 3e-13 relative of a 30-digit sum at
+    K = 64 on 1/2 < Re s < 1, |Im s| <= 10 (sampled); stopping at g'''
+    leaves 1.6e-12 at s = 0.6+2i and 2e-10 at 0.51+10i.
+
+    x0 is real and positive, so every power is the exp of a real logarithm:
+    a real exp for real s, which makes the result a real array, and one
+    complex exp per power otherwise."""
     s = complex(s)
-    # integral: sum_j (s)_j / (j! 4^j) * tau0^(1-2s-2j) / (2s + 2j - 1)
-    integral = np.zeros_like(x0, dtype=complex)
-    coeff = 1.0 + 0j
+    if s.imag == 0:
+        s = s.real
+    # integral: sum_j (s)_j / (j! 4^j) * x0^(1-2s-2j) / (2s + 2j - 1),
+    # each x0^(1-2s-2j) the one before times the real x0^-2
+    power = np.exp((1 - 2 * s) * np.log(x0))
+    step = x0 ** -2.0
+    total = 0.0
+    coeff = 1.0
     for j in range(8):
-        integral = integral + coeff * x0 ** (1 - 2 * s - 2 * j) / (2 * s + 2 * j - 1)
+        total = total + coeff * power / (2 * s + 2 * j - 1)
         coeff = coeff * (s + j) / (j + 1) / 4.0
-    # derivatives of g(t) = A^-s B^-s at the midpoint, A = tau0 - 1/2,
-    # B = tau0 + 1/2
+        power = power * step
+    # g = A^-s B^-s with A = x0 - 1/2, B = x0 + 1/2; by Leibniz its odd
+    # derivatives are g^(n) = -g sum_k C(n, k) (s)_k (s)_(n-k) A^-k B^-(n-k)
     a = x0 - 0.5
     b = x0 + 0.5
-    g = a ** (-s) * b ** (-s)
-    gp = -s * g * (1 / a + 1 / b)
-    gppp = (
-        -s * (s + 1) * (s + 2) * (a ** (-s - 3) * b ** (-s) + a ** (-s) * b ** (-s - 3))
-        - 3 * s * s * (s + 1) * (a ** (-s - 2) * b ** (-s - 1) + a ** (-s - 1) * b ** (-s - 2))
-    )
-    return integral + gp / 24 - 7 * gppp / 5760
+    g = np.exp(-s * (np.log(a) + np.log(b)))
+    ia, ib = 1 / a, 1 / b
+    rising = [1.0]  # (s)_k
+    for k in range(5):
+        rising.append(rising[-1] * (s + k))
+    for n, bernoulli in ((1, 1 / 24), (3, -7 / 5760), (5, 31 / 967680)):
+        poly = sum(math.comb(n, k) * rising[k] * rising[n - k] * ia ** k * ib ** (n - k)
+                   for k in range(n + 1))
+        total = total - bernoulli * g * poly
+    return total
 
 
 def h_kernel_batch(s, u: np.ndarray) -> np.ndarray:
-    """H_s(u) for an array of u in (0, 1], accelerated to ~1e-12 relative."""
+    """H_s(u) for an array of u in (0, 1], accelerated to ~1e-12 relative,
+    as complex128.
+
+    The direct terms (k+u)^(-s) (k+1+u)^(-s), k < K, are exp(-s (log(k+u) +
+    log(k+1+u))) on real logarithms, each taken once: a real exp for real
+    s, whose imaginary part is then exactly 0, and one complex exp per term
+    otherwise."""
     sc = complex(s)
     if sc.real <= 0.5:
         raise ValueError("H_s needs Re(s) > 1/2")
@@ -264,11 +313,11 @@ def h_kernel_batch(s, u: np.ndarray) -> np.ndarray:
     if (u <= 0).any() or (u > 1).any():
         raise ValueError("u must lie in (0, 1]")
     k_terms = max(64, int(math.ceil(abs(sc))) * 8)
-    # (k + u)^(-s) for k = 0..K, each power shared by two adjacent terms
-    powers = (np.arange(k_terms + 1)[:, None] + u) ** (-sc)
-    direct = (powers[:-1] * powers[1:]).sum(axis=0)
+    logs = np.log(np.arange(k_terms + 1)[:, None] + u)
+    exponent = sc.real if sc.imag == 0 else sc
+    direct = np.exp(-exponent * (logs[:-1] + logs[1:])).sum(axis=0)
     # tail k >= K in tau = t + u + 1/2 coordinates starts at tau0 = K + u
-    return direct + _h_tail(sc, k_terms + u)
+    return (direct + _h_tail(sc, k_terms + u)).astype(complex)
 
 
 def h_kernel(s, u: float) -> complex:

@@ -79,6 +79,21 @@ class TestZetaCommand:
         assert got == code
         assert message in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("args", [
+        ["wavefront", "L", "--t", "nan"],
+        ["cuts", "L", "--eps", "1e400"],
+        ["zeta", "L", "--s", "2", "--eps", "nan"],
+        ["residue", "L", "--at", "2/3", "--eps-min=-inf"],
+        ["model", "d-alpha", "--alpha", "nan"],
+    ], ids=["t-nan", "eps-1e400", "zeta-eps-nan", "eps-min--inf", "alpha-nan"])
+    def test_non_finite_float_option_is_a_usage_error(self, tmp_path, capsys, args):
+        if args[1:2] == ["L"]:
+            args = [args[0], write_domain(tmp_path, LDOM)] + args[2:]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 1
+        assert "not finite" in json.loads(capsys.readouterr().err)["error"]
+
     def test_determinism(self, tmp_path, capsys):
         dom = write_domain(tmp_path, LDOM)
         _, out1 = run_cli(["zeta", dom, "--s", "2.5", "--eps", "1e-4"], capsys)

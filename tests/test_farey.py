@@ -494,7 +494,9 @@ def oracle_hata_grid(weight, bound, xs):
             if math.gcd(b, d) == 1:
                 iv = farey_from_denominators(b, d)
                 c_i, _ = hata_coefficient(weight, iv)
-                total = total + c_i * hata_basis(iv, xs)
+                # the tent on its support c/d <= x <= a/b only
+                support = (iv.c / iv.d <= xs) & (xs <= iv.a / iv.b)
+                total[support] += c_i * hata_basis(iv, xs[support])
     return total
 
 
@@ -519,7 +521,6 @@ S_VALUES = [0.8, 1.0, 2.0, 0.7 + 1.3j]
 @pytest.fixture
 def small_chunks(monkeypatch):
     monkeypatch.setattr(farey, "_CHUNK_PAIRS", 37)
-    monkeypatch.setattr(farey, "_HATA_BLOCK", 50)
 
 
 class TestArrayEngineOracle:
@@ -570,19 +571,96 @@ class TestArrayEngineOracle:
         assert got.tobytes() == oracle_hata_grid(WEIGHTS[wname], 30, xs).tobytes()
 
     @pytest.mark.parametrize("wname", WEIGHTS)
+    def test_hata_grid_any_order_and_shape(self, wname):
+        # unsorted points, repeats, Farey endpoints and points outside [0, 1]
+        xs = np.random.default_rng(3).random(60)
+        xs[:8] = [0.5, 1 / 3, 0.0, 1.0, 0.5, 2 / 7, -0.25, 1.5]
+        w = WEIGHTS[wname]
+        order = np.argsort(xs, kind="stable")
+        by_sort = hata_reconstruct_grid(w, 30, xs[order])
+        got = hata_reconstruct_grid(w, 30, xs)
+        assert got[order].tobytes() == by_sort.tobytes()
+        got_2d = hata_reconstruct_grid(w, 30, xs.reshape(6, 10))
+        assert got_2d.shape == (6, 10)
+        assert got_2d.ravel().tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("wname", WEIGHTS)
     def test_sigma_b_bit_for_bit(self, wname):
         for b in (1, 2, 12, 97, 1009):
             assert sigma_b(WEIGHTS[wname], 0.7, b)[0] == oracle_sigma_b_value(WEIGHTS[wname], 0.7, b)
 
-    def test_h_kernel_shares_powers(self):
-        # each (k+u)^(-s) computed once gives the bytes of the two-power form
+
+def mpmath_h_kernel(s, u, head=40):
+    """H_s(u) to 30 digits: the first terms summed, the rest by mpmath's
+    Euler-Maclaurin summation with the tail integral in closed form,
+    int_{t0}^inf (t^2 - 1/4)^(-s) dt = t0^(1-2s) 2F1(s, s-1/2; s+1/2; 1/(4 t0^2)) / (2s-1)
+    at t0 = head + u + 1/2.  (nsum's Euler-Maclaurin method takes that
+    integral by quadrature of an oscillating integrand; at s = 0.6+2i it
+    is off by 6e-6 at 15 digits and by 5e-9 at 30.)"""
+    with mpmath.workdps(30):
+        s, u = mpmath.mpc(s), mpmath.mpf(u)
+
+        def term(k):
+            return (k + u) ** (-s) * (k + 1 + u) ** (-s)
+
+        t0 = head + u + mpmath.mpf(1) / 2
+        integral = (t0 ** (1 - 2 * s) / (2 * s - 1)
+                    * mpmath.hyp2f1(s, s - 0.5, s + 0.5, 1 / (4 * t0 ** 2)))
+        tail = mpmath.sumem(term, [head, mpmath.inf], integral=integral)
+        return complex(mpmath.fsum(term(k) for k in range(head)) + tail)
+
+
+class TestHKernelAccuracy:
+    US = np.array([1 / 1201, 0.37, 1.0])
+
+    @pytest.mark.parametrize("s", [0.7, 0.8, 0.6 + 2j, 0.75 + 2.1j])
+    def test_matches_mpmath(self, s):
+        got = farey.h_kernel_batch(s, self.US)
+        for u, value in zip(self.US, got):
+            ref = mpmath_h_kernel(s, u)
+            assert abs(value - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("s", [0.7, 0.6 + 2j])
+    def test_direct_sum_is_two_power_form(self, s):
         u = np.arange(1, 1010) / 1009
-        for s in (0.7, 0.6 + 2j):
-            sc = complex(s)
-            k = np.arange(64)[:, None]
-            two_power = ((k + u) ** (-sc) * (k + 1 + u) ** (-sc)).sum(axis=0)
-            expected = two_power + farey._h_tail(sc, 64 + u)
-            assert farey.h_kernel_batch(s, u).tobytes() == expected.tobytes()
+        sc = complex(s)
+        k = np.arange(64)[:, None]
+        two_power = ((k + u) ** (-sc) * (k + 1 + u) ** (-sc)).sum(axis=0)
+        expected = two_power + farey._h_tail(sc, 64 + u)
+        got = farey.h_kernel_batch(s, u)
+        assert got.dtype == complex
+        assert (np.abs(got - expected) <= 1e-14 * np.abs(expected)).all()
+
+    @pytest.mark.parametrize("s", [0.55, 0.7, 1, 2.5])
+    def test_real_s_gives_real_values(self, s):
+        got = farey.h_kernel_batch(s, np.arange(1, 1010) / 1009)
+        assert got.dtype == complex
+        assert (got.imag == 0).all()
+
+
+class TestMirroredIntervals:
+    @staticmethod
+    def assert_same_intervals(b, d):
+        got, want = farey._intervals_by_max(b, d), farey._intervals(b, d)
+        for col in ("c", "d", "a", "b"):
+            g, w = getattr(got, col), getattr(want, col)
+            assert g.dtype == w.dtype == np.int64
+            assert g.tolist() == w.tolist()
+
+    def test_small_chunks(self, small_chunks):
+        for bound in (1, 2, 7, 40):
+            for b, d in farey._pairs_by_max(bound):
+                self.assert_same_intervals(b, d)
+
+    def test_default_chunks(self):
+        chunks = list(farey._pairs_by_max(500))
+        assert len(chunks) > 1
+        for b, d in chunks:
+            self.assert_same_intervals(b, d)
+
+    def test_non_coprime_pair_is_refused(self):
+        with pytest.raises(ValueError, match="not invertible"):
+            farey._intervals_by_max(np.array([6, 4]), np.array([4, 6]))
 
 
 class TestModInverseArray:
