@@ -183,7 +183,8 @@ class CutTree:
     @cached_property
     def _sorted_sizes(self) -> np.ndarray:
         """The cut sizes as float64 in size order: the one float column of
-        kinks, front_perimeter_geometric, profiles and slack_arrays."""
+        kinks, size_runs, front_perimeter_geometric, profiles and
+        slack_arrays."""
         return self.cut_sizes.floats()[self._size_order[1]]
 
     @cached_property
@@ -247,6 +248,20 @@ class CutTree:
         key = self.cut_sizes.rank_of(ts if ts.ndim else t)
         n = np.searchsorted(self._size_order[0], key, side="right")
         return n if ts.ndim else int(n)
+
+    def size_runs(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cuts of size >= t grouped by size, largest first: each
+        distinct size once as float64, the number of cuts of that size, and
+        the node indices of the cuts, group by group.  Exact: the cuts are
+        a prefix of the size order, where equal sizes are runs of equal
+        ranks."""
+        ranks, order = self._size_order
+        n = self.cut_count(t)
+        kept = ranks[:n]
+        first = np.ones(n, dtype=bool)  # a run of equal ranks starts here
+        first[1:] = kept[1:] != kept[:-1]
+        starts = np.flatnonzero(first)
+        return self._sorted_sizes[starts], np.diff(np.append(starts, n)), order[:n]
 
     def kinks(self, lo: float, hi: float) -> np.ndarray:
         """The distinct cut sizes strictly between lo and hi, ascending: the

@@ -20,15 +20,19 @@ the Legendre dual of its graph function.
 
 Evaluation.  The sums run on int64/float64 arrays, one chunk of whole
 max(b, d) levels (a few thousand pairs) at a time, so their memory does not
-grow with the bound: coprime pairs come from np.gcd, a = d^-1 mod b from an
-array extended Euclid, and c_I, T_I and f''(a/b) from one weight call per
-chunk.  The Euclid runs once per mirrored pair: a chunk's pairs with b < d
-are its pairs with b > d swapped, and their intervals follow by integer
+grow with the bound: coprime pairs come from one np.gcd per level m over
+x = 1..m, read for both (x, m) and (m, x), a = d^-1 mod b from an array
+extended Euclid, and c_I, T_I and f''(a/b) from one weight call per chunk.
+The Euclid runs once per mirrored pair: a chunk's pairs with b < d are its
+pairs with b > d swapped, and their intervals follow by integer
 arithmetic.  Terms are added one at a time in the fixed pair order
 (np.cumsum with the running total carried across chunks), and each term's
 power is CPython's complex power of that term (math.pow for real s), so a
 value does not depend on the chunking and matches a per-pair Python loop
-bit for bit.  Sigma_b and the Hata grid use the same columns.  Sigma_b's
+bit for bit.  The endpoint model takes each distinct base's power once:
+b d (b + d) on the b >= d pairs, gathered to their mirrors, and each
+distinct |f''(a/b)| of a chunk (one value for the quadratic weight).
+Sigma_b and the Hata grid use the same columns.  Sigma_b's
 kernel H_s takes its powers as exps of real logarithms.  The Hata grid
 evaluates each tent only on the points of its support, found by binary
 search in the sorted points.
@@ -149,11 +153,16 @@ def _pairs_by_max(bound: int):
         # levels lo..hi hold hi^2 - (lo-1)^2 candidates
         hi = min(bound, max(lo, math.isqrt((lo - 1) ** 2 + _CHUNK_PAIRS)))
         levels = np.arange(lo, hi + 1)
+        # one gcd per level m = levels[i] and x = 1..m: coprime[start[i] +
+        # x - 1] says whether gcd(x, m) = 1, for (x, m) and (m, x) alike
+        start = np.cumsum(levels) - levels
+        x = np.arange(start[-1] + levels[-1]) - np.repeat(start, levels) + 1
+        coprime = np.gcd(x, np.repeat(levels, levels)) == 1
         m = np.repeat(levels, 2 * levels - 1)
         k = np.arange(m.size) + (lo - 1) ** 2 - (m - 1) ** 2 + 1
         b = np.where(k < m, k, m)
         d = np.where(k < m, m, k - m + 1)
-        keep = np.gcd(b, d) == 1
+        keep = coprime[np.repeat(start, 2 * levels - 1) + np.minimum(b, d) - 1]
         yield b[keep], d[keep]
         lo = hi + 1
 
@@ -246,8 +255,15 @@ def endpoint_model(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:
     count = 0
     for b, d in _pairs_by_max(bound):
         a = _intervals_by_max(b, d).a
-        num = term_powers(np.abs(weight.d2f(a / b)), sc)
-        den = term_powers((b * d * (b + d)).astype(float), sc)
+        # each distinct |f''(a/b)| powered once
+        values, which = np.unique(np.abs(weight.d2f(a / b)), return_inverse=True)
+        num = term_powers(values, sc)[which]
+        # b d (b + d) powered on the b >= d entries, gathered to their mirrors
+        upper = b >= d
+        half = term_powers((b * d * (b + d))[upper].astype(float), sc)
+        den = np.empty(b.size, dtype=half.dtype)
+        den[upper] = half
+        den[~upper] = half[(b > d)[upper]]
         total = add_in_order(total, _quotients(num, den))
         count += b.size
     return SeriesEstimate(value=2.0 ** (-sc) * total, cutoff=float(bound), terms_used=count)
@@ -397,7 +413,10 @@ def weight_power_integral(weight: SmoothWeight, s) -> complex:
 
 def sigma_b(weight: SmoothWeight, s, b: int) -> tuple[complex, complex, float]:
     """(Sigma_b(s), main term, |deviation|): the reduced-residue sum
-    sum H_s(r/b) |f''(rbar/b)|^s against phi(b) (int H_s)(int |f''|^s)."""
+    sum H_s(r/b) |f''(rbar/b)|^s against phi(b) (int H_s)(int |f''|^s).
+    b >= 1."""
+    if b < 1:  # no reduced residues, and no phi(b)
+        raise ValueError(f"b must be at least 1, got {b}")
     sc = complex(s)
     rs = np.arange(1, b + 1)
     rs = rs[np.gcd(rs, b) == 1]

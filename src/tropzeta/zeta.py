@@ -3,7 +3,10 @@ evaluation routes, exact polygon residues at s = 1 and s = 0, and the fitted
 residue at s = 2/3.
 
 Identity route:  s(s-1) Z(s) = H(s) - F(s), with H the minimal-model
-correction and F = sum of size^s over the corner cuts.  Mellin route:
+correction and F = sum of size^s over the corner cuts.  On floats F takes
+each distinct size's power once, from runs of equal sizes in the tree's
+exact size order (a domain's charts and mirrored corners repeat sizes bit
+for bit), and adds the terms per chart in node order.  Mellin route:
 Z(s) = integral of t^(s-2) P(t) dt over (0, m) with P(t) the lattice
 perimeter of the wave front, from the minimal model's support lines and the
 cuts' support differences (float supports where the charts have them, so
@@ -53,20 +56,31 @@ def boundary_series(domain: ConvexDomain, s, eps) -> SeriesEstimate:
     summed per chart and then totaled.  Exact rational for polygon domains at
     integer s (eps = 0 gives the full finite sum).  On smooth domains
     tail_hint estimates (does not bound) the rest for Re s > a, from the cut
-    count N(t) ~ C t^(-a): a = 2/3 on smooth arcs, alpha on D_alpha."""
+    count N(t) ~ C t^(-a): a = 2/3 on smooth arcs, alpha on D_alpha.
+
+    The float path takes each distinct size's power once: the kept cuts are
+    a prefix of the tree's exact size order, where equal sizes are runs
+    (CutTree.size_runs), so the first size of each run is powered and the
+    power gathered to the run's cuts.  Each chart's terms are then added in
+    node order, so the value equals a term-by-term sum bit for bit."""
     tree = deepest_tree(domain, eps)
     exact = domain.is_polygon and domain.polygon.is_exact and isinstance(s, int)
     keep = tree.cut_sizes.at_least(eps)
-    sizes = np.array(tree.sizes(), dtype=object) if exact else tree.cut_sizes.floats()
-    sc = complex(s)
+    if exact:  # the sizes, each raised to s as a Fraction below
+        column = np.array(tree.sizes(), dtype=object)
+    else:  # each cut's term size^s
+        sizes, counts, nodes = tree.size_runs(eps)
+        powers = term_powers(sizes, complex(s))
+        column = np.empty(len(tree.nodes), dtype=powers.dtype)
+        column[nodes] = np.repeat(powers, counts)
     per_chart = []  # the sum of each chart that has a term
     count = 0
     for lo, hi in zip(tree.chart_offsets, tree.chart_offsets[1:]):
-        terms = sizes[lo:hi][keep[lo:hi]]
-        if terms.size:
-            per_chart.append(sum(Fraction(x) ** s for x in terms.tolist()) if exact
-                             else add_in_order(0j, term_powers(terms, sc)))
-        count += terms.size
+        picked = column[lo:hi][keep[lo:hi]]
+        if picked.size:
+            per_chart.append(sum(Fraction(x) ** s for x in picked.tolist()) if exact
+                             else add_in_order(0j, picked))
+        count += picked.size
     total = sum(per_chart) if per_chart else (Fraction(0) if exact else 0j)
     sigma = complex(s).real
     a = domain.params["alpha"] if domain.tag == "d_alpha" else 2 / 3

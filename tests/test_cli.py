@@ -192,6 +192,12 @@ class TestAnalyticCommands:
         payload = json.loads(out)
         assert payload["deviation"] >= 0
 
+    @pytest.mark.parametrize("b", ["0", "-3"])
+    def test_sigma_b_below_one_is_exit_1(self, capsys, b):
+        code, out = run_cli(["sigma-b", "--b", b, "--s", "0.7"], capsys)
+        assert code == 1
+        assert json.loads(out) == {"error": f"b must be at least 1, got {b}"}
+
     def test_model_parabola(self, capsys):
         code, out = run_cli(["model", "parabola", "--defect", "1", "0", "0", "1"], capsys)
         assert json.loads(out)["defect"] == "1/2"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tropzeta import farey, models
+from tropzeta.estimates import term_powers
 from tropzeta.farey import (
     SmoothWeight,
     endpoint_model,
@@ -254,6 +255,11 @@ class TestSigmaB:
         direct = sum(h_kernel(0.7, r / 7) for r in range(1, 7))
         assert val == pytest.approx(direct, rel=1e-12)
         assert main == pytest.approx(6 * h_kernel_integral(0.7), rel=1e-10)
+
+    @pytest.mark.parametrize("b", [0, -3])
+    def test_b_below_one_refused(self, b):
+        with pytest.raises(ValueError, match=f"b must be at least 1, got {b}"):
+            sigma_b(SmoothWeight.quadratic(), 0.7, b)
 
     def test_deviation_growth_exponent(self):
         # fitted exponent of |Sigma_b - main| over primes <= (1 + sigma)/2 + 0.1
@@ -550,6 +556,23 @@ class TestArrayEngineOracle:
     def test_endpoint_model_bit_for_bit(self, small_chunks, wname, s):
         est = endpoint_model(WEIGHTS[wname], s, 40)
         assert (est.value, est.terms_used) == oracle_endpoint_model(WEIGHTS[wname], s, 40)
+
+    def test_endpoint_model_powers_each_denominator_once(self, small_chunks, monkeypatch):
+        # per chunk: the numerators (one distinct |f''| = 1), then the
+        # denominators of the b >= d pairs only
+        calls = []
+
+        def counting(x, sc):
+            calls.append(x.tolist())
+            return term_powers(x, sc)
+
+        monkeypatch.setattr(farey, "term_powers", counting)
+        endpoint_model(SmoothWeight.quadratic(), 0.8, 40)
+        nums, dens = calls[0::2], calls[1::2]
+        assert len(nums) == len(dens) > 10
+        assert all(num == [1.0] for num in nums)
+        upper = sum(1 for b, d in coprime_pairs_by_max(40) if b >= d)
+        assert sum(map(len, dens)) == upper
 
     def test_default_chunks_bit_for_bit(self):
         # bound 150 spans several chunks of the default size

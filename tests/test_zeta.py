@@ -9,6 +9,7 @@ from test_random_polygons import random_polygon
 
 from tropzeta import models, zeta
 from tropzeta.cutting import CutTree, enumerate_cuts
+from tropzeta.estimates import term_powers
 from tropzeta.geometry import ConvexDomain
 from tropzeta.zeta import (
     NumericalRegimeError,
@@ -62,6 +63,47 @@ class TestBoundarySeries:
                     continue  # the exact Fraction path
                 value = boundary_series(dom, s, eps).value
                 assert value == series_reference(dom, s, eps)
+
+    @pytest.mark.parametrize("make", [
+        ConvexDomain.domain_L, ConvexDomain.disk, lambda: ConvexDomain.d_alpha(0.5, 2000),
+    ], ids=["L", "disk", "d_alpha"])
+    def test_memo_deeper_than_eps(self, make):
+        # the tree at 1e-5 serves 1e-4: the kept cuts are a strict prefix
+        # of its size order
+        dom = make()
+        for eps in (1e-5, 1e-4):
+            for s in (0.8, 2.5, 3 + 1.2j):
+                est = boundary_series(dom, s, eps)
+                assert est.value == series_reference(dom, s, eps)
+        tree = zeta.deepest_tree(dom, 1e-4)
+        assert tree.threshold == 1e-5
+        assert 0 < est.terms_used < len(tree.nodes)
+
+    def test_no_kept_cuts(self):
+        # a rectangle has no cuts; L has none of size >= 3/4
+        est = boundary_series(ConvexDomain.rectangle(3, 2), 2.5, 1e-4)
+        assert (est.value, est.terms_used) == (0j, 0)
+        dom = ConvexDomain.domain_L()
+        boundary_series(dom, 2.5, 1e-3)
+        est = boundary_series(dom, 2.5, 0.75)
+        assert (est.value, est.terms_used) == (0j, 0)
+
+    @pytest.mark.parametrize("make", [ConvexDomain.domain_L, ConvexDomain.disk],
+                             ids=["L", "disk"])
+    def test_each_distinct_size_powered_once(self, make, monkeypatch):
+        bases = []
+
+        def counting(x, sc):
+            bases.extend(x.tolist())
+            return term_powers(x, sc)
+
+        monkeypatch.setattr(zeta, "term_powers", counting)
+        dom, eps = make(), 1e-5
+        est = boundary_series(dom, 2.5, eps)
+        tree = zeta.deepest_tree(dom, eps)
+        kept = tree.cut_sizes.floats()[tree.cut_sizes.at_least(eps)]
+        assert len(set(bases)) == len(bases)
+        assert len(bases) <= len(np.unique(kept)) < est.terms_used
 
     def test_parabolic_chart_two_summation_orders(self):
         # tree truncation vs direct coprime double sum at s = 2; both cut at
