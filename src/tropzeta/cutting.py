@@ -24,6 +24,7 @@ case is needed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -107,6 +108,15 @@ class Sizes:
             return np.array([float(x) for x in vals.tolist()], dtype=np.float64)
         return vals
 
+    def ratios(self) -> tuple:
+        """The exact sizes as (num, den), size = num / den: Python ints, or
+        object columns of them.  On exact trees only."""
+        if self.is_den:
+            return 1, self.values.astype(object)
+        vals = self.values.tolist()
+        return (np.array([x.numerator for x in vals], dtype=object),
+                np.array([x.denominator for x in vals], dtype=object))
+
     def rank(self) -> np.ndarray:
         return self.values if self.is_den else -self.values
 
@@ -123,6 +133,33 @@ class Sizes:
         if self.is_den:
             return self.values <= self.rank_of(t)
         return self.values >= t
+
+
+def _line_offsets(chart, a: np.ndarray, b: np.ndarray, exact: bool) -> tuple:
+    """(wx, wy, *h) of a chart's supporting lines {<w, x> = h} of chart
+    normals (a, b), int64 columns: the ambient normals w = a u1 + b u2 and
+    the offsets h = gamma(a, b) + <w, corner>, one float64 column, or with
+    exact two object columns (num, den) of Python ints, h = num / den.  The
+    float lines of slack_arrays and the caustic, the exact ones of the
+    caustic on rational charts."""
+    (u1x, u1y), (u2x, u2y) = chart.u1, chart.u2
+    wx, wy = a * u1x + b * u2x, a * u1y + b * u2y
+    if not exact:
+        if chart.support_float is not None:
+            sup = chart.support_float(a, b)
+        else:
+            sup = np.array([float(chart.support(x, y)) for x, y in zip(a.tolist(), b.tolist())],
+                           dtype=np.float64)
+        return wx, wy, sup + wx * float(chart.corner[0]) + wy * float(chart.corner[1])
+    sups = [Fraction(chart.support(x, y)) for x, y in zip(a.tolist(), b.tolist())]
+    num = np.array([f.numerator for f in sups], dtype=object)
+    den = np.array([f.denominator for f in sups], dtype=object)
+    # <w, corner> over the corner's common denominator
+    cx, cy = (Fraction(c) for c in chart.corner)
+    cden = math.lcm(cx.denominator, cy.denominator)
+    dot = (wx.astype(object) * (cx.numerator * (cden // cx.denominator))
+           + wy.astype(object) * (cy.numerator * (cden // cy.denominator)))
+    return wx, wy, num * cden + den * dot, den * cden
 
 
 @dataclass(eq=False)
@@ -194,16 +231,8 @@ class CutTree:
         rows = np.empty((len(self.nodes), 3))
         for chart, lo, hi in self._chart_spans():
             quads = self.nodes[lo:hi]
-            ma, mb = quads[:, 0] + quads[:, 2], quads[:, 1] + quads[:, 3]
-            wx = ma * chart.u1[0] + mb * chart.u2[0]
-            wy = ma * chart.u1[1] + mb * chart.u2[1]
-            if chart.support_float is not None:
-                sup = chart.support_float(ma, mb)
-            else:
-                sup = np.array([float(chart.support(a, b)) for a, b in zip(ma.tolist(), mb.tolist())],
-                               dtype=np.float64)
-            rows[lo:hi, 0], rows[lo:hi, 1] = wx, wy
-            rows[lo:hi, 2] = sup + wx * float(chart.corner[0]) + wy * float(chart.corner[1])
+            rows[lo:hi, 0], rows[lo:hi, 1], rows[lo:hi, 2] = _line_offsets(
+                chart, quads[:, 0] + quads[:, 2], quads[:, 1] + quads[:, 3], False)
         rows = rows[self._size_order[1]]
         return rows[:, :2], rows[:, 2]
 
@@ -700,8 +729,8 @@ def chart_frontier_wedges(charts: list, eps) -> list[np.ndarray]:
     """The frontier leaf wedges of one descent of the charts at threshold
     eps, one (N_k, 4) int64 array of rows (a1, b1, a2, b2) per chart, in
     frontier order: the unexpanded normal pairs, which tile chart k's arc."""
-    if eps <= 0:
-        raise ValueError("frontier wedges need eps > 0")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"frontier wedges need a finite eps > 0, got eps = {eps}")
     tree = _grow(charts, eps)
     quads = _frontier_quads(tree.nodes, tree.leaf_links)
     # chart k holds one frontier corner more than it holds cuts
@@ -748,8 +777,8 @@ def deepest_tree(domain: ConvexDomain, eps) -> CutTree:
     the cuts of size >= some t >= eps themselves; everything else calls
     enumerate_cuts."""
     mm = minimal_model_of(domain)
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not 0 <= eps < math.inf:  # a nan eps would descend as 0, without end
+        raise ValueError(f"eps must be finite and nonnegative, got eps = {eps}")
     if domain.is_polygon:
         eps = 0
     elif eps == 0:
@@ -768,7 +797,7 @@ def enumerate_cuts(domain: ConvexDomain, eps) -> CutTree:
     tree when that reaches exactly eps (deepened to it if needed), otherwise
     a fresh descent to eps.  A polygon's memo holds its whole tree, so at
     eps > 0 a polygon gets one descent to eps and its memo is left alone."""
-    if domain.is_polygon and eps > 0:
+    if domain.is_polygon and 0 < eps < math.inf:  # deepest_tree refuses the rest
         mm = minimal_model_of(domain)
         return _grow(_domain_charts(domain, mm), eps, mm)
     tree = deepest_tree(domain, eps)
@@ -868,7 +897,7 @@ def profiles(domain: ConvexDomain, t_grid: Sequence[float]) -> list[tuple[float,
 # caustic
 
 
-@dataclass
+@dataclass(slots=True)
 class CausticEdge:
     start: tuple
     end: tuple
@@ -883,9 +912,37 @@ class CausticGraph:
     max_locus: Optional[tuple] = None
 
 
-def _inset_vertex(u: Vec, hu, v: Vec, hv, t):
-    x, y = meet(u, hu + t, v, hv + t)
-    return (float(x), float(y))
+def _edge_lines(tree: CutTree, exact: bool) -> tuple:
+    """The lines of the interior trajectories: edge 2 i + side follows cut
+    i's child corner on that side, between its lines of chart normals
+    (a, b) and (a + c, b + d), or (a + c, b + d) and (c, d).  Returns per
+    edge the columns of its two lines, (ux, uy, *hu) and (vx, vy, *hv)."""
+    parts = []
+    for chart, lo, hi in tree._chart_spans():
+        a, b, c, d = tree.nodes[lo:hi].T
+        lines = _line_offsets(chart, np.concatenate((a, a + c, c)),
+                              np.concatenate((b, b + d, d)), exact)
+        parts.append([col.reshape(3, -1) for col in lines])  # rows ab, mediant, cd
+    cols = [np.concatenate(col, axis=1) for col in zip(*parts)]
+    return [col[:2].T.ravel() for col in cols], [col[1:].T.ravel() for col in cols]
+
+
+def _inset_meets(u: list, v: list, t: tuple) -> tuple:
+    """Where the lines <u, x> = hu + t and <v, x> = hv + t meet, elementwise,
+    with det(u, v) = 1 (columns as _edge_lines gives them, t one float
+    column or an exact (num, den)): x = (hu + t) v_y - (hv + t) u_y and
+    y = (hv + t) u_x - (hu + t) v_x.  Exact offsets and times give Python-int
+    numerators over one denominator, and each coordinate is rounded once
+    (int / int is correctly rounded)."""
+    (ux, uy, *hu), (vx, vy, *hv) = u, v
+    if len(t) == 1:
+        p, q = hu[0] + t[0], hv[0] + t[0]
+        return p * vy - q * uy, q * ux - p * vx
+    (nu, du), (nv, dv), (tn, td) = hu, hv, t
+    p = (nu * td + tn * du) * dv
+    q = (nv * td + tn * dv) * du
+    den = du * dv * td
+    return (p * vy - q * uy) / den, (q * ux - p * vx) / den
 
 
 def caustic(domain: ConvexDomain, eps) -> CausticGraph:
@@ -896,57 +953,69 @@ def caustic(domain: ConvexDomain, eps) -> CausticGraph:
 
     A trajectory is born when its corner appears on the wave front: at the
     size of the corner it follows (a cut, or a frontier corner left uncut at
-    eps), where rho equals that size.  The trajectory of a minimal-model
-    corner follows its chart's root corner; a corner without a chart is a
-    corner of the domain and is born at 0.  Requires at-most-A_n corners."""
+    eps), where rho equals that size; a cut's two child trajectories end at
+    the cut's size.  The trajectory of a minimal-model corner follows its
+    chart's root corner; a corner without a chart is a corner of the domain
+    and is born at 0.  Requires at-most-A_n corners.
+
+    A trajectory end is where the corner's two lines, moved inward by t,
+    meet: a 2x2 solve of det 1, made on whole columns of the tree.  On
+    rational charts (L, the parabolic triangle, exact polygons) the offsets
+    and times are rational, and each coordinate is the exact vertex rounded
+    once, the float nearest to it.  On float charts (the disk, D_alpha,
+    graph charts) it is the float solve of the float lines (those of
+    slack_arrays); on the unit
+    disk it is within 4 * 2^-52 |w|^2 of the exact meet of those lines, w
+    the largest entry of the cut's mediant normal in its chart (at most
+    9e-14 at eps = 1e-3, 1.0e-12 at 1e-4)."""
     mm = minimal_model_of(domain)
     hat = mm.polygon
     require_a_n_corners(hat)
     if domain.is_polygon:
         require_a_n_corners(domain.polygon)
     tree = enumerate_cuts(domain, eps if not domain.is_polygon else 0)
+    exact = all(chart.exact for chart in tree.charts)
+    cut_sizes, leaf_sizes = tree.cut_sizes, tree.leaf_sizes
     graph = CausticGraph()
-    m = float(mm.m)
     graph.max_locus = tuple((float(p[0]), float(p[1])) for p in mm.max_locus)
+    m = mm.m if exact else float(mm.m)
     if len(graph.max_locus) == 2:
-        graph.edges.append(CausticEdge(start=graph.max_locus[0], end=graph.max_locus[1],
-                                       weight=2, t_start=m, t_end=m))
+        graph.edges.append(CausticEdge(*graph.max_locus, 2, float(m), float(m)))
 
-    # the size of every corner the descent met, cut or frontier: a root
-    # corner by its chart's normals (chart k's first cut, or with no cut its
-    # only frontier corner), any other corner by its link
-    sizes = tree.cut_sizes.floats().tolist()
-    leaf_sizes = tree.leaf_sizes.floats().tolist()
-    root_size = {(tuple(chart.u1), tuple(chart.u2)): sizes[lo] if lo < hi
-                 else leaf_sizes[lo + k] for k, (chart, lo, hi) in enumerate(tree._chart_spans())}
-    born = dict(zip(tree.leaf_links.tolist(), leaf_sizes))
-    born.update((link, size) for link, size in zip(tree.links.tolist(), sizes) if link >= 0)
-
-    # root trajectories: one per minimal-model corner, up to time m
+    # root trajectories: one per minimal-model corner, up to time m, born at
+    # the size of its chart's root corner (chart k's first cut, or with no
+    # cut its only frontier corner)
+    root_size = {}
+    for k, (chart, lo, hi) in enumerate(tree._chart_spans()):
+        sizes, i = (cut_sizes, lo) if lo < hi else (leaf_sizes, lo + k)
+        root_size[chart.u1, chart.u2] = Sizes(sizes.values[i:i + 1], sizes.is_den).tolist()[0]
     for vtx, u, v in hat.corners():
         hu, hv = dot2(u, vtx), dot2(v, vtx)  # the corner lies on both edge lines
-        t_birth = root_size.get((u, v), 0.0)
-        weight = math.gcd(abs(v[0] - u[0]), abs(v[1] - u[1]))
+        t = root_size.get((u, v), 0)
+        start, end = meet(u, hu + t, v, hv + t), meet(u, hu + m, v, hv + m)
         graph.edges.append(CausticEdge(
-            start=_inset_vertex(u, hu, v, hv, t_birth),
-            end=_inset_vertex(u, hu, v, hv, m),
-            weight=weight, t_start=t_birth, t_end=m,
-        ))
+            (float(start[0]), float(start[1])), (float(end[0]), float(end[1])),
+            math.gcd(abs(v[0] - u[0]), abs(v[1] - u[1])), float(t), float(m)))
 
-    # interior trajectories: two per cut, each following the child corner
-    # on its side
-    for chart, lo, hi in tree._chart_spans():
-        for idx, (a, b, c, d) in enumerate(tree.nodes[lo:hi].tolist(), lo):
-            t_death = sizes[idx]
-            lines = chart.line(a, b), chart.line(a + c, b + d), chart.line(c, d)
-            for side in (0, 1):
-                child_size = born[2 * idx + side]
-                (u_amb, hu), (v_amb, hv) = lines[side], lines[side + 1]
-                graph.edges.append(CausticEdge(
-                    start=_inset_vertex(u_amb, hu, v_amb, hv, child_size),
-                    end=_inset_vertex(u_amb, hu, v_amb, hv, t_death),
-                    weight=1, t_start=child_size, t_end=t_death,
-                ))
+    # interior trajectories: two per cut, edge 2 i + side born at the size
+    # of cut i's child on that side (one scatter through the links) and
+    # ending at cut i's
+    n = len(tree.nodes)
+    if not n:
+        return graph
+    born = np.empty(2 * n, dtype=cut_sizes.values.dtype)
+    inner = tree.leaf_links >= 0
+    born[tree.leaf_links[inner]] = leaf_sizes.values[inner]
+    inner = tree.links >= 0
+    born[tree.links[inner]] = cut_sizes.values[inner]
+    times = Sizes(born, cut_sizes.is_den), Sizes(cut_sizes.values.repeat(2), cut_sizes.is_den)
+    u, v = _edge_lines(tree, exact)
+    ends = []
+    for ts in times:
+        x, y = _inset_meets(u, v, ts.ratios() if exact else (ts.floats(),))
+        ends.append(zip(x.tolist(), y.tolist()))
+    graph.edges.extend(map(CausticEdge, *ends, itertools.repeat(1, 2 * n),
+                           *(ts.floats().tolist() for ts in times)))
     return graph
 
 

@@ -24,9 +24,16 @@ from tropzeta.cutting import (
     wave_front,
 )
 from tropzeta.equiaffine import length_via_triangles
-from tropzeta.geometry import ArcChart, ConvexDomain, domain_from_dict
+from tropzeta.geometry import (
+    ArcChart,
+    ConvexDomain,
+    domain_from_dict,
+    dot2,
+    halfplane_intersection,
+    meet,
+)
 from tropzeta.minimal import k_squared, minimal_model_of
-from tropzeta.zeta import zeta_via_mellin
+from tropzeta.zeta import residue_two_thirds, zeta_via_identity, zeta_via_mellin
 
 
 def pentagon_family_member():
@@ -671,6 +678,51 @@ class TestFrontPerimeter:
             tree.front_perimeter_geometric(np.array([0.1, 1e-4]))
 
 
+def farey_polygon():
+    """An exact polygon with smooth corners and a deep cut tree: the normals
+    of Farey order 3 turned to all four quadrants (consecutive normals of
+    det 1), each edge at a distance near 3 |n| from the origin, to 7
+    decimals.  Those denominators put the caustic's integer numerators past
+    2^53, where a float division of them would round twice."""
+    base = [(1, 0), (3, 1), (2, 1), (3, 2), (1, 1), (2, 3), (1, 2), (1, 3)]
+    normals = base + [(-b, a) for a, b in base] + [(-a, -b) for a, b in base] \
+        + [(b, -a) for a, b in base]
+    lines = [(n, -3 * Fraction(round(1e7 * math.hypot(*n)), 10**7)) for n in normals]
+    return ConvexDomain.from_polygon(halfplane_intersection(lines, 0)[0])
+
+
+def caustic_reference(dom, eps, line, values, num):
+    """(start, end, scale) of every edge of caustic(dom, eps), in its edge
+    order, from a walk of the tree one cut at a time: each trajectory's two
+    lines line(chart, a, b) = (w, h), moved inward by its birth and death
+    sizes (values(sizes) reads a size column), meet in the arithmetic of
+    those values; num converts m.  scale is 1 on the minimal model's
+    corners, and the square of the largest entry of the cut's mediant
+    normal in its chart on the cuts' trajectories."""
+    mm = minimal_model_of(dom)
+    tree = enumerate_cuts(dom, eps)
+    cuts, leaves = values(tree.cut_sizes), values(tree.leaf_sizes)
+    born = dict(zip(tree.leaf_links.tolist(), leaves))
+    born.update((link, size) for link, size in zip(tree.links.tolist(), cuts) if link >= 0)
+    m = num(mm.m)
+    out = [(*mm.max_locus, 1)] if len(mm.max_locus) == 2 else []
+    roots = {(chart.u1, chart.u2): cuts[lo] if lo < hi else leaves[lo + k]
+             for k, (chart, lo, hi) in enumerate(tree._chart_spans())}
+    for vtx, u, v in mm.polygon.corners():
+        hu, hv, t = dot2(u, vtx), dot2(v, vtx), roots.get((u, v), 0)
+        out.append((meet(u, hu + t, v, hv + t), meet(u, hu + m, v, hv + m), 1))
+    for chart, lo, hi in tree._chart_spans():
+        for i in range(lo, hi):
+            a, b, c, d = tree.nodes[i].tolist()
+            lines = line(chart, a, b), line(chart, a + c, b + d), line(chart, c, d)
+            for side in (0, 1):
+                (u, hu), (v, hv) = lines[side], lines[side + 1]
+                t0, t1 = born[2 * i + side], cuts[i]
+                out.append((meet(u, hu + t0, v, hv + t0), meet(u, hu + t1, v, hv + t1),
+                            max(a + c, b + d) ** 2))
+    return out
+
+
 class TestCaustic:
     def test_square_is_two_diagonals(self):
         dom = ConvexDomain.from_polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
@@ -727,6 +779,72 @@ class TestCaustic:
         for e in g.edges[:10]:
             if e.t_end < 1.0:
                 assert dom.rho(e.end) == pytest.approx(e.t_end, abs=1e-9)
+
+    @pytest.mark.parametrize("make, eps, count", [(ConvexDomain.domain_L, 1e-3, 988),
+                                                  (ConvexDomain.parabolic_triangle, 1e-3, 249),
+                                                  (pentagon_family_member, 0, 10),
+                                                  (farey_polygon, 0, 60)],
+                             ids=["L", "parabolic_triangle", "pentagon", "farey_polygon"])
+    def test_rational_vertices_are_the_rounded_exact_meets(self, make, eps, count):
+        # every edge end is float() of the Fraction meet of its two lines:
+        # the exact vertex, rounded once
+        dom = make()
+        ref = caustic_reference(dom, eps, lambda chart, a, b: chart.line(a, b),
+                                lambda sizes: sizes.tolist(), Fraction)
+        edges = caustic(dom, eps).edges
+        assert len(edges) == len(ref) == count
+        for e, (start, end, _) in zip(edges, ref):
+            assert e.start == (float(start[0]), float(start[1]))
+            assert e.end == (float(end[0]), float(end[1]))
+
+    def test_disk_vertices_against_mpmath(self):
+        # float lines: each vertex within 4 * 2^-52 |w|^2 of the 50-digit
+        # meet of the exact lines at the same float times, w the largest
+        # entry of the cut's mediant in its chart (1 on the model's corners)
+        dom = ConvexDomain.disk()
+
+        def line(chart, a, b):
+            w = (a * chart.u1[0] + b * chart.u2[0], a * chart.u1[1] + b * chart.u2[1])
+            gamma = a + b - mpmath.sqrt(a * a + b * b)  # radius 1
+            cx, cy = (mpmath.mpf(c) for c in chart.corner)
+            return w, gamma + w[0] * cx + w[1] * cy
+
+        with mpmath.workdps(50):
+            ref = caustic_reference(dom, 1e-3, line,
+                                    lambda sizes: [mpmath.mpf(x) for x in sizes.floats().tolist()],
+                                    lambda m: mpmath.mpf(float(m)))
+            edges = caustic(dom, 1e-3).edges
+            assert len(edges) == len(ref) == 908
+            worst = 0
+            for e, (start, end, scale) in zip(edges, ref):
+                err = max(abs(e.start[0] - start[0]), abs(e.start[1] - start[1]),
+                          abs(e.end[0] - end[0]), abs(e.end[1] - end[1]))
+                assert err <= 4 * 2.0**-52 * scale
+                worst = max(worst, err)
+        assert worst <= 1e-13
+
+
+class TestNonFiniteEps:
+    """A nan eps would descend as if it were 0 and never end; an infinite
+    one is no depth.  Both are refused before any descent."""
+
+    DOMAINS = [ConvexDomain.disk, ConvexDomain.domain_L, pentagon_family_member]
+    IDS = ["disk", "L", "pentagon"]
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("make", DOMAINS, ids=IDS)
+    def test_tree_readers_refuse(self, make, eps):
+        for call in (deepest_tree, enumerate_cuts, lambda dom, e: zeta_via_identity(dom, 3, e)):
+            with pytest.raises(ValueError, match="eps"):
+                call(make(), eps)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("make", DOMAINS[:2], ids=IDS[:2])
+    def test_smooth_readers_refuse(self, make, eps):
+        for call in (caustic, length_via_triangles, residue_two_thirds,
+                     lambda dom, e: cutting.chart_frontier_wedges(dom.charts, e)):
+            with pytest.raises(ValueError, match="eps"):
+                call(make(), eps)
 
 
 class TestDeclaredCharts:
