@@ -23,6 +23,7 @@ import numpy as np
 from . import models
 from .cutting import profiles
 from .equiaffine import length_parametric, length_via_triangles
+from .estimates import gauss_legendre
 from .farey import (
     SmoothWeight,
     h_kernel_batch,
@@ -120,14 +121,11 @@ def criterion_02_bijections() -> CriterionResult:
 
 
 def criterion_03_rectangle_one_cut() -> CriterionResult:
-    nodes, weights = np.polynomial.legendre.leggauss(64)
     details = []
     for p, q, s in [(2, 2, 3), (3, 2, 4)]:
         # layer-cake: Z = (s-2) int t^(s-3) (P-2t)(Q-2t) dt over (0, Q/2)
-        mid, half = q / 4, q / 4
-        ts = mid + half * nodes
-        vals = ts ** (s - 3.0) * (p - 2 * ts) * (q - 2 * ts)
-        z_quad = (s - 2) * half * float((vals * weights).sum())
+        z_quad = (s - 2) * gauss_legendre(
+            lambda ts: ts ** (s - 3.0) * (p - 2 * ts) * (q - 2 * ts), 0.0, q / 2)
         closed = rectangle_closed_form(p, q, s).real / (s * (s - 1))
         err = abs(z_quad - closed)
         details.append(f"rect({p},{q},s={s}): |quad-closed|={err:.2e}")

@@ -973,7 +973,8 @@ def caustic(domain: ConvexDomain, eps) -> CausticGraph:
     require_a_n_corners(hat)
     if domain.is_polygon:
         require_a_n_corners(domain.polygon)
-    tree = enumerate_cuts(domain, eps if not domain.is_polygon else 0)
+    # a polygon's whole tree: deepest_tree checks eps, then reads it as 0
+    tree = deepest_tree(domain, eps) if domain.is_polygon else enumerate_cuts(domain, eps)
     exact = all(chart.exact for chart in tree.charts)
     cut_sizes, leaf_sizes = tree.cut_sizes, tree.leaf_sizes
     graph = CausticGraph()

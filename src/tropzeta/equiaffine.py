@@ -15,26 +15,10 @@ from typing import Callable
 import numpy as np
 
 from .cutting import chart_frontier_wedges
+from .estimates import adaptive_quadrature, elementwise, gauss_legendre
 from .geometry import ConvexDomain
 
-_GL32_NODES, _GL32_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _LENGTH_TOL = 1e-10  # absolute tolerance of the adaptive length quadrature
-
-
-def _gl_cell(f, a: float, b: float) -> float:
-    mid, half = (a + b) / 2, (b - a) / 2
-    return half * float(sum(w * f(mid + half * x) for x, w in zip(_GL32_NODES, _GL32_WEIGHTS)))
-
-
-def _adaptive(f, a: float, b: float, tol: float, depth: int = 24) -> float:
-    whole = _gl_cell(f, a, b)
-    mid = (a + b) / 2
-    left = _gl_cell(f, a, mid)
-    right = _gl_cell(f, mid, b)
-    if abs(left + right - whole) <= tol or depth <= 0:
-        return left + right
-    return (_adaptive(f, a, mid, tol / 2, depth - 1)
-            + _adaptive(f, mid, b, tol / 2, depth - 1))
 
 
 def length_parametric(d1: Callable, d2: Callable, t_range: tuple[float, float]) -> float:
@@ -51,6 +35,7 @@ def length_parametric(d1: Callable, d2: Callable, t_range: tuple[float, float]) 
         if math.hypot(dx, dy) < 1e-14:
             raise ValueError(f"vanishing curve velocity at t = {t}")
 
+    @elementwise
     def integrand(t: float) -> float:
         dx, dy = d1(t)
         ddx, ddy = d2(t)
@@ -59,7 +44,7 @@ def length_parametric(d1: Callable, d2: Callable, t_range: tuple[float, float]) 
             return 0.0
         return abs(det) ** (1 / 3.0)
 
-    return _adaptive(integrand, a, b, _LENGTH_TOL)
+    return adaptive_quadrature(integrand, a, b, _LENGTH_TOL)
 
 
 def length_graph(d2g: Callable[[float], float], interval: tuple[float, float]) -> float:
@@ -78,21 +63,22 @@ def length_graph(d2g: Callable[[float], float], interval: tuple[float, float]) -
         if d2g(x) <= 0:
             raise ValueError(f"nonpositive g'' at x = {x}")
 
+    @elementwise
     def integrand(x: float) -> float:
         val = d2g(x)
         if val <= 0:
             raise ValueError(f"nonpositive g'' at x = {x}")
         return val ** (1 / 3.0)
 
-    total = _adaptive(integrand, a + width / 4, b - width / 4, _LENGTH_TOL)
+    total = adaptive_quadrature(integrand, a + width / 4, b - width / 4, _LENGTH_TOL)
     # dyadic refinement into both endpoints (each cell is smooth inside),
     # then geometric extrapolation of the remaining power-law tail
     for side in (0, 1):
         h = width / 4
         cells: list[float] = []
         while h > 1e-13 * width:
-            cell = (_gl_cell(integrand, a + h / 2, a + h) if side == 0
-                    else _gl_cell(integrand, b - h, b - h / 2))
+            cell = (gauss_legendre(integrand, a + h / 2, a + h) if side == 0
+                    else gauss_legendre(integrand, b - h, b - h / 2))
             total += cell
             cells.append(cell)
             if len(cells) >= 2 and cells[-2] > 0 and cell / cells[-2] < 1e-3:
@@ -127,6 +113,8 @@ def length_via_triangles(source, eps: float) -> float:
     """
     if isinstance(source, ConvexDomain):
         if source.is_polygon:
+            if not 0 <= eps < math.inf:  # the tree readers' rule
+                raise ValueError(f"eps must be finite and nonnegative, got eps = {eps}")
             return 0.0  # flat boundary: every support triangle degenerates
         charts = source.charts
     else:

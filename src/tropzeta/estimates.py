@@ -1,5 +1,6 @@
 """Truncation-aware value containers shared by the series and residue code,
-and the ordered power sum that the Dirichlet and Farey series share."""
+the ordered power sum that the Dirichlet and Farey series share, and the one
+quadrature rule of the package."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,6 +27,43 @@ def add_in_order(total: complex, terms: np.ndarray) -> complex:
     """total + terms[0] + terms[1] + ... added one at a time, as a running
     complex total does (np.sum would add pairwise)."""
     return complex(np.cumsum(np.concatenate(([total], terms)))[-1])
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+
+
+def gauss_legendre(f: Callable, a: float, b: float):
+    """The 32-node Gauss-Legendre rule on [a, b]: f takes the float64 array of
+    nodes and returns real or complex values, added weighted in node order."""
+    mid, half = (a + b) / 2, (b - a) / 2
+    return half * sum((_GL_WEIGHTS * f(mid + half * _GL_NODES)).tolist())
+
+
+def adaptive_quadrature(f: Callable, a: float, b: float, tol: float, depth: int = 24):
+    """int_a^b f by bisection on gauss_legendre cells, down to where a cell's
+    halves agree with it within tol (halved at each level) or to depth 0."""
+    whole = gauss_legendre(f, a, b)
+    mid = (a + b) / 2
+    left = gauss_legendre(f, a, mid)
+    right = gauss_legendre(f, mid, b)
+    if abs(left + right - whole) <= tol or depth <= 0:
+        return left + right
+    return (adaptive_quadrature(f, a, mid, tol / 2, depth - 1)
+            + adaptive_quadrature(f, mid, b, tol / 2, depth - 1))
+
+
+def elementwise(scalar_fn: Callable[[float], float]) -> Callable:
+    """scalar_fn mapped over the entries of a float array, so that a scalar
+    function meets the array contract of the rules above; scalars pass
+    straight through."""
+
+    def fn(u):
+        if np.ndim(u) == 0:
+            return scalar_fn(u)
+        u = np.asarray(u, dtype=float)
+        return np.fromiter(map(scalar_fn, u.ravel().tolist()), float, u.size).reshape(u.shape)
+
+    return fn
 
 
 @dataclass

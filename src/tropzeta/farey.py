@@ -48,7 +48,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import models
-from .estimates import SeriesEstimate, add_in_order, term_powers
+from .estimates import (
+    SeriesEstimate,
+    add_in_order,
+    adaptive_quadrature,
+    elementwise,
+    gauss_legendre,
+    term_powers,
+)
 from .geometry import ArcChart
 from .lattice import arithmetic_functions, mod_inverse_array
 
@@ -82,19 +89,6 @@ class SmoothWeight:
 def _unit(x):
     """f'' = 1 of the quadratic weight: a float for a scalar, ones for an array."""
     return 1.0 if np.ndim(x) == 0 else np.ones(np.shape(x))
-
-
-def _elementwise(scalar_fn: Callable[[float], float]) -> Callable:
-    """scalar_fn mapped over the entries of an array; scalars pass straight
-    through."""
-
-    def fn(u):
-        if np.ndim(u) == 0:
-            return scalar_fn(u)
-        u = np.asarray(u, dtype=float)
-        return np.fromiter(map(scalar_fn, u.ravel().tolist()), float, u.size).reshape(u.shape)
-
-    return fn
 
 
 class _Intervals(NamedTuple):
@@ -359,7 +353,7 @@ _JACOBI_NODES = 80  # Gauss-Jacobi nodes on the singular part of H_s
 def h_kernel_integral_quadrature(s: float) -> float:
     """int_0^1 H_s(u) du by quadrature of the kernel itself (real s): the
     singular part u^(-s)(1+u)^(-s) by Gauss-Jacobi with weight u^(-s), the
-    C^1 remainder sum_{k>=1} by Gauss-Legendre."""
+    smooth remainder sum_{k>=1} on one gauss_legendre cell."""
     from scipy.special import roots_jacobi
 
     if not 0.5 < s < 1:
@@ -368,13 +362,10 @@ def h_kernel_integral_quadrature(s: float) -> float:
     x, w = roots_jacobi(_JACOBI_NODES, 0.0, -s)
     u = (x + 1) / 2
     singular = float((w * (1 + u) ** (-s)).sum() * 0.5 ** (1 - s))
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    uu = (nodes + 1) / 2
     k = np.arange(1, 400)[:, None]
-    remainder_vals = ((k + uu) ** (-s) * (k + 1 + uu) ** (-s)).sum(axis=0)
-    # tail of the remainder sum, same acceleration as h_kernel
-    remainder_vals += _h_tail(complex(s), 400 + uu).real
-    remainder = float((weights * remainder_vals).sum() / 2)
+    # the remainder sum, its tail by the same acceleration as h_kernel
+    remainder = gauss_legendre(lambda uu: ((k + uu) ** (-s) * (k + 1 + uu) ** (-s)).sum(axis=0)
+                               + _h_tail(complex(s), 400 + uu).real, 0.0, 1.0)
     return singular + remainder
 
 
@@ -382,33 +373,16 @@ def h_kernel_integral_quadrature(s: float) -> float:
 # Sigma_b and the equidistribution measurement
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
-                      depth: int = 30) -> float:
-    fa, fb, fm = f(a), f(b), f((a + b) / 2)
-
-    def recurse(a, fa, b, fb, fm, whole, depth):
-        m = (a + b) / 2
-        lm, rm = (a + m) / 2, (m + b) / 2
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6 * (fa + 4 * flm + fm)
-        right = (b - m) / 6 * (fm + 4 * frm + fb)
-        if depth <= 0 or abs(left + right - whole) <= 15 * tol:
-            return left + right + (left + right - whole) / 15
-        return (recurse(a, fa, m, fm, flm, left, depth - 1)
-                + recurse(m, fm, b, fb, frm, right, depth - 1))
-
-    whole = (b - a) / 6 * (fa + 4 * fm + fb)
-    return recurse(a, fa, b, fb, fm, whole, depth)
+_WEIGHT_TOL = 1e-10  # absolute tolerance of the |f''|^s quadrature
 
 
 def weight_power_integral(weight: SmoothWeight, s) -> complex:
-    """int_0^1 |f''(v)|^s dv by adaptive Simpson."""
+    """int_0^1 |f''(v)|^s dv by adaptive_quadrature, one array call of f''
+    per cell (a real pass for real s, one complex pass otherwise)."""
     sc = complex(s)
-    if sc.imag == 0:
-        return complex(_adaptive_simpson(lambda v: abs(weight.d2f(v)) ** sc.real, 0.0, 1.0))
-    re = _adaptive_simpson(lambda v: (abs(weight.d2f(v)) ** sc).real, 0.0, 1.0)
-    im = _adaptive_simpson(lambda v: (abs(weight.d2f(v)) ** sc).imag, 0.0, 1.0)
-    return complex(re, im)
+    exponent = sc.real if sc.imag == 0 else sc
+    return complex(adaptive_quadrature(lambda v: np.abs(weight.d2f(v)) ** exponent,
+                                       0.0, 1.0, _WEIGHT_TOL))
 
 
 def sigma_b(weight: SmoothWeight, s, b: int) -> tuple[complex, complex, float]:
@@ -457,8 +431,7 @@ def residue_main_term(weight: SmoothWeight) -> float:
     """Res_{s=2/3} Z_f(s) = (sqrt(3) Gamma(1/3)^3 / 2^(2/3) / pi^3)
     * int_0^1 |f''|^(2/3), the constant being
     models.boundary_residue_constant()."""
-    integral = _adaptive_simpson(lambda v: abs(weight.d2f(v)) ** (2 / 3.0), 0.0, 1.0)
-    return models.boundary_residue_constant() * integral
+    return models.boundary_residue_constant() * weight_power_integral(weight, 2 / 3.0).real
 
 
 def legendre_dual(chart: ArcChart) -> SmoothWeight:
@@ -493,4 +466,4 @@ def legendre_dual(chart: ArcChart) -> SmoothWeight:
     def d2f(u: float) -> float:
         return 1.0 / chart.d2g(solve_x(u))
 
-    return SmoothWeight(f=_elementwise(f), d2f=_elementwise(d2f), name=f"dual({chart.name})")
+    return SmoothWeight(f=elementwise(f), d2f=elementwise(d2f), name=f"dual({chart.name})")

@@ -212,19 +212,21 @@ def sail(u: Vec, v: Vec) -> list[Vec]:
     q = det2(u, v)
     if q < 1:
         raise ValueError("cone must be positively oriented")
-    if q == 1:
-        return [u, v]
-    # w0 with det(u, w0) = 1 via extended Euclid, then slide along u so that
-    # det(w, v) lands in [1, q-1]
-    ux, uy = u
-    g, x0, y0 = _ext_gcd(ux, uy)
-    assert g == 1
-    w0 = (-y0, x0)  # det(u, w0) = ux*x0 + uy*y0 = 1
-    r = det2(w0, v)
-    t = (r - 1) // q  # det(w0 - t*u, v) = r - t*q in [1, q]
-    w = (w0[0] - t * ux, w0[1] - t * uy)
-    assert det2(u, w) == 1 and 1 <= det2(w, v) < q
-    return [u] + sail(w, v)
+    out = [u]
+    while q > 1:
+        # w0 with det(u, w0) = 1 via extended Euclid, then slide along u so
+        # that det(w, v) lands in [1, q-1]; w is the next basis element
+        ux, uy = u
+        g, x0, y0 = _ext_gcd(ux, uy)
+        assert g == 1
+        w0 = (-y0, x0)  # det(u, w0) = ux*x0 + uy*y0 = 1
+        r = det2(w0, v)
+        t = (r - 1) // q  # det(w0 - t*u, v) = r - t*q in [1, q]
+        w = (w0[0] - t * ux, w0[1] - t * uy)
+        assert det2(u, w) == 1 and 1 <= det2(w, v) < q
+        out.append(w)
+        u, q = w, det2(w, v)
+    return out + [v]
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:

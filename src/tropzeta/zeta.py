@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cutting import deepest_tree, enumerate_cuts, profiles
-from .estimates import ResidueEstimate, SeriesEstimate, add_in_order, term_powers
+from .estimates import ResidueEstimate, SeriesEstimate, add_in_order, gauss_legendre, term_powers
 from .geometry import (
     ConvexDomain,
     clip_polygon,
@@ -218,21 +218,18 @@ def one_cut_check(lam: float, s) -> tuple[complex, complex]:
         raise ValueError("lambda must be nonnegative")
     if lam == 0:
         return 0j, 0j
-    # substitute t = lam * u and integrate u^(s-3)(1-u)^2 on (0,1) by GL with
-    # an endpoint-singularity split at u = 1/2
-    nodes, weights = np.polynomial.legendre.leggauss(64)
+    # substitute t = lam * u and integrate u^(s-3)(1-u)^2 on (0,1): cells
+    # halving toward the u = 0 singularity (integrable for Re s > 2), then the
+    # exact integral of the expanded u^(s-3) - 2 u^(s-2) + u^(s-1) below them
+    def integrand(u):
+        return u ** (sc - 3) * (1 - u) ** 2
 
-    def quad(a, b, f):
-        mid, half = (a + b) / 2, (b - a) / 2
-        return half * sum(w * f(mid + half * x) for x, w in zip(nodes, weights))
-
-    total = 0j
+    total = gauss_legendre(integrand, 0.5, 1.0)
     a = 0.5
-    total += quad(0.5, 1.0, lambda u: u ** (sc - 3) * (1 - u) ** 2)
-    # geometric refinement toward the u = 0 singularity (integrable for Re s > 2)
     while a > 1e-14:
-        total += quad(a / 2, a, lambda u: u ** (sc - 3) * (1 - u) ** 2)
+        total += gauss_legendre(integrand, a / 2, a)
         a /= 2
+    total += a ** (sc - 2) / (sc - 2) - 2 * a ** (sc - 1) / (sc - 1) + a**sc / sc
     lhs = (sc - 2) * lam**sc * total / 2
     rhs = lam**sc / (sc * (sc - 1))
     return complex(lhs), complex(rhs)

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import math
 import random
 import tracemalloc
@@ -845,6 +846,17 @@ class TestNonFiniteEps:
                      lambda dom, e: cutting.chart_frontier_wedges(dom.charts, e)):
             with pytest.raises(ValueError, match="eps"):
                 call(make(), eps)
+
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1.0],
+                             ids=["nan", "inf", "-inf", "-1"])
+    def test_polygon_readers_refuse(self, eps):
+        # a polygon's readers take its whole tree, but still check eps
+        path = Path(__file__).resolve().parent.parent / "domains" / "pentagon_model.json"
+        pentagon = domain_from_dict(json.loads(path.read_text()))
+        for call in (caustic, length_via_triangles):
+            with pytest.raises(ValueError, match="eps"):
+                call(pentagon, eps)
 
 
 class TestDeclaredCharts:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tropzeta import farey, models
-from tropzeta.estimates import term_powers
+from tropzeta.estimates import adaptive_quadrature, term_powers
 from tropzeta.farey import (
     SmoothWeight,
     endpoint_model,
@@ -272,6 +272,24 @@ class TestSigmaB:
         assert slope <= (1 + s) / 2 + 0.1
 
 
+class TestWeightPowerIntegral:
+    # two cubic weights of the farey-engine kind (f'' > 0 on [0, 1]) and a
+    # weight whose f'' = 24 v^2 - 6 changes sign at v = 1/2
+    WEIGHTS = [([0.0, 0.3, 1.0, 0.2], []), ([0.0, 0.1, 0.8, 0.3], []),
+               ([0.0, 1.0, -3.0, 0.0, 2.0], [0.5])]
+
+    @pytest.mark.parametrize("coeffs,breaks", WEIGHTS)
+    @pytest.mark.parametrize("s", [0.65, 2 / 3, 0.8, 0.7 + 2j])
+    def test_matches_mpmath(self, coeffs, breaks, s):
+        weight = SmoothWeight.from_polynomial(coeffs)
+        d2 = np.polynomial.Polynomial(coeffs).deriv(2).coef.tolist()
+        with mpmath.workdps(30):
+            exact = mpmath.quad(
+                lambda v: abs(mpmath.polyval(d2[::-1], v)) ** mpmath.mpmathify(s),
+                [0] + breaks + [1])
+        assert abs(farey.weight_power_integral(weight, s) - complex(exact)) <= 1e-14
+
+
 def _loglog(xs, ys):
     x = np.log(np.array(xs, dtype=float))
     y = np.log(np.array(ys, dtype=float))
@@ -367,14 +385,12 @@ class TestLegendreDual:
         # int_0^1 (g~'')^(2/3) du = int_0^A (g'')^(1/3) dx
         chart = ConvexDomain.domain_L().charts[0]
         dual = legendre_dual(chart)
-        lhs = farey._adaptive_simpson(lambda u: dual.d2f(u) ** (2 / 3), 0.0, 1.0, tol=1e-11)
+        lhs = adaptive_quadrature(lambda u: dual.d2f(u) ** (2 / 3), 0.0, 1.0, 1e-11)
         # analytic: int_0^1 (2/(1+u)^3)^(2/3) du = 2^(2/3) * (1 - 2^-1) = ...
         rhs_analytic = 2 ** (2 / 3) * (1 - 0.5)
         assert lhs == pytest.approx(rhs_analytic, abs=1e-8)
         # graph side on the slope-range [-1, 0] piece: x in [1/4, 1]
-        from tropzeta.farey import _adaptive_simpson
-
-        rhs = _adaptive_simpson(lambda x: chart.d2g(x) ** (1 / 3), 0.25, 1.0, tol=1e-11)
+        rhs = adaptive_quadrature(lambda x: chart.d2g(x) ** (1 / 3), 0.25, 1.0, 1e-11)
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
     def test_dual_coefficients_match_boundary_terms(self):

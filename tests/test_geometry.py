@@ -100,6 +100,14 @@ class TestSail:
         chain = geo.sail(u, v)
         assert all(geo.det2(w1, w2) == 1 for w1, w2 in zip(chain, chain[1:]))
 
+    def test_long_sail_has_no_depth_limit(self):
+        # one basis element per step, far beyond Python's recursion limit
+        chain = geo.sail((1, 0), (1, 1500))
+        assert len(chain) == 1501
+        assert all(geo.det2(w1, w2) == 1 for w1, w2 in zip(chain, chain[1:]))
+        dom = ConvexDomain.from_polygon([(0, 0), (1500, -1), (0, 1)])
+        assert dom.is_polygon
+
 
 class TestCornerSingularity:
     def test_smooth(self):

@@ -124,3 +124,11 @@ def test_the_reader_guard_sees_an_unread_function(tmp_path):
                      "def _read_below():\n    return _nobody_reads_this_either\n\n\n"
                      "_nobody_reads_this_either = 0\n")
     assert _unread_functions(sorted(SRC.glob("*.py")) + [extra]) == {"_nobody_reads_this"}
+
+
+def test_one_quadrature_rule():
+    # the Gauss-Legendre table is built in one module and no private
+    # adaptive rule sits beside it
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert [name for name, text in sources.items() if "leggauss" in text] == ["estimates"]
+    assert not [name for name, text in sources.items() if re.search(r"\bdef _adaptive", text)]

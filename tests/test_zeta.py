@@ -411,6 +411,11 @@ class TestRectangleAndOneCut:
         lhs, rhs = one_cut_check(2.0, 4)
         assert rhs.real == pytest.approx(16 / 12, rel=1e-12)
         assert abs(lhs - rhs) < 1e-9
+        # near s = 2 (and off the real axis) the integral below the last
+        # quadrature cell is not negligible
+        for lam, s in [(1.0, 2.05), (1.0, 2.2), (1.5, 2.5 + 1j)]:
+            lhs, rhs = one_cut_check(lam, s)
+            assert abs(lhs - rhs) < 1e-13
 
 
 class TestPolygonResidues:
