@@ -63,13 +63,12 @@ def _fmt(value):
     return value
 
 
-def _emit(payload: dict, pretty: bool) -> None:
+def _render(payload: dict, pretty: bool) -> str:
     payload = _fmt(payload)
     if pretty:
-        for key in sorted(payload):
-            print(f"{key:>24}: {json.dumps(payload[key], sort_keys=True)}")
-    else:
-        print(json.dumps(payload, sort_keys=True))
+        return "\n".join(f"{key:>24}: {json.dumps(payload[key], sort_keys=True)}"
+                         for key in sorted(payload))
+    return json.dumps(payload, sort_keys=True)
 
 
 def _parse_s(text: str) -> complex:
@@ -460,18 +459,18 @@ def main(argv=None) -> int:
     pretty = _pretty(args)
     if args.command == "verify":
         return _cmd_verify(args)
-    try:
-        payload = _COMMANDS[args.command](args)
+    try:  # formatting too: an exact value may be too long to print
+        text = _render(_COMMANDS[args.command](args), pretty)
     except NumericalRegimeError as exc:
-        _emit({"error": str(exc)}, pretty)
+        print(_render({"error": str(exc)}, pretty))
         return 2
     except OverflowError as exc:  # a value outside the float range
-        _emit({"error": f"overflow: {exc}"}, pretty)
+        print(_render({"error": f"overflow: {exc}"}, pretty))
         return 2
     except (ValueError, OSError, KeyError) as exc:
-        _emit({"error": str(exc)}, pretty)
+        print(_render({"error": str(exc)}, pretty))
         return 1
-    _emit(payload, pretty)
+    print(text)
     return 0
 
 

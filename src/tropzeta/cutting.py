@@ -244,8 +244,8 @@ class CutTree:
         t = 0 and t = 1.  Each cut of support difference sigma =
         h(u+v) - h(u) - h(v) adds t - sigma, so A and B are running sums
         over the size order.  sigma comes from support_float where a chart
-        has it; elsewhere it is the size column, which the scalar oracle
-        measured as that difference (chart.defect)."""
+        has it; elsewhere it is the size column (chart.defect_float, or that
+        difference as the walk took it)."""
         edges = np.array([(float(w[0]), float(w[1]), float(h))
                           for w, h in self.minimal_model.polygon.halfplanes()])  # CCW
         ax, ay = edges[:, 0], edges[:, 1]
@@ -380,16 +380,6 @@ def _frontier_quads(nodes: np.ndarray, leaf_links: np.ndarray) -> np.ndarray:
     return quads
 
 
-def _oracle(chart, all_den: bool):
-    """The batched size oracle of a chart, as (kind, function): charts that
-    share one are descended by one call per batch."""
-    if all_den:
-        return "den", chart.defect_den
-    if chart.defect_float is not None:
-        return "defect", chart.defect_float
-    return "scalar", None  # each corner's own chart.support, in Python
-
-
 # Every corner that a defect_den batch measures fits int64.  With
 # den = x y (x + y), x the form of a chain head's moving normal and y of
 # its fixed one, member j has x + j y in place of x.  The batches measure
@@ -408,9 +398,10 @@ def _oracle(chart, all_den: bool):
 _BATCH_MAX = 1 << 16
 
 
-def _chain_descent(charts, oracle, cids, eps, dtype) -> list:
+def _chain_descent(charts, fn, cids, eps, den: bool) -> list:
     """Stern-Brocot descent by chains from the roots of the given charts
-    (one per cids entry, all sharing one oracle) down to size eps.
+    (one per cids entry, all sharing the batched oracle fn: defect_den when
+    den, else defect_float) down to size eps > 0.
 
     A chain is a corner and its run of same-side descendants: in round r
     the members (u + j v, v) of the head corner (u, v) when r is even
@@ -418,38 +409,20 @@ def _chain_descent(charts, oracle, cids, eps, dtype) -> list:
     not increase along a chain, so its cuts are the members before its
     first uncut one, the chain's frontier corner.  Every chain of a round
     is measured in one oracle call per batch of members j0 .. 2 j0, with
-    j0 = 0, 1, 3, 7, ... (at most _BATCH_MAX members; the scalar oracle
-    measures the first 8 one at a time), until its frontier corner; the
-    other-side children of its cuts head the chains of the next
-    round.  The rounds follow the runs of a path (the partial quotients of
-    its continued fraction), not its depth.  Returns per round the chain
-    lengths (cuts), the cut sizes (chain by chain, in member order; the
-    denominators as int32 where cap fits, since every round is held until
-    placed) and the frontier sizes.
-
-    The scalar oracle measures size = gamma(u + v) - gamma(u) - gamma(v)
-    with the gammas handed down; it and the float defect check that each
-    size is nonnegative and at most its parent's, on every member up to a
-    chain's frontier corner (members past it are measured, never read)."""
-    kind, fn = oracle
-    den, exact, scalar = kind == "den", dtype == object, kind == "scalar"
+    j0 = 0, 1, 3, 7, ... (at most _BATCH_MAX members), until its frontier
+    corner; the other-side children of its cuts head the chains of the
+    next round.  The rounds follow the runs of a path (the partial
+    quotients of its continued fraction), not its depth.  Returns per round
+    the chain lengths (cuts), the cut sizes (chain by chain, in member
+    order; the denominators as int32 where cap fits, since every round is
+    held until placed) and the frontier sizes.  Every float size up to a
+    chain's frontier corner is checked (_check)."""
     cap = _den_cap(eps) if den else None
-    # the members measured one at a time before the batches double: the
-    # scalar oracle pays a Python support call for each member past a
-    # chain's end, and member 2 may not join member 1 where its den could
-    # overflow (see above)
-    if scalar:
-        single = 8
-    else:
-        single = 2 if den and 6 * cap * (1 + math.isqrt(cap)) >= 2**63 else 1
+    # member 2 may not join member 1 where its den could overflow (see above)
+    single = 2 if den and 6 * cap * (1 + math.isqrt(cap)) >= 2**63 else 1
     heads = _roots(len(cids)).T.copy()  # one column (u, v) per chain
     if not den:  # a chart root has no parent
-        psize = np.full(len(cids), math.inf, dtype=dtype)
-    if scalar:
-        def gamma(ks, a, b):
-            return np.array([charts[k].support(x, y)
-                             for k, x, y in zip(ks.tolist(), a.tolist(), b.tolist())], dtype=dtype)
-        gu, gv = gamma(cids, *heads[:2]), gamma(cids, *heads[2:])
+        psize = np.full(len(cids), math.inf)
     rounds, side = [], 1
     while heads.shape[1]:
         mv, fx = _SLOTS[side]
@@ -459,36 +432,22 @@ def _chain_descent(charts, oracle, cids, eps, dtype) -> list:
         rows, sub, j0, k = None, heads, 0, 1
         if not den:
             last = psize  # the size of member j0 - 1 (of the head's parent at j0 = 0)
-        if scalar:
-            # the gammas of member j0's moving normal and of the fixed one
-            ks, glast, gfix = (cids, gu, gv) if side else (cids, gv, gu)
         while True:
             if k > 1:
                 quads = sub.repeat(k, axis=1)
                 quads[mv] += (sub[fx, :, None] * np.arange(k)).reshape(2, -1)
             else:
                 quads = sub
-            if scalar:
-                gm = gamma(ks if k == 1 else ks.repeat(k), *(quads[:2] + quads[2:]))
-                if k > 1:
-                    gm2 = gm.reshape(-1, k)
-                    gvar, gf = np.concatenate((glast[:, None], gm2[:, :-1]), axis=1), gfix[:, None]
-                    size = (gm2 - gvar - gf if side else gm2 - gf - gvar).reshape(-1)
-                else:
-                    size = gm - glast - gfix if side else gm - gfix - glast
-            else:
-                size = fn(*quads)
+            size = fn(*quads)
             if k == 1:
-                going = ncut = size <= cap if den else (size >= eps if eps > 0 else size > 0)
+                going = ncut = size <= cap if den else size >= eps
             else:
                 # the first uncut member of each chain, k past a sentinel if none
                 cut = np.zeros((len(size) // k, k + 1), dtype=bool)
                 if den:
                     np.less_equal(size.reshape(-1, k), cap, out=cut[:, :k])
-                elif eps > 0:
-                    np.greater_equal(size.reshape(-1, k), eps, out=cut[:, :k])
                 else:
-                    np.greater(size.reshape(-1, k), 0, out=cut[:, :k])
+                    np.greater_equal(size.reshape(-1, k), eps, out=cut[:, :k])
                 ncut = cut.argmin(axis=1)
                 going = ncut == k
                 measured = (np.arange(k) <= ncut[:, None]).reshape(-1)
@@ -500,10 +459,9 @@ def _chain_descent(charts, oracle, cids, eps, dtype) -> list:
                 # each member's parent: the member before it, or the head's parent
                 prev = last if k == 1 else np.concatenate(
                     (last[:, None], size.reshape(-1, k)[:, :-1]), axis=1).reshape(-1)
-                if np.count_nonzero(size < (0 if exact else -1e-9)) or np.count_nonzero(
-                        size > prev):
-                    _check(charts, cids, rows, k, quads, size, prev, k == 1 or measured, exact)
-            batches.append((rows, j0, None if k == 1 else measured, size, gm if scalar else None))
+                if np.count_nonzero(size < -1e-9) or np.count_nonzero(size > prev):
+                    _check(charts, cids, rows, k, quads, size, prev, k == 1 or measured)
+            batches.append((rows, j0, None if k == 1 else measured, size))
             more = going.nonzero()[0]
             if not len(more):
                 break
@@ -513,43 +471,28 @@ def _chain_descent(charts, oracle, cids, eps, dtype) -> list:
             sub[mv] += sub[fx]
             if not den:
                 last = size[at]
-            if scalar:
-                ks, glast, gfix = ks[more], gm[at], gfix[more]
             j0 += k
             k = 1 if j0 < single else min(j0 + 1, _BATCH_MAX)
         # each chain's members up to its frontier corner, in order, then
         # the cuts and the frontier corners apart
         ends = (lengths + 1).cumsum()
         starts = ends - lengths - 1
-        vals = np.empty(ends[-1], dtype=dtype)
-        gvals = np.empty(len(vals), dtype=dtype) if scalar else None
-        for rows, j0, measured, size, gm in batches:
+        vals = np.empty(ends[-1], dtype=np.int64 if den else np.float64)
+        for rows, j0, measured, size in batches:
             at = starts if rows is None else starts[rows]
             if measured is not None:  # a batch of k > 1 members
                 k = len(measured) // len(at)
                 at = (at[:, None] + np.arange(j0, j0 + k)).reshape(-1)[measured]
                 size = size[measured]
-                gm = gm[measured] if scalar else None
             elif j0:
                 at = at + j0
             vals[at] = size
-            if scalar:
-                gvals[at] = gm
-        del batches, rows, size, gm, quads, sub  # a deep round's arrays go first
+        del batches, rows, size, quads, sub  # a deep round's arrays go first
         ends -= 1  # each chain's frontier corner
         is_cut = np.ones(len(vals), dtype=bool)
         is_cut[ends] = False
         cuts = vals[is_cut]
         rounds.append((lengths, cuts.astype(np.int32) if den and cap < 2**31 else cuts, vals[ends]))
-        if scalar:
-            # member j's moving gamma: member j - 1's mediant, the head's at j = 0
-            gvar = np.empty_like(gvals)
-            gvar[1:] = gvals[:-1]
-            gvar[starts] = gu if side else gv
-            gvar, gvals = gvar[is_cut], gvals[is_cut]
-            # the side-0 child (u, u + v) of a side-1 member, the side-1 child
-            # (u + v, v) of a side-0 one
-            gu, gv = (gvar, gvals) if side else (gvals, gvar)
         # each cut's place in its chain; the next round's heads
         j = is_cut.nonzero()[0] - starts.repeat(lengths)
         del vals, is_cut
@@ -560,20 +503,18 @@ def _chain_descent(charts, oracle, cids, eps, dtype) -> list:
     return rounds
 
 
-def _check(charts, cids, rows, k, quads, size, prev, measured, exact) -> None:
+def _check(charts, cids, rows, k, quads, size, prev, measured) -> None:
     """Raise for the first member of a batch (k members of each chain in
-    rows, of every chain if None) that its descent measures, up to its
-    chain's frontier corner, with a negative size (ValueError) or one
-    larger than its parent's, prev (AssertionError); members past the
-    frontier are never read, and a float size may exceed its parent's by
-    rounding."""
-    bad = (size < (0 if exact else -1e-9)) & measured
+    rows, of every chain if None) up to its chain's frontier corner (members
+    past it are never read) with a negative size (ValueError) or one larger
+    than its parent's, prev, by more than rounding (AssertionError)."""
+    bad = (size < -1e-9) & measured
     if bad.any():
         i = int(bad.nonzero()[0][0])
         row = i // k if rows is None else rows[i // k]
         raise ValueError(f"chart {charts[cids[row]].name}: negative defect at "
                          f"{tuple(quads[:, i].tolist())}")
-    if ((size > (prev if exact else prev + 1e-12 * (1 + prev))) & measured).any():
+    if ((size > prev + 1e-12 * (1 + prev)) & measured).any():
         raise AssertionError("support triangle nesting violated: child larger than parent")
 
 
@@ -685,35 +626,79 @@ def _place(rounds, sums, cpos, lpos, out) -> None:
         side ^= 1
 
 
+def _walk(charts: list, eps, mm: Optional[MinimalModel], dtype) -> CutTree:
+    """The tree of the charts down to size eps, walked corner by corner in
+    node order (depth first, side-1 child first, chart by chart).  A size is
+    the chart's defect_float, or gamma(u + v) - gamma(u) - gamma(v) with the
+    gammas handed down the stack, checked as _check checks a batch (exactly
+    on exact charts); dtype holds the sizes, object where a chart is exact."""
+    nodes, links, cut_vals, leaf_vals, leaf_links, offsets = [], [], [], [], [], [0]
+    for chart in charts:
+        gamma, defect, exact = chart.support, chart.defect_float, chart.exact
+        low, gm = (0 if exact else -1e-9), None
+        # (corner, the gammas of u and v, the largest size it may have, link)
+        stack = [(1, 0, 0, 1, gamma(1, 0), gamma(0, 1), math.inf, -1)]
+        while stack:
+            a, b, c, d, gu, gv, bound, link = stack.pop()
+            if defect is None:
+                gm = gamma(a + c, b + d)
+                size = gm - gu - gv
+            else:
+                size = defect(a, b, c, d)
+            if size < low:
+                raise ValueError(f"chart {chart.name}: negative defect at {(a, b, c, d)}")
+            if size > bound:
+                raise AssertionError("support triangle nesting violated: child larger than parent")
+            if size >= eps and size > 0:
+                i = len(cut_vals)
+                nodes.append((a, b, c, d))
+                links.append(link)
+                cut_vals.append(size)
+                bound = size if exact else size + 1e-12 * (1 + size)
+                stack.append((a, b, a + c, b + d, gu, gm, bound, 2 * i))
+                stack.append((a + c, b + d, c, d, gm, gv, bound, 2 * i + 1))
+            else:
+                leaf_vals.append(size)
+                leaf_links.append(link)
+        offsets.append(len(cut_vals))
+    return CutTree(charts=charts, threshold=eps,
+                   nodes=np.array(nodes, dtype=np.int64).reshape(-1, 4),
+                   links=np.array(links, dtype=np.int64), chart_offsets=tuple(offsets),
+                   cut_sizes=Sizes(np.array(cut_vals, dtype=dtype), False),
+                   leaf_sizes=Sizes(np.array(leaf_vals, dtype=dtype), False),
+                   leaf_links=np.array(leaf_links, dtype=np.int64), minimal_model=mm)
+
+
 def _grow(charts: list, eps, mm: Optional[MinimalModel] = None) -> CutTree:
-    """The tree of the charts down to size eps.  The charts that share a
-    size oracle descend together by chains, one batched oracle call per
-    batch of each round's chains (_chain_descent); each descent is then
+    """The tree of the charts down to size eps.  When every chart has a
+    batched oracle (defect_den on all of them, else defect_float), the
+    charts that share one descend together by chains, one oracle call per
+    batch of each round's chains (_chain_descent), and each descent is then
     written into the tree columns in depth-first order, chart by chart
-    (_place)."""
-    all_den = bool(charts) and all(chart.defect_den is not None for chart in charts)
-    if all_den:
+    (_place).  Otherwise every chart is walked corner by corner (_walk)."""
+    den = bool(charts) and all(chart.defect_den is not None for chart in charts)
+    if den:
         if _den_cap(eps) > _DEN_CAP_MAX:
             raise ValueError(f"eps = {eps} is too small for int64 defect denominators; "
                              f"the smallest allowed eps is 1/{_DEN_CAP_MAX} "
                              f"(~{1 / _DEN_CAP_MAX:.4g})")
-        dtype = np.int64
-    else:
-        dtype = object if any(chart.exact for chart in charts) else np.float64
+    elif not all(chart.defect_float is not None for chart in charts):
+        return _walk(charts, eps, mm, object if any(chart.exact for chart in charts) else np.float64)
     groups: dict = {}
     for k, chart in enumerate(charts):
-        groups.setdefault(_oracle(chart, all_den), []).append(k)
+        groups.setdefault(chart.defect_den if den else chart.defect_float, []).append(k)
     grown = np.zeros(len(charts), dtype=np.int64)  # cuts per chart
     runs = []
-    for oracle, members in groups.items():
+    for fn, members in groups.items():
         sel = np.array(members, dtype=np.int64)
-        rounds = _chain_descent(charts, oracle, sel, eps, dtype)
+        rounds = _chain_descent(charts, fn, sel, eps, den)
         sums = _subtree_cuts(rounds)
         grown[sel] = sums[0][1:] - sums[0][:-1]
         runs.append((sel, rounds, sums))
     # chart k holds the cuts start[k]:start[k + 1] and one frontier corner more
     start = np.concatenate([[0], np.cumsum(grown)])
     n_cuts = int(start[-1])
+    dtype = np.int64 if den else np.float64
     out = (np.empty((n_cuts, 4), dtype=np.int64), np.empty(n_cuts, dtype=np.int64),
            np.empty(n_cuts, dtype=dtype), np.empty(n_cuts + len(charts), dtype=np.int64),
            np.empty(n_cuts + len(charts), dtype=dtype))
@@ -721,7 +706,7 @@ def _grow(charts: list, eps, mm: Optional[MinimalModel] = None) -> CutTree:
         _place(rounds, sums, start[sel], start[sel] + sel, out)
     return CutTree(charts=charts, threshold=eps, nodes=out[0], links=out[1],
                    chart_offsets=tuple(start.tolist()),
-                   cut_sizes=Sizes(out[2], all_den), leaf_sizes=Sizes(out[4], all_den),
+                   cut_sizes=Sizes(out[2], den), leaf_sizes=Sizes(out[4], den),
                    leaf_links=out[3], minimal_model=mm)
 
 

@@ -39,17 +39,23 @@ def gauss_legendre(f: Callable, a: float, b: float):
     return half * sum((_GL_WEIGHTS * f(mid + half * _GL_NODES)).tolist())
 
 
-def adaptive_quadrature(f: Callable, a: float, b: float, tol: float, depth: int = 24):
+_MAX_DEPTH = 24  # bisection levels below the whole interval
+
+
+def adaptive_quadrature(f: Callable, a: float, b: float, tol: float):
     """int_a^b f by bisection on gauss_legendre cells, down to where a cell's
-    halves agree with it within tol (halved at each level) or to depth 0."""
-    whole = gauss_legendre(f, a, b)
+    halves agree with it within tol (halved at each level) or _MAX_DEPTH."""
+    return _bisect(f, a, b, gauss_legendre(f, a, b), tol, _MAX_DEPTH)
+
+
+def _bisect(f: Callable, a: float, b: float, whole, tol: float, depth: int):
+    """adaptive_quadrature on [a, b], whose cell value whole its parent made."""
     mid = (a + b) / 2
-    left = gauss_legendre(f, a, mid)
-    right = gauss_legendre(f, mid, b)
+    left, right = gauss_legendre(f, a, mid), gauss_legendre(f, mid, b)
     if abs(left + right - whole) <= tol or depth <= 0:
         return left + right
-    return (adaptive_quadrature(f, a, mid, tol / 2, depth - 1)
-            + adaptive_quadrature(f, mid, b, tol / 2, depth - 1))
+    return (_bisect(f, a, mid, left, tol / 2, depth - 1)
+            + _bisect(f, mid, b, right, tol / 2, depth - 1))
 
 
 def elementwise(scalar_fn: Callable[[float], float]) -> Callable:
@@ -84,11 +90,11 @@ class SeriesEstimate:
 
 @dataclass
 class ResidueEstimate:
-    """A residue value at location 1, 0 or 2/3 with fit provenance.
+    """A fitted residue value with its provenance.
 
-    method is one of exact_polygon, counting_fit, perimeter_fit,
-    area_deficit_fit.  For exact_polygon the value is exact rational and
-    fit_diagnostics is empty.
+    The one producer is zeta.residue_two_thirds: location 2/3, method
+    counting_fit, and the perimeter and area-deficit fits of the same
+    window among the fit_diagnostics.
     """
 
     location: float

@@ -708,9 +708,18 @@ def _d_alpha_chart(alpha: float, n_max: int):
         k = min(b // a, n_max)
         return a * xs[k] + b * ys[k]
 
+    # A normal (1, k) lies strictly inside a unimodular cone(u, v) only if
+    # u = (1, b), v = (0, 1) (a p + c q = 1, p, q >= 1, det = 1): the chain
+    # corner (1, b, 0, 1) cuts at sizes[b] while b < n_max, the rest at 0.
+    cut_at = np.append(sizes, 0.0)
+
+    def defect(a, b, c, d):
+        chain = (a == 1) & (c == 0) & (d == 1)
+        return np.where(chain, cut_at[np.minimum(b, n_max)], 0.0)[()]
+
     corner = (-half, -half)
     return ArcChart(corner=corner, u1=(1, 0), u2=(0, 1), support=supp,
-                    exact=False, name=f"staircase(alpha={alpha})")
+                    exact=False, name=f"staircase(alpha={alpha})", defect_float=defect)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,7 @@ from .estimates import SeriesEstimate
 from .lattice import UnimodularQuadruple
 
 # ---------------------------------------------------------------------------
-# Riemann zeta: Euler-Maclaurin as the primary route, an accelerated
-# alternating (eta) series as the independent cross-check.
+# Riemann zeta by Euler-Maclaurin summation.
 
 # B_2, B_4, ..., B_24
 _BERNOULLI_EVEN = [

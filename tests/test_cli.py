@@ -70,11 +70,15 @@ class TestZetaCommand:
         (["zeta", "L", "--s", "nan"], 1, "not finite"),
         (["zeta", "L", "--s", "10000", "--route", "mellin"], 2, "overflow"),
         (["farey", "--s", "2", "--bound", "0"], 1, "bound"),
+        (["zeta", "pentagon", "--s", "10000"], 1, "Exceeds the limit"),
     ], ids=["zeta-1/0", "farey-1/0", "model-1/0", "zeta-1e400", "zeta-nan",
-            "mellin-10000", "farey-bound-0"])
+            "mellin-10000", "farey-bound-0", "exact-too-long-to-print"])
     def test_bad_input_is_a_json_error(self, tmp_path, capsys, args, code, message):
         if args[:2] == ["zeta", "L"]:
             args = ["zeta", write_domain(tmp_path, LDOM)] + args[2:]
+        if args[:2] == ["zeta", "pentagon"]:
+            pentagon = Path(__file__).resolve().parent.parent / "domains" / "pentagon_model.json"
+            args = ["zeta", str(pentagon)] + args[2:]
         got, out = run_cli(args, capsys)
         assert got == code
         assert message in json.loads(out)["error"]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from test_random_polygons import random_polygon
 
-from tropzeta import cutting
+from tropzeta import cutting, models
 from tropzeta.cli import main
 from tropzeta.cutting import (
     caustic,
@@ -1080,17 +1080,20 @@ class TestChainDescent:
 
     def test_d_alpha_measures_at_most_twice_its_tree(self):
         alpha, n_max = 0.4, 20000
-        chart, calls = ConvexDomain.d_alpha(alpha, n_max).charts[0], [0]
+        chart, measured = ConvexDomain.d_alpha(alpha, n_max).charts[0], [0]
 
-        def counting(a, b):
-            calls[0] += 1
-            return chart.support(a, b)
+        def counting(a, b, c, d):
+            measured[0] += np.size(a)
+            return chart.defect_float(a, b, c, d)
+
+        def no_support(a, b):
+            raise AssertionError("the chain descent measures by defect_float")
 
         eps = 0.5 * n_max ** (-1 / alpha)
-        tree = cutting._grow([dataclasses.replace(chart, support=counting)], eps)
+        tree = cutting._grow([dataclasses.replace(chart, support=no_support,
+                                                  defect_float=counting)], eps)
         assert len(tree.nodes) == n_max
-        # two supports at the root, then one per measured corner
-        assert calls[0] - 2 <= 2 * (len(tree.nodes) + len(tree.leaf_links))
+        assert measured[0] <= 2 * len(tree.nodes) + len(tree.leaf_links)
 
 
 def _deep_sample(tree, k=40, seed=0):
@@ -1133,15 +1136,15 @@ class TestDefectAudit:
                     assert sizes[i] == exact == chart.defect((a, b, c, d))
 
     def test_d_alpha_chain(self):
-        # every cut is the wedge ((1, n-1), (0, 1)) of the chain, size n^(-1/alpha)
-        tree = enumerate_cuts(d_alpha(), 1e-7)
-        chart, sizes = tree.charts[0], tree.cut_sizes.floats()
-        with mpmath.workdps(50):
-            for i in _deep_sample(tree):
-                a, b, c, d = tree.nodes[i].tolist()
-                assert (a, c, d) == (1, 0, 1)
-                scale = chart.support(1, b + 1) + chart.support(1, b)
-                assert abs(sizes[i] - mpmath.mpf(b + 1) ** -2) <= 8 * self.ULP * scale
+        # every cut is the wedge ((1, n-1), (0, 1)) of the chain, of size
+        # n^(-1/alpha) to the bit; the second tree is criterion 14's
+        for alpha, n_max, eps in [(0.5, 1000, 1e-7), (0.4, 20000, 0.5 * 20000 ** -2.5)]:
+            tree = enumerate_cuts(ConvexDomain.d_alpha(alpha, n_max), eps)
+            a, b, c, d = tree.nodes.T
+            assert (a == 1).all() and (c == 0).all() and (d == 1).all()
+            assert np.array_equal(np.sort(b), np.arange(n_max))
+            expected = models.d_alpha_cut_sizes(alpha, n_max)
+            assert np.array_equal(tree.cut_sizes.floats(), expected[b])
 
     def test_polynomial_graph(self):
         # g(x) = 1 - 2x + x^2: the normal (p, q) touches at x = 1 - p / (2q)

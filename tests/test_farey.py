@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from tropzeta import farey, models
+from tropzeta import estimates, farey, models
 from tropzeta.estimates import adaptive_quadrature, term_powers
 from tropzeta.farey import (
     SmoothWeight,
@@ -288,6 +288,31 @@ class TestWeightPowerIntegral:
                 lambda v: abs(mpmath.polyval(d2[::-1], v)) ** mpmath.mpmathify(s),
                 [0] + breaks + [1])
         assert abs(farey.weight_power_integral(weight, s) - complex(exact)) <= 1e-14
+
+    @pytest.mark.parametrize("s, cells", [(0.65, 191), (2 / 3, 183), (0.8, 143), (0.7 + 2j, 191)])
+    def test_each_cell_once(self, s, cells, monkeypatch):
+        # the cusp weight bisects deep; each cell below the root is a half
+        # of its parent and is evaluated once, with the value of a bisection
+        # that evaluates every cell it visits
+        weight = SmoothWeight.from_polynomial(self.WEIGHTS[2][0])
+        rule, seen = estimates.gauss_legendre, []
+
+        def counting(f, a, b):
+            seen.append((a, b))
+            return rule(f, a, b)
+
+        def revisiting(f, a, b, tol, depth=24):
+            whole, mid = rule(f, a, b), (a + b) / 2
+            left, right = rule(f, a, mid), rule(f, mid, b)
+            if abs(left + right - whole) <= tol or depth <= 0:
+                return left + right
+            return revisiting(f, a, mid, tol / 2, depth - 1) + revisiting(f, mid, b, tol / 2, depth - 1)
+
+        monkeypatch.setattr(estimates, "gauss_legendre", counting)
+        value = farey.weight_power_integral(weight, s)
+        assert len(seen) == len(set(seen)) == cells
+        monkeypatch.setattr(farey, "adaptive_quadrature", revisiting)
+        assert value == farey.weight_power_integral(weight, s)
 
 
 def _loglog(xs, ys):
