@@ -20,22 +20,23 @@ the Legendre dual of its graph function.
 
 Evaluation.  The sums run on int64/float64 arrays, one chunk of whole
 max(b, d) levels (a few thousand pairs) at a time, so their memory does not
-grow with the bound: coprime pairs come from one np.gcd per level m over
-x = 1..m, read for both (x, m) and (m, x), a = d^-1 mod b from an array
-extended Euclid, and c_I, T_I and f''(a/b) from one weight call per chunk.
-The Euclid runs once per mirrored pair: a chunk's pairs with b < d are its
-pairs with b > d swapped, and their intervals follow by integer
-arithmetic.  Terms are added one at a time in the fixed pair order
-(np.cumsum with the running total carried across chunks), and each term's
-power is CPython's complex power of that term (math.pow for real s), so a
-value does not depend on the chunking and matches a per-pair Python loop
-bit for bit.  The endpoint model takes each distinct base's power once:
-b d (b + d) on the b >= d pairs, gathered to their mirrors, and each
-distinct |f''(a/b)| of a chunk (one value for the quadratic weight).
-Sigma_b and the Hata grid use the same columns.  Sigma_b's
-kernel H_s takes its powers as exps of real logarithms.  The Hata grid
-evaluates each tent only on the points of its support, found by binary
-search in the sorted points.
+grow with the bound.  Level m's intervals come from its half: np.gcd and
+the array extended Euclid (a = x^-1 mod m) run only on the pairs (m, x)
+with x <= m/2, a quarter of the level.  The complement (m, m - x) of such a
+pair has a' = m - a and c' = (m - x) - a + c, and the mirror (x, m) of
+each (m, x) with x < m has a'' = x - c, c'' = m - a; c_I, T_I and f''(a/b)
+then come from one weight call per chunk.  Terms are added one at a time
+in the fixed pair order (np.cumsum with the running total carried across
+chunks), and each term's power is CPython's complex power of that term
+(math.pow for real s), so a value does not depend on the chunking and
+matches a per-pair Python loop bit for bit.  The endpoint model takes each
+distinct base's power once: b d (b + d) on the b >= d pairs, gathered to
+their mirrors, and each distinct |f''(a/b)| of a chunk (one value for the
+quadratic weight).  Sigma_b takes its reduced residues and their inverses
+the same way: the Euclid on r <= b/2, the complement b - r with inverse
+b - rbar.  Its kernel H_s takes its powers as exps of real logarithms.
+The Hata grid evaluates each tent only on the points of its support, found
+by binary search in the sorted points.
 """
 
 from __future__ import annotations
@@ -57,7 +58,12 @@ from .estimates import (
     term_powers,
 )
 from .geometry import ArcChart
-from .lattice import arithmetic_functions, mod_inverse_array
+from .lattice import (
+    arithmetic_functions,
+    euclid_inverses,
+    mod_inverse_array,
+    reduced_residue_inverses,
+)
 
 
 @dataclass
@@ -138,43 +144,61 @@ def hata_coefficient(weight: SmoothWeight, interval):
 _CHUNK_PAIRS = 8192
 
 
-def _pairs_by_max(bound: int):
-    """Coprime (b, d) with max(b, d) <= bound as int64 column chunks, by
-    max(b, d) ascending, ties by (b, d) ascending: level m = max(b, d) holds
-    the 2m - 1 candidates (1, m), ..., (m-1, m), (m, 1), ..., (m, m)."""
+def _farey_chunks(bound: int):
+    """The Farey intervals with max(b, d) <= bound as _Intervals chunks of
+    whole levels m = max(b, d), by m ascending, ties by (b, d) ascending:
+    level m holds (x, m) for x = 1..m-1, then (m, x) for x = 1..m, x
+    coprime to m.
+
+    The gcd and the Euclid run on each level's half (m, x), x <= m/2 (x = 1
+    at m = 1), only.  The rest follows from its intervals [c/d, a/b]: the
+    complement (m, m - x) has a' = m - a, c' = (m - x) - a + c, and the
+    mirror (d, b) of each (b, d) with b > d has a'' = d - c, c'' = b - a
+    (a'' b - d c'' = a d - b c = 1)."""
     lo = 1
     while lo <= bound:
         # levels lo..hi hold hi^2 - (lo-1)^2 candidates
         hi = min(bound, max(lo, math.isqrt((lo - 1) ** 2 + _CHUNK_PAIRS)))
         levels = np.arange(lo, hi + 1)
-        # one gcd per level m = levels[i] and x = 1..m: coprime[start[i] +
-        # x - 1] says whether gcd(x, m) = 1, for (x, m) and (m, x) alike
-        start = np.cumsum(levels) - levels
-        x = np.arange(start[-1] + levels[-1]) - np.repeat(start, levels) + 1
-        coprime = np.gcd(x, np.repeat(levels, levels)) == 1
-        m = np.repeat(levels, 2 * levels - 1)
-        k = np.arange(m.size) + (lo - 1) ** 2 - (m - 1) ** 2 + 1
-        b = np.where(k < m, k, m)
-        d = np.where(k < m, m, k - m + 1)
-        keep = coprime[np.repeat(start, 2 * levels - 1) + np.minimum(b, d) - 1]
-        yield b[keep], d[keep]
+        sizes = np.maximum(levels // 2, 1)
+        m = np.repeat(levels, sizes)
+        x = np.arange(m.size) - np.repeat(np.cumsum(sizes) - sizes, sizes) + 1
+        keep = np.gcd(x, m) == 1
+        m, x = m[keep], x[keep]
+        a = euclid_inverses(x, m)
+        c = (a * x - 1) // m
+        # per level: n half pairs, the low ones (x < m/2) with a complement,
+        # so u = phi(m) pairs (m, x), after v = u mirrors (x, m), none at m = 1
+        level = m - lo
+        low = 2 * x < m
+        n = np.bincount(level, minlength=levels.size)
+        u = n + np.bincount(level[low], minlength=levels.size)
+        v = u - (levels == 1)
+        start = np.cumsum(u + v) - u  # of each level's pairs (m, x)
+        rank = np.arange(m.size) - (np.cumsum(n) - n)[level]
+        # the half ascending, then the complements, x descending, and all
+        # their mirrors v places before; (1, 1) is its own and lands in place
+        up = start[level] + rank
+        co = (start + u - 1)[level[low]] - rank[low]
+        to = np.concatenate((up, co, up - v[level], co - v[level[low]]))
+        cm, cx, ca = m[low], (m - x)[low], (m - a)[low]
+        cc = cx - a[low] + c[low]
+        cols = []
+        for parts in ((m, cm, x, cx), (x, cx, m, cm), (a, ca, x - c, cx - cc),
+                      (c, cc, m - a, cm - ca)):
+            col = np.empty(start[-1] + u[-1], dtype=np.int64)
+            col[to] = np.concatenate(parts)
+            cols.append(col)
+        b, d, a, c = cols
+        yield _Intervals(c=c, d=d, a=a, b=b)
         lo = hi + 1
 
 
-def _intervals_by_max(b: np.ndarray, d: np.ndarray) -> _Intervals:
-    """_intervals(b, d) of a _pairs_by_max chunk, with one Euclid per
-    mirrored pair.  The chunk's b < d entries are its b > d entries swapped,
-    in the same order, and the interval [c/d, a/b] of (m, x) gives the one
-    of (x, m) as a' = x - c, c' = m - a (a' m - x c' = a x - m c = 1)."""
-    upper = b >= d
-    half = _intervals(b[upper], d[upper])
-    mirror = half.b > half.d
-    a = np.empty_like(b)
-    c = np.empty_like(b)
-    a[upper], c[upper] = half.a, half.c
-    a[~upper] = (half.d - half.c)[mirror]
-    c[~upper] = (half.b - half.a)[mirror]
-    return _Intervals(c=c, d=d, a=a, b=b)
+def _require_int(value, name: str) -> None:
+    """Refuse a bound or modulus that is not an int (a numpy int is one)
+    before any array is built from it."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def farey_intervals_by_sum(max_bd_sum: int) -> _Intervals:
@@ -204,6 +228,7 @@ def hata_reconstruct_grid(weight: SmoothWeight, bound: int, xs) -> np.ndarray:
     sorted points.  Every x gets its terms added one at a time in
     farey_intervals_by_sum order, so an entry does not depend on the order
     or shape of xs."""
+    _require_int(bound, "bound")
     xs = np.asarray(xs, dtype=float)
     total = weight.f(0.0) + (weight.f(1.0) - weight.f(0.0)) * xs
     intervals = farey_intervals_by_sum(bound)
@@ -226,15 +251,16 @@ def farey_zeta(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:
     """Z_f(s) truncated to intervals with max(b, d) <= bound (which contains
     every interval with b + d <= bound), summed in order of max(b, d)
     ascending, ties by (b, d) ascending, skipping T_I = 0.  bound >= 1."""
+    _require_int(bound, "bound")
     if bound < 1:  # the sums would be empty
         raise ValueError(f"bound must be at least 1, got {bound}")
     sc = complex(s)
     total = 0j
     count = 0
-    for b, d in _pairs_by_max(bound):
-        _, t_i = hata_coefficient(weight, _intervals_by_max(b, d))
+    for chunk in _farey_chunks(bound):
+        _, t_i = hata_coefficient(weight, chunk)
         total = add_in_order(total, term_powers(np.abs(t_i[t_i != 0]), sc))
-        count += b.size
+        count += t_i.size
     return SeriesEstimate(value=total, cutoff=float(bound), terms_used=count)
 
 
@@ -242,13 +268,14 @@ def endpoint_model(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:
     """Z^end_f(s) = 2^(-s) sum |f''(a/b)|^s / (b d (b+d))^s, same truncation
     and order as farey_zeta; each term is complex(|f''(a/b)|) ** s /
     complex(b d (b+d)) ** s in CPython's rounding."""
+    _require_int(bound, "bound")
     if bound < 1:  # the sums would be empty
         raise ValueError(f"bound must be at least 1, got {bound}")
     sc = complex(s)
     total = 0j
     count = 0
-    for b, d in _pairs_by_max(bound):
-        a = _intervals_by_max(b, d).a
+    for chunk in _farey_chunks(bound):
+        a, b, d = chunk.a, chunk.b, chunk.d
         # each distinct |f''(a/b)| powered once
         values, which = np.unique(np.abs(weight.d2f(a / b)), return_inverse=True)
         num = term_powers(values, sc)[which]
@@ -389,13 +416,13 @@ def sigma_b(weight: SmoothWeight, s, b: int) -> tuple[complex, complex, float]:
     """(Sigma_b(s), main term, |deviation|): the reduced-residue sum
     sum H_s(r/b) |f''(rbar/b)|^s against phi(b) (int H_s)(int |f''|^s).
     b >= 1."""
+    _require_int(b, "b")
     if b < 1:  # no reduced residues, and no phi(b)
         raise ValueError(f"b must be at least 1, got {b}")
     sc = complex(s)
-    rs = np.arange(1, b + 1)
-    rs = rs[np.gcd(rs, b) == 1]
+    rs, rbars = reduced_residue_inverses(b)
     h_vals = h_kernel_batch(sc, rs / b)
-    f_vals = np.abs(weight.d2f(mod_inverse_array(rs, b) / b)) ** sc
+    f_vals = np.abs(weight.d2f(rbars / b)) ** sc
     value = complex((h_vals * f_vals).sum())
     phi = arithmetic_functions(b)[0]
     main = phi * h_kernel_integral(sc) * weight_power_integral(weight, sc)

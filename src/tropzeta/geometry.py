@@ -896,6 +896,36 @@ def _spec_float(value, name: str) -> float:
     raise ValueError(f"{name} must be a number, not {value!r}")
 
 
+def _poly_chart_functions(coeffs: list[float]) -> list[Callable[[float], float]]:
+    """g, g' and g'' of the polynomial sum coeffs[k] x^k as Horner loops on
+    Python floats, with the operations of np.polynomial.Polynomial(coeffs)
+    and its deriv(1), deriv(2), so each value is theirs bit for bit:
+    polyder's coefficients j c[j] (c[0] * 0 past the degree), __call__'s
+    domain map 0 + 1 x, then polyval's c[-1] + x 0 and c[-i] + value x."""
+    if not coeffs:
+        raise ValueError("g_poly must have at least one coefficient")
+
+    def horner(c):
+        def value(x):
+            x = 0.0 + 1.0 * x
+            total = c[-1] + x * 0
+            for ck in reversed(c[:-1]):
+                total = ck + total * x
+            return total
+        return value
+
+    out = []
+    for order in range(3):
+        if order < len(coeffs):
+            c = coeffs
+            for _ in range(order):
+                c = [j * c[j] for j in range(1, len(c))]
+        else:
+            c = [coeffs[0] * 0]
+        out.append(horner(c))
+    return out
+
+
 def domain_from_dict(spec: dict) -> ConvexDomain:
     """The domain of a JSON spec; ValueError on a malformed one."""
     if not isinstance(spec, dict):
@@ -936,9 +966,9 @@ def domain_from_dict(spec: dict) -> ConvexDomain:
                 raise ValueError("g_poly must be a list of coefficients")
             coeffs = [_spec_float(c, "a g_poly coefficient") for c in cspec["g_poly"]]
             x_max = _spec_float(cspec["x_max"], "x_max")
-            p = np.polynomial.Polynomial(coeffs)
+            g, dg, d2g = _poly_chart_functions(coeffs)
             charts.append(ArcChart(corner=vtx, u1=u_in, u2=u_out,
-                                   support=None, g=p, dg=p.deriv(1), d2g=p.deriv(2),
+                                   support=None, g=g, dg=dg, d2g=d2g,
                                    x_max=x_max, name=f"corner{idx}"))
         return ConvexDomain.smooth(hat, charts)
     raise ValueError(f"unknown domain kind {kind!r}")

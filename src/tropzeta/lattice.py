@@ -95,20 +95,17 @@ def mod_inverse(r: int, b: int) -> int:
     return pow(r, -1, b) or b
 
 
-def mod_inverse_array(r, b) -> np.ndarray:
-    """mod_inverse elementwise on integer arrays (broadcast together): an
-    extended Euclid on int64 columns that drops entries as they finish.
+def euclid_inverses(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The inverses of int64 columns r >= 0 modulo b >= 1, in {1, ..., b}:
+    the package's one array extended Euclid, which drops entries as they
+    finish.
 
     Raises ValueError when some gcd(r, b) != 1.
     """
-    r, b = np.broadcast_arrays(np.asarray(r, dtype=np.int64), np.asarray(b, dtype=np.int64))
-    shape, b = r.shape, b.ravel()
-    if (b < 1).any():
-        raise ValueError("modulus must be positive")
     inv = np.empty(b.size, dtype=np.int64)
     idx = np.arange(b.size)
     # invariant: t0 * r = r0 and t1 * r = r1 (mod b)
-    r0, r1 = b.copy(), r.ravel() % b
+    r0, r1 = b, r
     t0, t1 = np.zeros(b.size, dtype=np.int64), np.ones(b.size, dtype=np.int64)
     while idx.size:
         done = r1 == 0
@@ -118,11 +115,39 @@ def mod_inverse_array(r, b) -> np.ndarray:
             inv[idx[done]] = t0[done]
             live = ~done
             idx, r0, r1, t0, t1 = idx[live], r0[live], r1[live], t0[live], t1[live]
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
+        q, r2 = np.divmod(r0, r1)
+        r0, r1 = r1, r2
         t0, t1 = t1, t0 - q * t1
-    inv %= b
-    return np.where(inv == 0, b, inv).reshape(shape)
+    return (inv - 1) % b + 1  # inv lies in (-b, b], and is 0 only for b = 1
+
+
+def mod_inverse_array(r, b) -> np.ndarray:
+    """mod_inverse elementwise on integer arrays (broadcast together), by
+    euclid_inverses on r mod b, one entry per pair.  The Farey chunks hand
+    the Euclid only each level's half (m, x), x <= m/2, and take the
+    complements (m, m - x) and the mirrors (x, m) by integer arithmetic;
+    reduced_residue_inverses runs it on r <= b/2 and complements the rest.
+
+    Raises ValueError when some gcd(r, b) != 1.
+    """
+    r, b = np.broadcast_arrays(np.asarray(r, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    shape, b = r.shape, b.ravel()
+    if (b < 1).any():
+        raise ValueError("modulus must be positive")
+    return euclid_inverses(r.ravel() % b, b).reshape(shape)
+
+
+def reduced_residue_inverses(b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced residues r in {1, ..., b}, ascending, and their inverses
+    rbar in {1, ..., b}, as int64 columns.  The gcd and the Euclid run on
+    r <= b/2 only (r = 1 when b = 1); each r < b/2 gives b - r, whose
+    inverse is b - rbar."""
+    half = np.arange(1, max(b // 2, 1) + 1)
+    half = half[np.gcd(half, b) == 1]
+    inv = euclid_inverses(half, np.full(half.size, b))
+    low = 2 * half < b
+    return (np.concatenate((half, b - half[low][::-1])),
+            np.concatenate((inv, b - inv[low][::-1])))
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -179,8 +204,7 @@ def kloosterman_complete(n: int, h: int, b: int) -> complex:
 
 def kloosterman_grid(b: int, ns: np.ndarray, hs: np.ndarray) -> np.ndarray:
     """Matrix of S(n, h; b) over all (n, h) in ns x hs, via one complex matmul."""
-    rs = np.array(reduced_residues(b))
-    rbars = mod_inverse_array(rs, b)
+    rs, rbars = reduced_residue_inverses(b)
     left = np.exp(2j * np.pi * np.outer(np.asarray(ns), rbars % b) / b)
     right = np.exp(2j * np.pi * np.outer(rs % b, np.asarray(hs)) / b)
     return left @ right

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from tropzeta import estimates, farey, models
+from tropzeta import estimates, farey, lattice, models
 from tropzeta.estimates import adaptive_quadrature, term_powers
 from tropzeta.farey import (
     SmoothWeight,
@@ -573,8 +573,8 @@ def small_chunks(monkeypatch):
 class TestArrayEngineOracle:
     def test_pair_chunks_follow_coprime_pairs_by_max(self, small_chunks):
         for bound in (1, 2, 7, 40):
-            chunks = list(farey._pairs_by_max(bound))
-            pairs = [(int(b), int(d)) for bs, ds in chunks for b, d in zip(bs, ds)]
+            chunks = list(farey._farey_chunks(bound))
+            pairs = [(int(b), int(d)) for chunk in chunks for b, d in zip(chunk.b, chunk.d)]
             assert pairs == list(coprime_pairs_by_max(bound))
         assert len(chunks) > 10
 
@@ -618,7 +618,7 @@ class TestArrayEngineOracle:
     def test_default_chunks_bit_for_bit(self):
         # bound 150 spans several chunks of the default size
         w = WEIGHTS["cubic"]
-        assert len(list(farey._pairs_by_max(150))) > 1
+        assert len(list(farey._farey_chunks(150))) > 1
         assert farey_zeta(w, 0.8, 150).value == oracle_farey_zeta(w, 0.8, 150)[0]
         assert endpoint_model(w, 0.8, 150).value == oracle_endpoint_model(w, 0.8, 150)[0]
 
@@ -703,28 +703,86 @@ class TestHKernelAccuracy:
 
 
 class TestMirroredIntervals:
+    """_farey_chunks runs the Euclid on each level's half (m, x), x <= m/2,
+    and takes the complements (m, m - x) and the mirrors (x, m) from it."""
+
     @staticmethod
-    def assert_same_intervals(b, d):
-        got, want = farey._intervals_by_max(b, d), farey._intervals(b, d)
-        for col in ("c", "d", "a", "b"):
-            g, w = getattr(got, col), getattr(want, col)
-            assert g.dtype == w.dtype == np.int64
-            assert g.tolist() == w.tolist()
+    def assert_rows_are_farey_intervals(bound):
+        chunks = list(farey._farey_chunks(bound))
+        for chunk in chunks:
+            assert all(col.dtype == np.int64 for col in chunk)
+            for c, d, a, b in zip(*(col.tolist() for col in chunk)):
+                iv = farey_from_denominators(b, d)
+                assert (c, d, a, b) == (iv.c, iv.d, iv.a, iv.b)
+        return chunks
 
     def test_small_chunks(self, small_chunks):
-        for bound in (1, 2, 7, 40):
-            for b, d in farey._pairs_by_max(bound):
-                self.assert_same_intervals(b, d)
+        for bound in (*range(1, 13), 40):
+            self.assert_rows_are_farey_intervals(bound)
 
     def test_default_chunks(self):
-        chunks = list(farey._pairs_by_max(500))
-        assert len(chunks) > 1
-        for b, d in chunks:
-            self.assert_same_intervals(b, d)
+        assert len(self.assert_rows_are_farey_intervals(500)) > 1
 
-    def test_non_coprime_pair_is_refused(self):
-        with pytest.raises(ValueError, match="not invertible"):
-            farey._intervals_by_max(np.array([6, 4]), np.array([4, 6]))
+
+@pytest.fixture
+def euclid_entries(monkeypatch):
+    """The sizes of the columns handed to the shared array Euclid, from the
+    Farey chunks (farey) and the reduced residues (lattice)."""
+    sizes = []
+    euclid = lattice.euclid_inverses
+
+    def counting(r, b):
+        sizes.append(r.size)
+        return euclid(r, b)
+
+    monkeypatch.setattr(farey, "euclid_inverses", counting)
+    monkeypatch.setattr(lattice, "euclid_inverses", counting)
+    return sizes
+
+
+class TestQuarterEuclid:
+    def test_farey_zeta_inverts_a_quarter_of_the_pairs(self, euclid_entries):
+        # one entry per level's (m, x), x <= m/2 (and (1, 1)): 246 of 490
+        # pairs with b >= d, 979 in all
+        est = farey_zeta(SmoothWeight.quadratic(), 0.8, 40)
+        assert sum(euclid_entries) == 246
+        assert est.terms_used == 2 * 490 - 1
+        assert est.value == oracle_farey_zeta(SmoothWeight.quadratic(), 0.8, 40)[0]
+
+    @pytest.mark.parametrize("wname", WEIGHTS)
+    def test_sigma_b_at_the_edges_of_the_half(self, wname, euclid_entries):
+        # b = 3: r = 1 and its complement 2; b = 4 and 6: r = b/2 is no
+        # residue, and r = 1 alone goes to the Euclid
+        for b in (3, 4, 6):
+            rs, rbars = lattice.reduced_residue_inverses(b)
+            assert rs.tolist() == reduced_residues(b)
+            assert rbars.tolist() == [mod_inverse(r, b) for r in reduced_residues(b)]
+            euclid_entries.clear()
+            assert sigma_b(WEIGHTS[wname], 0.7, b)[0] == oracle_sigma_b_value(WEIGHTS[wname], 0.7, b)
+            assert euclid_entries == [1]
+
+
+class TestIntegerBounds:
+    W = SmoothWeight.quadratic()
+
+    @pytest.mark.parametrize("fn", [farey_zeta, endpoint_model])
+    def test_series_refuse_a_float_bound(self, fn):
+        for bound in (2.5, 3.0):
+            with pytest.raises(ValueError, match="bound must be an integer"):
+                fn(self.W, 0.8, bound)
+        assert fn(self.W, 0.8, np.int64(12)).value == fn(self.W, 0.8, 12).value
+
+    def test_sigma_b_refuses_a_float_b(self):
+        with pytest.raises(ValueError, match="b must be an integer"):
+            sigma_b(self.W, 0.8, 4.0)
+        assert sigma_b(self.W, 0.8, np.int32(12))[0] == sigma_b(self.W, 0.8, 12)[0]
+
+    def test_hata_grid_refuses_a_float_bound(self):
+        xs = np.linspace(0, 1, 5)
+        with pytest.raises(ValueError, match="bound must be an integer"):
+            hata_reconstruct_grid(self.W, 3.0, xs)
+        got = hata_reconstruct_grid(self.W, np.int64(9), xs)
+        assert got.tobytes() == hata_reconstruct_grid(self.W, 9, xs).tobytes()
 
 
 class TestModInverseArray:

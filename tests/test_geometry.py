@@ -623,3 +623,23 @@ class TestJson:
         assert c.support(1, 0) == pytest.approx(0.0, abs=1e-12)
         # min of x + g(x): derivative 1 - 2 + 2x = 0 at x = 1/2: 1/2 + 1/4 = 3/4
         assert c.support(1, 1) == pytest.approx(0.75, abs=1e-10)
+
+    @pytest.mark.parametrize("g_poly", [["1", "-2", "1"], ["0.7", "-1.3", "0.4", "0.25", "-0.05"],
+                                        ["1", "-0.75"], ["-3"]])
+    def test_polynomial_chart_matches_numpy_bit_for_bit(self, g_poly):
+        # the chart's g, g', g'' are Horner loops on Python floats with the
+        # operations of np.polynomial.Polynomial and its derivatives
+        x_max = 1.3
+        spec = {
+            "kind": "smooth",
+            "minimal_model": {"vertices": [["0", "0"], ["2", "0"], ["2", "2"], ["0", "2"]]},
+            "charts": [{"corner": i, "g_poly": g_poly, "x_max": x_max} for i in range(4)],
+        }
+        chart = geo.domain_from_dict(spec).charts[0]
+        p = np.polynomial.Polynomial([float(c) for c in g_poly])
+        xs = np.linspace(0.0, x_max, 201).tolist()
+        assert xs[0] == 0.0 and xs[-1] == x_max
+        for fn, ref in ((chart.g, p), (chart.dg, p.deriv(1)), (chart.d2g, p.deriv(2))):
+            got = [fn(x) for x in xs]
+            assert all(type(v) is float for v in got)
+            assert [v.hex() for v in got] == [float(ref(x)).hex() for x in xs]

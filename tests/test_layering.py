@@ -132,3 +132,28 @@ def test_one_quadrature_rule():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert [name for name, text in sources.items() if "leggauss" in text] == ["estimates"]
     assert not [name for name, text in sources.items() if re.search(r"\bdef _adaptive", text)]
+
+
+# an extended-Euclid step: x0, x1 = x1, x0 - q * x1
+_EUCLID_STEP = re.compile(r"(\w+), (\w+) = \2, \1 - \w+ \* \2")
+
+
+def _array_euclids():
+    """(module, function) of every function that runs an extended-Euclid
+    step on numpy arrays."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = ast.get_source_segment(text, node)
+                if _EUCLID_STEP.search(body) and "np." in body:
+                    out.append((path.stem, node.name))
+    return out
+
+
+def test_one_euclid():
+    # the Farey chunks, mod_inverse_array and the reduced residues share
+    # one array extended Euclid; the scalar geometry._ext_gcd is not one
+    assert _array_euclids() == [("lattice", "euclid_inverses")]
+    assert _EUCLID_STEP.search("        old_s, s = s, old_s - qt * s")
