@@ -87,11 +87,6 @@ class Sizes:
     def __len__(self) -> int:
         return len(self.values)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Sizes) and self.is_den == other.is_den
-                and self.values.dtype == other.values.dtype
-                and np.array_equal(self.values, other.values))
-
     def tolist(self) -> list:
         """The sizes, exact where the charts are."""
         if self.is_den:
@@ -350,17 +345,9 @@ class CutTree:
 # the descent
 
 
-# (a, b, c, d) @ _SPLIT = (a+c, b+d, c, d, a, b, a+c, b+d): both children
-_SPLIT = np.array([[1, 0, 0, 0, 1, 0, 1, 0],
-                   [0, 1, 0, 0, 0, 1, 0, 1],
-                   [1, 0, 1, 0, 0, 0, 1, 0],
-                   [0, 1, 0, 1, 0, 0, 0, 1]], dtype=np.int64)
-
-
-def _children(quads: np.ndarray) -> np.ndarray:
-    """The two child corners of each corner (a, b, c, d), interleaved side 1
-    first: (a+c, b+d, c, d), then (a, b, a+c, b+d)."""
-    return (quads @ _SPLIT).reshape(-1, 4)
+# the rows (moving, fixed) of a chain's member columns (a, b, c, d) on
+# side 0 and on side 1
+_SLOTS = ((slice(2, 4), slice(0, 2)), (slice(0, 2), slice(2, 4)))
 
 
 _ROOT = np.array([[1, 0, 0, 1]], dtype=np.int64)
@@ -372,11 +359,18 @@ def _roots(n: int) -> np.ndarray:
 
 
 def _frontier_quads(nodes: np.ndarray, leaf_links: np.ndarray) -> np.ndarray:
-    """The quadruples of a tree's frontier corners, in frontier order."""
+    """The quadruples of a tree's frontier corners, in frontier order: each
+    the child of its parent's row on its link's side, by the _SLOTS rule
+    (u += v on side 1, v += u on side 0)."""
     quads = _roots(len(leaf_links))
     inner = leaf_links >= 0
-    pairs = _children(nodes.take(leaf_links[inner] >> 1, axis=0)).reshape(-1, 2, 4)
-    quads[inner] = pairs[np.arange(len(pairs)), 1 - (leaf_links[inner] & 1)]
+    links = leaf_links[inner]
+    kids = nodes.take(links >> 1, axis=0).T
+    for side in (0, 1):
+        mv, fx = _SLOTS[side]
+        on = (links & 1) == side
+        kids[mv, on] += kids[fx, on]
+    quads[inner] = kids.T
     return quads
 
 
@@ -516,11 +510,6 @@ def _check(charts, cids, rows, k, quads, size, prev, measured) -> None:
                          f"{tuple(quads[:, i].tolist())}")
     if ((size > prev + 1e-12 * (1 + prev)) & measured).any():
         raise AssertionError("support triangle nesting violated: child larger than parent")
-
-
-# the rows (moving, fixed) of a chain's member columns (a, b, c, d) on
-# side 0 and on side 1
-_SLOTS = ((slice(2, 4), slice(0, 2)), (slice(0, 2), slice(2, 4)))
 
 
 def _members(heads, lengths, j, side) -> np.ndarray:

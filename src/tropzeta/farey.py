@@ -35,8 +35,9 @@ their mirrors, and each distinct |f''(a/b)| of a chunk (one value for the
 quadratic weight).  Sigma_b takes its reduced residues and their inverses
 the same way: the Euclid on r <= b/2, the complement b - r with inverse
 b - rbar.  Its kernel H_s takes its powers as exps of real logarithms.
-The Hata grid evaluates each tent only on the points of its support, found
-by binary search in the sorted points.
+The Hata intervals (b + d <= N) are the chunks' rows with b + d <= N, put
+in (b, d) order; the Hata grid evaluates each tent only on the points of
+its support, found by binary search in the sorted points.
 """
 
 from __future__ import annotations
@@ -58,12 +59,7 @@ from .estimates import (
     term_powers,
 )
 from .geometry import ArcChart
-from .lattice import (
-    arithmetic_functions,
-    euclid_inverses,
-    mod_inverse_array,
-    reduced_residue_inverses,
-)
+from .lattice import arithmetic_functions, euclid_inverses, reduced_residue_inverses
 
 
 @dataclass
@@ -105,13 +101,6 @@ class _Intervals(NamedTuple):
     d: np.ndarray
     a: np.ndarray
     b: np.ndarray
-
-
-def _intervals(b: np.ndarray, d: np.ndarray) -> _Intervals:
-    """The intervals of coprime denominator columns b, d: a = d^-1 mod b in
-    {1, ..., b}, c = (a d - 1) / b, as in farey_from_denominators."""
-    a = mod_inverse_array(d, b)
-    return _Intervals(c=(a * d - 1) // b, d=d, a=a, b=b)
 
 
 def hata_basis(interval, x):
@@ -202,13 +191,15 @@ def _require_int(value, name: str) -> None:
 
 
 def farey_intervals_by_sum(max_bd_sum: int) -> _Intervals:
-    """All Farey intervals with b + d <= bound as columns, b ascending, then d."""
-    bs = np.arange(1, max_bd_sum)
-    counts = max_bd_sum - bs
-    b = np.repeat(bs, counts)
-    d = np.arange(b.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
-    keep = np.gcd(b, d) == 1
-    return _intervals(b[keep], d[keep])
+    """All Farey intervals with b + d <= bound as columns, b ascending, then
+    d: the rows of _farey_chunks(bound - 1) with b + d <= bound."""
+    parts = [_Intervals(*[np.empty(0, dtype=np.int64)] * 4)]
+    for chunk in _farey_chunks(max_bd_sum - 1):
+        keep = chunk.b + chunk.d <= max_bd_sum
+        parts.append(_Intervals(*(col[keep] for col in chunk)))
+    rows = _Intervals(*map(np.concatenate, zip(*parts)))
+    order = np.lexsort((rows.d, rows.b))
+    return _Intervals(*(col[order] for col in rows))
 
 
 def _quotients(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -221,7 +212,8 @@ def _quotients(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 def hata_reconstruct_grid(weight: SmoothWeight, bound: int, xs) -> np.ndarray:
     """Partial Hata expansion f(0) + (f(1) - f(0)) x + sum c_I S_I(x) over
-    intervals with b + d <= bound, evaluated on an array of x values.
+    intervals with b + d <= bound (the Farey chunks' rows there, by
+    farey_intervals_by_sum), evaluated on an array of x values.
 
     Each tent is added only on its support c/d <= x <= a/b (off it the tent
     formula is 0 up to rounding), found by two binary searches in the

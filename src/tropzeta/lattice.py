@@ -98,7 +98,9 @@ def mod_inverse(r: int, b: int) -> int:
 def euclid_inverses(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The inverses of int64 columns r >= 0 modulo b >= 1, in {1, ..., b}:
     the package's one array extended Euclid, which drops entries as they
-    finish.
+    finish.  The Farey chunks hand it each level's half (m, x), x <= m/2,
+    and reduced_residue_inverses the residues r <= b/2; both take the rest
+    by integer arithmetic.
 
     Raises ValueError when some gcd(r, b) != 1.
     """
@@ -119,22 +121,6 @@ def euclid_inverses(r: np.ndarray, b: np.ndarray) -> np.ndarray:
         r0, r1 = r1, r2
         t0, t1 = t1, t0 - q * t1
     return (inv - 1) % b + 1  # inv lies in (-b, b], and is 0 only for b = 1
-
-
-def mod_inverse_array(r, b) -> np.ndarray:
-    """mod_inverse elementwise on integer arrays (broadcast together), by
-    euclid_inverses on r mod b, one entry per pair.  The Farey chunks hand
-    the Euclid only each level's half (m, x), x <= m/2, and take the
-    complements (m, m - x) and the mirrors (x, m) by integer arithmetic;
-    reduced_residue_inverses runs it on r <= b/2 and complements the rest.
-
-    Raises ValueError when some gcd(r, b) != 1.
-    """
-    r, b = np.broadcast_arrays(np.asarray(r, dtype=np.int64), np.asarray(b, dtype=np.int64))
-    shape, b = r.shape, b.ravel()
-    if (b < 1).any():
-        raise ValueError("modulus must be positive")
-    return euclid_inverses(r.ravel() % b, b).reshape(shape)
 
 
 def reduced_residue_inverses(b: int) -> tuple[np.ndarray, np.ndarray]:

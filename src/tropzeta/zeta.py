@@ -101,12 +101,9 @@ def zeta_via_identity(domain: ConvexDomain, s, eps) -> SeriesEstimate:
         raise ValueError("pole of prefactor; use residue operations")
     mm = minimal_model_of(domain)
     fest = boundary_series(domain, s, eps)
-    if isinstance(fest.value, Fraction):  # an exact polygon at integer s: H is exact too
-        val = (correction_h(mm, s) - fest.value) / (s * (s - 1))
-        return SeriesEstimate(value=val, cutoff=fest.cutoff,
-                              terms_used=fest.terms_used, tail_hint=fest.tail_hint)
-    h = correction_h(mm, sc)
-    val = (complex(h) - complex(fest.value)) / (sc * (sc - 1))
+    # F is exact on an exact polygon at integer s, and H is exact there too
+    x = s if isinstance(fest.value, Fraction) else sc
+    val = (correction_h(mm, x) - fest.value) / (x * (x - 1))
     tail = fest.tail_hint / abs(sc * (sc - 1)) if fest.tail_hint else None
     return SeriesEstimate(value=val, cutoff=fest.cutoff,
                           terms_used=fest.terms_used, tail_hint=tail)
@@ -134,15 +131,22 @@ def _affine_cells(tree, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _power_integrals(edges: np.ndarray, sigma: complex) -> np.ndarray:
-    """The integral of t^(sigma - 1) over each cell [a, b] of the edges, as
-    a^sigma expm1(sigma log1p((b - a)/a)) / sigma, free of cancellation;
-    b^sigma / sigma (continued in sigma) on a cell that starts at 0."""
+    """The integral of t^(sigma - 1) over each cell [a, b] of the edges, free
+    of cancellation, with the larger power taken out: for Re sigma > 0
+    b^sigma (-expm1(-sigma log1p((b - a)/a))) / sigma, else a^sigma
+    expm1(sigma log1p((b - a)/a)) / sigma (at large |sigma| the smaller
+    power underflows where the expm1 overflows); b^sigma / sigma
+    (continued in sigma) on a cell that starts at 0."""
     a, b = edges[:-1], edges[1:]
     out = np.empty(len(a), dtype=complex)
     pos = a > 0
     out[~pos] = b[~pos] ** sigma / sigma
-    a = a[pos]
-    out[pos] = a ** sigma * np.expm1(sigma * np.log1p((b[pos] - a) / a)) / sigma
+    a, b = a[pos], b[pos]
+    log_ratio = np.log1p((b - a) / a)  # log(b / a)
+    if sigma.real > 0:
+        out[pos] = b ** sigma * -np.expm1(-sigma * log_ratio) / sigma
+    else:
+        out[pos] = a ** sigma * np.expm1(sigma * log_ratio) / sigma
     return out
 
 
@@ -151,7 +155,10 @@ def _kink_cells(tree, edges: np.ndarray, sc: complex) -> np.ndarray:
     which holds a kink: A times the integral of t^(s-2) plus B times that
     of t^(s-1), in closed form."""
     a_coef, b_coef = _affine_cells(tree, edges)
-    return a_coef * _power_integrals(edges, sc - 1) + b_coef * _power_integrals(edges, sc)
+    # a power outside the float range leaves an inf or a NaN in the sum,
+    # which zeta_via_mellin refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a_coef * _power_integrals(edges, sc - 1) + b_coef * _power_integrals(edges, sc)
 
 
 def zeta_via_mellin(domain: ConvexDomain, s) -> complex:
@@ -180,20 +187,24 @@ def zeta_via_mellin(domain: ConvexDomain, s) -> complex:
     if domain.is_polygon:
         tree = deepest_tree(domain, 0)
         edges = np.concatenate(([0.0], tree.kinks(0, m), [m]))
-        return add_in_order(0j, _kink_cells(tree, edges, sc))
-    if sc.real <= 2:
+        total = add_in_order(0j, _kink_cells(tree, edges, sc))
+    elif sc.real <= 2:
         raise ValueError("outside Mellin convergence; use identity route")
-    total = 0j
-    hi = m
-    for level in range(_MELLIN_MAX_LEVELS):
-        lo = hi / 2
-        tree = deepest_tree(domain, lo)
-        edges = np.concatenate(([lo], tree.kinks(lo, hi), [hi]))
-        contrib = add_in_order(0j, _kink_cells(tree, edges, sc))
-        total += contrib
-        if abs(contrib) < _MELLIN_REL_TOL * max(abs(total), 1e-30) and level > 3:
-            break
-        hi = lo
+    else:
+        total = 0j
+        hi = m
+        for level in range(_MELLIN_MAX_LEVELS):
+            lo = hi / 2
+            tree = deepest_tree(domain, lo)
+            edges = np.concatenate(([lo], tree.kinks(lo, hi), [hi]))
+            contrib = add_in_order(0j, _kink_cells(tree, edges, sc))
+            total += contrib
+            if abs(contrib) < _MELLIN_REL_TOL * max(abs(total), 1e-30) and level > 3:
+                break
+            hi = lo
+    # an inf, or the NaN of inf - inf: raise as the identity route's powers do
+    if not cmath.isfinite(total):
+        raise OverflowError("Mellin sum outside the float range")
     return complex(total)
 
 

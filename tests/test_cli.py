@@ -68,11 +68,11 @@ class TestZetaCommand:
         (["model", "L", "--s", "1/0"], 1, "undefined"),
         (["zeta", "L", "--s", "1e400"], 1, "not finite"),
         (["zeta", "L", "--s", "nan"], 1, "not finite"),
-        (["zeta", "L", "--s", "10000", "--route", "mellin"], 2, "overflow"),
+        (["zeta", "pentagon", "--s", "-700", "--route", "mellin"], 2, "overflow"),
         (["farey", "--s", "2", "--bound", "0"], 1, "bound"),
         (["zeta", "pentagon", "--s", "10000"], 1, "Exceeds the limit"),
     ], ids=["zeta-1/0", "farey-1/0", "model-1/0", "zeta-1e400", "zeta-nan",
-            "mellin-10000", "farey-bound-0", "exact-too-long-to-print"])
+            "mellin-pentagon--700", "farey-bound-0", "exact-too-long-to-print"])
     def test_bad_input_is_a_json_error(self, tmp_path, capsys, args, code, message):
         if args[:2] == ["zeta", "L"]:
             args = ["zeta", write_domain(tmp_path, LDOM)] + args[2:]
@@ -82,6 +82,19 @@ class TestZetaCommand:
         got, out = run_cli(args, capsys)
         assert got == code
         assert message in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("name", ["L", "disk"])
+    def test_mellin_at_large_s(self, capsys, name):
+        # t^(s - 2) is taken out at each cell's larger end: at s = 10000 the
+        # smaller end's power underflows where its expm1 would overflow
+        dom = str(Path(__file__).resolve().parent.parent / "domains" / f"{name}.json")
+        values = []
+        for route in ("mellin", "identity"):
+            code, out = run_cli(["zeta", dom, "--s", "10000", "--route", route], capsys)
+            assert code == 0
+            values.append(complex(*json.loads(out)["value"]))
+        mellin, identity = values
+        assert abs(mellin - identity) <= 1e-12 * abs(identity)
 
     @pytest.mark.parametrize("args", [
         ["wavefront", "L", "--t", "nan"],

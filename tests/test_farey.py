@@ -24,9 +24,9 @@ from tropzeta.farey import (
 )
 from tropzeta.geometry import ConvexDomain
 from tropzeta.lattice import (
+    euclid_inverses,
     farey_from_denominators,
     mod_inverse,
-    mod_inverse_array,
     reduced_residues,
 )
 
@@ -578,8 +578,9 @@ class TestArrayEngineOracle:
             assert pairs == list(coprime_pairs_by_max(bound))
         assert len(chunks) > 10
 
-    def test_intervals_by_sum_order(self):
-        for bound in (1, 2, 3, 30):
+    def test_intervals_by_sum_order(self, small_chunks):
+        # the rows of many small chunks, b + d <= bound, put in (b, d) order
+        for bound in (1, 2, 3, 30, 200):
             iv = farey.farey_intervals_by_sum(bound)
             expected = [farey_from_denominators(b, d)
                         for b in range(1, bound) for d in range(1, bound - b + 1)
@@ -785,17 +786,17 @@ class TestIntegerBounds:
         assert got.tobytes() == hata_reconstruct_grid(self.W, 9, xs).tobytes()
 
 
-class TestModInverseArray:
+class TestEuclidInverses:
     def test_matches_pow_for_every_coprime_pair(self):
         b, r = np.meshgrid(np.arange(1, 301), np.arange(1, 301), indexing="ij")
         keep = np.gcd(b, r) == 1
         b, r = b[keep], r[keep]
         expected = [pow(int(x), -1, int(m)) or int(m) for x, m in zip(r, b)]
-        assert mod_inverse_array(r, b).tolist() == expected
+        assert euclid_inverses(r, b).tolist() == expected
 
     def test_not_invertible(self):
         with pytest.raises(ValueError, match="not invertible"):
-            mod_inverse_array([3, 2], [7, 4])
+            euclid_inverses(np.array([3, 2]), np.array([7, 4]))
 
 
 class TestWeightArrays:

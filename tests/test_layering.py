@@ -153,7 +153,33 @@ def _array_euclids():
 
 
 def test_one_euclid():
-    # the Farey chunks, mod_inverse_array and the reduced residues share
-    # one array extended Euclid; the scalar geometry._ext_gcd is not one
+    # the Farey chunks (Hata's intervals among their rows) and the reduced
+    # residues share one array extended Euclid; the scalar
+    # geometry._ext_gcd is not one
     assert _array_euclids() == [("lattice", "euclid_inverses")]
     assert _EUCLID_STEP.search("        old_s, s = s, old_s - qt * s")
+
+
+def _callers(name: str, text: str) -> set:
+    """The innermost functions (or "<module>") of a source text that call
+    name, plain or as an attribute."""
+    tree = ast.parse(text)
+    owner = {}
+    # ast.walk goes breadth first, so an inner function's calls are
+    # reassigned to it after its outer function's
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                owner[node] = fn.name
+    return {owner.get(node, "<module>") for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+
+
+def test_euclid_has_two_callers():
+    # Hata's intervals come from the Farey chunks, so the Euclid runs only
+    # on each level's half and on the residues r <= b/2
+    callers = {(path.stem, fn) for path in sorted(SRC.glob("*.py"))
+               for fn in _callers("euclid_inverses", path.read_text())}
+    assert callers == {("farey", "_farey_chunks"), ("lattice", "reduced_residue_inverses")}
+    assert _callers("f", "def g():\n    def h():\n        m.f()\n    f()\nf()") == {"g", "h", "<module>"}

@@ -231,6 +231,8 @@ def mellin_per_cell(domain, s):
     def power_integral(a, b, sigma):
         if a[0] == 0:
             return b ** sigma / sigma
+        if sigma.real > 0:
+            return b ** sigma * -np.expm1(-sigma * np.log1p((b - a) / a)) / sigma
         return a ** sigma * np.expm1(sigma * np.log1p((b - a) / a)) / sigma
 
     def kink_cells(tree, edges):
@@ -304,6 +306,22 @@ class TestMellinRoute:
                 zeta_via_identity(dom, s, 1e-3 if not dom.is_polygon else 0)
             with pytest.raises(ValueError, match="finite"):
                 zeta_via_mellin(dom, s)
+
+    def test_sum_outside_the_float_range_overflows(self):
+        # |Z| is about 1e328 at s = -700; the cells' powers overflow and
+        # their sum is NaN, which is refused as the identity route refuses
+        # the float powers it cannot take
+        with pytest.raises(OverflowError, match="float range"):
+            zeta_via_mellin(pentagon_family_member(), -700)
+
+    @pytest.mark.parametrize("make", [ConvexDomain.domain_L, ConvexDomain.disk],
+                             ids=["L", "disk"])
+    def test_large_s_takes_out_the_larger_power(self, make):
+        # at s = 10000 each cell's a^(s - 1) underflows while its expm1
+        # overflows; b^(s - 1) and expm1 of a negative argument do neither
+        for s in (400, 3000, 10000):
+            ident = complex(zeta_via_identity(make(), s, 1e-5).value)
+            assert abs(zeta_via_mellin(make(), s) - ident) <= 1e-12 * abs(ident), s
 
     @pytest.mark.parametrize("make", [
         pentagon_family_member, lambda: ConvexDomain.rectangle(3, 2),
@@ -392,7 +410,7 @@ class TestMellinRoute:
 
         monkeypatch.setattr(CutTree, "kinks", counting_kinks)
         monkeypatch.setattr(CutTree, "front_perimeter_geometric", counting_perimeter)
-        assert zeta_via_mellin(dom, 3) == 1.24274798112669  # the CLI golden value
+        assert zeta_via_mellin(dom, 3) == 1.2427479811266895  # the CLI golden value
         assert calls == times
 
 
