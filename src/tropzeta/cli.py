@@ -41,6 +41,7 @@ from .minimal import minimal_model_of
 from .svgout import caustic_svg, wavefront_svg
 from .zeta import (
     NumericalRegimeError,
+    exact_digits_floor,
     polygon_residues,
     residue_two_thirds,
     zeta_via_identity,
@@ -228,6 +229,11 @@ def _cmd_zeta(args) -> dict:
         val = zeta_via_mellin(dom, s)
         return {"value": val, "route": "mellin", "s": s}
     s_exact = int(s.real) if s.imag == 0 and s.real == int(s.real) else s
+    limit = sys.get_int_max_str_digits()
+    if limit and exact_digits_floor(dom, s_exact, eps) > limit:
+        # refused before the sum, with the message printing the value would raise
+        raise ValueError(f"Exceeds the limit ({limit} digits) for integer string conversion; "
+                         "use sys.set_int_max_str_digits() to increase the limit")
     est = zeta_via_identity(dom, s_exact, eps)
     payload = dataclasses.asdict(est)
     payload.update(route="identity", s=s)

@@ -4,23 +4,30 @@ quadrature rule of the package."""
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
 
 
 def term_powers(x: np.ndarray, sc: complex) -> np.ndarray:
-    """complex(v) ** sc for each v >= 0 of x, rounded term by term as CPython
-    rounds it.  For real non-integer s that power is libm's pow(v, s) with
-    imaginary part 0, so those terms come back as math.pow floats (np.power
-    differs from libm in the last bit on some terms)."""
-    if sc.imag == 0 and not sc.real.is_integer():
-        return np.fromiter(map(math.pow, x.tolist(), repeat(sc.real)), float, x.size)
-    return np.fromiter(map(operator.pow, x.astype(complex).tolist(), repeat(sc)), complex, x.size)
+    """v ** sc for each v > 0 of the float array x, by CPython's complex
+    power rule taken on arrays: the modulus v ** Re s by np.power, and for
+    Im s != 0 the phase Im s * log v, the term being mod cos(phase) +
+    i mod sin(phase).  Real s gives a float array.
+
+    Each entry depends only on its own v, not on its place in x.  Against
+    40-digit mpmath a term is within 2 ulp for real s, and within
+    (|Im s log v| + 2) 2^-52 relative for complex s, where the rounding of
+    the phase sets the error (tests/test_estimates.py audits both)."""
+    mod = np.power(x, sc.real)
+    if sc.imag == 0:
+        return mod
+    phase = sc.imag * np.log(x)
+    out = np.empty(x.shape, dtype=complex)
+    out.real = mod * np.cos(phase)
+    out.imag = mod * np.sin(phase)
+    return out
 
 
 def add_in_order(total: complex, terms: np.ndarray) -> complex:

@@ -27,14 +27,16 @@ pair has a' = m - a and c' = (m - x) - a + c, and the mirror (x, m) of
 each (m, x) with x < m has a'' = x - c, c'' = m - a; c_I, T_I and f''(a/b)
 then come from one weight call per chunk.  Terms are added one at a time
 in the fixed pair order (np.cumsum with the running total carried across
-chunks), and each term's power is CPython's complex power of that term
-(math.pow for real s), so a value does not depend on the chunking and
-matches a per-pair Python loop bit for bit.  The endpoint model takes each
-distinct base's power once: b d (b + d) on the b >= d pairs, gathered to
-their mirrors, and each distinct |f''(a/b)| of a chunk (one value for the
-quadratic weight).  Sigma_b takes its reduced residues and their inverses
-the same way: the Euclid on r <= b/2, the complement b - r with inverse
-b - rbar.  Its kernel H_s takes its powers as exps of real logarithms.
+chunks).  Every power, here and in Sigma_b, is estimates.term_powers,
+CPython's complex power rule on arrays, whose terms each depend on their
+own base only; so a value does not depend on the chunking and matches a
+per-pair Python loop that powers each base alone bit for bit.  The
+endpoint model takes each distinct base's power once: b d (b + d) on the
+b >= d pairs, gathered to their mirrors, and each distinct |f''(a/b)| of a
+chunk (one value for the quadratic weight); the quotients are numpy's.
+Sigma_b takes its reduced residues and their inverses the same way: the
+Euclid on r <= b/2, the complement b - r with inverse b - rbar.  Its
+kernel H_s takes its powers as exps of real logarithms.
 The Hata intervals (b + d <= N) are the chunks' rows with b + d <= N, put
 in (b, d) order; the Hata grid evaluates each tent only on the points of
 its support, found by binary search in the sorted points.
@@ -43,7 +45,6 @@ its support, found by binary search in the sorted points.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -202,14 +203,6 @@ def farey_intervals_by_sum(max_bd_sum: int) -> _Intervals:
     return _Intervals(*(col[order] for col in rows))
 
 
-def _quotients(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den term by term as CPython's complex division rounds it; on the
-    real terms of term_powers that is the float quotient."""
-    if num.dtype == complex:
-        return np.fromiter(map(operator.truediv, num.tolist(), den.tolist()), complex, num.size)
-    return num / den
-
-
 def hata_reconstruct_grid(weight: SmoothWeight, bound: int, xs) -> np.ndarray:
     """Partial Hata expansion f(0) + (f(1) - f(0)) x + sum c_I S_I(x) over
     intervals with b + d <= bound (the Farey chunks' rows there, by
@@ -258,8 +251,8 @@ def farey_zeta(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:
 
 def endpoint_model(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:
     """Z^end_f(s) = 2^(-s) sum |f''(a/b)|^s / (b d (b+d))^s, same truncation
-    and order as farey_zeta; each term is complex(|f''(a/b)|) ** s /
-    complex(b d (b+d)) ** s in CPython's rounding."""
+    and order as farey_zeta; each term is the numpy quotient of the
+    term_powers of |f''(a/b)| and of b d (b+d)."""
     _require_int(bound, "bound")
     if bound < 1:  # the sums would be empty
         raise ValueError(f"bound must be at least 1, got {bound}")
@@ -277,7 +270,7 @@ def endpoint_model(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:
         den = np.empty(b.size, dtype=half.dtype)
         den[upper] = half
         den[~upper] = half[(b > d)[upper]]
-        total = add_in_order(total, _quotients(num, den))
+        total = add_in_order(total, num / den)
         count += b.size
     return SeriesEstimate(value=2.0 ** (-sc) * total, cutoff=float(bound), terms_used=count)
 
@@ -414,7 +407,7 @@ def sigma_b(weight: SmoothWeight, s, b: int) -> tuple[complex, complex, float]:
     sc = complex(s)
     rs, rbars = reduced_residue_inverses(b)
     h_vals = h_kernel_batch(sc, rs / b)
-    f_vals = np.abs(weight.d2f(rbars / b)) ** sc
+    f_vals = term_powers(np.abs(weight.d2f(rbars / b)), sc)
     value = complex((h_vals * f_vals).sum())
     phi = arithmetic_functions(b)[0]
     main = phi * h_kernel_integral(sc) * weight_power_integral(weight, sc)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -107,6 +108,73 @@ def zeta_via_identity(domain: ConvexDomain, s, eps) -> SeriesEstimate:
     tail = fest.tail_hint / abs(sc * (sc - 1)) if fest.tail_hint else None
     return SeriesEstimate(value=val, cutoff=fest.cutoff,
                           terms_used=fest.terms_used, tail_hint=tail)
+
+
+def exact_digits_floor(domain: ConvexDomain, s, eps) -> int:
+    """A lower bound on the decimal digits of the numerator or of the
+    denominator, whichever has more, of the exact Z(s) that
+    zeta_via_identity returns on an exact polygon at an int s other than 0
+    and 1 (0 anywhere else), found without taking a power.
+
+    s (s-1) Z(s) = H(s) - F(s) is the sum of m^(s-1) (2 l s + k m) and of
+    -n x^s for each distinct kept size x, held by n cuts.  Where one of
+    those terms has the least p-adic valuation v of them all, v_p(Z(s)) =
+    v - v_p(s (s-1)), and p to that power divides the numerator (v_p > 0)
+    or the denominator (v_p < 0); the primes p are those of the bases m
+    and x found by trial division below 10^4.  Where one term T outweighs
+    the others put together, |Z(s)| >= |T| / (2 |s (s-1)|), and the
+    numerator is at least |Z(s)|, the denominator at least 1 / |Z(s)|."""
+    if not (domain.is_polygon and domain.polygon.is_exact and isinstance(s, int)) or s in (0, 1):
+        return 0
+    mm = minimal_model_of(domain)
+    tree = deepest_tree(domain, eps)
+    keep = tree.cut_sizes.at_least(eps).tolist()
+    sizes = Counter(Fraction(x) for x, k in zip(tree.sizes(), keep) if k)
+    m = Fraction(mm.m)
+    head = 2 * Fraction(mm.l) * s + Fraction(mm.k) * m
+    # (base, exponent, factor) of each term factor * base ** exponent
+    terms = [(x, s, Fraction(n)) for x, n in sizes.items()]
+    if head:
+        terms.append((m, s - 1, head))
+    if not terms:  # Z(s) = 0
+        return 0
+    digits = [0.0, 0.0]  # log10 lower bounds of the numerator, the denominator
+    primes = set().union(*(_small_primes(x.numerator * x.denominator) for x, _, _ in terms))
+    for p in primes:
+        first, *rest = sorted(e * _valuation(x, p) + _valuation(c, p) for x, e, c in terms)
+        if not rest or first < rest[0]:
+            v = first - _valuation(Fraction(s * (s - 1)), p)
+            digits[v < 0] += abs(v) * math.log10(p)
+    *rest, top = sorted(e * math.log10(x) + math.log10(abs(c)) for x, e, c in terms)
+    if sum(10 ** (t - top) for t in rest) <= 0.5:
+        size = top - math.log10(2 * abs(s * (s - 1)))
+        digits[size < 0] = max(digits[size < 0], abs(size))
+    return math.floor(max(digits))
+
+
+def _small_primes(n: int) -> set:
+    """The prime factors of n >= 1 below 10^4, and the cofactor left when
+    that is prime (the trial division passed its square root)."""
+    out, p = set(), 2
+    while p < 10**4 and p * p <= n:
+        if n % p == 0:
+            out.add(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1 and p * p > n:
+        out.add(n)
+    return out
+
+
+def _valuation(x: Fraction, p: int) -> int:
+    """The p-adic valuation of a nonzero rational x."""
+    v = 0
+    for part, sign in ((x.numerator, 1), (x.denominator, -1)):
+        while part % p == 0:
+            part //= p
+            v += sign
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from tropzeta.cli import main
+from tropzeta.geometry import domain_from_dict
+from tropzeta.zeta import zeta_via_identity
 
 
 def run_cli(args, capsys):
@@ -82,6 +85,27 @@ class TestZetaCommand:
         got, out = run_cli(args, capsys)
         assert got == code
         assert message in json.loads(out)["error"]
+
+    def test_too_long_exact_value_is_refused_before_any_power(self, capsys, monkeypatch):
+        # the digits of Z(10^6) are bounded from the sizes 1/2, 1/3 alone;
+        # Z(3000) (2,339 and 2,342 digits) is still summed and printed
+        pentagon = Path(__file__).resolve().parent.parent / "domains" / "pentagon_model.json"
+        powers = []
+        fraction_pow = Fraction.__pow__
+
+        def counting(base, exponent, *rest):
+            powers.append(exponent)
+            return fraction_pow(base, exponent, *rest)
+
+        monkeypatch.setattr(Fraction, "__pow__", counting)
+        code, out = run_cli(["zeta", str(pentagon), "--s", str(10**6)], capsys)
+        assert code == 1
+        assert "Exceeds the limit (4300 digits)" in json.loads(out)["error"]
+        assert powers == []
+        code, out = run_cli(["zeta", str(pentagon), "--s", "3000"], capsys)
+        assert code == 0 and powers
+        expected = zeta_via_identity(domain_from_dict(json.loads(pentagon.read_text())), 3000, 0)
+        assert json.loads(out)["value"] == str(expected.value)
 
     @pytest.mark.parametrize("name", ["L", "disk"])
     def test_mellin_at_large_s(self, capsys, name):

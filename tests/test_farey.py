@@ -506,8 +506,13 @@ class TestRegrouping:
 
 # ---------------------------------------------------------------------------
 # per-pair oracles: the Farey sums one interval at a time in Python scalars,
-# with CPython's per-term rounding; the array engine must match them bit for
-# bit at bounds that span many chunks
+# each base powered alone by term_powers on a one-element array; the array
+# engine must match them bit for bit at bounds that span many chunks
+
+
+def power_alone(v, sc):
+    """v ** sc by term_powers on the one-element array of v."""
+    return term_powers(np.array([float(v)]), sc)[0]
 
 
 def oracle_farey_zeta(weight, s, bound):
@@ -517,7 +522,7 @@ def oracle_farey_zeta(weight, s, bound):
     for b, d in coprime_pairs_by_max(bound):
         _, t_i = hata_coefficient(weight, farey_from_denominators(b, d))
         if t_i != 0:
-            total += complex(abs(t_i)) ** sc
+            total += power_alone(abs(t_i), sc)
         count += 1
     return total, count
 
@@ -528,7 +533,9 @@ def oracle_endpoint_model(weight, s, bound):
     count = 0
     for b, d in coprime_pairs_by_max(bound):
         a = mod_inverse(d, b)
-        total += complex(abs(weight.d2f(a / b))) ** sc / complex(b * d * (b + d)) ** sc
+        num = term_powers(np.array([abs(weight.d2f(a / b))]), sc)
+        den = term_powers(np.array([float(b * d * (b + d))]), sc)
+        total += (num / den)[0]
         count += 1
     return 2.0 ** (-sc) * total, count
 
@@ -552,7 +559,7 @@ def oracle_sigma_b_value(weight, s, b):
     rs = np.array(reduced_residues(b))
     rbars = np.array([mod_inverse(int(r), b) for r in rs])
     h_vals = farey.h_kernel_batch(sc, rs / b)
-    f_vals = np.array([abs(weight.d2f(v)) for v in rbars / b]) ** sc
+    f_vals = np.array([power_alone(abs(weight.d2f(v)), sc) for v in rbars / b])
     return complex((h_vals * f_vals).sum())
 
 
@@ -560,8 +567,7 @@ WEIGHTS = {
     "quadratic": SmoothWeight.quadratic(),
     "cubic": SmoothWeight.from_polynomial([0.0, 0.3, 1.0, 0.2]),
 }
-# real non-integer s takes the math.pow path, integer s CPython's repeated
-# multiplication, complex s the complex power
+# real s (integer or not) gives float terms, complex s a phase as well
 S_VALUES = [0.8, 1.0, 2.0, 0.7 + 1.3j]
 
 

@@ -1,13 +1,16 @@
 import functools
+import json
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_cutting import polynomial_domain
 from test_random_polygons import convex_hull, random_polygon
 
 from tropzeta import cutting, models
@@ -624,22 +627,69 @@ class TestJson:
         # min of x + g(x): derivative 1 - 2 + 2x = 0 at x = 1/2: 1/2 + 1/4 = 3/4
         assert c.support(1, 1) == pytest.approx(0.75, abs=1e-10)
 
-    @pytest.mark.parametrize("g_poly", [["1", "-2", "1"], ["0.7", "-1.3", "0.4", "0.25", "-0.05"],
-                                        ["1", "-0.75"], ["-3"]])
-    def test_polynomial_chart_matches_numpy_bit_for_bit(self, g_poly):
-        # the chart's g, g', g'' are Horner loops on Python floats with the
-        # operations of np.polynomial.Polynomial and its derivatives
-        x_max = 1.3
+    @pytest.mark.parametrize("g_poly, x_max, message", [
+        # g'(1) = 0.5: the descent used to fail on a negative defect
+        (["1", "-2.3", "1.1", "0.2"], 1.0, "corner2: g' must be <= 0"),
+        (["1", "-2", "1"], 1.2, "corner2: g' must be <= 0"),
+        (["0.5", "-1", "0.5"], 1.0 + 2 ** -20, "corner2: g' must be <= 0"),
+        (["1", "-1"], 1.0, "corner2: g'' must be positive"),
+        # g'' = 2 - 6x + 6x^2 has its minimum 1/2 at x = 1/2 (> 0), and
+        # 2 - 9x + 9x^2 its minimum -1/4 there (both ends are 2)
+        (["1", "-1.5", "1", "-1", "0.5"], 1.0, None),
+        (["1", "-1.5", "1", "-1.5", "0.75"], 1.0, "corner2: g'' must be positive"),
+        (["1", "-3", "1"], 0.5, "corner2: g must be >= 0"),
+    ], ids=["g-prime-positive-at-end", "past-the-minimum", "just-past-the-minimum",
+            "straight", "quartic", "g-second-negative-inside", "negative"])
+    def test_graph_chart_checked_at_load(self, g_poly, x_max, message):
+        # the error names the chart that fails; corners 0, 1 and 3 are good
+        good = {"g_poly": ["1", "-2", "1"], "x_max": 1.0}
         spec = {
             "kind": "smooth",
             "minimal_model": {"vertices": [["0", "0"], ["2", "0"], ["2", "2"], ["0", "2"]]},
-            "charts": [{"corner": i, "g_poly": g_poly, "x_max": x_max} for i in range(4)],
+            "charts": [dict(good, corner=0), dict(good, corner=1),
+                       {"corner": 2, "g_poly": g_poly, "x_max": x_max}, dict(good, corner=3)],
         }
-        chart = geo.domain_from_dict(spec).charts[0]
-        p = np.polynomial.Polynomial([float(c) for c in g_poly])
+        if message is None:
+            assert geo.domain_from_dict(spec).charts[2].name == "corner2"
+        else:
+            with pytest.raises(ValueError, match=message):
+                geo.domain_from_dict(spec)
+
+    def test_rounded_squares_and_domain_files_load(self):
+        # g(x) = (1 - x)^2 on [0, 1] ends at g = g' = 0 exactly; (1 - x/a)^2
+        # on [0, a] with its coefficients rounded has g'(a) = 4.4e-16 by
+        # Horner, inside the rounding allowance
+        assert len(polynomial_domain().charts) == 4
+        a = 0.6641364268321124
+        g, dg, _ = geo._poly_chart_functions([1.0, -2 / a, 1 / a / a])
+        assert dg(a) > 0 and g(a) > 0
+        spec = {
+            "kind": "smooth",
+            "minimal_model": {"vertices": [["0", "0"], ["2", "0"], ["2", "2"], ["0", "2"]]},
+            "charts": [{"corner": i, "g_poly": [1.0, -2 / a, 1 / a / a], "x_max": a}
+                       for i in range(4)],
+        }
+        assert len(geo.domain_from_dict(spec).charts) == 4
+        files = sorted((Path(__file__).resolve().parent.parent / "domains").glob("*.json"))
+        assert len(files) >= 6
+        for path in files:
+            geo.domain_from_dict(json.loads(path.read_text()))
+
+    @pytest.mark.parametrize("g_poly", [["1", "-2", "1"], ["0.7", "-1.3", "0.4", "0.25", "-0.05"],
+                                        ["1", "-0.75"], ["-3"]])
+    def test_polynomial_chart_matches_numpy_bit_for_bit(self, g_poly):
+        # a JSON chart's g, g', g'' are Horner loops on Python floats with the
+        # operations of np.polynomial.Polynomial and its derivatives; taken
+        # straight from _poly_chart_functions, since most of these
+        # polynomials are no convex decreasing chart on [0, 1.3] and would
+        # not load
+        x_max = 1.3
+        coeffs = [float(c) for c in g_poly]
+        g, dg, d2g = geo._poly_chart_functions(coeffs)
+        p = np.polynomial.Polynomial(coeffs)
         xs = np.linspace(0.0, x_max, 201).tolist()
         assert xs[0] == 0.0 and xs[-1] == x_max
-        for fn, ref in ((chart.g, p), (chart.dg, p.deriv(1)), (chart.d2g, p.deriv(2))):
+        for fn, ref in ((g, p), (dg, p.deriv(1)), (d2g, p.deriv(2))):
             got = [fn(x) for x in xs]
             assert all(type(v) is float for v in got)
             assert [v.hex() for v in got] == [float(ref(x)).hex() for x in xs]

@@ -183,3 +183,16 @@ def test_euclid_has_two_callers():
                for fn in _callers("euclid_inverses", path.read_text())}
     assert callers == {("farey", "_farey_chunks"), ("lattice", "reduced_residue_inverses")}
     assert _callers("f", "def g():\n    def h():\n        m.f()\n    f()\nf()") == {"g", "h", "<module>"}
+
+
+def test_no_per_element_python_map():
+    # np.fromiter runs a Python call per element; the series powers and
+    # quotients run on arrays, and only elementwise, which lifts a user's
+    # scalar integrand or chart solve to arrays, maps one
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        for node in ast.parse(text).body:
+            if "fromiter" in ast.get_source_segment(text, node):
+                found.add((path.stem, getattr(node, "name", "<module>")))
+    assert found == {("estimates", "elementwise")}

@@ -37,8 +37,9 @@ def pentagon_family_member():
 
 
 def series_reference(domain, s, eps):
-    """F(s) as a plain loop: per chart, sum(complex(x) ** complex(s)) over
-    the kept float sizes in tree order, then the chart sums added."""
+    """F(s) as a plain loop: per chart, the sum of x ** s over the kept float
+    sizes in tree order, each x powered alone by term_powers on a
+    one-element array, then the chart sums added."""
     tree = zeta.deepest_tree(domain, eps)
     keep = tree.cut_sizes.at_least(eps).tolist()
     sizes = tree.cut_sizes.floats().tolist()
@@ -46,7 +47,7 @@ def series_reference(domain, s, eps):
     for lo, hi in zip(tree.chart_offsets, tree.chart_offsets[1:]):
         terms = [x for x, k in zip(sizes[lo:hi], keep[lo:hi]) if k]
         if terms:
-            per_chart.append(sum(complex(x) ** complex(s) for x in terms))
+            per_chart.append(sum(term_powers(np.array([x]), complex(s))[0] for x in terms))
     return sum(per_chart) if per_chart else 0j
 
 
@@ -197,6 +198,26 @@ class TestZetaIdentity:
         scaled = ConvexDomain(kind="polygon", polygon=dom.polygon.scale(2))
         z2 = zeta_via_identity(scaled, 3, 0).value
         assert z2 == 8 * z1
+
+    def test_digits_floor_is_a_lower_bound(self):
+        # pentagon sizes 1/2, 1/3; the rectangle has no cuts; random
+        # polygons with denominators up to 4, scaled down or up
+        rng = random.Random(4)
+        domains = [pentagon_family_member(), ConvexDomain.rectangle(3, 2)]
+        for scale in (Fraction(1, 6), 1, 5):
+            polygon = random_polygon(rng).polygon.scale(scale)
+            domains.append(ConvexDomain(kind="polygon", polygon=polygon))
+        for dom in domains:
+            for s in (-300, -7, -2, 2, 3, 8, 150, 700):
+                value = zeta_via_identity(dom, s, 0).value
+                digits = max(len(str(abs(value.numerator))), len(str(value.denominator)))
+                floor = zeta.exact_digits_floor(dom, s, 0)
+                assert floor <= digits
+                if dom is domains[0] and s >= 150:  # the 2- and 3-adic terms are unique
+                    assert floor >= digits - 6
+        # no bound off the exact Fraction path
+        assert zeta.exact_digits_floor(ConvexDomain.domain_L(), 700, 1e-4) == 0
+        assert zeta.exact_digits_floor(pentagon_family_member(), 2.5, 0) == 0
 
 
 class TestZetaExactOracle:
