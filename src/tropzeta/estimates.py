@@ -4,6 +4,7 @@ quadrature rule of the package."""
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -19,8 +20,17 @@ def term_powers(x: np.ndarray, sc: complex) -> np.ndarray:
     Each entry depends only on its own v, not on its place in x.  Against
     40-digit mpmath a term is within 2 ulp for real s, and within
     (|Im s log v| + 2) 2^-52 relative for complex s, where the rounding of
-    the phase sets the error (tests/test_estimates.py audits both)."""
-    mod = np.power(x, sc.real)
+    the phase sets the error (tests/test_estimates.py audits both).
+
+    A base 0 is refused at complex or negative s (ValueError; CPython's
+    power raises there too), and a power outside the float range raises
+    OverflowError."""
+    if (sc.imag != 0 or sc.real < 0) and not x.all():
+        raise ValueError(f"0.0 to the power {sc} is undefined")
+    with np.errstate(over="ignore"):
+        mod = np.power(x, sc.real)
+    if not np.isfinite(mod).all():
+        raise OverflowError(f"a term v ** {sc} outside the float range")
     if sc.imag == 0:
         return mod
     phase = sc.imag * np.log(x)
@@ -32,8 +42,13 @@ def term_powers(x: np.ndarray, sc: complex) -> np.ndarray:
 
 def add_in_order(total: complex, terms: np.ndarray) -> complex:
     """total + terms[0] + terms[1] + ... added one at a time, as a running
-    complex total does (np.sum would add pairwise)."""
-    return complex(np.cumsum(np.concatenate(([total], terms)))[-1])
+    complex total does (np.sum would add pairwise); OverflowError when the
+    sum, or a term, is outside the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = complex(np.cumsum(np.concatenate(([total], terms)))[-1])
+    if not cmath.isfinite(total):
+        raise OverflowError("a series sum outside the float range")
+    return total
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)

@@ -270,7 +270,8 @@ def endpoint_model(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:
         den = np.empty(b.size, dtype=half.dtype)
         den[upper] = half
         den[~upper] = half[(b > d)[upper]]
-        total = add_in_order(total, num / den)
+        with np.errstate(all="ignore"):  # add_in_order refuses an inf or NaN quotient
+            total = add_in_order(total, num / den)
         count += b.size
     return SeriesEstimate(value=2.0 ** (-sc) * total, cutoff=float(bound), terms_used=count)
 

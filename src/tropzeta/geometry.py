@@ -926,23 +926,26 @@ def _poly_chart_functions(coeffs: list[float]) -> list[Callable[[float], float]]
     return out
 
 
-def _check_convex_graph(coeffs: list[float], x_max: float, name: str, g, dg, d2g) -> None:
-    """Refuse a graph chart unless g >= 0, g' <= 0 and g'' > 0 on [0, x_max].
-    g'' is taken at both ends and at the real roots of g''' between them.
-    Once it is positive, g' increases and g then decreases, so g' is largest
-    and g smallest at x_max; those two may miss 0 by Horner's rounding,
-    2 n u sum |c_k| x_max^k for the n coefficients c_k of g' or g."""
-    p = np.polynomial.Polynomial(coeffs)
-    inner = [r.real for r in p.deriv(3).roots() if r.imag == 0 and 0 < r.real < x_max]
+def _check_convex_graph(coeffs: list[float], x_max: float, name: str) -> None:
+    """Refuse a graph chart unless g >= 0, g' <= 0 and g'' > 0 on [0, x_max],
+    for g the polynomial of coeffs (the chart's Horner functions equal it
+    bit for bit).  g'' is taken at both ends and at the real roots of g'''
+    between them.  Once it is positive, g' increases and g then decreases,
+    so g' is largest and g smallest at x_max; those two may miss 0 by
+    Horner's rounding, 2 n u sum |c_k| x_max^k for the n coefficients c_k
+    of g' or g."""
+    g = np.polynomial.Polynomial(coeffs)
+    dg, d2g = g.deriv(), g.deriv(2)
+    inner = [r.real for r in g.deriv(3).roots() if r.imag == 0 and 0 < r.real < x_max]
     if min(d2g(x) for x in [0.0, x_max] + inner) <= 0:
         raise ValueError(f"chart {name}: g'' must be positive on [0, x_max]")
 
     def slack(q):
         return 2 * q.coef.size * 2.0 ** -53 * np.polynomial.Polynomial(np.abs(q.coef))(x_max)
 
-    if dg(x_max) > slack(p.deriv()):
+    if dg(x_max) > slack(dg):
         raise ValueError(f"chart {name}: g' must be <= 0 on [0, x_max], but g'({x_max}) > 0")
-    if g(x_max) < -slack(p):
+    if g(x_max) < -slack(g):
         raise ValueError(f"chart {name}: g must be >= 0 on [0, x_max], but g({x_max}) < 0")
 
 
@@ -986,8 +989,8 @@ def domain_from_dict(spec: dict) -> ConvexDomain:
                 raise ValueError("g_poly must be a list of coefficients")
             coeffs = [_spec_float(c, "a g_poly coefficient") for c in cspec["g_poly"]]
             x_max = _spec_float(cspec["x_max"], "x_max")
+            _check_convex_graph(coeffs, x_max, f"corner{idx}")
             g, dg, d2g = _poly_chart_functions(coeffs)
-            _check_convex_graph(coeffs, x_max, f"corner{idx}", g, dg, d2g)
             charts.append(ArcChart(corner=vtx, u1=u_in, u2=u_out,
                                    support=None, g=g, dg=dg, d2g=d2g,
                                    x_max=x_max, name=f"corner{idx}"))

@@ -18,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -136,14 +136,16 @@ def reduced_residue_inverses(b: int) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate((inv, b - inv[low][::-1])))
 
 
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization by deterministic trial division up to sqrt(n)."""
+def factorize(n: int, limit: Optional[int] = None) -> list[tuple[int, int]]:
+    """Prime factorization by deterministic trial division up to sqrt(n).
+    With a limit the division stops below it: the factors found, and the
+    cofactor left only when it is prime (the division passed its root)."""
     if n < 1:
         raise ValueError("n must be positive")
     out = []
     m = n
     p = 2
-    while p * p <= m:
+    while p * p <= m and (limit is None or p < limit):
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -151,7 +153,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 e += 1
             out.append((p, e))
         p += 1 if p == 2 else 2
-    if m > 1:
+    if m > 1 and p * p > m:
         out.append((m, 1))
     return out
 

@@ -40,6 +40,7 @@ from .geometry import (
     require_a_n_corners,
     sub2,
 )
+from .lattice import factorize
 from .minimal import correction_h, k_squared, minimal_model_of
 
 
@@ -139,7 +140,8 @@ def exact_digits_floor(domain: ConvexDomain, s, eps) -> int:
     if not terms:  # Z(s) = 0
         return 0
     digits = [0.0, 0.0]  # log10 lower bounds of the numerator, the denominator
-    primes = set().union(*(_small_primes(x.numerator * x.denominator) for x, _, _ in terms))
+    primes = {p for x, _, _ in terms for part in (x.numerator, x.denominator)
+              for p, _ in factorize(part, 10**4)}
     for p in primes:
         first, *rest = sorted(e * _valuation(x, p) + _valuation(c, p) for x, e, c in terms)
         if not rest or first < rest[0]:
@@ -150,21 +152,6 @@ def exact_digits_floor(domain: ConvexDomain, s, eps) -> int:
         size = top - math.log10(2 * abs(s * (s - 1)))
         digits[size < 0] = max(digits[size < 0], abs(size))
     return math.floor(max(digits))
-
-
-def _small_primes(n: int) -> set:
-    """The prime factors of n >= 1 below 10^4, and the cofactor left when
-    that is prime (the trial division passed its square root)."""
-    out, p = set(), 2
-    while p < 10**4 and p * p <= n:
-        if n % p == 0:
-            out.add(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1 and p * p > n:
-        out.add(n)
-    return out
 
 
 def _valuation(x: Fraction, p: int) -> int:

@@ -74,8 +74,12 @@ class TestZetaCommand:
         (["zeta", "pentagon", "--s", "-700", "--route", "mellin"], 2, "overflow"),
         (["farey", "--s", "2", "--bound", "0"], 1, "bound"),
         (["zeta", "pentagon", "--s", "10000"], 1, "Exceeds the limit"),
+        (["zeta", "L", "--s", "-700"], 2, "overflow"),
+        (["farey", "--s", "-300", "--bound", "500"], 2, "overflow"),
+        (["farey", "--s", "1100", "--bound", "50"], 2, "overflow"),
     ], ids=["zeta-1/0", "farey-1/0", "model-1/0", "zeta-1e400", "zeta-nan",
-            "mellin-pentagon--700", "farey-bound-0", "exact-too-long-to-print"])
+            "mellin-pentagon--700", "farey-bound-0", "exact-too-long-to-print",
+            "identity-L--700", "farey--300", "farey-1100"])
     def test_bad_input_is_a_json_error(self, tmp_path, capsys, args, code, message):
         if args[:2] == ["zeta", "L"]:
             args = ["zeta", write_domain(tmp_path, LDOM)] + args[2:]

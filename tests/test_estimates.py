@@ -1,13 +1,15 @@
 """estimates.term_powers, the one power rule of the Dirichlet and Farey
-series: its accuracy against 40-digit mpmath, and that each term depends
-only on its own base, so that a series does not depend on how its terms
-are chunked."""
+series: its accuracy against 40-digit mpmath, that each term depends only
+on its own base, so that a series does not depend on how its terms are
+chunked, and its refusals outside the float range and at base 0."""
+
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
-from tropzeta.estimates import term_powers
+from tropzeta.estimates import add_in_order, term_powers
 
 U = 2.0 ** -52
 
@@ -70,3 +72,32 @@ class TestPosition:
             assert part.tobytes() == whole[lo:hi].tobytes()
         for step in (2, 3, 17):  # strided views, not contiguous copies
             assert term_powers(x[1::step], complex(s)).tobytes() == whole[1::step].tobytes()
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("s", [-700, 1100, -700 + 1j, 1100 + 3j])
+    def test_power_outside_the_float_range(self, s):
+        # 1e-6 ** -700 and 2 ** 1100 overflow; refused without a numpy warning
+        x = np.array([0.5, 1e-6, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="outside the float range"):
+                term_powers(x, complex(s))
+
+    @pytest.mark.parametrize("s", [0.7 + 2j, 2j, -1.5, -2])
+    def test_base_zero_at_complex_or_negative_s(self, s):
+        with pytest.raises(ValueError, match="0.0 to the power"):
+            term_powers(np.array([0.5, 0.0]), complex(s))
+
+    def test_base_zero_at_real_s_at_least_zero(self):
+        x = np.array([0.0, 0.25])
+        assert term_powers(x, complex(2.5)).tolist() == [0.0, 0.25 ** 2.5]
+        assert term_powers(x, 0j).tolist() == [1.0, 1.0]
+
+    def test_sum_outside_the_float_range(self):
+        # finite terms whose running sum overflows, and an inf or NaN term
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for terms in ([1e308, 1e308], [1.0, np.inf], [np.nan]):
+                with pytest.raises(OverflowError, match="outside the float range"):
+                    add_in_order(0j, np.array(terms))

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -167,6 +168,24 @@ class TestFareyZeta:
             a = complex(farey_zeta(w, s, 60).value)
             b = complex(endpoint_model(w, s, 60).value)
             assert a == pytest.approx(b, rel=1e-12)
+
+    def test_endpoint_model_outside_the_float_range(self):
+        # at s = -150, 2^-150 / (b d (b+d))^-150 overflows in the quotient
+        # where both powers are finite; at s = -300 the denominator
+        # underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (-150, -300, -300 + 1j):
+                with pytest.raises(OverflowError, match="outside the float range"):
+                    endpoint_model(SmoothWeight.quadratic(), s, 500)
+
+    def test_endpoint_model_curvature_zero(self):
+        # f'' = 6x - 3 is 0 at 1/2: its term is 0 at real s > 0, and the
+        # power of 0 is refused at complex s
+        w = SmoothWeight.from_polynomial([0, 0, -1.5, 1])
+        assert math.isfinite(complex(endpoint_model(w, 2.0, 20).value).real)
+        with pytest.raises(ValueError, match="0.0 to the power"):
+            endpoint_model(w, 0.7 + 1j, 20)
 
     def test_endpoint_model_b1(self):
         # single interval [0/1, 1/1]: term 2^-s |f''(1)|^s / (b d (b+d))^s

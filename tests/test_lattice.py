@@ -16,6 +16,17 @@ def divisors(b: int) -> list[int]:
     return sorted(ds)
 
 
+class TestFactorize:
+    def test_limit_stops_the_trial_division(self):
+        n = 2 * 3 * 10007 * 10009
+        assert lattice.factorize(n) == [(2, 1), (3, 1), (10007, 1), (10009, 1)]
+        # the cofactor 10007 * 10009 is left out, not taken for a prime
+        assert lattice.factorize(n, 10**4) == [(2, 1), (3, 1)]
+        # a cofactor below the square of the last trial divisor is prime
+        assert lattice.factorize(4 * 10007, 10**4) == [(2, 2), (10007, 1)]
+        assert lattice.factorize(1, 10**4) == []
+
+
 class TestModInverse:
     def test_identity(self):
         assert lattice.mod_inverse(1, 5) == 1
