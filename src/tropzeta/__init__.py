@@ -64,7 +64,6 @@ from .minimal import (
     segment_model_zeta,
 )
 from .models import (
-    mordell_tornheim_primitive,
     parabola_defect,
     parabola_support,
     riemann_zeta,

@@ -660,11 +660,11 @@ def _walk(charts: list, eps, mm: Optional[MinimalModel], dtype) -> CutTree:
 
 def _grow(charts: list, eps, mm: Optional[MinimalModel] = None) -> CutTree:
     """The tree of the charts down to size eps.  When every chart has a
-    batched oracle (defect_den on all of them, else defect_float), the
-    charts that share one descend together by chains, one oracle call per
-    batch of each round's chains (_chain_descent), and each descent is then
-    written into the tree columns in depth-first order, chart by chart
-    (_place).  Otherwise every chart is walked corner by corner (_walk)."""
+    batched oracle (defect_den on all, else defect_float, which every graph
+    chart has), the charts sharing one descend together by chains, one
+    oracle call per batch of each round's chains (_chain_descent); each
+    descent is then written into the tree columns depth first, chart by
+    chart (_place).  Otherwise (polygon corners) each chart is walked (_walk)."""
     den = bool(charts) and all(chart.defect_den is not None for chart in charts)
     if den:
         if _den_cap(eps) > _DEN_CAP_MAX:

@@ -35,8 +35,7 @@ def length_parametric(d1: Callable, d2: Callable, t_range: tuple[float, float]) 
         if math.hypot(dx, dy) < 1e-14:
             raise ValueError(f"vanishing curve velocity at t = {t}")
 
-    @elementwise
-    def integrand(t: float) -> float:
+    def value(t: float) -> float:
         dx, dy = d1(t)
         ddx, ddy = d2(t)
         det = dx * ddy - dy * ddx
@@ -44,7 +43,7 @@ def length_parametric(d1: Callable, d2: Callable, t_range: tuple[float, float]) 
             return 0.0
         return abs(det) ** (1 / 3.0)
 
-    return adaptive_quadrature(integrand, a, b, _LENGTH_TOL)
+    return adaptive_quadrature(elementwise(value), a, b, _LENGTH_TOL)
 
 
 def length_graph(d2g: Callable[[float], float], interval: tuple[float, float]) -> float:
@@ -63,13 +62,13 @@ def length_graph(d2g: Callable[[float], float], interval: tuple[float, float]) -
         if d2g(x) <= 0:
             raise ValueError(f"nonpositive g'' at x = {x}")
 
-    @elementwise
-    def integrand(x: float) -> float:
+    def value(x: float) -> float:
         val = d2g(x)
         if val <= 0:
             raise ValueError(f"nonpositive g'' at x = {x}")
         return val ** (1 / 3.0)
 
+    integrand = elementwise(value)
     total = adaptive_quadrature(integrand, a + width / 4, b - width / 4, _LENGTH_TOL)
     # dyadic refinement into both endpoints (each cell is smooth inside),
     # then geometric extrapolation of the remaining power-law tail
@@ -101,15 +100,15 @@ def length_via_triangles(source, eps: float) -> float:
     chord.  In the wedge frame with normals u, v the tangency points have
     slack coordinates (0, q) and (p, 0), so Area = p q / 2.
 
-    A chart with a ``triangle_area`` oracle (the parabola, disk and
-    parabolic-triangle charts) gets every wedge's area, in closed form and
-    free of cancellation, from one call on its wedge array.  Any other chart
-    needs graph data: its tangency points come from ``tangency_x``, one
-    bisection per normal, and p, q are differences of support values.
+    Every chart gets its wedges' areas, as floats, from one call of its
+    ``triangle_area`` oracle on its wedge array: a closed form free of
+    cancellation on the parabola, disk and parabolic-triangle charts, and
+    on a graph chart (a JSON chart) the slacks of the tangency points that
+    ArcChart.tangency_x solves on the whole array.
 
     source is an arc chart, or a smooth/builtin domain (summed over charts,
-    all cut by one descent).  Every chart is checked for an oracle or graph
-    data before the descent.  Flat pieces (polygons) contribute 0.
+    all cut by one descent).  Every chart is checked for the oracle before
+    the descent.  Flat pieces (polygons) contribute 0.
     """
     if isinstance(source, ConvexDomain):
         if source.is_polygon:
@@ -119,32 +118,10 @@ def length_via_triangles(source, eps: float) -> float:
         charts = source.charts
     else:
         charts = [source]
-    if any(chart.triangle_area is None and (chart.g is None or chart.dg is None)
-           for chart in charts):
+    if any(chart.triangle_area is None for chart in charts):
         raise ValueError("triangle route needs chart graph data")
     total = 0.0
     for chart, wedges in zip(charts, chart_frontier_wedges(charts, eps)):
-        if chart.triangle_area is not None:
-            area = chart.triangle_area(*wedges.T)
-            total += 2.0 * float(np.cbrt(area[area > 0]).sum())
-            continue
-        tangency_cache: dict[tuple[int, int], tuple[float, float]] = {}
-
-        def point_of(a: int, b: int) -> tuple[float, float]:
-            key = (a, b)
-            if key not in tangency_cache:
-                x = chart.tangency_x(a, b)
-                tangency_cache[key] = (x, float(chart.g(x)))
-            return tangency_cache[key]
-
-        for a1, b1, a2, b2 in wedges.tolist():
-            x1, y1 = point_of(a1, b1)  # tangency of the first normal
-            x2, y2 = point_of(a2, b2)
-            g1 = a1 * x1 + b1 * y1  # support values
-            g2 = a2 * x2 + b2 * y2
-            p = a1 * x2 + b1 * y2 - g1  # slack of the v-tangency along u
-            q = a2 * x1 + b2 * y1 - g2
-            area = p * q / 2
-            if area > 0:
-                total += 2.0 * area ** (1 / 3.0)
-    return float(total)  # graph data may hand back numpy scalars
+        area = chart.triangle_area(*wedges.T)
+        total += 2.0 * float(np.cbrt(area[area > 0]).sum())
+    return total

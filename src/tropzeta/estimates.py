@@ -82,12 +82,9 @@ def _bisect(f: Callable, a: float, b: float, whole, tol: float, depth: int):
 
 def elementwise(scalar_fn: Callable[[float], float]) -> Callable:
     """scalar_fn mapped over the entries of a float array, so that a scalar
-    function meets the array contract of the rules above; scalars pass
-    straight through."""
+    function meets the array contract of the rules above."""
 
     def fn(u):
-        if np.ndim(u) == 0:
-            return scalar_fn(u)
         u = np.asarray(u, dtype=float)
         return np.fromiter(map(scalar_fn, u.ravel().tolist()), float, u.size).reshape(u.shape)
 

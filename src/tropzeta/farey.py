@@ -55,7 +55,6 @@ from .estimates import (
     SeriesEstimate,
     add_in_order,
     adaptive_quadrature,
-    elementwise,
     gauss_legendre,
     term_powers,
 )
@@ -406,12 +405,13 @@ def sigma_b(weight: SmoothWeight, s, b: int) -> tuple[complex, complex, float]:
     if b < 1:  # no reduced residues, and no phi(b)
         raise ValueError(f"b must be at least 1, got {b}")
     sc = complex(s)
+    h_integral = h_kernel_integral(sc)  # refuses s off 1/2 < Re s < 1 before any sum
     rs, rbars = reduced_residue_inverses(b)
     h_vals = h_kernel_batch(sc, rs / b)
     f_vals = term_powers(np.abs(weight.d2f(rbars / b)), sc)
     value = complex((h_vals * f_vals).sum())
     phi = arithmetic_functions(b)[0]
-    main = phi * h_kernel_integral(sc) * weight_power_integral(weight, sc)
+    main = phi * h_integral * weight_power_integral(weight, sc)
     return value, complex(main), abs(value - main)
 
 
@@ -452,31 +452,21 @@ def legendre_dual(chart: ArcChart) -> SmoothWeight:
     function: g~(u) = -min_x (u x + g(x)), g~''(u) = 1/g''(x(u)).
 
     x(u) solves g'(x) = -u: it is the tangency point of chart direction
-    (u, 1), found by ArcChart.tangency_x (x_max for u <= 0).  The chart's
-    slope range must cover [-1, 0].  On an array of u the scalar solve is
-    mapped over the entries."""
+    (u, 1), which ArcChart.tangency_x solves on the whole array of u (x_max
+    at u = 0).  The chart's slope range must cover [-1, 0]."""
     if chart.g is None or chart.dg is None or chart.d2g is None:
         raise ValueError("chart carries no graph data")
-    x_max = float(chart.x_max)
-    # g' is increasing; need g'(x) = -1 attainable
-    lo_slope = None
-    for probe in (1e-12, 1e-9, 1e-6):
-        try:
-            lo_slope = chart.dg(probe)
-            break
-        except (ValueError, ZeroDivisionError):
-            continue
-    if lo_slope is not None and lo_slope > -1 + 1e-12:
+    if chart.dg(1e-12) > -1 + 1e-12:  # g' increases: it must reach -1 near 0
         raise ValueError("slope range not covered: g' does not reach -1")
 
-    def solve_x(u: float) -> float:
-        return x_max if u <= 0 else chart.tangency_x(u, 1)
+    def at_tangency(value):
+        # on a flat array, so that a scalar u takes numpy's array loops too,
+        # whose powers may round differently from its scalar ones
+        def fn(u):
+            flat = np.asarray(u, dtype=np.float64).reshape(-1)
+            return value(flat, chart.tangency_x(flat, 1)).reshape(np.shape(u))[()]
+        return fn
 
-    def f(u: float) -> float:
-        x = solve_x(u)
-        return -(u * x + chart.g(x))
-
-    def d2f(u: float) -> float:
-        return 1.0 / chart.d2g(solve_x(u))
-
-    return SmoothWeight(f=elementwise(f), d2f=elementwise(d2f), name=f"dual({chart.name})")
+    return SmoothWeight(f=at_tangency(lambda u, x: -(u * x + chart.g(x))),
+                        d2f=at_tangency(lambda u, x: 1.0 / chart.d2g(x)),
+                        name=f"dual({chart.name})")

@@ -532,13 +532,20 @@ def clip_polygon(vertices: list[tuple], normal: Vec, offset) -> list[tuple]:
 # arc charts
 
 
+_HALVINGS = 54  # tangency bisection steps: x_max 2^-54 is an ulp of x_max / 4
+
+
 @dataclass
 class ArcChart:
     """One boundary arc in its unimodular corner frame.
 
     support(a, b) returns gamma_{a,b} = min over the arc of a*x + b*g(x) in
-    chart coordinates; gamma(1,0) = gamma(0,1) = 0.  When the graph data g is
-    present it must agree with the oracle (checked by tests, not here).
+    chart coordinates; gamma(1,0) = gamma(0,1) = 0.  The graph data g, g',
+    g'' on [0, x_max] take floats or float64 arrays.  A chart with all three
+    gets each oracle it lacks from the one tangency solve tangency_x:
+    support, support_float and triangle_area at the tangency points, and
+    defect_float (without defect_den) as support differences.  A chart
+    without graph data needs a support oracle.
 
     The charts of L ((p, q) = (1, 1)) and of the parabolic triangle ((2, 1),
     (1, 2)) are parabola arcs with support a b / (p q S), S = p a + q b, and
@@ -562,23 +569,27 @@ class ArcChart:
     # 1 / defect_den(a, b, c, d), with den = x y (x + y) for lattice-linear
     # forms x, y of u = (a, b) and v = (c, d)
     defect_den: Optional[Callable[[int, int, int, int], int]] = None
-    # the support defect of (a,b,c,d) as a float, free of cancellation
+    # the support defect of (a,b,c,d) as a float
     defect_float: Optional[Callable[[int, int, int, int], float]] = None
     # float fast path for bulk constraint construction: the support
     # gamma(a, b) as a float
     support_float: Optional[Callable[[int, int], float]] = None
     # the area p q / 2 of the support triangle of the wedge (a, b, c, d) as
-    # a float, free of cancellation (p, q: the slacks of the two tangency
-    # points, see equiaffine.length_via_triangles)
+    # a float (p, q: the slacks of the two tangency points, see
+    # equiaffine.length_via_triangles)
     triangle_area: Optional[Callable[[int, int, int, int], float]] = None
 
     def __post_init__(self):
         if det2(self.u1, self.u2) != 1:
             raise ValueError("chart corner normals must form a positive lattice basis")
-        if self.support is None:
-            if self.g is None:
-                raise ValueError("chart needs a support oracle or graph data")
-            self.support = self._support_from_graph
+        if self.g is not None and self.dg is not None and self.d2g is not None:
+            self.support = self.support or self._graph_support
+            self.support_float = self.support_float or self._graph_support
+            self.triangle_area = self.triangle_area or self._graph_triangle_area
+            if self.defect_den is None and self.defect_float is None:
+                self.defect_float = self._support_defect
+        elif self.support is None:
+            raise ValueError("chart needs a support oracle or graph data")
 
     def line(self, a: int, b: int) -> tuple[Vec, Num]:
         """(w, h): the supporting line {<w, x> = h} of chart direction (a, b)
@@ -591,49 +602,41 @@ class ArcChart:
         a, b, c, d = quad
         return self.support(a + c, b + d) - self.support(a, b) - self.support(c, d)
 
-    def tangency_x(self, a: int, b: int) -> float:
-        """Argmin over [0, x_max] of a*x + b*g(x): bisection on the increasing
-        g' to solve g'(x) = -a/b, then one Newton polish."""
-        if a < 0 or b < 0 or (a == 0 and b == 0):
+    def tangency_x(self, a, b):
+        """Argmin over [0, x_max] of a*x + b*g(x), elementwise on ints or arrays
+        a, b >= 0: g'(x) = -a/b by _HALVINGS halvings of [0, x_max] on the
+        increasing g' (all brackets share one width), then one Newton step
+        kept in the last bracket.  0 where b = 0, x_max where a = 0, and an
+        end of [0, x_max] where the solve clips to it."""
+        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        if (a < 0).any() or (b < 0).any() or ((a == 0) & (b == 0)).any():
             raise ValueError("direction must be nonnegative and nonzero")
-        if b == 0:
-            return 0.0
-        if a == 0:
-            return float(self.x_max)
-        target = -a / b
-        lo, hi = 0.0, float(self.x_max)
-        if self.dg(hi) <= target:
-            return hi
-        try:
-            flo = self.dg(max(lo, 1e-18))
-        except (ValueError, ZeroDivisionError):
-            flo = -math.inf
-        if flo >= target:
-            return lo
-        a_, b_ = lo, hi
-        for _ in range(200):
-            mid = 0.5 * (a_ + b_)
-            if self.dg(mid) < target:
-                a_ = mid
-            else:
-                b_ = mid
-            if b_ - a_ <= 1e-13 * max(1.0, abs(b_)):
-                break
-        x = 0.5 * (a_ + b_)
-        d2 = self.d2g(x) if self.d2g else None
-        if d2:
-            x -= (self.dg(x) - target) / d2
-            x = min(max(x, lo), hi)
-        return x
+        x_max = float(self.x_max)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            target = -a / b
+            lo, step = np.zeros(target.shape), x_max
+            for _ in range(_HALVINGS):
+                step *= 0.5
+                lo += step * (self.dg(lo + step) < target)
+            x = lo + 0.5 * step
+            x = np.clip(x - (self.dg(x) - target) / self.d2g(x), lo, lo + step)
+        return np.where(b == 0, 0.0, np.where(a == 0, x_max, x))[()]
 
-    def _support_from_graph(self, a: int, b: int):
-        """min over [0, x_max] of a*x + b*g(x) at the tangency point."""
-        if a < 0 or b < 0 or (a == 0 and b == 0):
-            raise ValueError("direction must be nonnegative and nonzero")
-        if a == 0 or b == 0:
-            return 0.0  # the arc meets both axes
+    def _graph_support(self, a, b):
+        """a x + b g(x) at the tangency point; 0 at a = 0 (and b = 0)."""
         x = self.tangency_x(a, b)
-        return a * x + b * self.g(x)
+        return np.where(np.equal(a, 0), 0.0, a * x + b * self.g(x))[()]
+
+    def _support_defect(self, a, b, c, d):
+        sup = self.support_float
+        return sup(a + c, b + d) - sup(a, b) - sup(c, d)
+
+    def _graph_triangle_area(self, a, b, c, d):
+        """p q / 2 from the tangency points P_u, P_v of u = (a, b) and
+        v = (c, d): p = u.(P_v - P_u), q = v.(P_u - P_v)."""
+        xu, xv = self.tangency_x(np.stack((a, c)), np.stack((b, d)))
+        dx, dy = xv - xu, self.g(xv) - self.g(xu)
+        return (a * dx + b * dy) * (c * dx + d * dy) / -2
 
 
 # ---------------------------------------------------------------------------
@@ -670,13 +673,13 @@ def _disk_charts(radius: float) -> list[ArcChart]:
         return r * r / (2 * nn * w * w)
 
     def g(x):
-        return r - math.sqrt(max(r * r - (x - r) ** 2, 0.0))
+        return r - np.sqrt(np.maximum(r * r - (x - r) ** 2, 0.0))
 
     def dg(x):
-        return (x - r) / math.sqrt(max(r * r - (x - r) ** 2, 1e-300))
+        return (x - r) / np.sqrt(np.maximum(r * r - (x - r) ** 2, 1e-300))
 
     def d2g(x):
-        return r * r / max(r * r - (x - r) ** 2, 1e-300) ** 1.5
+        return r * r / np.maximum(r * r - (x - r) ** 2, 1e-300) ** 1.5
 
     frames = [((-r, -r), (1, 0), (0, 1), "SW"), ((r, -r), (0, 1), (-1, 0), "SE"),
               ((r, r), (-1, 0), (0, -1), "NE"), ((-r, r), (0, -1), (1, 0), "NW")]
@@ -898,10 +901,11 @@ def _spec_float(value, name: str) -> float:
 
 def _poly_chart_functions(coeffs: list[float]) -> list[Callable[[float], float]]:
     """g, g' and g'' of the polynomial sum coeffs[k] x^k as Horner loops on
-    Python floats, with the operations of np.polynomial.Polynomial(coeffs)
-    and its deriv(1), deriv(2), so each value is theirs bit for bit:
-    polyder's coefficients j c[j] (c[0] * 0 past the degree), __call__'s
-    domain map 0 + 1 x, then polyval's c[-1] + x 0 and c[-i] + value x."""
+    floats or float64 arrays, with the operations of
+    np.polynomial.Polynomial(coeffs) and its deriv(1), deriv(2), so each
+    value is theirs bit for bit: polyder's coefficients j c[j] (c[0] * 0
+    past the degree), __call__'s domain map 0 + 1 x, then polyval's
+    c[-1] + x 0 and c[-i] + value x."""
     if not coeffs:
         raise ValueError("g_poly must have at least one coefficient")
 
@@ -924,6 +928,46 @@ def _poly_chart_functions(coeffs: list[float]) -> list[Callable[[float], float]]
             c = [coeffs[0] * 0]
         out.append(horner(c))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _poly_form(coeffs: tuple, x_max: float) -> dict:
+    """The graph data and oracles of a JSON chart, g = sum coeffs[k] x^k on
+    [0, x_max], built once per graph so that its charts share them (one
+    descent group).  Support, support_float and triangle_area are
+    ArcChart's; the defect is free of cancellation.  With x_u, x_v, x_w the
+    tangency points of u = (a, b), v = (c, d) and w = u + v, it is
+
+        b R(x_u, x_w) + d R(x_v, x_w),  R(x0, x1) = sum_{k>=2} g^(k)(x0)/k! (x1 - x0)^k
+
+    (g's Taylor remainder, by Horner's rule in x1 - x0), plus the first-order
+    term (a + b g'(x_u)) (x_w - x_u) where x_u is clipped to an end of
+    [0, x_max], and likewise for v (0 at an inner tangency)."""
+    g, dg, d2g = _poly_chart_functions(list(coeffs))
+    # g^(k)(x0)/k! = sum_{j>=k} C(j, k) c_j x0^(j-k), for k = 2 .. degree
+    n = len(coeffs)
+    taylor = [_poly_chart_functions([math.comb(j, k) * coeffs[j] for j in range(k, n)])[0]
+              for k in range(2, n)]
+
+    def remainder(x0, x1):
+        h = x1 - x0
+        total = 0.0
+        for coeff in reversed(taylor):
+            total = coeff(x0) + total * h
+        return total * h * h
+
+    def defect_float(a, b, c, d):
+        xu, xv, xw = graph.tangency_x(np.stack((a, c, a + c)), np.stack((b, d, b + d)))
+        out = b * remainder(xu, xw) + d * remainder(xv, xw)
+        for p, q, x in ((a, b, xu), (c, d, xv)):
+            out = out + np.where((x == 0) | (x == x_max), (p + q * dg(x)) * (xw - x), 0.0)
+        return out
+
+    graph = ArcChart(corner=(0, 0), u1=(1, 0), u2=(0, 1), g=g, dg=dg, d2g=d2g, x_max=x_max,
+                     defect_float=defect_float)
+    return dict(g=g, dg=dg, d2g=d2g, x_max=x_max, defect_float=defect_float,
+                support=graph.support, support_float=graph.support_float,
+                triangle_area=graph.triangle_area)
 
 
 def _check_convex_graph(coeffs: list[float], x_max: float, name: str) -> None:
@@ -990,10 +1034,8 @@ def domain_from_dict(spec: dict) -> ConvexDomain:
             coeffs = [_spec_float(c, "a g_poly coefficient") for c in cspec["g_poly"]]
             x_max = _spec_float(cspec["x_max"], "x_max")
             _check_convex_graph(coeffs, x_max, f"corner{idx}")
-            g, dg, d2g = _poly_chart_functions(coeffs)
-            charts.append(ArcChart(corner=vtx, u1=u_in, u2=u_out,
-                                   support=None, g=g, dg=dg, d2g=d2g,
-                                   x_max=x_max, name=f"corner{idx}"))
+            charts.append(ArcChart(corner=vtx, u1=u_in, u2=u_out, name=f"corner{idx}",
+                                   **_poly_form(tuple(coeffs), x_max)))
         return ConvexDomain.smooth(hat, charts)
     raise ValueError(f"unknown domain kind {kind!r}")
 

@@ -6,7 +6,8 @@ The parabolic arc is sqrt(x) + sqrt(y) = 1 joining (1, 0) and (0, 1); its
 support values are gamma_{a,b} = a*b/(a+b), so the support defect of a
 unimodular normal pair is 1/((a+b)(c+d)(a+b+c+d)) and the boundary series is
 the primitive Mordell-Tornheim double series sum over coprime (p, q) of
-(p*q*(p+q))^(-s).  The special domain
+(p*q*(p+q))^(-s) (2^s times farey.endpoint_model of the quadratic weight).
+The special domain
 
     L = { |x|, |y| <= 1 : sqrt(1-|x|) + sqrt(1-|y|) >= 1 }
 
@@ -75,8 +76,9 @@ def parabola_form(p: int, q: int) -> dict:
     """The oracles and graph data of the parabola-arc chart of form
     S = p a + q b: support a b / (p q S), the arc
     g(x) = (A - sqrt(B x))^2 on [0, 1/(p q^2)] with A = 1/(p sqrt(q)) and
-    B = q/p.  Built once per form, so that charts of one form share every
-    oracle object and the descent measures them in one call per batch."""
+    B = q/p (g, g', g'' take floats or float64 arrays).  Built once per
+    form, so that charts of one form share every oracle object and the
+    descent measures them in one call per batch."""
     pq = p * q
 
     def form(a, b):  # no product by a unit coefficient: L's (1, 1) form is a + b
@@ -109,10 +111,10 @@ def parabola_form(p: int, q: int) -> dict:
     half_c = 0.5 * big_c
 
     def g(x):
-        return (big_a - math.sqrt(big_b * x)) ** 2
+        return (big_a - np.sqrt(big_b * x)) ** 2
 
     def dg(x):
-        return big_b - big_c / math.sqrt(x)
+        return big_b - big_c / np.sqrt(x)
 
     def d2g(x):
         return half_c * x ** (-1.5)
@@ -136,51 +138,43 @@ def parabola_defect(quad: UnimodularQuadruple) -> Fraction:
 # Mordell-Tornheim / Witten SU(3) series.
 
 
-def _mt_term_sums(s: complex, p_max: int, coprime_only: bool) -> tuple[complex, int]:
-    s = complex(s)
-    total = 0j
-    count = 0
-    q = np.arange(1, p_max + 1, dtype=np.int64)
-    qf = q.astype(np.float64)
-    for p in range(1, p_max + 1):
-        vals = (p * qf * (p + qf)) ** (-s)
-        if coprime_only:
-            mask = np.gcd(q, p) == 1
-            total += vals[mask].sum()
-            count += int(mask.sum())
-        else:
-            total += vals.sum()
-            count += p_max
-    return total, count
-
-
 def _mt_tail_bound(sigma: float, p_max: int) -> float:
-    # crude bound: sum over max(p,q) > P of (pq(p+q))^-sigma
-    #             <= 2 * sum_{p>P} p^-2sigma * zeta(sigma) for sigma > 1-ish;
-    # integral-estimate version keeps it finite for sigma > 2/3
+    """A bound on the sum over p, q >= 1 with max(p, q) > B = p_max of
+    (p q (p + q))^(-sigma): on the modulus of that tail at Re s = sigma.
+
+    Proof.  A pair of the tail has p > B, q <= p or q > B, p <= q, and
+    p + q >= p, so by symmetry the tail is at most 2 sum_{p>B} p^(-2 sigma) S(p),
+    S(p) = sum_{q<=p} q^(-sigma).
+    - 2/3 < sigma < 1: S(p) <= 1 + (p^(1-sigma) - 1)/(1-sigma) <= p^(1-sigma)/(1-sigma),
+      and p^(1-3 sigma) decreases, so sum_{p>B} p^(1-3 sigma) <= B^(2-3 sigma)/(3 sigma-2).
+    - sigma = 1: S(p) <= 1 + ln p, and (1 + ln x)/x^2 decreases on x >= 1,
+      so sum_{p>B} (1 + ln p)/p^2 <= int_B^inf (1 + ln x)/x^2 dx = (2 + ln B)/B.
+    - sigma > 1: S(p) <= zeta(sigma), and sum_{p>B} p^(-2 sigma) <= B^(1-2 sigma)/(2 sigma-1).
+    For sigma <= 2/3 the series diverges: inf."""
+    b = p_max
     if sigma <= 2 / 3:
         return math.inf
-    return 2.0 * p_max ** (1 - 2 * sigma) / max(2 * sigma - 1, 1e-9) * (1 + 1 / max(sigma - 0.5, 0.2))
-
-
-def mordell_tornheim_primitive(s: complex, p_max: int) -> SeriesEstimate:
-    """Primitive Mordell-Tornheim value: sum over coprime p, q <= p_max of
-    (p*q*(p+q))^(-s).  Equals the parabolic boundary series."""
-    if p_max < 2:
-        raise ValueError("p_max must be at least 2")
-    total, count = _mt_term_sums(s, p_max, coprime_only=True)
-    return SeriesEstimate(value=total, cutoff=float(p_max), terms_used=count,
-                          tail_hint=_mt_tail_bound(complex(s).real, p_max))
+    if sigma < 1:
+        return 2 * b ** (2 - 3 * sigma) / ((3 * sigma - 2) * (1 - sigma))
+    if sigma == 1:
+        return 2 * (2 + math.log(b)) / b
+    return 2 * riemann_zeta(sigma).real * b ** (1 - 2 * sigma) / (2 * sigma - 1)
 
 
 def witten_su3(s: complex, cutoff: int) -> SeriesEstimate:
-    """zeta_SU(3)(s) = 2^s * sum over all p, q <= cutoff of (pq(p+q))^(-s)."""
+    """zeta_SU(3)(s) = 2^s * sum over all p, q <= cutoff of (pq(p+q))^(-s).
+    Its tail_hint is a bound on the modulus of the dropped tail: |2^s|
+    times _mt_tail_bound(Re s, cutoff), None where Re s <= 2/3."""
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
-    total, count = _mt_term_sums(s, cutoff, coprime_only=False)
-    scale = 2 ** complex(s)
-    tail = _mt_tail_bound(complex(s).real, cutoff)
-    return SeriesEstimate(value=scale * total, cutoff=float(cutoff), terms_used=count,
+    s = complex(s)
+    total = 0j
+    qf = np.arange(1, cutoff + 1, dtype=np.float64)
+    for p in range(1, cutoff + 1):
+        total += ((p * qf * (p + qf)) ** (-s)).sum()
+    scale = 2 ** s
+    tail = _mt_tail_bound(s.real, cutoff)
+    return SeriesEstimate(value=scale * total, cutoff=float(cutoff), terms_used=cutoff * cutoff,
                           tail_hint=abs(scale) * tail if math.isfinite(tail) else None)
 
 

@@ -243,6 +243,14 @@ class TestAnalyticCommands:
         assert code == 1
         assert json.loads(out) == {"error": f"b must be at least 1, got {b}"}
 
+    def test_sigma_b_refuses_s_before_the_sum(self):
+        # the kernel sum at s = 1100 would overflow numpy's exp and warn on
+        # stderr; the strip 1/2 < Re s < 1 is checked before it
+        proc = run_module(["sigma-b", "--s", "1100", "--b", "1000"])
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout) == {"error": "closed form needs 1/2 < Re(s) < 1"}
+        assert proc.stderr == ""
+
     def test_model_parabola(self, capsys):
         code, out = run_cli(["model", "parabola", "--defect", "1", "0", "0", "1"], capsys)
         assert json.loads(out)["defect"] == "1/2"
@@ -329,15 +337,19 @@ class TestPrettyPrecedence:
         assert exc.value.code == 1
 
 
+def run_module(args):
+    """The CLI run as `python -m tropzeta.cli args` in a child process, whose
+    stderr (numpy's warnings among it) pytest does not intercept; the child
+    sees neither pytest's pythonpath setting nor sys.path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "tropzeta.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
 class TestEntryPoint:
     def test_console_script_runs(self):
-        # the child sees neither pytest's pythonpath setting nor sys.path
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "tropzeta.cli", "model", "constants"],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_module(["model", "constants"])
         assert proc.returncode == 0
         assert "gamma_one_third" in proc.stdout

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import json
@@ -52,14 +53,17 @@ def pentagon_family_member():
     ])
 
 
-def polynomial_domain():
+QUADRATIC, CUBIC = ["1", "-2", "1"], ["1", "-1.7", "0.4", "0.3"]
+
+
+def polynomial_domain(g_poly=QUADRATIC):
     """A smooth domain from JSON: the square [0,2]^2 with each corner
-    rounded by the graph g(x) = (1 - x)^2 on [0, 1] (float supports by
-    bisection)."""
+    rounded by the graph of g_poly on [0, 1], by default g(x) = (1 - x)^2
+    (float supports at the tangency points of ArcChart.tangency_x)."""
     return domain_from_dict({
         "kind": "smooth",
         "minimal_model": {"vertices": [["0", "0"], ["2", "0"], ["2", "2"], ["0", "2"]]},
-        "charts": [{"corner": i, "g_poly": ["1", "-2", "1"], "x_max": 1.0} for i in range(4)],
+        "charts": [{"corner": i, "g_poly": g_poly, "x_max": 1.0} for i in range(4)],
     })
 
 
@@ -107,10 +111,9 @@ class TestChartDescent:
         assert (a1 * b2 - b1 * a2 == 1).all()
         assert (wedges[1:, 2:] == wedges[:-1, :2]).all()  # each v is the next u
 
-    def test_polynomial_graph_takes_scalar_triangle_route(self):
-        # no triangle_area oracle: tangency points by bisection; g'' = 2
+    def test_polynomial_graph_triangle_route(self):
+        # triangle_area from the graph's tangency points; g'' = 2
         dom = polynomial_domain()
-        assert all(chart.triangle_area is None for chart in dom.charts)
         assert length_via_triangles(dom, 1e-4) == pytest.approx(4 * 2 ** (1 / 3.0), rel=1e-9)
 
     def test_triangle_route_returns_a_python_float(self):
@@ -1169,6 +1172,113 @@ class TestDefectAudit:
                 a, b, c, d = tree.nodes[i].tolist()
                 (gm, sm), (gu, su), (gv, sv) = gamma(a + c, b + d), gamma(a, b), gamma(c, d)
                 assert abs(sizes[i] - (gm - gu - gv)) <= 8 * self.ULP * (sm + su + sv)
+
+
+def _graph_defects(g_poly, quads):
+    """50-digit support defects of the chart of g = sum g_poly[k] x^k on
+    [0, 1], its float coefficients taken exactly: gamma(p, q) = min of
+    p x + q g(x), at the root of g'(x) = -p/q or at an end."""
+    with mpmath.workdps(50):
+        c = [mpmath.mpf(float(v)) for v in g_poly]
+
+        def g(x):
+            return mpmath.polyval(c[::-1], x)
+
+        def dg(x):
+            return mpmath.polyval([k * c[k] for k in range(len(c) - 1, 0, -1)], x)
+
+        def gamma(p, q):
+            if q == 0:
+                return 0
+            t = mpmath.mpf(-p) / q
+            if dg(0) >= t:
+                x = 0
+            elif dg(1) <= t:
+                x = 1
+            else:
+                x = mpmath.findroot(lambda y: dg(y) - t, (0, 1), solver="anderson")
+            return p * x + q * g(x)
+
+        return [gamma(a + c, b + d) - gamma(a, b) - gamma(c, d) for a, b, c, d in quads]
+
+
+def _no_walk(*args):
+    raise AssertionError("walked")
+
+
+def _plain(chart):
+    """The chart without its defect oracle: the walk then sizes a cut by
+    support differences gamma(u + v) - gamma(u) - gamma(v)."""
+    plain = copy.copy(chart)
+    plain.defect_float = None
+    return plain
+
+
+class TestGraphCharts:
+    """JSON graph charts descend by chains, with the remainder defect of
+    geometry._poly_form."""
+
+    # (g_poly, eps, the relative error of the 40 smallest sizes of the walk
+    # that took support differences of a scalar solve, the route replaced)
+    WALKED = [(QUADRATIC, 1e-4, 1.0e-10), (QUADRATIC, 1e-6, 5.3e-8),
+              (CUBIC, 1e-4, 1.0e-10), (CUBIC, 1e-6, 8.9e-8)]
+
+    @pytest.mark.parametrize("g_poly, eps, walked", WALKED,
+                             ids=["quadratic-1e-4", "quadratic-1e-6", "cubic-1e-4", "cubic-1e-6"])
+    def test_sizes_against_mpmath(self, g_poly, eps, walked):
+        # at least 100 times closer than support differences, which lose
+        # the digits that the O(1) supports share
+        chart = polynomial_domain(g_poly).charts[0]
+        tree = cutting._grow([chart], eps)
+        order = np.argsort(tree.cut_sizes.floats(), kind="stable")[:40]
+        a, b, c, d = tree.nodes[order].T
+        sup = chart.support_float
+        diffs = sup(a + c, b + d) - sup(a, b) - sup(c, d)
+        exact = _graph_defects(g_poly, tree.nodes[order].tolist())
+        sizes = tree.cut_sizes.floats()[order]
+        with mpmath.workdps(50):
+            err = max(abs(x / e - 1) for x, e in zip(sizes.tolist(), exact))
+            err_diffs = max(abs(x / e - 1) for x, e in zip(diffs.tolist(), exact))
+        assert 100 * err <= min(err_diffs, walked)
+
+    @pytest.mark.parametrize("g_poly", [QUADRATIC, CUBIC], ids=["quadratic", "cubic"])
+    def test_chain_tree_equals_walk(self, g_poly):
+        charts = polynomial_domain(g_poly).charts
+        tree = cutting._grow(charts, 1e-4)
+        walk = cutting._walk([_plain(chart) for chart in charts], 1e-4, None, np.float64)
+        for col in ("nodes", "links", "leaf_links"):
+            assert np.array_equal(getattr(tree, col), getattr(walk, col))
+        assert tree.chart_offsets == walk.chart_offsets
+        # the walk's sizes are good to about 1e-10 relative, 2e-14 absolute
+        # (test_sizes_against_mpmath); the frontier sizes reach 0
+        assert np.allclose(tree.cut_sizes.floats(), walk.cut_sizes.floats(), rtol=2e-10, atol=0)
+        assert np.allclose(tree.leaf_sizes.floats(), walk.leaf_sizes.floats(), rtol=0, atol=1e-13)
+
+    def test_json_domain_is_not_walked(self, monkeypatch):
+        monkeypatch.setattr(cutting, "_walk", _no_walk)
+        assert len(enumerate_cuts(polynomial_domain(), 1e-4).nodes) == 1920
+
+    def test_graph_data_alone_descends_by_chains(self, monkeypatch):
+        # a chart given only L's graph gets its oracles from the tangency
+        # solve, its defect as support differences; the tree is L's
+        L = ConvexDomain.domain_L().charts[0]
+        chart = ArcChart(corner=L.corner, u1=L.u1, u2=L.u2, g=L.g, dg=L.dg, d2g=L.d2g,
+                         x_max=L.x_max)
+        monkeypatch.setattr(cutting, "_walk", _no_walk)
+        tree, exact = cutting._grow([chart], 1e-3), cutting._grow([L], 1e-3)
+        assert np.array_equal(tree.nodes, exact.nodes)
+        assert np.allclose(tree.cut_sizes.floats(), exact.cut_sizes.floats(), rtol=1e-9, atol=0)
+
+    def test_tangency_solve_on_arrays(self):
+        # 0 on (1, 0), x_max on (0, 1), an end where the solve clips
+        # (g'(0) = -2 > -5/2), else the root x = 1 - a/(2b) of g'(x) = -a/b
+        chart = polynomial_domain().charts[0]
+        a, b = np.array([[1, 0, 5, 1], [0, 1, 2, 4]])
+        x = chart.tangency_x(a, b)
+        assert x.tolist() == [0.0, 1.0, 0.0, 0.875]
+        assert [chart.tangency_x(p, q) for p, q in zip(a.tolist(), b.tolist())] == x.tolist()
+        with pytest.raises(ValueError, match="nonnegative and nonzero"):
+            chart.tangency_x(np.array([1, 0]), np.array([1, 0]))
 
 
 class TestHistoryFree:

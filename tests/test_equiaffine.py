@@ -168,8 +168,10 @@ class TestTriangleRoute:
 
 
 class TestTriangleFallback:
-    """Charts without a triangle_area oracle take the scalar tangency_x path
-    (the polynomial-graph domain: tests/test_cutting.py)."""
+    """A chart with graph data and no triangle_area oracle gets one from its
+    graph, at the tangency points of ArcChart.tangency_x (so do the
+    polynomial-graph charts: tests/test_cutting.py); a chart with neither
+    is refused."""
 
     @pytest.mark.parametrize("make", [ConvexDomain.domain_L, ConvexDomain.disk],
                              ids=["L", "disk"])

@@ -830,7 +830,7 @@ class TestWeightArrays:
         assert type(d2f(0.25)) is float
         assert d2f(np.zeros((2, 3))).tolist() == [[1.0] * 3] * 2
 
-    def test_legendre_dual_maps_scalar_solve(self):
+    def test_legendre_dual_entries_equal_scalar_calls(self):
         dual = legendre_dual(ConvexDomain.disk(1.5).charts[0])
         us = np.array([[0.0, 0.1], [0.5, 1.0]])
         for fn in (dual.f, dual.d2f):

@@ -187,8 +187,8 @@ def test_euclid_has_two_callers():
 
 def test_no_per_element_python_map():
     # np.fromiter runs a Python call per element; the series powers and
-    # quotients run on arrays, and only elementwise, which lifts a user's
-    # scalar integrand or chart solve to arrays, maps one
+    # quotients and the chart tangency solves run on arrays, and only
+    # elementwise, which lifts a user's scalar integrand to arrays, maps one
     found = set()
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
@@ -196,3 +196,12 @@ def test_no_per_element_python_map():
             if "fromiter" in ast.get_source_segment(text, node):
                 found.add((path.stem, getattr(node, "name", "<module>")))
     assert found == {("estimates", "elementwise")}
+
+
+def test_elementwise_lifts_only_user_integrands():
+    # every chart solves its tangency points on arrays (ArcChart.tangency_x),
+    # so only the equiaffine lengths of a user's curve or graph map a
+    # scalar function
+    callers = {(path.stem, fn) for path in sorted(SRC.glob("*.py"))
+               for fn in _callers("elementwise", path.read_text())}
+    assert callers == {("equiaffine", "length_parametric"), ("equiaffine", "length_graph")}

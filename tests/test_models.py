@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tropzeta import models
+from tropzeta.farey import SmoothWeight, endpoint_model
 from tropzeta.lattice import UnimodularQuadruple, stern_brocot_quadruples
 
 
@@ -91,25 +93,53 @@ class TestParabola:
             models.parabola_support(a, b)
 
 
+def primitive_mordell_tornheim(s, bound):
+    """The sum over coprime p, q <= bound of (p q (p + q))^(-s): 2^s times
+    the quadratic weight's endpoint model, which sums the same pairs."""
+    return 2 ** s * endpoint_model(SmoothWeight.quadratic(), s, bound).value
+
+
+def partial_tail(sigma, bound, top):
+    """The sum over p, q <= top with max(p, q) > bound of (p q (p + q))^-sigma."""
+    q = np.arange(1, top + 1, dtype=np.float64)
+    total = 0.0
+    for lo in range(1, top + 1, 500):
+        p = q[lo - 1:lo + 499, None]
+        terms = (p * q * (p + q)) ** -sigma
+        terms[(p <= bound) & (q <= bound)] = 0.0
+        total += terms.sum()
+    return total
+
+
 class TestMordellTornheim:
     def test_hand_enumeration_s1_pmax3(self):
         # (1,1): 1/2; (1,2),(2,1): 1/6; (1,3),(3,1): 1/12; (2,3),(3,2): 1/30
-        est = models.mordell_tornheim_primitive(1, 3)
+        value = primitive_mordell_tornheim(1, 3)
         expected = Fraction(1, 2) + 2 * Fraction(1, 6) + 2 * Fraction(1, 12) + 2 * Fraction(1, 30)
         assert expected == Fraction(16, 15)
-        assert est.value.real == pytest.approx(float(expected), rel=1e-12)
+        assert value.real == pytest.approx(float(expected), rel=1e-12)
 
     def test_primitive_value_at_2_is_one_third(self):
         # zeta(2,2;2) = zeta(6)/3, so the primitive sum at s=2 is exactly 1/3
-        est = models.mordell_tornheim_primitive(2, 2000)
-        assert est.value.real == pytest.approx(1 / 3, abs=1e-8)
+        value = primitive_mordell_tornheim(2, 2000)
+        assert value.real == pytest.approx(1 / 3, abs=1e-8)
 
     def test_euler_factorization(self):
         # witten_su3(s) * 2^-s = primitive(s) * zeta(3s) at s = 2
         su3 = models.witten_su3(2, 1500).value
-        prim = models.mordell_tornheim_primitive(2, 1500).value
+        prim = primitive_mordell_tornheim(2, 1500)
         z6 = models.riemann_zeta(6)
         assert abs(su3 * 2 ** (-2.0) - prim * z6) < 1e-9
+
+    @pytest.mark.parametrize("sigma", [0.7, 0.8, 0.9, 1.0, 1.2, 2.0])
+    @pytest.mark.parametrize("bound", [10, 60, 300])
+    def test_tail_bound_holds(self, sigma, bound):
+        # the pairs with bound < max(p, q) <= 8 bound are part of the tail
+        assert models._mt_tail_bound(sigma, bound) >= partial_tail(sigma, bound, 8 * bound)
+
+    def test_su3_tail_hint_is_the_bound(self):
+        assert models.witten_su3(0.8, 100).tail_hint == 2 ** 0.8 * models._mt_tail_bound(0.8, 100)
+        assert models.witten_su3(0.6, 100).tail_hint is None
 
     def test_su3_at_2(self):
         est = models.witten_su3(2, 2000)
