@@ -35,7 +35,8 @@ def length_parametric(d1: Callable, d2: Callable, t_range: tuple[float, float]) 
         if math.hypot(dx, dy) < 1e-14:
             raise ValueError(f"vanishing curve velocity at t = {t}")
 
-    def value(t: float) -> float:
+    @elementwise
+    def integrand(t: float) -> float:
         dx, dy = d1(t)
         ddx, ddy = d2(t)
         det = dx * ddy - dy * ddx
@@ -43,7 +44,7 @@ def length_parametric(d1: Callable, d2: Callable, t_range: tuple[float, float]) 
             return 0.0
         return abs(det) ** (1 / 3.0)
 
-    return adaptive_quadrature(elementwise(value), a, b, _LENGTH_TOL)
+    return adaptive_quadrature(integrand, a, b, _LENGTH_TOL)
 
 
 def length_graph(d2g: Callable[[float], float], interval: tuple[float, float]) -> float:
@@ -62,13 +63,13 @@ def length_graph(d2g: Callable[[float], float], interval: tuple[float, float]) -
         if d2g(x) <= 0:
             raise ValueError(f"nonpositive g'' at x = {x}")
 
-    def value(x: float) -> float:
+    @elementwise
+    def integrand(x: float) -> float:
         val = d2g(x)
         if val <= 0:
             raise ValueError(f"nonpositive g'' at x = {x}")
         return val ** (1 / 3.0)
 
-    integrand = elementwise(value)
     total = adaptive_quadrature(integrand, a + width / 4, b - width / 4, _LENGTH_TOL)
     # dyadic refinement into both endpoints (each cell is smooth inside),
     # then geometric extrapolation of the remaining power-law tail
@@ -103,8 +104,8 @@ def length_via_triangles(source, eps: float) -> float:
     Every chart gets its wedges' areas, as floats, from one call of its
     ``triangle_area`` oracle on its wedge array: a closed form free of
     cancellation on the parabola, disk and parabolic-triangle charts, and
-    on a graph chart (a JSON chart) the slacks of the tangency points that
-    ArcChart.tangency_x solves on the whole array.
+    on a graph chart (a JSON chart) the slacks of the tangency points,
+    solved on the whole array (geometry.graph_oracles).
 
     source is an arc chart, or a smooth/builtin domain (summed over charts,
     all cut by one descent).  Every chart is checked for the oracle before

@@ -535,6 +535,51 @@ def clip_polygon(vertices: list[tuple], normal: Vec, offset) -> list[tuple]:
 _HALVINGS = 54  # tangency bisection steps: x_max 2^-54 is an ulp of x_max / 4
 
 
+def tangency_points(a, b, dg, d2g, x_max):
+    """(x, at_end): x the argmin over [0, x_max] of a*x + b*g(x) (g' = dg,
+    g'' = d2g), elementwise on ints or arrays a, b >= 0: g'(x) = -a/b by
+    _HALVINGS halvings of [0, x_max] on the increasing g' (all brackets share
+    one width), then one Newton step kept in the last bracket.  at_end marks
+    x = 0 (b = 0 or g'(0) >= -a/b) and x = x_max (a = 0 or g'(x_max) <= -a/b)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if (a < 0).any() or (b < 0).any() or ((a == 0) & (b == 0)).any():
+        raise ValueError("direction must be nonnegative and nonzero")
+    x_max = float(x_max)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        target = -a / b
+        lo, step = np.zeros(target.shape), x_max
+        for _ in range(_HALVINGS):
+            step *= 0.5
+            lo += step * (dg(lo + step) < target)
+        x = lo + 0.5 * step
+        x = np.clip(x - (dg(x) - target) / d2g(x), lo, lo + step)
+        at_max = (b != 0) & ((a == 0) | (dg(np.float64(x_max)) <= target))
+        at_0 = ~at_max & ((b == 0) | (dg(np.float64(0.0)) >= target))
+    return np.where(at_max, x_max, np.where(at_0, 0.0, x))[()], (at_0 | at_max)[()]
+
+
+def graph_oracles(g, dg, d2g, x_max) -> dict:
+    """The oracles of the graph g on [0, x_max] at its tangency points: the
+    support a x + b g(x), the defect as support differences, and the area
+    p q / 2 with p = u.(P_v - P_u), q = v.(P_u - P_v) for P_u, P_v those of
+    u = (a, b), v = (c, d)."""
+
+    def support(a, b):
+        x = tangency_points(a, b, dg, d2g, x_max)[0]
+        return np.where(np.equal(a, 0), 0.0, a * x + b * g(x))[()]
+
+    def defect_float(a, b, c, d):
+        return support(a + c, b + d) - support(a, b) - support(c, d)
+
+    def triangle_area(a, b, c, d):
+        xu, xv = tangency_points(np.stack((a, c)), np.stack((b, d)), dg, d2g, x_max)[0]
+        dx, dy = xv - xu, g(xv) - g(xu)
+        return (a * dx + b * dy) * (c * dx + d * dy) / -2
+
+    return dict(support=support, support_float=support, triangle_area=triangle_area,
+                defect_float=defect_float)
+
+
 @dataclass
 class ArcChart:
     """One boundary arc in its unimodular corner frame.
@@ -542,10 +587,10 @@ class ArcChart:
     support(a, b) returns gamma_{a,b} = min over the arc of a*x + b*g(x) in
     chart coordinates; gamma(1,0) = gamma(0,1) = 0.  The graph data g, g',
     g'' on [0, x_max] take floats or float64 arrays.  A chart with all three
-    gets each oracle it lacks from the one tangency solve tangency_x:
-    support, support_float and triangle_area at the tangency points, and
-    defect_float (without defect_den) as support differences.  A chart
-    without graph data needs a support oracle.
+    gets each oracle it lacks from graph_oracles, on the one tangency solve
+    tangency_points: support, support_float and triangle_area at the
+    tangency points, and defect_float (without defect_den) as support
+    differences.  A chart without graph data needs a support oracle.
 
     The charts of L ((p, q) = (1, 1)) and of the parabolic triangle ((2, 1),
     (1, 2)) are parabola arcs with support a b / (p q S), S = p a + q b, and
@@ -565,29 +610,22 @@ class ArcChart:
     # Batched oracles.  Each takes ints or int64 arrays of chart coordinates
     # and works elementwise; charts of one domain share them where they can,
     # so one call serves every chart in each batch of the descent.
-    # integer fast path: the support defect of (a,b,c,d) is exactly
-    # 1 / defect_den(a, b, c, d), with den = x y (x + y) for lattice-linear
-    # forms x, y of u = (a, b) and v = (c, d)
+    # The support defect of (a,b,c,d) is exactly 1 / defect_den(a, b, c, d),
+    # den = x y (x + y) for lattice-linear forms x, y of u = (a, b), v = (c, d)
     defect_den: Optional[Callable[[int, int, int, int], int]] = None
-    # the support defect of (a,b,c,d) as a float
-    defect_float: Optional[Callable[[int, int, int, int], float]] = None
-    # float fast path for bulk constraint construction: the support
-    # gamma(a, b) as a float
-    support_float: Optional[Callable[[int, int], float]] = None
-    # the area p q / 2 of the support triangle of the wedge (a, b, c, d) as
-    # a float (p, q: the slacks of the two tangency points, see
-    # equiaffine.length_via_triangles)
+    defect_float: Optional[Callable[[int, int, int, int], float]] = None  # the defect
+    support_float: Optional[Callable[[int, int], float]] = None  # gamma(a, b)
+    # the area p q / 2 of the support triangle of the wedge (a, b, c, d), p, q
+    # the slacks of its tangency points (equiaffine.length_via_triangles)
     triangle_area: Optional[Callable[[int, int, int, int], float]] = None
 
     def __post_init__(self):
         if det2(self.u1, self.u2) != 1:
             raise ValueError("chart corner normals must form a positive lattice basis")
         if self.g is not None and self.dg is not None and self.d2g is not None:
-            self.support = self.support or self._graph_support
-            self.support_float = self.support_float or self._graph_support
-            self.triangle_area = self.triangle_area or self._graph_triangle_area
-            if self.defect_den is None and self.defect_float is None:
-                self.defect_float = self._support_defect
+            for name, oracle in graph_oracles(self.g, self.dg, self.d2g, self.x_max).items():
+                if getattr(self, name) is None and (name != "defect_float" or not self.defect_den):
+                    setattr(self, name, oracle)
         elif self.support is None:
             raise ValueError("chart needs a support oracle or graph data")
 
@@ -603,40 +641,8 @@ class ArcChart:
         return self.support(a + c, b + d) - self.support(a, b) - self.support(c, d)
 
     def tangency_x(self, a, b):
-        """Argmin over [0, x_max] of a*x + b*g(x), elementwise on ints or arrays
-        a, b >= 0: g'(x) = -a/b by _HALVINGS halvings of [0, x_max] on the
-        increasing g' (all brackets share one width), then one Newton step
-        kept in the last bracket.  0 where b = 0, x_max where a = 0, and an
-        end of [0, x_max] where the solve clips to it."""
-        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-        if (a < 0).any() or (b < 0).any() or ((a == 0) & (b == 0)).any():
-            raise ValueError("direction must be nonnegative and nonzero")
-        x_max = float(self.x_max)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            target = -a / b
-            lo, step = np.zeros(target.shape), x_max
-            for _ in range(_HALVINGS):
-                step *= 0.5
-                lo += step * (self.dg(lo + step) < target)
-            x = lo + 0.5 * step
-            x = np.clip(x - (self.dg(x) - target) / self.d2g(x), lo, lo + step)
-        return np.where(b == 0, 0.0, np.where(a == 0, x_max, x))[()]
-
-    def _graph_support(self, a, b):
-        """a x + b g(x) at the tangency point; 0 at a = 0 (and b = 0)."""
-        x = self.tangency_x(a, b)
-        return np.where(np.equal(a, 0), 0.0, a * x + b * self.g(x))[()]
-
-    def _support_defect(self, a, b, c, d):
-        sup = self.support_float
-        return sup(a + c, b + d) - sup(a, b) - sup(c, d)
-
-    def _graph_triangle_area(self, a, b, c, d):
-        """p q / 2 from the tangency points P_u, P_v of u = (a, b) and
-        v = (c, d): p = u.(P_v - P_u), q = v.(P_u - P_v)."""
-        xu, xv = self.tangency_x(np.stack((a, c)), np.stack((b, d)))
-        dx, dy = xv - xu, self.g(xv) - self.g(xu)
-        return (a * dx + b * dy) * (c * dx + d * dy) / -2
+        """The argmin over [0, x_max] of a*x + b*g(x) (tangency_points)."""
+        return tangency_points(a, b, self.dg, self.d2g, self.x_max)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -918,15 +924,10 @@ def _poly_chart_functions(coeffs: list[float]) -> list[Callable[[float], float]]
             return total
         return value
 
-    out = []
-    for order in range(3):
-        if order < len(coeffs):
-            c = coeffs
-            for _ in range(order):
-                c = [j * c[j] for j in range(1, len(c))]
-        else:
-            c = [coeffs[0] * 0]
-        out.append(horner(c))
+    out, c = [], coeffs
+    for _ in range(3):
+        out.append(horner(c or [coeffs[0] * 0]))
+        c = [j * c[j] for j in range(1, len(c))]
     return out
 
 
@@ -934,14 +935,14 @@ def _poly_chart_functions(coeffs: list[float]) -> list[Callable[[float], float]]
 def _poly_form(coeffs: tuple, x_max: float) -> dict:
     """The graph data and oracles of a JSON chart, g = sum coeffs[k] x^k on
     [0, x_max], built once per graph so that its charts share them (one
-    descent group).  Support, support_float and triangle_area are
-    ArcChart's; the defect is free of cancellation.  With x_u, x_v, x_w the
-    tangency points of u = (a, b), v = (c, d) and w = u + v, it is
+    descent group).  Support, support_float and triangle_area come from
+    graph_oracles; the defect is free of cancellation.  With x_u, x_v, x_w
+    the tangency points of u = (a, b), v = (c, d) and w = u + v, it is
 
         b R(x_u, x_w) + d R(x_v, x_w),  R(x0, x1) = sum_{k>=2} g^(k)(x0)/k! (x1 - x0)^k
 
     (g's Taylor remainder, by Horner's rule in x1 - x0), plus the first-order
-    term (a + b g'(x_u)) (x_w - x_u) where x_u is clipped to an end of
+    term (a + b g'(x_u)) (x_w - x_u) where the solve puts x_u at an end of
     [0, x_max], and likewise for v (0 at an inner tangency)."""
     g, dg, d2g = _poly_chart_functions(list(coeffs))
     # g^(k)(x0)/k! = sum_{j>=k} C(j, k) c_j x0^(j-k), for k = 2 .. degree
@@ -957,17 +958,15 @@ def _poly_form(coeffs: tuple, x_max: float) -> dict:
         return total * h * h
 
     def defect_float(a, b, c, d):
-        xu, xv, xw = graph.tangency_x(np.stack((a, c, a + c)), np.stack((b, d, b + d)))
+        (xu, xv, xw), (end_u, end_v, _) = tangency_points(
+            np.stack((a, c, a + c)), np.stack((b, d, b + d)), dg, d2g, x_max)
         out = b * remainder(xu, xw) + d * remainder(xv, xw)
-        for p, q, x in ((a, b, xu), (c, d, xv)):
-            out = out + np.where((x == 0) | (x == x_max), (p + q * dg(x)) * (xw - x), 0.0)
+        for p, q, x, at_end in ((a, b, xu, end_u), (c, d, xv, end_v)):
+            out = out + np.where(at_end, (p + q * dg(x)) * (xw - x), 0.0)
         return out
 
-    graph = ArcChart(corner=(0, 0), u1=(1, 0), u2=(0, 1), g=g, dg=dg, d2g=d2g, x_max=x_max,
-                     defect_float=defect_float)
-    return dict(g=g, dg=dg, d2g=d2g, x_max=x_max, defect_float=defect_float,
-                support=graph.support, support_float=graph.support_float,
-                triangle_area=graph.triangle_area)
+    return dict(graph_oracles(g, dg, d2g, x_max), g=g, dg=dg, d2g=d2g, x_max=x_max,
+                defect_float=defect_float)
 
 
 def _check_convex_graph(coeffs: list[float], x_max: float, name: str) -> None:

@@ -33,6 +33,7 @@ from tropzeta.geometry import (
     dot2,
     halfplane_intersection,
     meet,
+    tangency_points,
 )
 from tropzeta.minimal import k_squared, minimal_model_of
 from tropzeta.zeta import residue_two_thirds, zeta_via_identity, zeta_via_mellin
@@ -54,16 +55,21 @@ def pentagon_family_member():
 
 
 QUADRATIC, CUBIC = ["1", "-2", "1"], ["1", "-1.7", "0.4", "0.3"]
+# g(0) = 1, g(0.7) = 0 and g'(0.7) = 1 - sqrt(2) < 0: the arc meets the axis
+# at a kink of irrational slope, so some cuts have one tangency point at
+# x_max = 0.7 and the other inside
+_KINK_A = (1 - (2 ** 0.5 - 1) * 0.7) / 0.49
+KINKED = [1.0, 1 - 2 ** 0.5 - 1.4 * _KINK_A, _KINK_A]
 
 
-def polynomial_domain(g_poly=QUADRATIC):
+def polynomial_domain(g_poly=QUADRATIC, x_max=1.0):
     """A smooth domain from JSON: the square [0,2]^2 with each corner
-    rounded by the graph of g_poly on [0, 1], by default g(x) = (1 - x)^2
-    (float supports at the tangency points of ArcChart.tangency_x)."""
+    rounded by the graph of g_poly on [0, x_max], by default g(x) = (1 - x)^2
+    on [0, 1] (float supports at the tangency points of ArcChart.tangency_x)."""
     return domain_from_dict({
         "kind": "smooth",
         "minimal_model": {"vertices": [["0", "0"], ["2", "0"], ["2", "2"], ["0", "2"]]},
-        "charts": [{"corner": i, "g_poly": g_poly, "x_max": 1.0} for i in range(4)],
+        "charts": [{"corner": i, "g_poly": g_poly, "x_max": x_max} for i in range(4)],
     })
 
 
@@ -1174,12 +1180,13 @@ class TestDefectAudit:
                 assert abs(sizes[i] - (gm - gu - gv)) <= 8 * self.ULP * (sm + su + sv)
 
 
-def _graph_defects(g_poly, quads):
+def _graph_defects(g_poly, quads, x_max=1.0):
     """50-digit support defects of the chart of g = sum g_poly[k] x^k on
-    [0, 1], its float coefficients taken exactly: gamma(p, q) = min of
-    p x + q g(x), at the root of g'(x) = -p/q or at an end."""
+    [0, x_max], its float coefficients and x_max taken exactly: gamma(p, q)
+    = min of p x + q g(x), at the root of g'(x) = -p/q or at an end."""
     with mpmath.workdps(50):
         c = [mpmath.mpf(float(v)) for v in g_poly]
+        x_max = mpmath.mpf(x_max)
 
         def g(x):
             return mpmath.polyval(c[::-1], x)
@@ -1193,10 +1200,10 @@ def _graph_defects(g_poly, quads):
             t = mpmath.mpf(-p) / q
             if dg(0) >= t:
                 x = 0
-            elif dg(1) <= t:
-                x = 1
+            elif dg(x_max) <= t:
+                x = x_max
             else:
-                x = mpmath.findroot(lambda y: dg(y) - t, (0, 1), solver="anderson")
+                x = mpmath.findroot(lambda y: dg(y) - t, (0, x_max), solver="anderson")
             return p * x + q * g(x)
 
         return [gamma(a + c, b + d) - gamma(a, b) - gamma(c, d) for a, b, c, d in quads]
@@ -1241,6 +1248,18 @@ class TestGraphCharts:
             err_diffs = max(abs(x / e - 1) for x, e in zip(diffs.tolist(), exact))
         assert 100 * err <= min(err_diffs, walked)
 
+    def test_kinked_end_against_mpmath(self):
+        # every cut of a chart whose arc meets the axis at a kink: a cut
+        # with one tangency point at x_max and the other inside carries the
+        # first-order term, which is O(size); the walk's support
+        # differences were good to 8.2e-11 relative here
+        chart = polynomial_domain(KINKED, 0.7).charts[0]
+        tree = cutting._grow([chart], 1e-4)
+        exact = _graph_defects(KINKED, tree.nodes.tolist(), 0.7)
+        with mpmath.workdps(50):
+            err = max(abs(x / e - 1) for x, e in zip(tree.cut_sizes.floats().tolist(), exact))
+        assert 100 * err <= 8.2e-11
+
     @pytest.mark.parametrize("g_poly", [QUADRATIC, CUBIC], ids=["quadratic", "cubic"])
     def test_chain_tree_equals_walk(self, g_poly):
         charts = polynomial_domain(g_poly).charts
@@ -1277,6 +1296,12 @@ class TestGraphCharts:
         x = chart.tangency_x(a, b)
         assert x.tolist() == [0.0, 1.0, 0.0, 0.875]
         assert [chart.tangency_x(p, q) for p, q in zip(a.tolist(), b.tolist())] == x.tolist()
+        # the clipped ends are exact at an x_max that halvings do not reach
+        # (g'(0.7) = -0.41..., g'(0) = -2.44...)
+        kinked = polynomial_domain(KINKED, 0.7).charts[0]
+        x, at_end = tangency_points(np.array([1, 1, 3, 2]), np.array([4, 3, 1, 1]),
+                                    kinked.dg, kinked.d2g, 0.7)
+        assert x[[0, 1, 2]].tolist() == [0.7, 0.7, 0.0] and at_end.tolist() == [1, 1, 1, 0]
         with pytest.raises(ValueError, match="nonnegative and nonzero"):
             chart.tangency_x(np.array([1, 0]), np.array([1, 0]))
 

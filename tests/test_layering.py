@@ -162,18 +162,20 @@ def test_one_euclid():
 
 def _callers(name: str, text: str) -> set:
     """The innermost functions (or "<module>") of a source text that call
-    name, plain or as an attribute."""
+    name, plain or as an attribute, or decorate a function with it."""
     tree = ast.parse(text)
-    owner = {}
-    # ast.walk goes breadth first, so an inner function's calls are
-    # reassigned to it after its outer function's
+    owner, uses = {}, []
+    # ast.walk goes breadth first, so an inner function's body is
+    # reassigned to it after its outer function's; its decorators stay with
+    # the function that runs them, the one it is defined in
     for fn in ast.walk(tree):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for node in ast.walk(fn):
+            uses += fn.decorator_list
+            for node in (node for stmt in fn.body for node in ast.walk(stmt)):
                 owner[node] = fn.name
-    return {owner.get(node, "<module>") for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    uses += [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    return {owner.get(node, "<module>") for node in uses
+            if name in (getattr(node, "id", None), getattr(node, "attr", None))}
 
 
 def test_euclid_has_two_callers():
@@ -183,6 +185,7 @@ def test_euclid_has_two_callers():
                for fn in _callers("euclid_inverses", path.read_text())}
     assert callers == {("farey", "_farey_chunks"), ("lattice", "reduced_residue_inverses")}
     assert _callers("f", "def g():\n    def h():\n        m.f()\n    f()\nf()") == {"g", "h", "<module>"}
+    assert _callers("f", "def g():\n    @f\n    def h():\n        pass\n") == {"g"}
 
 
 def test_no_per_element_python_map():
