@@ -221,6 +221,14 @@ def _cmd_caustic(args) -> dict:
     return payload
 
 
+def _series(est) -> dict:
+    """A SeriesEstimate as a JSON object, its tail_bound only where it is set."""
+    out = dataclasses.asdict(est)
+    if est.tail_bound is None:
+        del out["tail_bound"]
+    return out
+
+
 def _cmd_zeta(args) -> dict:
     dom = _load_domain(args.domain)
     s = _parse_s(args.s)
@@ -235,7 +243,7 @@ def _cmd_zeta(args) -> dict:
         raise ValueError(f"Exceeds the limit ({limit} digits) for integer string conversion; "
                          "use sys.set_int_max_str_digits() to increase the limit")
     est = zeta_via_identity(dom, s_exact, eps)
-    payload = dataclasses.asdict(est)
+    payload = _series(est)
     payload.update(route="identity", s=s)
     return payload
 
@@ -290,8 +298,8 @@ def _cmd_farey(args) -> dict:
         "weight": weight.name,
         "s": s,
         "bound": bound,
-        "farey_zeta": dataclasses.asdict(zf),
-        "endpoint_model": dataclasses.asdict(ze),
+        "farey_zeta": _series(zf),
+        "endpoint_model": _series(ze),
         "residue_main_term": residue_main_term(weight),
     }
 

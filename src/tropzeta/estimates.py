@@ -98,13 +98,15 @@ class SeriesEstimate:
     cutoff is the size threshold (or term bound) that produced the sum;
     terms_used counts the summands; tail_hint, when available, estimates the
     size of the dropped tail.  It is not a bound: for Z(2) of domain L and
-    the disk the true error runs about 1.02-1.03 times the hint.
+    the disk the true error runs about 1.02-1.03 times the hint.  tail_bound,
+    where set, is a proven bound on the modulus of the dropped tail.
     """
 
     value: complex
     cutoff: float
     terms_used: int
     tail_hint: Optional[float] = None
+    tail_bound: Optional[float] = None
 
 
 @dataclass

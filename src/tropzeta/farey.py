@@ -1,10 +1,14 @@
 """Farey intervals, Hata coefficients, and the weighted Farey zeta function.
 
-For a Farey interval I = [c/d, a/b] (ad - bc = 1) and a weight f in
-C^3([0,1]) with |f''| bounded away from 0:
+For a Farey interval I = [c/d, a/b] (ad - bc = 1) with mediant
+m = (a+c)/(b+d), and a weight f in C^3([0,1]) with |f''| bounded away from 0:
 
-    c_I(f) = f((a+c)/(b+d)) - b/(b+d) f(a/b) - d/(b+d) f(c/d),
-    T_I(f) = (b+d) c_I(f) = -f''(xi_I) / (2 b d (b+d))   for some xi_I in I,
+    c_I(f) = f(m) - b/(b+d) f(a/b) - d/(b+d) f(c/d),
+    T_I(f) = (b+d) c_I(f) = -f[c/d, m, a/b] / (b d (b+d)) = -f''(xi_I) / (2 b d (b+d))
+
+for some xi_I in I, f[x0, m, x1] the second divided difference (m - c/d =
+1/(d(b+d)), a/b - m = 1/(b(b+d))), and
+
     Z_f(s) = sum over I of |T_I(f)|^s,
 
 with endpoint model  Z^end_f(s) = 2^(-s) sum |f''(a/b)|^s / (b d (b+d))^s.
@@ -18,22 +22,38 @@ and Sigma_b(s) equidistributes to phi(b) * (int H_s) * (int |f''|^s) with a
 power-saving error.  The boundary series of a convex arc is the Farey zeta of
 the Legendre dual of its graph function.
 
+Rules.  T_I is never the three-point difference above, which cancels all
+but about 1/(2 b d (b+d)) of three O(1) values.  Each SmoothWeight carries
+a T_I rule on interval columns: for a polynomial sum c_k x^k,
+f[x0, m, x1] = sum_{k>=2} c_k h_{k-2}(x0, m, x1) with h_j the complete
+homogeneous polynomial (positive terms on [0, 1]); for the quadratic weight,
+T_I = -1/(2 b d (b+d)); for a Legendre dual, minus its chart's support
+defect at (a, b, c, d).  Its second rule gives |f''(a/b)|.  A rule's entry
+on columns equals, bit for bit, its call on the one FareyInterval: the
+polynomial rules use + - * / only, no power of an array, and the chart
+oracles work elementwise.
+
 Evaluation.  The sums run on int64/float64 arrays, one chunk of whole
 max(b, d) levels (a few thousand pairs) at a time, so their memory does not
-grow with the bound.  Level m's intervals come from its half: np.gcd and
-the array extended Euclid (a = x^-1 mod m) run only on the pairs (m, x)
-with x <= m/2, a quarter of the level.  The complement (m, m - x) of such a
-pair has a' = m - a and c' = (m - x) - a + c, and the mirror (x, m) of
-each (m, x) with x < m has a'' = x - c, c'' = m - a; c_I, T_I and f''(a/b)
-then come from one weight call per chunk.  Terms are added one at a time
-in the fixed pair order (np.cumsum with the running total carried across
-chunks).  Every power, here and in Sigma_b, is estimates.term_powers,
-CPython's complex power rule on arrays, whose terms each depend on their
-own base only; so a value does not depend on the chunking and matches a
-per-pair Python loop that powers each base alone bit for bit.  The
-endpoint model takes each distinct base's power once: b d (b + d) on the
-b >= d pairs, gathered to their mirrors, and each distinct |f''(a/b)| of a
-chunk (one value for the quadratic weight); the quotients are numpy's.
+grow with the bound.  Level m's intervals come from its half: np.gcd runs
+only on the pairs (m, x) with x <= m/2, a quarter of the level; the
+complement (m, m - x) and the mirror (x, m) of each (m, x), x < m, follow.
+A chunk gives b and d at once, and builds a and c when a rule first reads
+them: the array extended Euclid (a = x^-1 mod m) on the half, then
+a' = m - a, c' = (m - x) - a + c on the complements and a'' = x - c,
+c'' = m - a on the mirrors.  farey_zeta reads the T_I rule, endpoint_model
+the |f''(a/b)| rule and b, d, and the Hata grid every column; the quadratic
+weight's rules read b and d only, so its two sums run no Euclid.  Terms
+are added one at a time in the fixed pair order (np.cumsum with the running
+total carried across chunks).  Every power, here and in Sigma_b, is
+estimates.term_powers, CPython's complex power rule on arrays, whose terms
+each depend on their own base only; so a value does not depend on the
+chunking and matches a per-pair Python loop that powers each base alone bit
+for bit.  The endpoint model takes each distinct base's power once:
+b d (b + d) on the b >= d pairs, gathered to their mirrors, and each
+distinct |f''(a/b)| of a chunk (one value for the quadratic weight); the
+quotients are numpy's.  Both sums report a tail bound
+(models._mt_tail_bound) where the weight bounds |f''|.
 Sigma_b takes its reduced residues and their inverses the same way: the
 Euclid on r <= b/2, the complement b - r with inverse b - rbar.  Its
 kernel H_s takes its powers as exps of real logarithms.
@@ -44,9 +64,10 @@ its support, found by binary search in the sorted points.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -66,31 +87,69 @@ from .lattice import arithmetic_functions, euclid_inverses, reduced_residue_inve
 class SmoothWeight:
     """A C^3 weight on [0, 1] with |f''| of constant sign, bounded away from 0.
 
-    It carries f (read by the Hata coefficients) and f'' (read by the
-    endpoint model, Sigma_b and the residue main term).
+    f is read by the Hata grid's linear part, f'' by Sigma_b and the residue
+    main term.  t_rule gives T_I(f) and curvature |f''(a/b)| of intervals
+    [c/d, a/b], as read by hata_coefficient and the Farey sums: a
+    FareyInterval, or interval columns (an entry per interval; a constant
+    curvature may be one float for all).
+    curvature_bound is at least sup |f''| on [0, 1], or None where unknown.
 
-    Both callables take a float or a float64 array of points.  On an array
-    they return an array of the same shape whose entries equal, bit for
-    bit, the scalar calls at those points: the Farey sums evaluate whole
-    chunks of intervals in one call and must not depend on the chunking."""
+    f and f'' take a float or a float64 array of points.  On an array they
+    return an array of the same shape whose entries equal, bit for bit, the
+    scalar calls at those points, and so do the rules on columns: the Farey
+    sums evaluate whole chunks of intervals in one call and must not depend
+    on the chunking."""
 
     f: Callable[[float], float]
     d2f: Callable[[float], float]
+    t_rule: Callable
+    curvature: Callable
+    curvature_bound: Optional[float] = None
     name: str = ""
 
     @staticmethod
     def from_polynomial(coeffs) -> "SmoothWeight":
-        p = np.polynomial.Polynomial([float(c) for c in coeffs])
-        return SmoothWeight(f=p, d2f=p.deriv(2), name=f"poly{list(coeffs)}")
+        cs = [float(c) for c in coeffs]
+        p = np.polynomial.Polynomial(cs)
+        d2f = p.deriv(2)
+        return SmoothWeight(f=p, d2f=d2f, t_rule=_divided_difference_rule(cs[2:]),
+                            curvature=lambda iv: np.abs(d2f(iv.a / iv.b)),
+                            curvature_bound=sum(k * (k - 1) * abs(c) for k, c in enumerate(cs)),
+                            name=f"poly{list(coeffs)}")
 
     @staticmethod
     def quadratic() -> "SmoothWeight":
-        return SmoothWeight(f=lambda x: x * x / 2, d2f=_unit, name="quadratic")
+        return SmoothWeight(f=lambda x: x * x / 2, d2f=_unit,
+                            t_rule=lambda iv: -0.5 / (iv.b * iv.d * (iv.b + iv.d)),
+                            curvature=lambda iv: 1.0, curvature_bound=1.0,
+                            name="quadratic")
 
 
 def _unit(x):
     """f'' = 1 of the quadratic weight: a float for a scalar, ones for an array."""
     return 1.0 if np.ndim(x) == 0 else np.ones(np.shape(x))
+
+
+def _divided_difference_rule(high: list[float]) -> Callable:
+    """The T_I rule of the polynomial sum c_k x^k, given high = [c_2, c_3, ...]:
+    -f[x0, m, x1] / (b d (b+d)) with f[x0, m, x1] = sum_j c_{j+2} h_j, the
+    complete homogeneous h_j = h_j(x0, m, x1) by h_j = x1 h_{j-1} + h_j(x0, m),
+    h_j(x0, m) = m h_{j-1}(x0, m) + x0^j."""
+
+    def rule(interval):
+        a, b, c, d = interval.a, interval.b, interval.c, interval.d
+        x0, m, x1 = c / d, (a + c) / (b + d), a / b
+        power = h2 = h3 = 1.0
+        total = 0.0
+        for j, ck in enumerate(high):
+            if j:
+                power = power * x0
+                h2 = h2 * m + power
+                h3 = h3 * x1 + h2
+            total = total + ck * h3
+        return -total / (b * d * (b + d))
+
+    return rule
 
 
 class _Intervals(NamedTuple):
@@ -116,16 +175,10 @@ def hata_basis(interval, x):
 
 
 def hata_coefficient(weight: SmoothWeight, interval):
-    """(c_I(f), T_I(f)) of a FareyInterval, or elementwise of interval
-    columns."""
-    a, b, c, d = interval.a, interval.b, interval.c, interval.d
-    bd = b + d
-    c_i = (
-        weight.f((a + c) / bd)
-        - b / bd * weight.f(a / b)
-        - d / bd * weight.f(c / d)
-    )
-    return c_i, bd * c_i
+    """(c_I(f), T_I(f)) = (T_I / (b+d), T_I) of a FareyInterval, or
+    elementwise of interval columns, by the weight's T_I rule."""
+    t_i = weight.t_rule(interval)
+    return t_i / (interval.b + interval.d), t_i
 
 
 # Farey sums run over chunks of about this many candidate pairs (b, d); a
@@ -133,17 +186,42 @@ def hata_coefficient(weight: SmoothWeight, interval):
 _CHUNK_PAIRS = 8192
 
 
+class _Chunk:
+    """One chunk of _farey_chunks: the int64 columns b and d, and a and c,
+    which _chunk_numerators builds from the level halves on their first
+    read.  Iterated, it gives c, d, a, b as _Intervals does."""
+
+    def __init__(self, b, d, halves):
+        self.b, self.d, self._halves = b, d, halves
+
+    @functools.cached_property
+    def _numerators(self):
+        return _chunk_numerators(*self._halves)
+
+    a = property(lambda self: self._numerators[0])
+    c = property(lambda self: self._numerators[1])
+
+    def __iter__(self):
+        return iter((self.c, self.d, self.a, self.b))
+
+
+def _scatter(to, parts) -> np.ndarray:
+    """The int64 column whose entries to[i] are those of the concatenated
+    parts (a repeated place takes one of its equal values)."""
+    col = np.empty(to.max() + 1, dtype=np.int64)
+    col[to] = np.concatenate(parts)
+    return col
+
+
 def _farey_chunks(bound: int):
-    """The Farey intervals with max(b, d) <= bound as _Intervals chunks of
+    """The Farey intervals with max(b, d) <= bound as _Chunk columns of
     whole levels m = max(b, d), by m ascending, ties by (b, d) ascending:
     level m holds (x, m) for x = 1..m-1, then (m, x) for x = 1..m, x
     coprime to m.
 
-    The gcd and the Euclid run on each level's half (m, x), x <= m/2 (x = 1
-    at m = 1), only.  The rest follows from its intervals [c/d, a/b]: the
-    complement (m, m - x) has a' = m - a, c' = (m - x) - a + c, and the
-    mirror (d, b) of each (b, d) with b > d has a'' = d - c, c'' = b - a
-    (a'' b - d c'' = a d - b c = 1)."""
+    The gcd runs on each level's half (m, x), x <= m/2 (x = 1 at m = 1),
+    only; the complement (m, m - x) and the mirror (x, m) of each (m, x),
+    x < m, follow."""
     lo = 1
     while lo <= bound:
         # levels lo..hi hold hi^2 - (lo-1)^2 candidates
@@ -154,8 +232,6 @@ def _farey_chunks(bound: int):
         x = np.arange(m.size) - np.repeat(np.cumsum(sizes) - sizes, sizes) + 1
         keep = np.gcd(x, m) == 1
         m, x = m[keep], x[keep]
-        a = euclid_inverses(x, m)
-        c = (a * x - 1) // m
         # per level: n half pairs, the low ones (x < m/2) with a complement,
         # so u = phi(m) pairs (m, x), after v = u mirrors (x, m), none at m = 1
         level = m - lo
@@ -170,17 +246,24 @@ def _farey_chunks(bound: int):
         up = start[level] + rank
         co = (start + u - 1)[level[low]] - rank[low]
         to = np.concatenate((up, co, up - v[level], co - v[level[low]]))
-        cm, cx, ca = m[low], (m - x)[low], (m - a)[low]
-        cc = cx - a[low] + c[low]
-        cols = []
-        for parts in ((m, cm, x, cx), (x, cx, m, cm), (a, ca, x - c, cx - cc),
-                      (c, cc, m - a, cm - ca)):
-            col = np.empty(start[-1] + u[-1], dtype=np.int64)
-            col[to] = np.concatenate(parts)
-            cols.append(col)
-        b, d, a, c = cols
-        yield _Intervals(c=c, d=d, a=a, b=b)
+        cm, cx = m[low], (m - x)[low]
+        yield _Chunk(_scatter(to, (m, cm, x, cx)), _scatter(to, (x, cx, m, cm)),
+                     (m, x, low, to))
         lo = hi + 1
+
+
+def _chunk_numerators(m, x, low, to) -> tuple[np.ndarray, np.ndarray]:
+    """The columns a and c of a chunk from its level halves (m, x), the
+    mask low of x < m/2 and the places to of _farey_chunks: the Euclid gives
+    the halves' a = x^-1 mod m, c = (a x - 1)/m; the complement (m, m - x)
+    has a' = m - a, c' = (m - x) - a + c, and the mirror (d, b) of each
+    (b, d) with b > d has a'' = d - c, c'' = b - a (a'' b - d c'' = a d - b c = 1)."""
+    a = euclid_inverses(x, m)
+    c = (a * x - 1) // m
+    cm, cx, ca = m[low], (m - x)[low], (m - a)[low]
+    cc = cx - a[low] + c[low]
+    return (_scatter(to, (a, ca, x - c, cx - cc)),
+            _scatter(to, (c, cc, m - a, cm - ca)))
 
 
 def _require_int(value, name: str) -> None:
@@ -231,6 +314,19 @@ def hata_reconstruct_grid(weight: SmoothWeight, bound: int, xs) -> np.ndarray:
     return total.reshape(xs.shape)
 
 
+def _tail_bound(weight: SmoothWeight, sc: complex, bound: int) -> Optional[float]:
+    """A bound on the modulus of either Farey sum's terms past the bound:
+    |T_I^s| and |2^-s f''(a/b)^s / (b d (b+d))^s| are at most
+    (sup |f''| / 2)^sigma (b d (b+d))^-sigma, sigma = Re s, whose sum over
+    max(b, d) > bound is at most (sup |f''| / 2)^sigma
+    models._mt_tail_bound(sigma, bound).  None where the weight does not
+    bound |f''| or the tail diverges (sigma <= 2/3)."""
+    sigma = sc.real
+    if weight.curvature_bound is None or sigma <= 2 / 3:
+        return None
+    return (weight.curvature_bound / 2) ** sigma * models._mt_tail_bound(sigma, bound)
+
+
 def farey_zeta(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:
     """Z_f(s) truncated to intervals with max(b, d) <= bound (which contains
     every interval with b + d <= bound), summed in order of max(b, d)
@@ -242,16 +338,18 @@ def farey_zeta(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:
     total = 0j
     count = 0
     for chunk in _farey_chunks(bound):
-        _, t_i = hata_coefficient(weight, chunk)
+        t_i = weight.t_rule(chunk)
         total = add_in_order(total, term_powers(np.abs(t_i[t_i != 0]), sc))
         count += t_i.size
-    return SeriesEstimate(value=total, cutoff=float(bound), terms_used=count)
+    return SeriesEstimate(value=total, cutoff=float(bound), terms_used=count,
+                          tail_bound=_tail_bound(weight, sc, bound))
 
 
 def endpoint_model(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:
     """Z^end_f(s) = 2^(-s) sum |f''(a/b)|^s / (b d (b+d))^s, same truncation
     and order as farey_zeta; each term is the numpy quotient of the
-    term_powers of |f''(a/b)| and of b d (b+d)."""
+    term_powers of |f''(a/b)| (the weight's curvature rule) and of
+    b d (b+d)."""
     _require_int(bound, "bound")
     if bound < 1:  # the sums would be empty
         raise ValueError(f"bound must be at least 1, got {bound}")
@@ -259,9 +357,9 @@ def endpoint_model(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:
     total = 0j
     count = 0
     for chunk in _farey_chunks(bound):
-        a, b, d = chunk.a, chunk.b, chunk.d
+        b, d = chunk.b, chunk.d
         # each distinct |f''(a/b)| powered once
-        values, which = np.unique(np.abs(weight.d2f(a / b)), return_inverse=True)
+        values, which = np.unique(weight.curvature(chunk), return_inverse=True)
         num = term_powers(values, sc)[which]
         # b d (b + d) powered on the b >= d entries, gathered to their mirrors
         upper = b >= d
@@ -272,7 +370,8 @@ def endpoint_model(weight: SmoothWeight, s, bound: int) -> SeriesEstimate:
         with np.errstate(all="ignore"):  # add_in_order refuses an inf or NaN quotient
             total = add_in_order(total, num / den)
         count += b.size
-    return SeriesEstimate(value=2.0 ** (-sc) * total, cutoff=float(bound), terms_used=count)
+    return SeriesEstimate(value=2.0 ** (-sc) * total, cutoff=float(bound), terms_used=count,
+                          tail_bound=_tail_bound(weight, sc, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +552,12 @@ def legendre_dual(chart: ArcChart) -> SmoothWeight:
 
     x(u) solves g'(x) = -u: it is the tangency point of chart direction
     (u, 1), which ArcChart.tangency_x solves on the whole array of u (x_max
-    at u = 0).  The chart's slope range must cover [-1, 0]."""
+    at u = 0).  The chart's slope range must cover [-1, 0].
+
+    g~(u) = -h(u, 1) for the chart's 1-homogeneous support h, so T_I(g~) of
+    I = [c/d, a/b] is minus the support defect at (a, b, c, d): the dual's
+    T_I rule is -1/defect_den, or -defect_float where the chart has no
+    defect_den."""
     if chart.g is None or chart.dg is None or chart.d2g is None:
         raise ValueError("chart carries no graph data")
     if chart.dg(1e-12) > -1 + 1e-12:  # g' increases: it must reach -1 near 0
@@ -467,6 +571,14 @@ def legendre_dual(chart: ArcChart) -> SmoothWeight:
             return value(flat, chart.tangency_x(flat, 1)).reshape(np.shape(u))[()]
         return fn
 
-    return SmoothWeight(f=at_tangency(lambda u, x: -(u * x + chart.g(x))),
-                        d2f=at_tangency(lambda u, x: 1.0 / chart.d2g(x)),
+    if chart.defect_den is not None:
+        def t_rule(iv):
+            return -1 / chart.defect_den(iv.a, iv.b, iv.c, iv.d)
+    else:
+        def t_rule(iv):
+            return -chart.defect_float(iv.a, iv.b, iv.c, iv.d)
+
+    d2f = at_tangency(lambda u, x: 1.0 / chart.d2g(x))
+    return SmoothWeight(f=at_tangency(lambda u, x: -(u * x + chart.g(x))), d2f=d2f,
+                        t_rule=t_rule, curvature=lambda iv: np.abs(d2f(iv.a / iv.b)),
                         name=f"dual({chart.name})")

@@ -896,13 +896,17 @@ def _spec_vertices(spec: dict) -> list:
 
 
 def _spec_float(value, name: str) -> float:
-    """A spec number, a JSON number or a numeric string, as a float."""
+    """A spec number, a JSON number or a numeric string, as a finite float
+    (NaN and infinities, which JSON parsers and float() accept, are refused)."""
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
-            return float(value)
-        except ValueError:
+            out = float(value)
+        except (ValueError, OverflowError):
             pass
-    raise ValueError(f"{name} must be a number, not {value!r}")
+        else:
+            if math.isfinite(out):
+                return out
+    raise ValueError(f"{name} must be a finite number, not {value!r}")
 
 
 def _poly_chart_functions(coeffs: list[float]) -> list[Callable[[float], float]]:

@@ -296,6 +296,20 @@ class TestAnalyticCommands:
         code, out = run_cli(["minimal-model", write_domain(tmp_path, spec)], capsys)
         assert code == 1 and "error" in json.loads(out)
 
+    @pytest.mark.parametrize("spec", [
+        dict(_rounded_square([1, 2]), charts=[{"corner": 0, "g_poly": ["1", "-2", "nan"], "x_max": 1.0}]
+             + _rounded_square([1, 2])["charts"]),
+        dict(_rounded_square([1, 2]), charts=[{"corner": 0, "g_poly": ["1", "-2", 1], "x_max": math.inf}]
+             + _rounded_square([1, 2])["charts"]),
+        {"kind": "builtin", "tag": "disk", "radius": math.nan},
+        {"kind": "builtin", "tag": "disk", "radius": "-inf"},
+    ], ids=["g-poly-nan", "x-max-inf", "radius-nan", "radius-minus-inf"])
+    def test_non_finite_number_is_refused(self, tmp_path, capsys, spec):
+        # json reads NaN and Infinity, float() reads "nan" and "-inf"; a NaN
+        # coefficient used to load and leave its arc uncut
+        code, out = run_cli(["cuts", write_domain(tmp_path, spec), "--eps", "1e-3"], capsys)
+        assert code == 1 and "must be a finite number" in json.loads(out)["error"]
+
     def test_well_formed_smooth_domain(self, tmp_path, capsys):
         code, out = run_cli(["minimal-model", write_domain(tmp_path, _rounded_square([0, 1, 2, 3]))],
                             capsys)

@@ -110,6 +110,92 @@ class TestHataCoefficient:
             assert lo - 1e-12 <= val <= hi + 1e-12
 
 
+ULP = 2.0 ** -52
+
+
+def sample_intervals(bound, count, seed=5):
+    """count Farey intervals with max(b, d) <= bound, most near the bound,
+    with the extreme ones (1, bound), (bound, 1), (bound - 1, bound),
+    (bound, bound - 1) and (1, 1)."""
+    rng = np.random.default_rng(seed)
+    pairs = [(1, bound), (bound, 1), (bound - 1, bound), (bound, bound - 1), (1, 1)]
+    while len(pairs) < count:
+        b, d = int(rng.integers(1, bound + 1)), int(rng.integers(3 * bound // 4, bound + 1))
+        if math.gcd(b, d) == 1:
+            pairs.append((b, d) if rng.random() < 0.5 else (d, b))
+    return [farey_from_denominators(b, d) for b, d in pairs]
+
+
+def three_point_t(f, iv):
+    """T_I = (b+d) f(m) - b f(a/b) - d f(c/d) in mpmath's working precision."""
+    a, b, c, d = (mpmath.mpf(v) for v in (iv.a, iv.b, iv.c, iv.d))
+    return (b + d) * f((a + c) / (b + d)) - b * f(a / b) - d * f(c / d)
+
+
+CUBIC = [0.0, 0.3, 1.0, 0.2]
+# each weight with its f in mpmath: the duals' g~ in closed form
+RULE_WEIGHTS = {
+    "quadratic": (SmoothWeight.quadratic, lambda u: u * u / 2),
+    "cubic": (lambda: SmoothWeight.from_polynomial(CUBIC),
+              lambda u: mpmath.polyval(CUBIC[::-1], u)),
+    "dual-L": (lambda: legendre_dual(ConvexDomain.domain_L().charts[0]), lambda u: -u / (1 + u)),
+    "dual-disk": (lambda: legendre_dual(ConvexDomain.disk(1.0).charts[0]),
+                  lambda u: mpmath.sqrt(1 + u * u) - 1 - u),
+}
+
+
+class TestTRule:
+    @pytest.mark.parametrize("wname", RULE_WEIGHTS)
+    def test_matches_mpmath_at_2000(self, wname):
+        # the three-point formula in floats is off by 1e-2 here; the rule is
+        # within 2 ulp (measured 0.5, 0.8, 0.5 and 1.7), and its entry on
+        # columns equals its call on the one interval
+        make, f = RULE_WEIGHTS[wname]
+        weight = make()
+        ivs = sample_intervals(2000, 300)
+        cols = farey._Intervals(*(np.array([getattr(iv, k) for iv in ivs]) for k in "cdab"))
+        _, t_cols = hata_coefficient(weight, cols)
+        with mpmath.workdps(50):
+            for iv, t_i in zip(ivs, t_cols.tolist()):
+                assert hata_coefficient(weight, iv)[1] == t_i
+                exact = three_point_t(f, iv)
+                assert abs(t_i - exact) <= 4 * ULP * abs(exact)
+
+    @pytest.mark.parametrize("s", [0.8, 0.75 + 2j])
+    def test_quadratic_series_is_its_endpoint_model(self, s):
+        # equal for constant curvature; they differ by the roundings of
+        # 152231 terms (5.4e-14 and 1.4e-14 measured)
+        w = SmoothWeight.quadratic()
+        fz, ep = farey_zeta(w, s, 500), endpoint_model(w, s, 500)
+        assert fz.terms_used == ep.terms_used == 152231
+        assert abs(fz.value - ep.value) <= 1e-13 * abs(ep.value)
+
+
+class TestTailBound:
+    @pytest.mark.parametrize("sigma", [0.7, 0.8, 0.9, 1.2, 2.0])
+    @pytest.mark.parametrize("wname", ["quadratic", "cubic"])
+    def test_bounds_the_partial_tail_to_8b(self, sigma, wname):
+        weight = RULE_WEIGHTS[wname][0]()
+        for fn in (farey_zeta, endpoint_model):
+            for bound in (10, 40):
+                head = fn(weight, sigma, bound)
+                partial = fn(weight, sigma, 8 * bound).value - head.value
+                assert 0 < partial.real <= head.tail_bound
+                assert fn(weight, sigma + 3j, bound).tail_bound == head.tail_bound
+
+    def test_unset_without_a_curvature_bound_or_at_a_divergent_sigma(self):
+        dual = legendre_dual(ConvexDomain.domain_L().charts[0])
+        assert farey_zeta(dual, 0.8, 10).tail_bound is None
+        assert endpoint_model(dual, 0.8, 10).tail_bound is None
+        for sigma in (2 / 3, 0.6):
+            assert farey_zeta(SmoothWeight.quadratic(), sigma, 10).tail_bound is None
+
+    def test_polynomial_curvature_bound(self):
+        # sum k (k-1) |c_k|: 2 |c_2| + 6 |c_3| for the cubic
+        assert SmoothWeight.from_polynomial(CUBIC).curvature_bound == pytest.approx(3.2)
+        assert SmoothWeight.from_polynomial([0, 0, 0.5]).curvature_bound == 1.0
+
+
 class TestHataReconstruct:
     def test_linear_is_exact(self):
         w = SmoothWeight.from_polynomial([1, -2])
@@ -446,7 +532,7 @@ class TestLegendreDual:
             iv = farey_from_denominators(b, d)
             _, t_i = hata_coefficient(dual, iv)
             expected = 1.0 / ((iv.a + iv.b) * (iv.c + iv.d) * (iv.a + iv.b + iv.c + iv.d))
-            assert abs(t_i) == pytest.approx(expected, abs=1e-10)
+            assert abs(t_i) == pytest.approx(expected, rel=4 * ULP, abs=0)
             checked += 1
             if checked >= 50:
                 break
@@ -768,12 +854,18 @@ def euclid_entries(monkeypatch):
 
 class TestQuarterEuclid:
     def test_farey_zeta_inverts_a_quarter_of_the_pairs(self, euclid_entries):
-        # one entry per level's (m, x), x <= m/2 (and (1, 1)): 246 of 490
-        # pairs with b >= d, 979 in all
-        est = farey_zeta(SmoothWeight.quadratic(), 0.8, 40)
+        # the cubic's T_I rule reads a and c: one entry per level's (m, x),
+        # x <= m/2 (and (1, 1)): 246 of 490 pairs with b >= d, 979 in all
+        est = farey_zeta(WEIGHTS["cubic"], 0.8, 40)
         assert sum(euclid_entries) == 246
         assert est.terms_used == 2 * 490 - 1
-        assert est.value == oracle_farey_zeta(SmoothWeight.quadratic(), 0.8, 40)[0]
+        assert est.value == oracle_farey_zeta(WEIGHTS["cubic"], 0.8, 40)[0]
+
+    def test_quadratic_sums_run_no_euclid(self, euclid_entries):
+        # T_I = -1/(2 b d (b+d)) and f'' = 1 read b and d only
+        for fn in (farey_zeta, endpoint_model):
+            assert fn(SmoothWeight.quadratic(), 0.8, 40).terms_used == 979
+        assert euclid_entries == []
 
     @pytest.mark.parametrize("wname", WEIGHTS)
     def test_sigma_b_at_the_edges_of_the_half(self, wname, euclid_entries):

@@ -183,7 +183,7 @@ def test_euclid_has_two_callers():
     # on each level's half and on the residues r <= b/2
     callers = {(path.stem, fn) for path in sorted(SRC.glob("*.py"))
                for fn in _callers("euclid_inverses", path.read_text())}
-    assert callers == {("farey", "_farey_chunks"), ("lattice", "reduced_residue_inverses")}
+    assert callers == {("farey", "_chunk_numerators"), ("lattice", "reduced_residue_inverses")}
     assert _callers("f", "def g():\n    def h():\n        m.f()\n    f()\nf()") == {"g", "h", "<module>"}
     assert _callers("f", "def g():\n    @f\n    def h():\n        pass\n") == {"g"}
 
