@@ -56,7 +56,10 @@ quotients are numpy's.  Both sums report a tail bound
 (models._mt_tail_bound) where the weight bounds |f''|.
 Sigma_b takes its reduced residues and their inverses the same way: the
 Euclid on r <= b/2, the complement b - r with inverse b - rbar.  Its
-kernel H_s takes its powers as exps of real logarithms.
+kernel H_s is the singular k = 0 term, one exp of real logarithms, plus a
+Chebyshev interpolant of the analytic remainder sum_{k>=1}, built once per
+s from the direct terms; it reads within 1e-13 relative of 30-digit mpmath
+(3e-15 on 1/2 < Re s <= 2.5, |Im s| <= 7).
 The Hata intervals (b + d <= N) are the chunks' rows with b + d <= N, put
 in (b, d) order; the Hata grid evaluates each tent only on the points of
 its support, found by binary search in the sorted points.
@@ -79,7 +82,7 @@ from .estimates import (
     gauss_legendre,
     term_powers,
 )
-from .geometry import ArcChart
+from .geometry import ArcChart, _spec_float
 from .lattice import arithmetic_functions, euclid_inverses, reduced_residue_inverses
 
 
@@ -109,7 +112,7 @@ class SmoothWeight:
 
     @staticmethod
     def from_polynomial(coeffs) -> "SmoothWeight":
-        cs = [float(c) for c in coeffs]
+        cs = [_spec_float(c, f"weight coefficient {k}") for k, c in enumerate(coeffs)]
         p = np.polynomial.Polynomial(cs)
         d2f = p.deriv(2)
         return SmoothWeight(f=p, d2f=d2f, t_rule=_divided_difference_rule(cs[2:]),
@@ -419,26 +422,57 @@ def _h_tail(s: complex, x0: np.ndarray) -> np.ndarray:
     return total
 
 
-def h_kernel_batch(s, u: np.ndarray) -> np.ndarray:
-    """H_s(u) for an array of u in (0, 1], accelerated to ~1e-12 relative,
-    as complex128.
+def _h_remainder(s: complex, u: np.ndarray) -> np.ndarray:
+    """R_s(u) = H_s(u) - u^(-s) (1+u)^(-s) = sum_{k>=1} (k+u)^(-s) (k+1+u)^(-s)
+    on an array of u >= 0: the direct terms k < K = max(64, 8 ceil|s|) as
+    exp(-s (log(k+u) + log(k+1+u))) on real logarithms, each taken once (a
+    real exp for real s, whose result is then a real array, and one complex
+    exp per term otherwise), then _h_tail(s, K + u)."""
+    k_terms = max(64, int(math.ceil(abs(s))) * 8)
+    logs = np.log(np.arange(1, k_terms + 1)[:, None] + u)
+    exponent = s.real if s.imag == 0 else s
+    direct = np.exp(-exponent * (logs[:-1] + logs[1:])).sum(axis=0)
+    return direct + _h_tail(s, k_terms + u)
 
-    The direct terms (k+u)^(-s) (k+1+u)^(-s), k < K, are exp(-s (log(k+u) +
-    log(k+1+u))) on real logarithms, each taken once: a real exp for real
-    s, whose imaginary part is then exactly 0, and one complex exp per term
-    otherwise."""
+
+# The remainder R_s is interpolated at this many Chebyshev nodes plus two
+# per unit of ceil|s|
+_H_NODES = 24
+
+
+def h_kernel_batch(s, u: np.ndarray) -> np.ndarray:
+    """H_s(u) for an array of u in (0, 1], to ~1e-13 relative, as complex128.
+
+    H_s(u) is its k = 0 term u^(-s) (1+u)^(-s), taken as exp(-s (log u +
+    log(1+u))) on real logarithms (a real exp for real s, whose imaginary
+    part is then exactly 0), plus the remainder R_s(u) = sum_{k>=1}, which
+    is analytic for Re u > -1.  R_s is its Chebyshev interpolant on [0, 1]:
+    _h_remainder at the n = _H_NODES + 2 ceil|s| first-kind nodes, the
+    coefficients by one cosine matrix product, summed by Clenshaw at
+    t = 2u - 1.  So each u costs two logs and one exp, and the interpolant
+    depends on s alone: an entry does not depend on the rest of the array.
+    Against 30-digit mpmath it reads 1-3.4e-15 relative at s = 0.501 to 2.5,
+    0.6+2i and 2.5+7i, 2-6e-14 at 0.6+30i, 0.75+50i and 0.9+100i (as the
+    direct sum does), 4.5e-15 at s = 10 and 1.8e-14 at s = 40."""
     sc = complex(s)
     if sc.real <= 0.5:
         raise ValueError("H_s needs Re(s) > 1/2")
     u = np.asarray(u, dtype=float)
     if (u <= 0).any() or (u > 1).any():
         raise ValueError("u must lie in (0, 1]")
-    k_terms = max(64, int(math.ceil(abs(sc))) * 8)
-    logs = np.log(np.arange(k_terms + 1)[:, None] + u)
+    n = _H_NODES + 2 * math.ceil(abs(sc))
+    angles = np.pi * (np.arange(n) + 0.5) / n
+    nodes = (1 + np.cos(angles)) / 2
+    coeffs = np.cos(np.outer(np.arange(n), angles)) @ _h_remainder(sc, nodes) * (2 / n)
+    coeffs[0] /= 2
+    t = 2 * u - 1
+    two_t = 2 * t
+    b1 = b2 = 0.0
+    for c in coeffs[:0:-1]:
+        b1, b2 = c + two_t * b1 - b2, b1
     exponent = sc.real if sc.imag == 0 else sc
-    direct = np.exp(-exponent * (logs[:-1] + logs[1:])).sum(axis=0)
-    # tail k >= K in tau = t + u + 1/2 coordinates starts at tau0 = K + u
-    return (direct + _h_tail(sc, k_terms + u)).astype(complex)
+    head = np.exp(-exponent * (np.log(u) + np.log(1 + u)))
+    return (head + (coeffs[0] + t * b1 - b2)).astype(complex)
 
 
 def h_kernel(s, u: float) -> complex:
@@ -464,7 +498,7 @@ _JACOBI_NODES = 80  # Gauss-Jacobi nodes on the singular part of H_s
 def h_kernel_integral_quadrature(s: float) -> float:
     """int_0^1 H_s(u) du by quadrature of the kernel itself (real s): the
     singular part u^(-s)(1+u)^(-s) by Gauss-Jacobi with weight u^(-s), the
-    smooth remainder sum_{k>=1} on one gauss_legendre cell."""
+    smooth remainder _h_remainder on one gauss_legendre cell."""
     from scipy.special import roots_jacobi
 
     if not 0.5 < s < 1:
@@ -473,10 +507,7 @@ def h_kernel_integral_quadrature(s: float) -> float:
     x, w = roots_jacobi(_JACOBI_NODES, 0.0, -s)
     u = (x + 1) / 2
     singular = float((w * (1 + u) ** (-s)).sum() * 0.5 ** (1 - s))
-    k = np.arange(1, 400)[:, None]
-    # the remainder sum, its tail by the same acceleration as h_kernel
-    remainder = gauss_legendre(lambda uu: ((k + uu) ** (-s) * (k + 1 + uu) ** (-s)).sum(axis=0)
-                               + _h_tail(complex(s), 400 + uu).real, 0.0, 1.0)
+    remainder = gauss_legendre(lambda uu: _h_remainder(complex(s), uu), 0.0, 1.0)
     return singular + remainder
 
 

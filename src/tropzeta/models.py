@@ -163,8 +163,8 @@ def _mt_tail_bound(sigma: float, p_max: int) -> float:
 
 def witten_su3(s: complex, cutoff: int) -> SeriesEstimate:
     """zeta_SU(3)(s) = 2^s * sum over all p, q <= cutoff of (pq(p+q))^(-s).
-    Its tail_hint is a bound on the modulus of the dropped tail: |2^s|
-    times _mt_tail_bound(Re s, cutoff), None where Re s <= 2/3."""
+    Its tail_bound bounds the modulus of the dropped tail: |2^s| times
+    _mt_tail_bound(Re s, cutoff), None where Re s <= 2/3."""
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     s = complex(s)
@@ -175,7 +175,7 @@ def witten_su3(s: complex, cutoff: int) -> SeriesEstimate:
     scale = 2 ** s
     tail = _mt_tail_bound(s.real, cutoff)
     return SeriesEstimate(value=scale * total, cutoff=float(cutoff), terms_used=cutoff * cutoff,
-                          tail_hint=abs(scale) * tail if math.isfinite(tail) else None)
+                          tail_bound=abs(scale) * tail if math.isfinite(tail) else None)
 
 
 # Known analytic data for zeta_SU(3) (recorded, not recomputed):

@@ -310,6 +310,19 @@ class TestAnalyticCommands:
         code, out = run_cli(["cuts", write_domain(tmp_path, spec), "--eps", "1e-3"], capsys)
         assert code == 1 and "must be a finite number" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("text", ['["0", "0", "nan"]', "[0, 0, 0.5, 1e400]"],
+                             ids=["nan-string", "overflow"])
+    @pytest.mark.parametrize("command", [["farey", "--s", "0.8", "--bound", "50"],
+                                         ["sigma-b", "--s", "0.7", "--b", "50"]],
+                             ids=["farey", "sigma-b"])
+    def test_non_finite_weight_coefficient_is_refused(self, tmp_path, capsys, text, command):
+        # such a weight used to load and fail its sums as an overflow (exit 2)
+        path = tmp_path / "w.json"
+        path.write_text(text)
+        code, out = run_cli(command + ["--weight", str(path)], capsys)
+        error = json.loads(out)["error"]
+        assert code == 1 and "weight coefficient" in error and "must be a finite number" in error
+
     def test_well_formed_smooth_domain(self, tmp_path, capsys):
         code, out = run_cli(["minimal-model", write_domain(tmp_path, _rounded_square([0, 1, 2, 3]))],
                             capsys)

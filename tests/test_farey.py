@@ -766,13 +766,17 @@ class TestArrayEngineOracle:
             assert sigma_b(WEIGHTS[wname], 0.7, b)[0] == oracle_sigma_b_value(WEIGHTS[wname], 0.7, b)
 
 
-def mpmath_h_kernel(s, u, head=40):
+def mpmath_h_kernel(s, u, head=None):
     """H_s(u) to 30 digits: the first terms summed, the rest by mpmath's
     Euler-Maclaurin summation with the tail integral in closed form,
     int_{t0}^inf (t^2 - 1/4)^(-s) dt = t0^(1-2s) 2F1(s, s-1/2; s+1/2; 1/(4 t0^2)) / (2s-1)
     at t0 = head + u + 1/2.  (nsum's Euler-Maclaurin method takes that
     integral by quadrature of an oscillating integrand; at s = 0.6+2i it
-    is off by 6e-6 at 15 digits and by 5e-9 at 30.)"""
+    is off by 6e-6 at 15 digits and by 5e-9 at 30.)  The Euler-Maclaurin
+    series diverges where |s| > head, so head defaults to max(40, 8 ceil|s|):
+    at s = 0.75+50i, head = 40 reads 2.7e-5 off."""
+    if head is None:
+        head = max(40, 8 * math.ceil(abs(s)))
     with mpmath.workdps(30):
         s, u = mpmath.mpc(s), mpmath.mpf(u)
 
@@ -787,14 +791,22 @@ def mpmath_h_kernel(s, u, head=40):
 
 
 class TestHKernelAccuracy:
-    US = np.array([1 / 1201, 0.37, 1.0])
+    US = np.array([1 / 4999, 1 / 1201, 0.37, 1.0])
 
-    @pytest.mark.parametrize("s", [0.7, 0.8, 0.6 + 2j, 0.75 + 2.1j])
+    @pytest.mark.parametrize("s", [0.501, 0.7, 0.8, 0.95, 0.6 + 2j, 0.75 + 2.1j, 2.5 + 7j, 10,
+                                   0.75 + 50j])
     def test_matches_mpmath(self, s):
         got = farey.h_kernel_batch(s, self.US)
         for u, value in zip(self.US, got):
             ref = mpmath_h_kernel(s, u)
             assert abs(value - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("s", [0.7, 0.6 + 2j])
+    def test_scalar_call_is_its_batch_entry(self, s):
+        us = np.arange(1, 1010) / 1009
+        got = farey.h_kernel_batch(s, us)
+        for i in (0, 1, 504, 1007, 1008):
+            assert h_kernel(s, us[i]) == got[i]
 
     @pytest.mark.parametrize("s", [0.7, 0.6 + 2j])
     def test_direct_sum_is_two_power_form(self, s):

@@ -137,9 +137,9 @@ class TestMordellTornheim:
         # the pairs with bound < max(p, q) <= 8 bound are part of the tail
         assert models._mt_tail_bound(sigma, bound) >= partial_tail(sigma, bound, 8 * bound)
 
-    def test_su3_tail_hint_is_the_bound(self):
-        assert models.witten_su3(0.8, 100).tail_hint == 2 ** 0.8 * models._mt_tail_bound(0.8, 100)
-        assert models.witten_su3(0.6, 100).tail_hint is None
+    def test_su3_tail_bound_is_the_bound(self):
+        assert models.witten_su3(0.8, 100).tail_bound == 2 ** 0.8 * models._mt_tail_bound(0.8, 100)
+        assert models.witten_su3(0.6, 100).tail_bound is None
 
     def test_su3_at_2(self):
         est = models.witten_su3(2, 2000)
