@@ -283,7 +283,7 @@ def _cmd_equiaffine(args) -> dict:
             total += length_parametric(
                 lambda t, c=chart: (1.0, c.dg(t)),
                 lambda t, c=chart: (0.0, c.d2g(t)),
-                (1e-12, float(chart.x_max)),
+                (0.0, float(chart.x_max)),
             )
     return {"value": total, "method": method}
 
@@ -329,7 +329,7 @@ def _cmd_model(args) -> dict:
         }
         if args.s:
             s = _parse_s(args.s)
-            payload["value"] = models.zeta_L(s, cutoff=args.cutoff or 600)
+            payload["value"] = models.zeta_L(s, cutoff=600 if args.cutoff is None else args.cutoff)
             payload["s"] = s
         return payload
     if which == "d-alpha":

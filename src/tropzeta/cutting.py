@@ -308,20 +308,28 @@ class CutTree:
         arr = arr[np.argsort(np.arctan2(arr[:, 1], arr[:, 0]))]
         return arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy(), arr[:, 3].copy()
 
-    def front_perimeter_geometric(self, ts) -> np.ndarray:
-        """Lattice perimeters of the wave fronts at the times ts (a 1-D
-        array, e.g. every cell of a Mellin level), one per t: A[n] + B[n] t
-        from the running sums of _perimeter_sums, n the number of cuts of
-        size >= t.  The sums start from the minimal model's support lines
-        and read the cuts' support differences, not the identity route's
-        size bookkeeping, where the charts have a float support.  Each value
-        is independent of the other times asked with it."""
+    def perimeter_coefficients(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """(A[n], B[n]) per time t of the 1-D array ts (e.g. the midpoint of
+        every cell of a Mellin level): the wave-front perimeter is
+        A[n] + B[n] t' for every t' whose cuts are those of t, read from the
+        running sums of _perimeter_sums, n the number of cuts of size >= t.
+        The sums start from the minimal model's support lines and read the
+        cuts' support differences, not the identity route's size
+        bookkeeping, where the charts have a float support.  Each pair is
+        independent of the other times asked with it."""
         ts = np.asarray(ts, dtype=np.float64)
         if ts.min() < self.threshold:
             raise ValueError("tree too shallow")
         a, b = self._perimeter_sums
         n = np.searchsorted(-self._sorted_sizes, -ts, side="right")
-        return a[n] + b[n] * ts
+        return a[n], b[n]
+
+    def front_perimeter_geometric(self, ts) -> np.ndarray:
+        """Lattice perimeters of the wave fronts at the times ts (a 1-D
+        array), one per t: A + B t from perimeter_coefficients."""
+        ts = np.asarray(ts, dtype=np.float64)
+        a, b = self.perimeter_coefficients(ts)
+        return a + b * ts
 
     def mediant_constraints(self, t) -> list:
         """(normal, offset) of the mediant supporting line of every cut of

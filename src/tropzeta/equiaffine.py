@@ -15,64 +15,69 @@ from typing import Callable
 import numpy as np
 
 from .cutting import chart_frontier_wedges
-from .estimates import adaptive_quadrature, elementwise, gauss_legendre
+from .estimates import adaptive_quadrature, gauss_legendre
 from .geometry import ConvexDomain
 
 _LENGTH_TOL = 1e-10  # absolute tolerance of the adaptive length quadrature
 
 
 def length_parametric(d1: Callable, d2: Callable, t_range: tuple[float, float]) -> float:
-    """Equiaffine length: adaptive quadrature of |det(G'(t), G''(t))|^(1/3).
+    """Equiaffine length: the integral of |det(G'(t), G''(t))|^(1/3).
 
-    d1, d2 return the first and second derivative vectors.  A vanishing first
-    derivative on the sample grid is rejected as an irregular parametrization.
+    d1, d2 take the float64 array of parameters and return the first and
+    second derivative vectors as pairs of arrays (or scalars, broadcast).
+    A vanishing first derivative at an interior point of a 257-point grid
+    is rejected as an irregular parametrization.  Integrated by
+    _endpoint_refined, so an end where the curvature blows up integrably
+    (the arc of a graph with a vertical tangent) is never evaluated.
     """
     a, b = float(t_range[0]), float(t_range[1])
     if not b > a:
         raise ValueError("empty parameter range")
-    for t in np.linspace(a, b, 257):
-        dx, dy = d1(float(t))
-        if math.hypot(dx, dy) < 1e-14:
-            raise ValueError(f"vanishing curve velocity at t = {t}")
+    ts = np.linspace(a, b, 257)[1:-1]
+    slow = np.broadcast_to(np.hypot(*d1(ts)) < 1e-14, ts.shape)
+    if slow.any():
+        raise ValueError(f"vanishing curve velocity at t = {ts[slow][0]}")
 
-    @elementwise
-    def integrand(t: float) -> float:
-        dx, dy = d1(t)
-        ddx, ddy = d2(t)
-        det = dx * ddy - dy * ddx
-        if abs(det) < 1e-30:  # cube roots of roundoff-negative values
-            return 0.0
-        return abs(det) ** (1 / 3.0)
+    def integrand(t):
+        (dx, dy), (ddx, ddy) = d1(t), d2(t)
+        det = np.abs(dx * ddy - dy * ddx)
+        # cube roots of roundoff-sized values are not curvature
+        return np.where(det < 1e-30, 0.0, det) ** (1 / 3.0)
 
-    return adaptive_quadrature(integrand, a, b, _LENGTH_TOL)
+    return _endpoint_refined(integrand, a, b)
 
 
-def length_graph(d2g: Callable[[float], float], interval: tuple[float, float]) -> float:
+def length_graph(d2g: Callable, interval: tuple[float, float]) -> float:
     """Equiaffine length of a convex graph: integral of (g'')^(1/3).
 
-    g'' may blow up at the interval endpoints (vertical tangents); the cells
-    are refined geometrically toward both endpoints, where the integrand
-    x^(-1/2)-type singularities remain integrable.
+    d2g takes the float64 array of abscissae (a scalar return is
+    broadcast); a nonpositive value anywhere the rule samples is refused.
+    g'' may blow up at the interval endpoints (vertical tangents), which
+    _endpoint_refined never evaluates.
     """
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise ValueError("empty interval")
-    width = b - a
-    probe = [a + width * f for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
-    for x in probe:
-        if d2g(x) <= 0:
-            raise ValueError(f"nonpositive g'' at x = {x}")
 
-    @elementwise
-    def integrand(x: float) -> float:
+    def integrand(x):
         val = d2g(x)
-        if val <= 0:
-            raise ValueError(f"nonpositive g'' at x = {x}")
+        bad = np.broadcast_to(val <= 0, x.shape)
+        if bad.any():
+            raise ValueError(f"nonpositive g'' at x = {x[bad][0]}")
         return val ** (1 / 3.0)
 
+    return _endpoint_refined(integrand, a, b)
+
+
+def _endpoint_refined(integrand: Callable, a: float, b: float) -> float:
+    """int_a^b of an integrand of arrays with integrable x^(-1/2)-type
+    singularities allowed at both ends: adaptive Gauss-Legendre on the
+    middle half, dyadic cells into each end (each cell is smooth inside),
+    then geometric extrapolation of the remaining power-law tail.  Every
+    rule is open, so neither end is evaluated."""
+    width = b - a
     total = adaptive_quadrature(integrand, a + width / 4, b - width / 4, _LENGTH_TOL)
-    # dyadic refinement into both endpoints (each cell is smooth inside),
-    # then geometric extrapolation of the remaining power-law tail
     for side in (0, 1):
         h = width / 4
         cells: list[float] = []

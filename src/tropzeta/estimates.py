@@ -80,17 +80,6 @@ def _bisect(f: Callable, a: float, b: float, whole, tol: float, depth: int):
             + _bisect(f, mid, b, right, tol / 2, depth - 1))
 
 
-def elementwise(scalar_fn: Callable[[float], float]) -> Callable:
-    """scalar_fn mapped over the entries of a float array, so that a scalar
-    function meets the array contract of the rules above."""
-
-    def fn(u):
-        u = np.asarray(u, dtype=float)
-        return np.fromiter(map(scalar_fn, u.ravel().tolist()), float, u.size).reshape(u.shape)
-
-    return fn
-
-
 @dataclass
 class SeriesEstimate:
     """A partial-sum value with its truncation metadata.

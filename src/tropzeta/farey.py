@@ -552,13 +552,14 @@ def sigma_b(weight: SmoothWeight, s, b: int) -> tuple[complex, complex, float]:
 _FEJER_GRID = 2**14  # periodic sample points of G
 
 
-def fejer_defect(g: Callable[[float], float], n: int) -> float:
+def fejer_defect(g: Callable, n: int) -> float:
     """sup-grid norm of G - (G * F_N), the Fejer mean of order N computed by
-    triangular weighting of the FFT spectrum of G on a fine periodic grid."""
+    triangular weighting of the FFT spectrum of G on a fine periodic grid.
+    g takes the float64 array of grid points (a scalar return is broadcast)."""
     if n < 2:
         raise ValueError("Fejer order must be at least 2")
     xs = np.arange(_FEJER_GRID) / _FEJER_GRID
-    vals = np.array([g(x) for x in xs], dtype=float)
+    vals = np.broadcast_to(np.asarray(g(xs), dtype=float), xs.shape)
     spec = np.fft.rfft(vals)
     freqs = np.arange(len(spec))
     weights = np.clip(1 - freqs / n, 0.0, None)

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .estimates import SeriesEstimate
+from .estimates import SeriesEstimate, term_powers
 from .lattice import UnimodularQuadruple
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ def witten_su3(s: complex, cutoff: int) -> SeriesEstimate:
     total = 0j
     qf = np.arange(1, cutoff + 1, dtype=np.float64)
     for p in range(1, cutoff + 1):
-        total += ((p * qf * (p + qf)) ** (-s)).sum()
+        total += term_powers(p * qf * (p + qf), -s).sum()
     scale = 2 ** s
     tail = _mt_tail_bound(s.real, cutoff)
     return SeriesEstimate(value=scale * total, cutoff=float(cutoff), terms_used=cutoff * cutoff,
@@ -250,4 +250,4 @@ def d_alpha_expected_series(alpha: float, s: complex, n_max: int) -> complex:
     """Partial sum of zeta(s/alpha) = sum n^(-s/alpha): the boundary series of
     the staircase corner."""
     n = np.arange(1, n_max + 1, dtype=np.float64)
-    return complex((n ** (-complex(s) / alpha)).sum())
+    return complex(term_powers(n, -complex(s) / alpha).sum())

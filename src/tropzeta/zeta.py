@@ -172,19 +172,6 @@ _MELLIN_REL_TOL = 1e-10  # stop once a level adds less than this, relatively
 _MELLIN_MAX_LEVELS = 40  # halvings of the t range toward 0
 
 
-def _affine_cells(tree, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) per cell [edges[i], edges[i + 1]] of a cell without a kink,
-    where the wave-front perimeter is P(t) = A + B t: read off P at the
-    interior points a + w/4 and a + 3w/4 of each cell [a, a + w], all asked
-    of the tree in one call."""
-    a = edges[:-1]
-    w = edges[1:] - a
-    t1, t2 = a + w / 4, a + 3 * w / 4
-    p1, p2 = np.split(tree.front_perimeter_geometric(np.concatenate((t1, t2))), 2)
-    slope = (p2 - p1) / (t2 - t1)
-    return p1 - slope * t1, slope
-
-
 def _power_integrals(edges: np.ndarray, sigma: complex) -> np.ndarray:
     """The integral of t^(sigma - 1) over each cell [a, b] of the edges, free
     of cancellation, with the larger power taken out: for Re sigma > 0
@@ -208,8 +195,9 @@ def _power_integrals(edges: np.ndarray, sigma: complex) -> np.ndarray:
 def _kink_cells(tree, edges: np.ndarray, sc: complex) -> np.ndarray:
     """The integral of t^(s-2) P(t) over each cell of the edges, none of
     which holds a kink: A times the integral of t^(s-2) plus B times that
-    of t^(s-1), in closed form."""
-    a_coef, b_coef = _affine_cells(tree, edges)
+    of t^(s-1), in closed form, where P = A + B t on the cell (the tree's
+    running sums at its midpoint, all cells in one call)."""
+    a_coef, b_coef = tree.perimeter_coefficients((edges[:-1] + edges[1:]) / 2)
     # a power outside the float range leaves an inf or a NaN in the sum,
     # which zeta_via_mellin refuses
     with np.errstate(over="ignore", invalid="ignore"):
@@ -226,9 +214,9 @@ def zeta_via_mellin(domain: ConvexDomain, s) -> complex:
     size]: Z(s) is one finite sum, continued to every s but 0 and 1.  A
     smooth domain needs Re(s) > 2; its t range is halved toward 0 until a
     level adds less than _MELLIN_REL_TOL of the total, every level a sum of
-    such cells.  Each level asks the tree for all of its perimeters in one
-    call: A + B t from the minimal model's support lines and running sums
-    of the cuts' support differences (CutTree.front_perimeter_geometric),
+    such cells.  Each level asks the tree for all of its cells' (A, B) in
+    one call: running sums from the minimal model's support lines and the
+    cuts' support differences (CutTree.perimeter_coefficients),
     which on charts with a float support do not read the identity route's
     size oracles.  Its cells are added in order.
     """

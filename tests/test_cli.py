@@ -69,6 +69,7 @@ class TestZetaCommand:
         (["zeta", "L", "--s", "1/0"], 1, "undefined"),
         (["farey", "--s", "1/0"], 1, "undefined"),
         (["model", "L", "--s", "1/0"], 1, "undefined"),
+        (["model", "L", "--s", "2.5", "--cutoff", "0"], 1, "cutoff"),
         (["zeta", "L", "--s", "1e400"], 1, "not finite"),
         (["zeta", "L", "--s", "nan"], 1, "not finite"),
         (["zeta", "pentagon", "--s", "-700", "--route", "mellin"], 2, "overflow"),
@@ -77,7 +78,7 @@ class TestZetaCommand:
         (["zeta", "L", "--s", "-700"], 2, "overflow"),
         (["farey", "--s", "-300", "--bound", "500"], 2, "overflow"),
         (["farey", "--s", "1100", "--bound", "50"], 2, "overflow"),
-    ], ids=["zeta-1/0", "farey-1/0", "model-1/0", "zeta-1e400", "zeta-nan",
+    ], ids=["zeta-1/0", "farey-1/0", "model-1/0", "model-cutoff-0", "zeta-1e400", "zeta-nan",
             "mellin-pentagon--700", "farey-bound-0", "exact-too-long-to-print",
             "identity-L--700", "farey--300", "farey-1100"])
     def test_bad_input_is_a_json_error(self, tmp_path, capsys, args, code, message):
@@ -212,6 +213,7 @@ class TestGeometryCommands:
         assert len(payload["edges"]) == 5
         assert "<svg" in open(svg).read()
 
+    @pytest.mark.filterwarnings("error")  # no numpy warning on the way
     def test_equiaffine_methods(self, tmp_path, capsys):
         dom = write_domain(tmp_path, LDOM)
         vals = {}
@@ -220,8 +222,13 @@ class TestGeometryCommands:
             vals[method] = json.loads(out)["value"]
         target = 4 ** (4 / 3.0)
         assert abs(vals["graph"] - target) < 1e-6
-        assert abs(vals["parametric"] - target) < 1e-4
+        assert abs(vals["parametric"] / target - 1) < 1e-9
         assert abs(vals["triangles"] - target) < 0.05
+        # every chart's g'' blows up at x = 0, where its arc has a vertical tangent
+        disk = Path(__file__).resolve().parent.parent / "domains" / "disk.json"
+        code, out = run_cli(["equiaffine", str(disk), "--method", "parametric"], capsys)
+        assert code == 0
+        assert abs(json.loads(out)["value"] / (2 * math.pi) - 1) < 1e-9
 
 
 class TestAnalyticCommands:

@@ -23,8 +23,8 @@ class TestParametric:
 
     def test_unit_circle(self):
         val = length_parametric(
-            lambda t: (-math.sin(t), math.cos(t)),
-            lambda t: (-math.cos(t), -math.sin(t)),
+            lambda t: (-np.sin(t), np.cos(t)),
+            lambda t: (-np.cos(t), -np.sin(t)),
             (0.0, 2 * math.pi),
         )
         assert val == pytest.approx(2 * math.pi, rel=1e-10)

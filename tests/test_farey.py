@@ -439,7 +439,7 @@ class TestFejer:
         assert d64 <= d16 * (math.log(64) / 64) / (math.log(16) / 16) * 1.5
 
     def test_distance_to_integer_bound(self):
-        g = lambda x: min(x % 1, 1 - x % 1)
+        g = lambda x: np.minimum(x % 1, 1 - x % 1)
         assert fejer_defect(g, 256) <= 10 * math.log(256) / 256
 
 

@@ -138,15 +138,22 @@ def test_one_quadrature_rule():
 _EUCLID_STEP = re.compile(r"(\w+), (\w+) = \2, \1 - \w+ \* \2")
 
 
+def _lines_of(lines, node):
+    """The whole source lines a node spans, sliced from its module's lines
+    (ast.get_source_segment would rescan the module for every node)."""
+    return "".join(lines[node.lineno - 1:node.end_lineno])
+
+
 def _array_euclids():
     """(module, function) of every function that runs an extended-Euclid
     step on numpy arrays."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
+        lines = text.splitlines(keepends=True)
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                body = ast.get_source_segment(text, node)
+                body = _lines_of(lines, node)
                 if _EUCLID_STEP.search(body) and "np." in body:
                     out.append((path.stem, node.name))
     return out
@@ -190,21 +197,15 @@ def test_euclid_has_two_callers():
 
 def test_no_per_element_python_map():
     # np.fromiter runs a Python call per element; the series powers and
-    # quotients and the chart tangency solves run on arrays, and only
-    # elementwise, which lifts a user's scalar integrand to arrays, maps one
+    # quotients, the chart tangency solves and the user integrands of the
+    # equiaffine lengths and the Fejer defect all run on arrays
     found = set()
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
+        lines = text.splitlines(keepends=True)
         for node in ast.parse(text).body:
-            if "fromiter" in ast.get_source_segment(text, node):
+            if "fromiter" in _lines_of(lines, node):
                 found.add((path.stem, getattr(node, "name", "<module>")))
-    assert found == {("estimates", "elementwise")}
-
-
-def test_elementwise_lifts_only_user_integrands():
-    # every chart solves its tangency points on arrays (ArcChart.tangency_x),
-    # so only the equiaffine lengths of a user's curve or graph map a
-    # scalar function
-    callers = {(path.stem, fn) for path in sorted(SRC.glob("*.py"))
-               for fn in _callers("elementwise", path.read_text())}
-    assert callers == {("equiaffine", "length_parametric"), ("equiaffine", "length_graph")}
+    assert found == set()
+    probe = "x = 1\ny = np.fromiter(m, float)\n"
+    assert "fromiter" in _lines_of(probe.splitlines(keepends=True), ast.parse(probe).body[1])

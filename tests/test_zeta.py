@@ -237,17 +237,14 @@ class TestZetaExactOracle:
 
 
 def mellin_per_cell(domain, s):
-    """zeta_via_mellin as a plain loop: one cell at a time, its perimeters
+    """zeta_via_mellin as a plain loop: one cell at a time, its (A, B)
     asked one t at a time.  A cell without a kink adds A times the integral
-    of t^(s-2) plus B times that of t^(s-1), with P = A + B t through the
-    perimeters at a + w/4 and a + 3w/4.  A cell's arithmetic runs on
-    one-element arrays: numpy's array loops may fuse the multiply and add of
-    a complex product, where its scalar arithmetic rounds each step."""
+    of t^(s-2) plus B times that of t^(s-1), with P = A + B t read at the
+    cell's midpoint.  A cell's arithmetic runs on one-element arrays:
+    numpy's array loops may fuse the multiply and add of a complex product,
+    where its scalar arithmetic rounds each step."""
     sc = complex(s)
     m = float(zeta.minimal_model_of(domain).m)
-
-    def perimeter(tree, t):
-        return tree.front_perimeter_geometric(np.atleast_1d(t))[0]
 
     def power_integral(a, b, sigma):
         if a[0] == 0:
@@ -260,12 +257,9 @@ def mellin_per_cell(domain, s):
         total = 0j
         for a, b in zip(edges[:-1], edges[1:]):
             a, b = np.array([a]), np.array([b])
-            w = b - a
-            t1, t2 = a + w / 4, a + 3 * w / 4
-            p1, p2 = perimeter(tree, t1), perimeter(tree, t2)
-            slope = (p2 - p1) / (t2 - t1)
-            total += complex(((p1 - slope * t1) * power_integral(a, b, sc - 1)
-                              + slope * power_integral(a, b, sc))[0])
+            a_coef, b_coef = tree.perimeter_coefficients((a + b) / 2)
+            total += complex((a_coef * power_integral(a, b, sc - 1)
+                              + b_coef * power_integral(a, b, sc))[0])
         return total
 
     if domain.is_polygon:
@@ -364,7 +358,7 @@ class TestMellinRoute:
         tree = zeta.deepest_tree(dom, 0)
         m = float(zeta.minimal_model_of(dom).m)
         first = np.concatenate((tree.kinks(0, m), [m]))[0]
-        (a_coef,), (b_coef,) = zeta._affine_cells(tree, np.array([0.0, first]))
+        (a_coef,), (b_coef,) = tree.perimeter_coefficients(np.array([first / 2]))
         res1, res0 = polygon_residues(dom)
         assert abs(a_coef - res1) <= 1e-12 and abs(b_coef - res0) <= 1e-12
 
@@ -413,24 +407,24 @@ class TestMellinRoute:
         assert zeta_via_mellin(make(), s) == mellin_per_cell(make(), s)
 
     def test_one_perimeter_call_per_level(self, monkeypatch):
-        # every level's cells go to the perimeter in one call, two times per
-        # kink cell
+        # every level's cells go to the running sums in one call, one time
+        # per kink cell
         dom = ConvexDomain.domain_L()
         enumerate_cuts(dom, 1e-6)
-        kinks, perimeter = CutTree.kinks, CutTree.front_perimeter_geometric
+        kinks, coefficients = CutTree.kinks, CutTree.perimeter_coefficients
         times, calls = [], []
 
         def counting_kinks(tree, lo, hi):
             inside = kinks(tree, lo, hi)
-            times.append(2 * (len(inside) + 1))
+            times.append(len(inside) + 1)
             return inside
 
-        def counting_perimeter(tree, ts):
+        def counting_coefficients(tree, ts):
             calls.append(len(ts))
-            return perimeter(tree, ts)
+            return coefficients(tree, ts)
 
         monkeypatch.setattr(CutTree, "kinks", counting_kinks)
-        monkeypatch.setattr(CutTree, "front_perimeter_geometric", counting_perimeter)
+        monkeypatch.setattr(CutTree, "perimeter_coefficients", counting_coefficients)
         assert zeta_via_mellin(dom, 3) == 1.2427479811266895  # the CLI golden value
         assert calls == times
 
